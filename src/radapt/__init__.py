@@ -69,6 +69,7 @@ from .posterior import (
     BetaPosterior,
     MonteCarlo,
     SuccessCount,
+    prob_best,
     prob_greater,
     prob_max,
     prob_max_all,

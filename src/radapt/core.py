@@ -112,7 +112,6 @@ class RuleConfig:
     gamma_schedule: tuple[float, ...] = ()
     eta_schedule: tuple[float, ...] = ()
     control_exponent_form: str = "ProductForm"
-    mc_draws: int = 100_000
 
     def gamma_for_stage(self, stage: int) -> float:
         return self.gamma_schedule[stage - 2]
@@ -297,8 +296,6 @@ def _validate_rule(design: TrialDesign) -> list[str]:
             )
         if any(e < 0 for e in rule.eta_schedule):
             v.append("eta_schedule entries must be >= 0")
-    if rule.mc_draws < 1:
-        v.append(f"mc_draws must be >= 1, got {rule.mc_draws}")
     return v
 
 
@@ -368,7 +365,6 @@ def design_to_dict(design: TrialDesign) -> dict:
             "gamma_schedule": list(design.rule.gamma_schedule),
             "eta_schedule": list(design.rule.eta_schedule),
             "control_exponent_form": design.rule.control_exponent_form,
-            "mc_draws": design.rule.mc_draws,
         },
         "mapping": None,
         "prior_alpha": list(design.prior_alpha),
@@ -415,7 +411,6 @@ def design_from_dict(d: dict) -> TrialDesign:
             gamma_schedule=tuple(r.get("gamma_schedule", ())),
             eta_schedule=tuple(r.get("eta_schedule", ())),
             control_exponent_form=r.get("control_exponent_form", "ProductForm"),
-            mc_draws=r.get("mc_draws", 100_000),
         )
         mapping = None
         if d.get("mapping") is not None:

@@ -6,9 +6,10 @@ Determinism contract
 --------------------
 Replicate r of a run with master seed m draws every random quantity from
 ``SeedSequence([m, r])`` (pooled strata use ``[m, r, 0]`` and ``[m, r, 1]``).
-Sampling-based probability-of-maximum estimates are seeded from the posterior
-state itself, never from the trial stream, so memoised values cannot depend on
-evaluation order or on how replicates are split across worker processes.
+The continuous rules draw nothing: each one, P(best) included, is computed
+exactly from the posterior state and the assigned counts, so memoised values
+cannot depend on evaluation order or on how replicates are split across worker
+processes.
 Replicate aggregation uses integer accumulators only; every reported float is
 derived once from the merged integers, which makes reports byte-identical for
 any worker count and across repeated runs.
@@ -47,7 +48,7 @@ from .outcomes import (
     impute_stage2_mean,
     mark_missing,
 )
-from .posterior import BetaPosterior, MonteCarlo, SuccessCount, update
+from .posterior import BetaPosterior, SuccessCount, update
 from .randlist import RandomisationBlock, generate_block
 from .rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
 
@@ -191,38 +192,6 @@ def _assigned_counts(
     return tuple(counts)
 
 
-# Fixed salt separating probability-of-maximum streams from everything else.
-_PM_SEED_SALT = 0x52414441
-
-_pm_cache: dict[tuple, tuple[float, ...]] = {}
-
-
-def _posterior_entropy(posteriors) -> list[int]:
-    bits = np.array(
-        [v for p in posteriors for v in (p.alpha, p.beta)], dtype=np.float64
-    )
-    return [int(w) for w in bits.view(np.uint64)]
-
-
-def _ts_pi(posteriors, gamma: float, draws: int) -> ProbVector:
-    """Probability-of-maximum rule with a state-derived Monte Carlo seed.
-
-    The seed is a pure function of the posterior parameters, so the same
-    state yields the same probabilities in any process and any order; the
-    cache is plain memoisation.
-    """
-    key = (tuple((p.alpha, p.beta) for p in posteriors), gamma, draws)
-    cached = _pm_cache.get(key)
-    if cached is None:
-        seed = np.random.SeedSequence(
-            [_PM_SEED_SALT, draws] + _posterior_entropy(posteriors)
-        )
-        cached = ts_brar(posteriors, gamma, MonteCarlo(draws=draws, seed=seed)).probs
-        if len(_pm_cache) < 200_000:
-            _pm_cache[key] = cached
-    return ProbVector(cached)
-
-
 def _rule_pi(
     design: TrialDesign,
     upcoming_stage: int,
@@ -234,7 +203,7 @@ def _rule_pi(
         return fixed_equal(design.k)
     gamma = rule.gamma_for_stage(upcoming_stage)
     if rule.kind == "TSBRAR":
-        return _ts_pi(posteriors, gamma, rule.mc_draws)
+        return ts_brar(posteriors, gamma)
     return trippa_brar(
         posteriors,
         ArmCounts(counts),

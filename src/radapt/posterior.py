@@ -1,14 +1,16 @@
 """Beta-Bernoulli inference for the binary adaptation endpoint.
 
 Success counts come from dichotomised outcomes only; the conjugate update and
-the two comparison probabilities here feed the allocation rules. Everything is
-a pure function over immutable inputs: Monte Carlo state is caller-provided,
-never global.
+the two comparison probabilities here feed the allocation rules. Both are
+computed deterministically; the seeded Monte Carlo estimators are kept as
+independent references for them. Everything is a pure function over immutable
+inputs: Monte Carlo state is caller-provided, never global.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,6 +22,7 @@ __all__ = [
     "MonteCarlo",
     "update",
     "prob_greater",
+    "prob_best",
     "prob_max",
     "prob_max_all",
 ]
@@ -169,15 +172,110 @@ def prob_greater(
     return _prob_greater_quad(a, b)
 
 
+@lru_cache(maxsize=256)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # n-point rule moved to [0, 1]; read-only because every caller shares it
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=65536)
+def _prob_best_int(arms: tuple[tuple[int, int, int], ...]) -> tuple[float, ...]:
+    # arms holds (a, b, m) per distinct posterior, m arms sharing it. An arm
+    # of type d is best with probability int_0^1 f_d F_d^(m_d - 1)
+    # prod_{e != d} F_e^(m_e) dx. With integer parameters the integrand is a
+    # polynomial of degree sum(a + b) - K - 1 over all K arms, so
+    # ceil((degree + 1) / 2) Gauss-Legendre nodes integrate it exactly up to
+    # rounding.
+    from scipy.special import betainc, betaln, xlog1py, xlogy
+
+    a, b, m = (np.array(col, dtype=np.float64)[:, None] for col in zip(*arms))
+    degree = int(np.sum(m * (a + b - 1.0))) - 1
+    x, w = _gauss_legendre(degree // 2 + 1)
+    cdf = betainc(a, b, x)
+    pdf = np.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - betaln(a, b))
+    # a zero exponent gives a factor of exactly 1 even where F_e underflows
+    powers = m.T - np.eye(len(arms))
+    others = np.prod(cdf[None, :, :] ** powers[:, :, None], axis=1)
+    return tuple(float(v) for v in (pdf * others) @ w)
+
+
+@lru_cache(maxsize=4096)
+def _prob_best_quad(arms: tuple[tuple[float, float, int], ...]) -> tuple[float, ...]:
+    # The same integrals for non-integer shapes, made endpoint-safe as in
+    # _pg_quad_oriented: split at 1/2, evaluate the upper half in u = 1 - x
+    # via F_e(1 - u) = 1 - I_u(b_e, a_e), and remove f_d's algebraic
+    # singularity at each end with the power substitution.
+    from scipy.integrate import tanhsinh
+    from scipy.special import betainc, betaincc, betaln
+
+    out = []
+    for d, (ad, bd, _) in enumerate(arms):
+        powers = [m - (e == d) for e, (_, _, m) in enumerate(arms)]
+        lb = betaln(ad, bd)
+
+        def lower(w: np.ndarray) -> np.ndarray:
+            x = np.power(w, 1.0 / ad)
+            val = np.exp((bd - 1.0) * np.log1p(-x) - lb) / ad
+            for (ae, be, _), pe in zip(arms, powers):
+                val = val * betainc(ae, be, x) ** pe
+            return val
+
+        def upper(w: np.ndarray) -> np.ndarray:
+            u = np.power(w, 1.0 / bd)
+            val = np.exp((ad - 1.0) * np.log1p(-u) - lb) / bd
+            for (ae, be, _), pe in zip(arms, powers):
+                val = val * betaincc(be, ae, u) ** pe
+            return val
+
+        total = 0.0
+        for integrand, shape in ((lower, ad), (upper, bd)):
+            top = 0.5**shape
+            if top > 0.0:
+                res = tanhsinh(integrand, 0.0, top, atol=5e-13, rtol=0.0)
+                total += float(res.integral)
+        out.append(total)
+    return tuple(out)
+
+
+def prob_best(
+    posteriors: list[BetaPosterior] | tuple[BetaPosterior, ...],
+) -> tuple[float, ...]:
+    """P(each arm has the maximum success probability), computed exactly.
+
+    P(k is best) = int_0^1 f_k(x) prod_{j != k} F_j(x) dx. With integer
+    parameters (the only case reachable from integer priors and counts) a
+    Gauss-Legendre rule integrates the polynomial integrand exactly up to
+    rounding; otherwise tanh-sinh quadrature keeps the absolute error
+    <= 1e-9. Each distinct (alpha, beta) is evaluated once on the canonically
+    sorted multiset, so permuting the input permutes the output bit for bit
+    and arms with equal posteriors get equal values. The values are not
+    renormalised.
+    """
+    if len(posteriors) < 2:
+        raise ValueError("need at least two posteriors")
+    keys = [(p.alpha, p.beta) for p in posteriors]
+    arms = tuple((a, b, m) for (a, b), m in sorted(Counter(keys).items()))
+    if all(_is_integral(a) and _is_integral(b) for a, b, _ in arms):
+        values = _prob_best_int(tuple((int(a), int(b), m) for a, b, m in arms))
+    else:
+        values = _prob_best_quad(arms)
+    by_key = {(a, b): v for (a, b, _), v in zip(arms, values)}
+    return tuple(by_key[key] for key in keys)
+
+
 def prob_max_all(
     posteriors: list[BetaPosterior] | tuple[BetaPosterior, ...],
     mc: MonteCarlo,
 ) -> np.ndarray:
     """P(each arm has the maximum success probability), jointly estimated.
 
-    One common sample of shape (draws, K) is drawn; each draw credits exactly
-    one arm, with argmax ties broken uniformly, so the K estimates sum to
-    exactly 1.
+    The sampling counterpart of `prob_best`, kept as its independent
+    reference. One common sample of shape (draws, K) is drawn; each draw
+    credits exactly one arm, with argmax ties broken uniformly, so the K
+    estimates sum to exactly 1.
     """
     k = len(posteriors)
     if k < 2:

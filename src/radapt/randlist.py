@@ -112,14 +112,20 @@ def import_list(
         _, stage, arm_label, block_id, seed_tag = row
         if arm_label not in by_label:
             raise ValueError(f"{path}:{lineno}: unknown arm label {arm_label!r}")
-        bid = int(block_id)
+        try:
+            bid, stage_index = int(block_id), int(stage)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: block_id and stage must be integers, "
+                f"got {block_id!r} and {stage!r}"
+            ) from None
         if current_id is not None and bid != current_id:
             blocks.append(
                 RandomisationBlock(current_meta[0], tuple(current), current_meta[1])
             )
             current = []
         current_id = bid
-        current_meta = (int(stage), seed_tag)
+        current_meta = (stage_index, seed_tag)
         current.append(by_label[arm_label])
     if current:
         blocks.append(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .posterior import BetaPosterior, MonteCarlo, prob_greater, prob_max_all
+from .posterior import BetaPosterior, prob_best, prob_greater
 
 __all__ = ["ProbVector", "ArmCounts", "fixed_equal", "ts_brar", "trippa_brar"]
 
@@ -69,49 +69,24 @@ def fixed_equal(k: int) -> ProbVector:
     return ProbVector((1.0 / k,) * k)
 
 
-def _prob_max_canonical(
-    posteriors: list[BetaPosterior] | tuple[BetaPosterior, ...],
-    mc: MonteCarlo,
-) -> list[float]:
-    # Estimate on a canonically sorted copy and average estimates across arms
-    # with identical parameters; each arm's value then depends only on its own
-    # parameters and the multiset, so permuting the input permutes the output
-    # bit-exactly instead of re-randomising the draw stream.
-    order = sorted(range(len(posteriors)), key=lambda i: (posteriors[i].alpha, posteriors[i].beta))
-    pm = prob_max_all([posteriors[i] for i in order], mc)
-    out = [0.0] * len(posteriors)
-    i = 0
-    while i < len(order):
-        j = i
-        key = (posteriors[order[i]].alpha, posteriors[order[i]].beta)
-        while j < len(order) and (posteriors[order[j]].alpha, posteriors[order[j]].beta) == key:
-            j += 1
-        avg = math.fsum(float(pm[t]) for t in range(i, j)) / (j - i)
-        for t in range(i, j):
-            out[order[t]] = avg
-        i = j
-    return out
-
-
 def ts_brar(
     posteriors: list[BetaPosterior] | tuple[BetaPosterior, ...],
     gamma: float,
-    mc: MonteCarlo,
 ) -> ProbVector:
     """Probability-of-maximum weighting: pi_k proportional to P(k is best)^gamma.
 
-    gamma = 0 returns fixed_equal exactly without touching the Monte Carlo
-    stream; gamma = 1 is vanilla posterior-probability weighting.
+    P(k is best) is computed exactly (`prob_best`). gamma = 0 returns
+    fixed_equal exactly without computing it; gamma = 1 is vanilla
+    posterior-probability weighting.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     k = len(posteriors)
     if gamma == 0:
         return fixed_equal(k)
-    pm = _prob_max_canonical(posteriors, mc)
-    weights = [p**gamma for p in pm]
+    weights = [p**gamma for p in prob_best(posteriors)]
     if all(w == 0.0 for w in weights):
-        raise RuntimeError("all probability-of-maximum estimates are zero")
+        raise RuntimeError("all probability-of-maximum values are zero")
     return _normalised(weights)
 
 

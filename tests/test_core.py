@@ -140,6 +140,16 @@ class TestJsonRoundTrip:
         assert payload["stages"][0]["size"] == 6
         assert payload["tau"] == 0.1
 
+    def test_legacy_mc_draws_key_ignored(self):
+        # P(best) is computed exactly, so older files' sampling knob is moot
+        design = preset_design("unrestricted")
+        payload = design_to_dict(design)
+        assert "mc_draws" not in payload["rule"]
+        payload["rule"]["mc_draws"] = 100000
+        loaded = design_from_dict(payload)
+        assert loaded == design
+        assert validate_design(loaded) == []
+
     def test_malformed_dict_raises(self):
         with pytest.raises(ValueError, match="malformed"):
             design_from_dict({"stages": []})

@@ -9,6 +9,7 @@ from radapt.posterior import (
     BetaPosterior,
     MonteCarlo,
     SuccessCount,
+    prob_best,
     prob_greater,
     prob_max,
     prob_max_all,
@@ -212,3 +213,105 @@ class TestProbMax:
     def test_zero_draws_rejected(self):
         with pytest.raises(ValueError, match="draws"):
             MonteCarlo(draws=0)
+
+
+def _random_states(seed, k, n_states, hi):
+    rng = np.random.default_rng(seed)
+    return [
+        [
+            BetaPosterior(int(rng.integers(1, hi + 1)), int(rng.integers(1, hi + 1)))
+            for _ in range(k)
+        ]
+        for _ in range(n_states)
+    ]
+
+
+def _assert_within_4se_of_sampling(posteriors, exact, draws, seed):
+    est = prob_max_all(posteriors, MonteCarlo(draws=draws, seed=seed))
+    for p, e in zip(exact, est):
+        se = math.sqrt(p * (1.0 - p) / draws)
+        assert abs(e - p) <= 4.0 * se, (posteriors, exact, est)
+
+
+class TestProbBest:
+    @given(
+        aa=st.integers(1, 40), ab=st.integers(1, 40),
+        ba=st.integers(1, 40), bb=st.integers(1, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_two_arms_equal_closed_form(self, aa, ab, ba, bb):
+        a, b = BetaPosterior(aa, ab), BetaPosterior(ba, bb)
+        pa, pb = prob_best([a, b])
+        assert pa == pytest.approx(prob_greater(a, b), abs=1e-12)
+        assert pb == pytest.approx(prob_greater(b, a), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_agrees_with_sampling_oracle(self, k):
+        for t, posts in enumerate(_random_states(100 + k, k, 3, 12)):
+            _assert_within_4se_of_sampling(
+                posts, prob_best(posts), 400_000, np.random.SeedSequence([k, t])
+            )
+
+    def test_dominant_arm_analytic(self):
+        # with two uniform rivals, P(X > max(Y, Z)) = E[X^2] = 50/52
+        pm = prob_best([BetaPosterior(50, 1), BetaPosterior(1, 1), BetaPosterior(1, 1)])
+        assert pm[0] == pytest.approx(50 / 52, abs=1e-12)
+        assert pm[1] == pm[2] == pytest.approx(1 / 52, abs=1e-12)
+
+    @given(
+        params=st.lists(
+            st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=2, max_size=5
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_raw_values_sum_to_one(self, params):
+        pm = prob_best([BetaPosterior(a, b) for a, b in params])
+        assert all(p >= 0.0 for p in pm)
+        assert abs(math.fsum(pm) - 1.0) <= 1e-12
+
+    def test_noninteger_prior_path(self):
+        # Beta(0.5, 0.5) prior: the density is singular at both ends for the
+        # arm still at its prior
+        prior = (0.5, 0.5)
+        states = [
+            [(0, 0), (2, 1), (1, 2)],
+            [(3, 1), (1, 3), (2, 2)],
+            [(4, 0), (0, 4), (4, 0), (1, 1)],
+        ]
+        for t, counts in enumerate(states):
+            posts = [BetaPosterior(prior[0] + s, prior[1] + f) for s, f in counts]
+            exact = prob_best(posts)
+            assert abs(math.fsum(exact) - 1.0) <= 1e-9
+            _assert_within_4se_of_sampling(
+                posts, exact, 400_000, np.random.SeedSequence([7, t])
+            )
+
+    def test_noninteger_error_budget(self):
+        # independent high-precision oracle for the 1e-9 absolute error bound
+        import mpmath
+
+        posts = [BetaPosterior(0.5, 0.5), BetaPosterior(2.5, 1.5), BetaPosterior(1.5, 2.5)]
+        with mpmath.workdps(25):
+            def pdf(p, x):
+                return x ** (p.alpha - 1) * (1 - x) ** (p.beta - 1) / mpmath.beta(
+                    p.alpha, p.beta
+                )
+
+            def cdf(p, x):
+                return mpmath.betainc(p.alpha, p.beta, 0, x, regularized=True)
+
+            oracle = [
+                float(
+                    mpmath.quad(
+                        lambda x, k=k: pdf(posts[k], x)
+                        * mpmath.fprod(cdf(p, x) for j, p in enumerate(posts) if j != k),
+                        [0, 0.5, 1],
+                    )
+                )
+                for k in range(len(posts))
+            ]
+        assert prob_best(posts) == pytest.approx(oracle, abs=1e-9)
+
+    def test_single_posterior_rejected(self):
+        with pytest.raises(ValueError):
+            prob_best([BetaPosterior(1, 1)])

@@ -154,6 +154,15 @@ class TestExportImport:
         with pytest.raises(ValueError, match="T9"):
             import_list(path)
 
+    @pytest.mark.parametrize("row", ["1,1,C,x,", "1,two,C,1,"])
+    def test_non_integer_field_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            ",".join(CSV_HEADER) + "\n1,1,C,1,\n" + row + "\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=r"bad\.csv:3: block_id and stage"):
+            import_list(path)
+
     def test_empty_list_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radapt import rules
-from radapt.posterior import BetaPosterior, MonteCarlo
+from radapt.posterior import BetaPosterior
 from radapt.rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
 
 
@@ -41,24 +41,24 @@ class TestFixedEqual:
 
 class TestTsBrar:
     def test_gamma_zero_bypasses_monte_carlo(self, monkeypatch):
-        # the balanced shortcut must not consume the seeded stream
+        # the balanced shortcut must not compute P(best) at all
         def boom(*args, **kwargs):
             raise AssertionError("prob-of-max should not be called")
 
-        monkeypatch.setattr(rules, "_prob_max_canonical", boom)
-        pi = ts_brar([BetaPosterior(3, 2)] * 3, 0.0, MonteCarlo(seed=1))
+        monkeypatch.setattr(rules, "prob_best", boom)
+        pi = ts_brar([BetaPosterior(3, 2)] * 3, 0.0)
         assert pi.probs == (1 / 3, 1 / 3, 1 / 3)
 
     def test_identical_posteriors_equal_shares(self):
-        pi = ts_brar([BetaPosterior(2, 2)] * 3, 1.0, MonteCarlo(draws=50_000, seed=3))
+        pi = ts_brar([BetaPosterior(2, 2)] * 3, 1.0)
         for p in pi.probs:
             assert p == pytest.approx(1 / 3, abs=1e-12)
 
     def test_gamma_two_hand_arithmetic(self, monkeypatch):
         # (0.6, 0.3, 0.1) squared is (0.36, 0.09, 0.01), total 0.46
-        monkeypatch.setattr(rules, "_prob_max_canonical", lambda posts, mc: [0.6, 0.3, 0.1])
+        monkeypatch.setattr(rules, "prob_best", lambda posts: [0.6, 0.3, 0.1])
         posts = [BetaPosterior(2, 1), BetaPosterior(1, 1), BetaPosterior(1, 2)]
-        pi = ts_brar(posts, 2.0, MonteCarlo(seed=0))
+        pi = ts_brar(posts, 2.0)
         assert pi[0] == pytest.approx(0.36 / 0.46, abs=1e-12)
         assert pi[1] == pytest.approx(0.09 / 0.46, abs=1e-12)
         assert pi[2] == pytest.approx(0.01 / 0.46, abs=1e-12)
@@ -68,33 +68,32 @@ class TestTsBrar:
         shares = []
         for x in (lo, hi):
             monkeypatch.setattr(
-                rules, "_prob_max_canonical", lambda posts, mc, x=x: [x, 0.15, 0.05]
+                rules, "prob_best", lambda posts, x=x: [x, 0.15, 0.05]
             )
-            shares.append(ts_brar([BetaPosterior(1, 1)] * 3, 1.7, MonteCarlo(seed=0))[0])
+            shares.append(ts_brar([BetaPosterior(1, 1)] * 3, 1.7)[0])
 
         assert shares[1] >= shares[0]
 
     def test_permutation_equivariance_exact(self):
         posts = [BetaPosterior(5, 3), BetaPosterior(2, 7), BetaPosterior(4, 4)]
-        mc = MonteCarlo(draws=20_000, seed=11)
-        base = ts_brar(posts, 1.3, mc)
+        base = ts_brar(posts, 1.3)
         for perm in itertools.permutations(range(3)):
-            pi = ts_brar([posts[i] for i in perm], 1.3, mc)
+            pi = ts_brar([posts[i] for i in perm], 1.3)
             assert pi.probs == tuple(base[i] for i in perm)
 
     def test_identical_pair_shares_estimate(self):
         posts = [BetaPosterior(3, 3), BetaPosterior(3, 3), BetaPosterior(4, 2)]
-        pi = ts_brar(posts, 1.0, MonteCarlo(draws=50_000, seed=2))
+        pi = ts_brar(posts, 1.0)
         assert pi[0] == pi[1]
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            ts_brar([BetaPosterior(1, 1)] * 3, -0.5, MonteCarlo(seed=0))
+            ts_brar([BetaPosterior(1, 1)] * 3, -0.5)
 
     def test_all_zero_estimates_internal_error(self, monkeypatch):
-        monkeypatch.setattr(rules, "_prob_max_canonical", lambda posts, mc: [0.0, 0.0, 0.0])
+        monkeypatch.setattr(rules, "prob_best", lambda posts: [0.0, 0.0, 0.0])
         with pytest.raises(RuntimeError):
-            ts_brar([BetaPosterior(1, 1)] * 3, 1.0, MonteCarlo(seed=0))
+            ts_brar([BetaPosterior(1, 1)] * 3, 1.0)
 
     @given(
         params=st.lists(
@@ -105,7 +104,7 @@ class TestTsBrar:
     @settings(max_examples=40, deadline=None)
     def test_probability_vector_contract(self, params, gamma):
         posts = [BetaPosterior(a, b) for a, b in params]
-        pi = ts_brar(posts, gamma, MonteCarlo(draws=4000, seed=9))
+        pi = ts_brar(posts, gamma)
         assert all(p >= 0 for p in pi.probs)
         assert math.fsum(pi.probs) == pytest.approx(1.0, abs=1e-12)
 
