@@ -1,11 +1,15 @@
 """Final-analysis hypothesis testing per stratum and the pooled-strata variant.
 
 The primary test is a one-sided rank-sum test (alternative: treatment
-stochastically greater than control) with midranks for ties. The exact method
-computes the full-enumeration null distribution with a subset-sum counting
-table over doubled midranks, which is identical to enumerating every labeling
-but runs in polynomial time; float64 counts stay exact for every sample size
-this engine produces.
+stochastically greater than control) with midranks for ties. Ranks are kept
+doubled so they stay integers: one plain-Python sort of the combined sample
+(2 to about 40 values here) gives each run of tied values, positions i..j
+counted from 1, the doubled midrank i + j. The exact method computes the
+full-enumeration null distribution with a subset-sum counting table over
+these doubled midranks, which is identical to enumerating every labeling but
+runs in polynomial time; float64 counts stay exact for every sample size this
+engine produces. The table is cached on the sorted tie pattern, so the common
+tie-free samples of one size share one table.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import ArmId, TrialDesign
 from .posterior import BetaPosterior, SuccessCount, update
@@ -73,11 +77,18 @@ def _null_survival(scaled_ranks: tuple[int, ...], n1: int) -> np.ndarray:
     return surv
 
 
-def _scaled_midranks(treatment, control) -> tuple[np.ndarray, int]:
-    combined = np.concatenate([np.asarray(treatment, float), np.asarray(control, float)])
-    scaled = np.rint(2.0 * rankdata(combined)).astype(np.int64)
-    w2 = int(scaled[: len(treatment)].sum())
-    return scaled, w2
+def _doubled_midranks(values: list[float]) -> list[int]:
+    """Twice the midrank of each value, in input order (integers)."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    doubled = [0] * len(values)
+    seen = 0
+    for _, run in groupby(order, key=values.__getitem__):
+        run = list(run)
+        # sorted positions seen+1 .. seen+len(run) share their mean as midrank
+        for i in run:
+            doubled[i] = 2 * seen + len(run) + 1
+        seen += len(run)
+    return doubled
 
 
 def wilcoxon_one_sided(
@@ -94,12 +105,23 @@ def wilcoxon_one_sided(
     n1, n2 = len(treatment), len(control)
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
-    if any(not math.isfinite(float(v)) for v in list(treatment) + list(control)):
+    values = [float(v) for v in treatment] + [float(v) for v in control]
+    if not all(math.isfinite(v) for v in values):
         raise ValueError("samples must be finite")
 
-    scaled, w2 = _scaled_midranks(treatment, control)
+    doubled = _doubled_midranks(values)
+    w2 = sum(doubled[:n1])
     n = n1 + n2
 
+    if method == "exact":
+        sorted_ranks = tuple(sorted(doubled))
+        smax = sum(sorted_ranks[-n1:])
+        if (n1 + 1) * (smax + 1) <= _EXACT_CELL_GUARD:
+            surv = _null_survival(sorted_ranks, n1)
+            return float(surv[w2])
+        method = "permutation"
+
+    scaled = np.array(doubled, dtype=np.int64)
     if method == "normal":
         mean_r = scaled.mean()
         var_w2 = n1 * n2 / (n - 1) * float(np.mean((scaled - mean_r) ** 2))
@@ -108,14 +130,6 @@ def wilcoxon_one_sided(
         # continuity correction: W2 steps in units of 1 (doubled midranks)
         z = (w2 - 1.0 - n1 * mean_r) / math.sqrt(var_w2)
         return float(0.5 * math.erfc(z / math.sqrt(2.0)))
-
-    if method == "exact":
-        sorted_ranks = tuple(sorted(int(r) for r in scaled))
-        smax = sum(sorted_ranks[-n1:])
-        if (n1 + 1) * (smax + 1) <= _EXACT_CELL_GUARD:
-            surv = _null_survival(sorted_ranks, n1)
-            return float(surv[w2])
-        method = "permutation"
 
     if method == "permutation":
         if rng is None:

@@ -22,6 +22,7 @@ import math
 import multiprocessing
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .mapping import (
     RatioVector,
     active_shares,
     decide_category,
+    resolve_allocation,
     stage_ratio,
 )
 from .outcomes import (
@@ -161,26 +163,48 @@ class TrialTrajectory:
 # ---------------------------------------------------------------------------
 # Posterior bookkeeping and the continuous rule
 
+# Per-arm (successes, failures, assigned): with the stage-1 and stage-2
+# missingness flags, everything an interim decision reads from the records.
+ArmTallies = tuple[tuple[int, int, int], ...]
+
+
+def _interim_counts(
+    records: list[PatientRecord] | tuple[PatientRecord, ...], design: TrialDesign
+) -> tuple[ArmTallies, tuple[bool, bool]]:
+    success = [0] * design.k
+    failure = [0] * design.k
+    assigned = [0] * design.k
+    stage1_missing = stage2_missing = False
+    for rec in records:
+        i = rec.arm.index
+        assigned[i] += 1
+        if rec.delta_y is None:
+            if rec.stage == 1:
+                stage1_missing = True
+            elif rec.stage == 2:
+                stage2_missing = True
+        elif dichotomise(rec.delta_y, design.delta):
+            success[i] += 1
+        else:
+            failure[i] += 1
+    return tuple(zip(success, failure, assigned)), (stage1_missing, stage2_missing)
+
+
+def _posteriors(design: TrialDesign, tallies: ArmTallies) -> tuple[BetaPosterior, ...]:
+    return tuple(
+        update(
+            BetaPosterior(design.prior_alpha[i], design.prior_beta[i]),
+            SuccessCount(s, f),
+        )
+        for i, (s, f, _) in enumerate(tallies)
+    )
+
+
 def posterior_snapshot(
     records: list[PatientRecord] | tuple[PatientRecord, ...], design: TrialDesign
 ) -> tuple[BetaPosterior, ...]:
     """Per-arm endpoint posteriors from all observed (or imputed) outcomes."""
-    success = [0] * design.k
-    failure = [0] * design.k
-    for rec in records:
-        if rec.delta_y is None:
-            continue
-        if dichotomise(rec.delta_y, design.delta):
-            success[rec.arm.index] += 1
-        else:
-            failure[rec.arm.index] += 1
-    return tuple(
-        update(
-            BetaPosterior(design.prior_alpha[i], design.prior_beta[i]),
-            SuccessCount(success[i], failure[i]),
-        )
-        for i in range(design.k)
-    )
+    return _posteriors(design, _interim_counts(records, design)[0])
 
 
 def _assigned_counts(
@@ -248,27 +272,24 @@ def _tau_dropped_pi(pi: ProbVector, design: TrialDesign) -> tuple[ProbVector, tu
     return ProbVector(tuple(w / total for w in weights)), drops
 
 
-def interim_decision(
+@lru_cache(maxsize=4096)
+def _decide(
     design: TrialDesign,
-    records,
-    upcoming_stage: int,
     policy: MissingPolicy,
-    rng: np.random.Generator,
+    upcoming_stage: int,
+    tallies: ArmTallies,
+    missing: tuple[bool, bool],
 ) -> InterimRecord:
-    """Posterior update, continuous rule, policy overrides, and (for mapped
-    designs) the discrete ratio of the stage about to open.
+    """The interim decision as a pure function of integer counts.
 
-    `records` is everything accrued so far; assignments count even when the
-    outcome is missing. The only randomness consumed is the fair coin a
-    two-option stage-3 category needs.
+    Nothing here draws: the mapping resolves stage-2 ratios and the
+    PermutedBlock schedule without the generator, so none is passed. A
+    mapped stage-3 decision comes back with ratio None, because its
+    category pair may need the fair coin; interim_decision draws it.
     """
-    working, _ = _prepare_analysis_records(records, policy)
-    posteriors = posterior_snapshot(working, design)
-    counts = _assigned_counts(records, design.k)
-    pi = _rule_pi(design, upcoming_stage, posteriors, counts)
-
-    stage1_missing = any(r.stage == 1 and r.missing for r in working)
-    stage2_missing = any(r.stage == 2 and r.missing for r in working)
+    posteriors = _posteriors(design, tallies)
+    pi = _rule_pi(design, upcoming_stage, posteriors, tuple(n for _, _, n in tallies))
+    stage1_missing, stage2_missing = missing
     plan = design.stages[upcoming_stage - 1]
     overrides: list[str] = []
     categories = applied = None
@@ -277,7 +298,7 @@ def interim_decision(
 
     if design.mapping is not None:
         if design.mapping.variant == "PermutedBlock":
-            ratio, _ = stage_ratio(design, upcoming_stage, pi, rng)
+            ratio, _ = stage_ratio(design, upcoming_stage, pi, None)
         elif upcoming_stage == 2:
             x1, x2 = active_shares(pi)
             categories = (
@@ -292,7 +313,7 @@ def interim_decision(
                 )
             else:
                 ratio, _ = stage_ratio(
-                    design, 2, pi, rng, category_override=categories
+                    design, 2, pi, None, category_override=categories
                 )
         else:
             x1, x2 = active_shares(pi)
@@ -309,7 +330,6 @@ def interim_decision(
                         "Disfavour/Favour"
                     )
                 applied = demoted
-            ratio, _ = stage_ratio(design, 3, pi, rng, category_override=applied)
     else:
         if (
             upcoming_stage == 2
@@ -347,6 +367,36 @@ def interim_decision(
     )
 
 
+def interim_decision(
+    design: TrialDesign,
+    records,
+    upcoming_stage: int,
+    policy: MissingPolicy,
+    rng: np.random.Generator,
+) -> InterimRecord:
+    """Posterior update, continuous rule, policy overrides, and (for mapped
+    designs) the discrete ratio of the stage about to open.
+
+    `records` is everything accrued so far; assignments count even when the
+    outcome is missing. One pass over the records (after stage-2 imputation
+    when the policy asks for it) reduces them to per-arm successes, failures
+    and assigned counts plus the stage-1 and stage-2 missingness flags; the
+    decision is memoised on those counts. The only randomness consumed is the
+    fair coin a two-option stage-3 category needs, drawn from `rng` at every
+    call, memo hit or not, so the caller's stream advances exactly as if
+    nothing were memoised.
+    """
+    if policy.impute_stage2:
+        records, _ = _prepare_analysis_records(records, policy)
+    tallies, missing = _interim_counts(records, design)
+    decision = _decide(design, policy, upcoming_stage, tallies, missing)
+    if decision.ratio is None and decision.applied_categories is not None:
+        # mapped stage 3: a single Disfavour or Favour admits two ratios
+        ratio = resolve_allocation(decision.applied_categories, 3, rng)
+        decision = replace(decision, ratio=ratio)
+    return decision
+
+
 # ---------------------------------------------------------------------------
 # One trial
 
@@ -364,18 +414,37 @@ def run_trial(
     for two-option categories), block permutation or i.i.d. assignment draws,
     one outcome per patient in assignment order, then the missingness draw.
     """
-    problems = validate_design(design)
-    if problems:
-        raise ValueError("invalid design: " + "; ".join(problems))
-    if len(model.effects) != design.k:
-        raise ValueError(
-            f"model has {len(model.effects)} effects for {design.k} arms"
-        )
+    _require_valid(design)
+    _require_arity(design, model)
     if case is None:
         case = MissingCase.from_id(0)
     if rng is None:
         rng = np.random.default_rng()
+    return _conduct_trial(design, model, case, policy, rng, seed_tag)
 
+
+def _require_valid(design: TrialDesign) -> None:
+    problems = validate_design(design)
+    if problems:
+        raise ValueError("invalid design: " + "; ".join(problems))
+
+
+def _require_arity(design: TrialDesign, model: OutcomeModel) -> None:
+    if len(model.effects) != design.k:
+        raise ValueError(
+            f"model has {len(model.effects)} effects for {design.k} arms"
+        )
+
+
+def _conduct_trial(
+    design: TrialDesign,
+    model: OutcomeModel,
+    case: MissingCase,
+    policy: MissingPolicy,
+    rng: np.random.Generator,
+    seed_tag: str = "",
+) -> TrialTrajectory:
+    """run_trial's body, for callers that checked design and model once."""
     k = design.k
     accrued: list[PatientRecord] = []
     stages: list[StageRecord] = []
@@ -794,7 +863,7 @@ def _replicate_chunk(args) -> _Tally:
     design, model, case, policy, master_seed, lo, hi = args
     tally = _Tally(design.k)
     for rep in range(lo, hi):
-        traj = run_trial(design, model, case, policy, _rep_rng(master_seed, rep))
+        traj = _conduct_trial(design, model, case, policy, _rep_rng(master_seed, rep))
         tally.add(traj, model.effects)
     return tally
 
@@ -824,9 +893,8 @@ def replicate(
     individually and aggregated with integer accumulators, so the split into
     processes cannot change a single reported digit.
     """
-    problems = validate_design(design)
-    if problems:
-        raise ValueError("invalid design: " + "; ".join(problems))
+    _require_valid(design)
+    _require_arity(design, model)
     if case is None:
         case = MissingCase.from_id(0)
     if n_reps < 1:
@@ -859,10 +927,10 @@ def _pooled_chunk(args):
         if model_a.effects[i] == 0.0 and model_b.effects[i] == 0.0
     )
     for rep in range(lo, hi):
-        traj_a = run_trial(
+        traj_a = _conduct_trial(
             design_a, model_a, case, policy, _rep_rng(master_seed, rep, 0)
         )
-        traj_b = run_trial(
+        traj_b = _conduct_trial(
             design_b, model_b, case, policy, _rep_rng(master_seed, rep, 1)
         )
         tally_a.add(traj_a, model_a.effects)
@@ -943,11 +1011,11 @@ def replicate_pooled(
         case = MissingCase.from_id(0)
     design_a = replace(design, stratum_label="A")
     design_b = replace(design, stratum_label="B")
-    problems = validate_design(design_a)
-    if problems:
-        raise ValueError("invalid design: " + "; ".join(problems))
+    _require_valid(design_a)
     model_a = OutcomeModel.parametric(scenario.effects_a, scale=scale, shape=shape)
     model_b = OutcomeModel.parametric(scenario.effects_b, scale=scale, shape=shape)
+    _require_arity(design_a, model_a)
+    _require_arity(design_b, model_b)
 
     jobs = [
         (design_a, design_b, model_a, model_b, case, policy, master_seed, lo, hi)
@@ -1212,9 +1280,7 @@ def interim_recommendation(
     `seed` feeds only the fair coin a two-option mapped category may need;
     everything else is deterministic in the data.
     """
-    problems = validate_design(design)
-    if problems:
-        raise ValueError("invalid design: " + "; ".join(problems))
+    _require_valid(design)
     if not 2 <= upcoming_stage <= design.n_stages:
         raise ValueError(
             f"upcoming stage must be in 2..{design.n_stages}, got {upcoming_stage}"

@@ -87,7 +87,12 @@ def export_list(blocks: list[RandomisationBlock], path: str | Path) -> None:
 def import_list(
     path: str | Path, arms: tuple[ArmId, ...] | None = None
 ) -> list[RandomisationBlock]:
-    """Read a randomisation list written by export_list."""
+    """Read a randomisation list written by export_list.
+
+    Positions must run 1..N in file order, stages must be at least 1, and
+    every row of a block must carry the block's stage and seed tag; a
+    violation raises ValueError naming the file and line.
+    """
     path = Path(path)
     if arms is None:
         arms = default_arms()
@@ -109,7 +114,7 @@ def import_list(
     for lineno, row in enumerate(rows, start=2):
         if len(row) != 5:
             raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
-        _, stage, arm_label, block_id, seed_tag = row
+        position, stage, arm_label, block_id, seed_tag = row
         if arm_label not in by_label:
             raise ValueError(f"{path}:{lineno}: unknown arm label {arm_label!r}")
         try:
@@ -119,11 +124,25 @@ def import_list(
                 f"{path}:{lineno}: block_id and stage must be integers, "
                 f"got {block_id!r} and {stage!r}"
             ) from None
+        expected = lineno - 1
+        if position != str(expected):
+            raise ValueError(
+                f"{path}:{lineno}: position {position!r}, expected {expected}: "
+                "positions must run 1..N in order"
+            )
+        if stage_index < 1:
+            raise ValueError(f"{path}:{lineno}: stage {stage_index} below 1")
         if current_id is not None and bid != current_id:
             blocks.append(
                 RandomisationBlock(current_meta[0], tuple(current), current_meta[1])
             )
             current = []
+        elif current_id is not None and (stage_index, seed_tag) != current_meta:
+            raise ValueError(
+                f"{path}:{lineno}: block {bid} row has stage {stage_index} and "
+                f"seed tag {seed_tag!r}, but the block began with stage "
+                f"{current_meta[0]} and seed tag {current_meta[1]!r}"
+            )
         current_id = bid
         current_meta = (stage_index, seed_tag)
         current.append(by_label[arm_label])

@@ -243,6 +243,7 @@ def test_criterion_03_mapping_structure_on_dense_grid():
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_control_allocation_by_design():
     t0 = time.perf_counter()
     model = OutcomeModel.parametric(ALT_EFFECTS)
@@ -276,6 +277,7 @@ def test_criterion_04_control_allocation_by_design():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_type_one_error_and_power_ordering():
     t0 = time.perf_counter()
     null_model = OutcomeModel.parametric(NULL_EFFECTS)
@@ -337,6 +339,7 @@ def test_criterion_05_type_one_error_and_power_ordering():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_missing_data_policy_invariants():
     t0 = time.perf_counter()
     design = preset_design("mapped_alpha")
@@ -438,6 +441,7 @@ def _law_imputer(model):
     return impute
 
 
+@pytest.mark.slow
 def test_criterion_07_imputation_restores_adaptability(monkeypatch):
     t0 = time.perf_counter()
     design = preset_design("mapped_alpha")
@@ -552,6 +556,7 @@ def test_criterion_08_rank_sum_exact_matches_enumeration():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_pooled_strata_analysis():
     t0 = time.perf_counter()
     design = preset_design("baseline")

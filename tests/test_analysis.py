@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -8,6 +9,8 @@ from scipy.stats import mannwhitneyu, rankdata
 
 from radapt import preset_design
 from radapt.analysis import (
+    _doubled_midranks,
+    _null_survival,
     pooled_analysis,
     stratum_decision,
     wilcoxon_one_sided,
@@ -139,6 +142,76 @@ class TestWilcoxonNormal:
 
     def test_degenerate_all_tied(self):
         assert wilcoxon_one_sided([1.0, 1.0], [1.0, 1.0], method="normal") == 1.0
+
+
+def _rankdata_p(treatment, control, method, rng=None):
+    # the p-value path as it was with scipy's midranks, kept as an oracle
+    combined = np.concatenate(
+        [np.asarray(treatment, float), np.asarray(control, float)]
+    )
+    scaled = np.rint(2.0 * rankdata(combined)).astype(np.int64)
+    n1, n = len(treatment), len(combined)
+    w2 = int(scaled[:n1].sum())
+    if method == "exact":
+        return float(_null_survival(tuple(sorted(int(r) for r in scaled)), n1)[w2])
+    if method == "normal":
+        mean_r = scaled.mean()
+        var_w2 = n1 * (n - n1) / (n - 1) * float(np.mean((scaled - mean_r) ** 2))
+        if var_w2 == 0.0:
+            return 1.0
+        z = (w2 - 1.0 - n1 * mean_r) / math.sqrt(var_w2)
+        return float(0.5 * math.erfc(z / math.sqrt(2.0)))
+    hits = 0
+    pool = scaled.copy()
+    for _ in range(100_000):
+        rng.shuffle(pool)
+        if pool[:n1].sum() >= w2:
+            hits += 1
+    return (1 + hits) / 100_001
+
+
+@st.composite
+def tied_samples(draw):
+    # few distinct levels force ties; signed zeros and free floats mix in
+    levels = draw(st.integers(0, 6))
+    value = st.one_of(
+        st.integers(0, levels).map(float),
+        st.sampled_from([-0.0, 0.0]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    treatment = draw(st.lists(value, min_size=1, max_size=40))
+    control = draw(st.lists(value, min_size=1, max_size=40))
+    return treatment, control
+
+
+class TestMidranksAgainstScipy:
+    @given(samples=tied_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_doubled_midranks_match_rankdata(self, samples):
+        values = samples[0] + samples[1]
+        expected = np.rint(2.0 * rankdata(values)).astype(np.int64)
+        assert _doubled_midranks(values) == expected.tolist()
+
+    @given(samples=tied_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_and_normal_p_values_bit_equal(self, samples):
+        treatment, control = samples
+        for method in ("exact", "normal"):
+            assert wilcoxon_one_sided(treatment, control, method=method) == (
+                _rankdata_p(treatment, control, method)
+            )
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_permutation_p_value_bit_equal(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.round(rng.normal(size=9), 1).tolist()
+        c = np.round(rng.normal(size=7), 1).tolist()
+        got = wilcoxon_one_sided(
+            t, c, method="permutation", rng=np.random.default_rng(seed)
+        )
+        assert got == _rankdata_p(
+            t, c, "permutation", rng=np.random.default_rng(seed)
+        )
 
 
 class TestStratumDecision:

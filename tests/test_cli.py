@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import radapt
 from radapt import preset_design, save_design
 from radapt.cli import main
 
@@ -17,6 +22,28 @@ def _read_csv(path):
 
 
 class TestSimulate:
+    def test_simulate_never_imports_scipy_stats(self, tmp_path):
+        # a fresh interpreter, so modules other tests imported do not count;
+        # unrestricted reaches scipy.special through the exact P(best)
+        script = (
+            "import sys\n"
+            "from radapt.cli import main\n"
+            "for design in ('mapped_alpha', 'unrestricted'):\n"
+            "    code = main(['simulate', '--design', design, '--effects',\n"
+            "                 '0,0.3,0.4', '--reps', '1', '--out', sys.argv[1]])\n"
+            "    assert code == 0, code\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+        )
+        src = str(Path(radapt.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_global_null_reports_type1_power_na(self, tmp_path, capsys):
         code = main([
             "simulate", "--design", "mapped_alpha", "--scenario", "S1",

@@ -1,15 +1,19 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from radapt import preset_design
+from radapt import engine, preset_design
 from radapt.core import RuleConfig, TrialDesign
 from radapt.engine import (
     CalibrationResult,
+    InterimRecord,
     MissingPolicy,
     allocation_law,
     calibrate_threshold,
+    interim_decision,
     interim_recommendation,
     read_accrued,
     replicate,
@@ -18,8 +22,17 @@ from radapt.engine import (
     write_oc_csv,
     write_tradeoff_csv,
 )
-from radapt.mapping import AdaptationCategory
-from radapt.outcomes import MissingCase, OutcomeModel
+from radapt.mapping import (
+    BALANCED,
+    AdaptationCategory,
+    active_shares,
+    decide_category,
+    stage_ratio,
+)
+from radapt.outcomes import MissingCase, OutcomeModel, impute_stage2_mean
+from radapt.posterior import BetaPosterior, SuccessCount, update
+from radapt.presets import PRESET_NAMES
+from radapt.rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
 
 C = AdaptationCategory
 
@@ -116,6 +129,134 @@ class TestMissingPolicies:
         stage1 = [r for r in traj.records if r.stage == 1]
         assert sum(r.missing for r in stage1) == 1
         assert not any(r.imputed for r in stage1)
+
+
+def _reference_interim(design, records, stage, policy, rng):
+    # The interim decision recomputed from the records with no memo: the
+    # conduct rules written out once more from their public parts.
+    if policy.impute_stage2:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = impute_stage2_mean(list(records))
+    posteriors = []
+    for i in range(design.k):
+        values = [r.delta_y for r in records if r.arm.index == i and not r.missing]
+        wins = sum(v >= design.delta for v in values)
+        prior = BetaPosterior(design.prior_alpha[i], design.prior_beta[i])
+        posteriors.append(update(prior, SuccessCount(wins, len(values) - wins)))
+    posteriors = tuple(posteriors)
+    assigned = tuple(sum(r.arm.index == i for r in records) for i in range(design.k))
+    rule = design.rule
+    if rule.kind == "FixedEqual":
+        pi = fixed_equal(design.k)
+    elif rule.kind == "TSBRAR":
+        pi = ts_brar(posteriors, rule.gamma_for_stage(stage))
+    else:
+        pi = trippa_brar(
+            posteriors, ArmCounts(assigned), rule.gamma_for_stage(stage),
+            rule.eta_for_stage(stage), form=rule.control_exponent_form,
+        )
+    hold = policy.no_adapt_on_stage1_missing and any(
+        r.stage == 1 and r.missing for r in records
+    )
+    keep_arms = policy.no_drop_on_stage2_missing and any(
+        r.stage == 2 and r.missing for r in records
+    )
+    overrides, categories, applied, ratio, dropped = [], None, None, None, ()
+    if design.mapping is not None and design.mapping.variant == "PermutedBlock":
+        ratio, _ = stage_ratio(design, stage, pi, rng)
+    elif design.mapping is not None:
+        categories = tuple(
+            decide_category(x, stage, design.mapping) for x in active_shares(pi)
+        )
+        applied = categories
+        if stage == 2 and hold:
+            ratio = BALANCED[2]
+            overrides.append("stage-1 outcomes missing: stage-2 block held balanced")
+        else:
+            if stage == 3 and keep_arms:
+                demote = {C.DROP: C.DISFAVOUR, C.KEEP: C.FAVOUR}
+                applied = tuple(demote.get(c, c) for c in categories)
+                if applied != categories:
+                    overrides.append(
+                        "stage-2 outcomes missing: Drop/Keep demoted to "
+                        "Disfavour/Favour"
+                    )
+            ratio, _ = stage_ratio(design, stage, pi, rng, category_override=applied)
+    else:
+        if stage == 2 and hold:
+            pi = fixed_equal(design.k)
+            overrides.append(
+                "stage-1 outcomes missing: stage-2 randomisation held at 1/K"
+            )
+        if (
+            stage == design.n_stages
+            and design.tau_dropping
+            and design.stages[stage - 1].arm_dropping_allowed
+        ):
+            if keep_arms:
+                overrides.append(
+                    "stage-2 outcomes missing: tau-based arm dropping suppressed"
+                )
+            else:
+                actives = design.active_indices()
+                shares = active_shares(pi)
+                drops = tuple(i for i, x in zip(actives, shares) if x < design.tau)
+                if drops and len(drops) < len(actives):
+                    weights = [0.0 if i in drops else p for i, p in enumerate(pi.probs)]
+                    total = math.fsum(weights)
+                    pi = ProbVector(tuple(w / total for w in weights))
+                    dropped = drops
+                    labels = ", ".join(design.arms[i].label for i in drops)
+                    overrides.append(f"active share below tau, dropped: {labels}")
+    return InterimRecord(
+        upcoming_stage=stage, posteriors=posteriors, pi=pi, categories=categories,
+        applied_categories=applied, overrides=tuple(overrides), ratio=ratio,
+        dropped=dropped,
+    )
+
+
+class TestInterimDecisionMemo:
+    POLICIES = (
+        MissingPolicy(),
+        MissingPolicy(impute_stage2=True),
+        MissingPolicy(no_adapt_on_stage1_missing=False, no_drop_on_stage2_missing=False),
+    )
+    MODELS = (NULL, OutcomeModel.parametric((0.0, 0.3, 0.6)))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_memoised_decision_equals_unmemoised_reference(self, name):
+        design = preset_design(name)
+        states = []
+        for case_id in range(6):
+            case = MissingCase.from_id(case_id)
+            for policy in self.POLICIES:
+                for seed in range(6):
+                    traj = run_trial(
+                        design, self.MODELS[seed % 2], case=case, policy=policy,
+                        rng=np.random.default_rng([case_id, seed]),
+                    )
+                    for stage in (2, 3):
+                        accrued = [
+                            r for s in traj.stages[: stage - 1] for r in s.records
+                        ]
+                        states.append((accrued, stage, policy, seed))
+        # a cold memo: a state's first decision is a miss, later ones with
+        # the same counts are hits, and a key that confused two states with
+        # different decisions would show as a mismatch
+        engine._decide.cache_clear()
+        for accrued, stage, policy, seed in states:
+            got_rng = np.random.default_rng([seed, stage])
+            want_rng = np.random.default_rng([seed, stage])
+            got = interim_decision(design, accrued, stage, policy, got_rng)
+            want = _reference_interim(design, accrued, stage, policy, want_rng)
+            for f in dataclasses.fields(InterimRecord):
+                assert getattr(got, f.name) == getattr(want, f.name), (
+                    name, policy, seed, stage, f.name
+                )
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        info = engine._decide.cache_info()
+        assert info.hits > 0 and info.misses > 0
 
 
 class TestReplicate:

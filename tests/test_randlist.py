@@ -178,3 +178,45 @@ class TestExportImport:
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(OSError, match="nowhere.csv"):
             import_list(tmp_path / "nowhere.csv")
+
+    def _write(self, tmp_path, *rows):
+        path = tmp_path / "list.csv"
+        path.write_text(
+            ",".join(CSV_HEADER) + "\n" + "".join(r + "\n" for r in rows),
+            encoding="utf-8",
+        )
+        return path
+
+    @pytest.mark.parametrize("stage", ["0", "-2"])
+    def test_stage_below_one_rejected(self, tmp_path, stage):
+        path = self._write(tmp_path, "1,1,C,1,", f"2,{stage},T1,2,")
+        with pytest.raises(ValueError, match=rf"list\.csv:3: stage {stage} below 1"):
+            import_list(path)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (("9,1,C,1,", "3,1,T1,1,"), 2),  # does not start at 1
+            (("1,1,C,1,", "3,1,T1,1,"), 3),  # skips a position
+            (("2,1,C,1,", "1,1,T1,1,"), 2),  # runs backwards
+        ],
+    )
+    def test_positions_out_of_order_rejected(self, tmp_path, rows, line):
+        path = self._write(tmp_path, *rows)
+        with pytest.raises(ValueError, match=rf"list\.csv:{line}: position .* 1\.\.N"):
+            import_list(path)
+
+    @pytest.mark.parametrize(
+        "second, field", [("2,2,T1,1,a", "stage 2"), ("2,1,T1,1,b", "seed tag 'b'")]
+    )
+    def test_block_with_mixed_stage_or_tag_rejected(self, tmp_path, second, field):
+        path = self._write(tmp_path, "1,1,C,1,a", second)
+        with pytest.raises(ValueError, match=rf"list\.csv:3: block 1 row has .*{field}"):
+            import_list(path)
+
+    def test_reported_defect_rejected(self, tmp_path):
+        # positions 9 and 3, stages 0 and -2, one block: once imported
+        # silently as a single block with stage_index -2
+        path = self._write(tmp_path, "9,0,C,1,", "3,-2,T1,1,")
+        with pytest.raises(ValueError, match=r"list\.csv:2: "):
+            import_list(path)
