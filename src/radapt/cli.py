@@ -16,7 +16,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,21 +49,6 @@ class _Parser(argparse.ArgumentParser):
     # fail fast on unknown flags, but through our exit-code convention
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed simulate configuration."""
-
-    design: TrialDesign
-    scenario_id: str | None
-    effects: tuple[float, ...] | None
-    case: MissingCase
-    policy: MissingPolicy
-    n_reps: int
-    master_seed: int
-    workers: int
-    out_dir: Path
 
 
 def _resolve_seed(args) -> int:
@@ -197,43 +181,33 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = RunConfig(
-        design=design,
-        scenario_id=None if args.effects else args.scenario,
-        effects=_parse_effects(args.effects, design.k) if args.effects else None,
-        case=case,
-        policy=policy,
-        n_reps=args.reps,
-        master_seed=seed,
-        workers=args.workers,
-        out_dir=out_dir,
-    )
 
     scale = args.scale if args.scale is not None else CALIBRATED_SIGMA
-    if config.effects is not None:
+    if args.effects:
+        effects = _parse_effects(args.effects, design.k)
         if args.pilot:
-            model = OutcomeModel.bootstrap(load_pilot(args.pilot), config.effects)
+            model = OutcomeModel.bootstrap(load_pilot(args.pilot), effects)
         else:
-            model = OutcomeModel.parametric(config.effects, scale=scale)
+            model = OutcomeModel.parametric(effects, scale=scale)
         reports = [
             replicate(
-                design, model, case=case, policy=policy, n_reps=config.n_reps,
-                master_seed=seed, workers=config.workers, scenario_label="custom",
+                design, model, case=case, policy=policy, n_reps=args.reps,
+                master_seed=seed, workers=args.workers, scenario_label="custom",
             )
         ]
     else:
         if args.pilot:
             raise ValueError("--pilot applies only to --effects runs")
-        scenario = SCENARIOS.get(config.scenario_id)
+        scenario = SCENARIOS.get(args.scenario)
         if scenario is None:
             raise ValueError(
-                f"unknown scenario {config.scenario_id!r}; "
+                f"unknown scenario {args.scenario!r}; "
                 f"choose from {', '.join(sorted(SCENARIOS))}"
             )
         reports = list(
             replicate_pooled(
-                design, scenario, case=case, policy=policy, n_reps=config.n_reps,
-                master_seed=seed, workers=config.workers, scale=scale,
+                design, scenario, case=case, policy=policy, n_reps=args.reps,
+                master_seed=seed, workers=args.workers, scale=scale,
             )
         )
 

@@ -13,6 +13,12 @@ processes.
 Replicate aggregation uses integer accumulators only; every reported float is
 derived once from the merged integers, which makes reports byte-identical for
 any worker count and across repeated runs.
+
+Replicates are conducted in blocks, all rows one stage at a time, over
+(replicates x patients) arrays of arms, outcomes and missing cells. Each row
+keeps its own generator and draws from it exactly what run_trial draws from
+the same generator, in the same order, so where a replicate falls in a block
+changes nothing. run_trial stays the scalar reference, one trial at a time.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import TestResult, pooled_analysis, stratum_decision
+from .analysis import TestResult, rank_sum_rows, stratum_decision
 from .core import ArmId, TrialDesign, validate_design
 from .mapping import (
     BALANCED,
     AdaptationCategory,
     RatioVector,
     active_shares,
+    allocation_options,
     decide_category,
     resolve_allocation,
     stage_ratio,
@@ -47,8 +54,10 @@ from .outcomes import (
     Scenario,
     dichotomise,
     draw_outcome,
+    draw_raw,
     impute_stage2_mean,
     mark_missing,
+    outcomes_from_raw,
 )
 from .posterior import BetaPosterior, SuccessCount, update
 from .randlist import RandomisationBlock, generate_block
@@ -512,7 +521,325 @@ def _conduct_trial(
 
 
 # ---------------------------------------------------------------------------
-# Replication with integer-exact aggregation
+# Replicates conducted in blocks, stage by stage
+
+# Replicates conducted together: numpy's per-call cost is shared by this many
+# rows, and a block's arrays stay small whatever the replicate count.
+_BLOCK_REPS = 256
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Trials conducted together: row r is one trial, its columns the
+    trial's patients in accrual order.
+
+    `arm` holds each patient's arm index; `y` the outcome drawn, or the
+    imputed value where imputation filled the cell; `missing` the cells the
+    conduct left without an outcome; `observed` the cells the final analysis
+    reads. `stage_of` gives each column's stage. `ratios[t - 1]` is the
+    (rows, k) ratio stage t was conducted with, or None for an i.i.d. stage.
+    Row r's decision before stage t is `decisions[t - 2][which[t - 2][r]]`
+    as _decide returned it; a ratio the stage-3 coin chose is in `ratios`
+    only. `p_value`, `reject` and `skipped` hold the final tests, one column
+    per active arm, and `recommended` the recommended arm's index.
+    """
+
+    arm: np.ndarray
+    y: np.ndarray
+    missing: np.ndarray
+    observed: np.ndarray
+    stage_of: np.ndarray
+    ratios: tuple[np.ndarray | None, ...]
+    decisions: tuple[list[InterimRecord], ...]
+    which: tuple[np.ndarray, ...]
+    impute_failures: np.ndarray
+    p_value: np.ndarray
+    reject: np.ndarray
+    skipped: np.ndarray
+    recommended: np.ndarray
+
+
+def _onehot(arm: np.ndarray, k: int) -> np.ndarray:
+    return arm[:, :, None] == np.arange(k)
+
+
+def _arm_counts(design: TrialDesign, onehot, y, observed):
+    """Per row and arm: dichotomised successes and outcomes available."""
+    wins = (onehot & (observed & (y >= design.delta))[:, :, None]).sum(axis=1)
+    seen = (onehot & observed[:, :, None]).sum(axis=1)
+    return wins, seen
+
+
+def _analysis_view(design, policy, arm, y, missing, stage_of):
+    """Cell values and availability after stage-2 imputation, plus each
+    row's count of stage-2 cells imputation left missing.
+
+    Rows with a missing stage-2 cell go through _prepare_analysis_records
+    one at a time, so they are imputed exactly as a scalar trial is, by
+    whatever engine.impute_stage2_mean is bound to at the time.
+    """
+    observed = ~missing
+    failures = np.zeros(len(arm), dtype=np.int64)
+    if not policy.impute_stage2:
+        return y, observed, failures
+    rows = np.flatnonzero(missing[:, stage_of == 2].any(axis=1))
+    if not rows.size:
+        return y, observed, failures
+    y = y.copy()
+    stages = stage_of.tolist()
+    for r in rows.tolist():
+        values, gone = y[r].tolist(), missing[r].tolist()
+        records = [
+            PatientRecord(
+                j + 1, stages[j], design.arms[a], None if gone[j] else values[j]
+            )
+            for j, a in enumerate(arm[r].tolist())
+        ]
+        imputed, failures[r] = _prepare_analysis_records(records, policy)
+        for rec in imputed:
+            j = rec.patient_id - 1
+            observed[r, j] = rec.delta_y is not None
+            if rec.delta_y is not None:
+                y[r, j] = rec.delta_y
+    return y, observed, failures
+
+
+def _block_decisions(design, policy, stage, arm, y, observed, stage_of):
+    """Each row's interim decision before `stage`, taken by _decide once per
+    distinct count key; returns the decisions and each row's index into them."""
+    k = design.k
+    onehot = _onehot(arm, k)
+    wins, seen = _arm_counts(design, onehot, y, observed)
+    tallies = np.stack([wins, seen - wins, onehot.sum(axis=1)], axis=2)
+    flags = [(~observed[:, stage_of == s]).any(axis=1) for s in (1, 2)]
+    keys = np.column_stack([tallies.reshape(len(arm), 3 * k), *flags])
+    distinct, which = np.unique(keys, axis=0, return_inverse=True)
+    decisions = [
+        _decide(
+            design, policy, stage,
+            tuple(tuple(key[3 * i : 3 * i + 3]) for i in range(k)),
+            (bool(key[-2]), bool(key[-1])),
+        )
+        for key in distinct.tolist()
+    ]
+    return decisions, which.reshape(-1)
+
+
+def _stage_option(decision: InterimRecord):
+    """The ratios a decision leaves to its stage, with the stage-3 coin's
+    two choices in the coin's order, or None and pi for i.i.d. assignment."""
+    if decision.ratio is not None:
+        return (decision.ratio,), None
+    if decision.applied_categories is not None:
+        return allocation_options(decision.applied_categories, 3), None
+    return None, np.asarray(decision.pi.probs)
+
+
+def _first_stage_option(design: TrialDesign, plan):
+    pi = fixed_equal(design.k)
+    if design.mapping is not None:
+        return (stage_ratio(design, 1, pi, None)[0],), None
+    if design.stage1_balanced_block:
+        if plan.size % design.k:
+            raise ValueError(
+                f"balanced stage-1 block needs size divisible by {design.k}"
+            )
+        return (RatioVector((plan.size // design.k,) * design.k),), None
+    return None, np.asarray(pi.probs)
+
+
+def _final_tests(design: TrialDesign, onehot, y, observed):
+    """stratum_decision's tests for every row: p-values, rejections and
+    skips, one column per active arm."""
+    control = onehot[:, :, design.control_index()] & observed
+    actives = design.active_indices()
+    p = np.column_stack(
+        [rank_sum_rows(y, onehot[:, :, i] & observed, control) for i in actives]
+    )
+    seen = (onehot & observed[:, :, None]).sum(axis=1)
+    skipped = (seen[:, actives] == 0) | (seen[:, [design.control_index()]] == 0)
+    return p, p < design.alpha_level, skipped
+
+
+def _recommended(design: TrialDesign, onehot, y, observed) -> np.ndarray:
+    """stratum_decision's recommendation for every row: the most patients
+    assigned, then the larger final posterior mean, then the lower index."""
+    assigned = onehot.sum(axis=1)
+    wins, seen = _arm_counts(design, onehot, y, observed)
+    alpha = np.asarray(design.prior_alpha) + wins
+    beta = np.asarray(design.prior_beta) + (seen - wins)
+    mean = alpha / (alpha + beta)
+    actives = design.active_indices()
+    rows = np.arange(len(y))
+    best = np.full(len(y), actives[0])
+    for i in actives[1:]:
+        held, held_mean = assigned[rows, best], mean[rows, best]
+        ahead = (assigned[:, i] > held) | (
+            (assigned[:, i] == held) & (mean[:, i] > held_mean)
+        )
+        best[ahead] = i
+    return best
+
+
+def _conduct_block(
+    design: TrialDesign,
+    model: OutcomeModel,
+    case: MissingCase,
+    policy: MissingPolicy,
+    rngs: list[np.random.Generator],
+) -> _Block:
+    """_conduct_trial for every generator in `rngs`, all rows a stage at a time.
+
+    Row r draws from rngs[r] exactly what _conduct_trial draws from it, in
+    the same order: per stage the coin (only where the decision leaves the
+    ratio to it), the block permutation or the i.i.d. assignments, the
+    stage's outcomes in one call, then the missing positions. Between draws
+    everything is array arithmetic over the rows.
+    """
+    k, n_rows = design.k, len(rngs)
+    arm = np.empty((n_rows, 0), dtype=np.int64)
+    y = np.empty((n_rows, 0))
+    missing = np.empty((n_rows, 0), dtype=bool)
+    stage_of = np.empty(0, dtype=np.int64)
+    ratios, decisions, which = [], [], []
+    pools: dict[tuple[int, ...], np.ndarray] = {}
+
+    for plan in design.stages:
+        t = plan.stage_index
+        if t == 1:
+            options = [_first_stage_option(design, plan)]
+            chosen = [0] * n_rows
+        else:
+            view_y, view_observed, _ = _analysis_view(
+                design, policy, arm, y, missing, stage_of
+            )
+            stage_decisions, row_decision = _block_decisions(
+                design, policy, t, arm, view_y, view_observed, stage_of
+            )
+            decisions.append(stage_decisions)
+            which.append(row_decision)
+            options = [_stage_option(d) for d in stage_decisions]
+            chosen = row_decision.tolist()
+        by_ratio = options[0][0] is not None
+        if by_ratio:
+            for ratio in {ratio for choices, _ in options for ratio in choices}:
+                if ratio.counts not in pools:
+                    pools[ratio.counts] = np.repeat(np.arange(k), ratio.counts)
+        # every ratio a stage admits has the same total
+        width = options[0][0][0].total if by_ratio else plan.size
+        drop = case.count_for_stage(t)
+        if drop > width:
+            raise ValueError(f"cannot drop {drop} of {width} records")
+        stage_arm = np.empty((n_rows, width), dtype=np.int64)
+        stage_missing = np.zeros((n_rows, width), dtype=bool)
+        stage_ratios = np.empty((n_rows, k), dtype=np.int64) if by_ratio else None
+        raw = []
+
+        for r, rng in enumerate(rngs):
+            choices, probs = options[chosen[r]]
+            if by_ratio:
+                # resolve_allocation's coin, drawn only where it has two choices
+                ratio = choices[0] if len(choices) == 1 else choices[rng.integers(2)]
+                stage_arm[r] = rng.permutation(pools[ratio.counts])
+                stage_ratios[r] = ratio.counts
+            else:
+                stage_arm[r] = rng.choice(k, size=width, p=probs)
+            raw.append(draw_raw(model, width, rng))
+            if drop:
+                stage_missing[r, rng.choice(width, size=drop, replace=False)] = True
+
+        arm = np.hstack([arm, stage_arm])
+        y = np.hstack([y, outcomes_from_raw(model, stage_arm, np.array(raw))])
+        missing = np.hstack([missing, stage_missing])
+        stage_of = np.concatenate([stage_of, np.full(width, t)])
+        ratios.append(stage_ratios)
+
+    y, observed, failures = _analysis_view(design, policy, arm, y, missing, stage_of)
+    onehot = _onehot(arm, k)
+    p_value, reject, skipped = _final_tests(design, onehot, y, observed)
+    return _Block(
+        arm=arm,
+        y=y,
+        missing=missing,
+        observed=observed,
+        stage_of=stage_of,
+        ratios=tuple(ratios),
+        decisions=tuple(decisions),
+        which=tuple(which),
+        impute_failures=failures,
+        p_value=p_value,
+        reject=reject,
+        skipped=skipped,
+        recommended=_recommended(design, onehot, y, observed),
+    )
+
+
+def _pooled_tests(block_a: _Block, block_b: _Block, design: TrialDesign):
+    """pooled_analysis for every row of two strata's blocks, as p-values,
+    rejections and skips: each arm's sample is stratum A's values followed
+    by stratum B's."""
+    k = design.k
+    present_a = _onehot(block_a.arm, k).any(axis=1)
+    present_b = _onehot(block_b.arm, k).any(axis=1)
+    differ = np.flatnonzero((present_a != present_b).any(axis=1))
+    if differ.size:
+        r = differ[0]
+        labels_a = {a.label for a in design.arms if present_a[r, a.index]}
+        labels_b = {a.label for a in design.arms if present_b[r, a.index]}
+        raise ValueError(
+            f"arm sets differ between strata: {labels_a} vs {labels_b}"
+        )
+    arm = np.hstack([block_a.arm, block_b.arm])
+    y = np.hstack([block_a.y, block_b.y])
+    observed = np.hstack([block_a.observed, block_b.observed])
+    return _final_tests(design, _onehot(arm, k), y, observed)
+
+
+def _reject_counts(reject: np.ndarray, effects, null) -> tuple[int, int, int]:
+    """Rows with any rejection, with a best arm's rejection (only when the
+    best effect is positive) and with a null arm's rejection; `reject`,
+    `effects` and `null` have one column or entry per active arm."""
+    max_eff = max(effects)
+    best = np.array([max_eff > 0 and e == max_eff for e in effects])
+    null = np.array(null, dtype=bool)
+    return (
+        int(reject.any(axis=1).sum()),
+        int(reject[:, best].any(axis=1).sum()),
+        int(reject[:, null].any(axis=1).sum()),
+    )
+
+
+def _stage3_marks(decision: InterimRecord, actives, k: int) -> np.ndarray:
+    """Rows drop, keep, favour, disfavour: one trial's stage-3 category per
+    active arm, from the applied categories or else from pi and tau drops."""
+    marks = np.zeros((4, k), dtype=np.int64)
+    C = AdaptationCategory
+    if decision.applied_categories is not None:
+        row = {C.DROP: 0, C.KEEP: 1, C.FAVOUR: 2, C.DISFAVOUR: 3}
+        for i, c in zip(actives, decision.applied_categories):
+            if c in row:
+                marks[row[c], i] = 1
+        return marks
+    dropped = set(decision.dropped)
+    for i in actives:
+        if i in dropped:
+            marks[0, i] = 1
+        elif dropped:
+            marks[1, i] = 1
+        elif decision.pi[i] > 1.0 / k + _SHARE_TOL:
+            marks[2, i] = 1
+        elif decision.pi[i] < 1.0 / k - _SHARE_TOL:
+            marks[3, i] = 1
+    return marks
+
+
+def _pi_rows(decisions: list[InterimRecord], which: np.ndarray) -> np.ndarray:
+    return np.array([d.pi.probs for d in decisions])[which]
+
+
+def _off_centre(pi: np.ndarray, centre: float) -> np.ndarray:
+    return np.abs(pi - centre) > _SHARE_TOL
+
 
 @dataclass
 class _Tally:
@@ -566,106 +893,67 @@ class _Tally:
         ):
             getattr(self, name).__iadd__(getattr(other, name))
 
-    def add(self, traj: TrialTrajectory, effects: tuple[float, ...]) -> None:
-        design = traj.design
-        k = design.k
-        actives = design.active_indices()
-        self.n += 1
-        counts = np.array(traj.allocation_counts(), dtype=np.int64)
-        self.alloc_sum += counts
-        self.alloc_sumsq += counts * counts
-        if traj.imputation_failures:
-            self.impute_fail += 1
+    def add_block(
+        self, block: _Block, design: TrialDesign, effects: tuple[float, ...]
+    ) -> None:
+        k, rows = self.k, len(block.arm)
+        actives = list(design.active_indices())
+        centre = 1.0 / k
+        self.n += rows
+        counts = _onehot(block.arm, k).sum(axis=1)
+        self.alloc_sum += counts.sum(axis=0)
+        self.alloc_sumsq += (counts * counts).sum(axis=0)
+        self.impute_fail += int(np.count_nonzero(block.impute_failures))
 
-        by_arm = {r.treatment.index: r for r in traj.results}
-        rec = traj.recommended.index
-        self.recommend[rec] += 1
-        if by_arm[rec].reject:
-            self.rec_reject += 1
-        max_eff = max(effects[i] for i in actives)
-        any_r = best_r = null_r = False
-        for i in actives:
-            res = by_arm[i]
-            if res.skipped:
-                self.skip[i] += 1
-            if res.reject:
-                self.reject[i] += 1
-                any_r = True
-                if max_eff > 0 and effects[i] == max_eff:
-                    best_r = True
-                if effects[i] == 0.0:
-                    null_r = True
+        self.recommend += np.bincount(block.recommended, minlength=k)
+        column = np.zeros(k, dtype=np.intp)
+        column[actives] = np.arange(len(actives))
+        self.rec_reject += int(
+            block.reject[np.arange(rows), column[block.recommended]].sum()
+        )
+        self.skip[actives] += block.skipped.sum(axis=0)
+        self.reject[actives] += block.reject.sum(axis=0)
+        any_r, best_r, null_r = _reject_counts(
+            block.reject,
+            [effects[i] for i in actives],
+            [effects[i] == 0.0 for i in actives],
+        )
         self.any_reject += any_r
         self.best_reject += best_r
         self.null_reject += null_r
 
         if design.n_stages >= 2:
-            self._add_stage2(traj, design, actives, k)
+            ratio = block.ratios[1]
+            if ratio is not None:
+                base = ratio.sum(axis=1, keepdims=True) // k
+                self.adapt2 += int((ratio != base).any(axis=1).sum())
+                self.fav2[actives] += (ratio[:, actives] > base).sum(axis=0)
+                self.dis2[actives] += (ratio[:, actives] < base).sum(axis=0)
+            else:
+                pi = _pi_rows(block.decisions[0], block.which[0])
+                self.adapt2 += int(_off_centre(pi, centre).any(axis=1).sum())
+                self.fav2[actives] += (pi[:, actives] > centre + _SHARE_TOL).sum(0)
+                self.dis2[actives] += (pi[:, actives] < centre - _SHARE_TOL).sum(0)
+
         if design.n_stages >= 3:
-            self._add_stage3(traj, design, actives, k)
-
-    def _add_stage2(self, traj, design, actives, k) -> None:
-        stage = traj.stages[1]
-        if stage.ratio is not None:
-            base = stage.ratio.total // k
-            if any(stage.ratio[i] != base for i in range(k)):
-                self.adapt2 += 1
-            for i in actives:
-                if stage.ratio[i] > base:
-                    self.fav2[i] += 1
-                elif stage.ratio[i] < base:
-                    self.dis2[i] += 1
-        else:
-            pi = traj.interim_before(2).pi
-            if any(abs(pi[i] - 1.0 / k) > _SHARE_TOL for i in range(k)):
-                self.adapt2 += 1
-            for i in actives:
-                if pi[i] > 1.0 / k + _SHARE_TOL:
-                    self.fav2[i] += 1
-                elif pi[i] < 1.0 / k - _SHARE_TOL:
-                    self.dis2[i] += 1
-
-    def _add_stage3(self, traj, design, actives, k) -> None:
-        stage = traj.stages[-1]
-        interim = traj.interims[-1]
-        if any(stage.counts[i] == 0 for i in actives):
-            self.zero3 += 1
-        if stage.ratio is not None:
-            balanced = BALANCED.get(3)
-            if balanced is None or tuple(stage.ratio.counts) != tuple(
-                balanced.counts
-            ):
-                self.adapt3 += 1
-        else:
-            pi = interim.pi
-            if any(abs(pi[i] - 1.0 / k) > _SHARE_TOL for i in range(k)):
-                self.adapt3 += 1
-
-        cats = interim.applied_categories
-        C = AdaptationCategory
-        if cats is not None:
-            for pos, i in enumerate(actives):
-                c = cats[pos]
-                if c is C.DROP:
-                    self.drop3[i] += 1
-                elif c is C.KEEP:
-                    self.keep3[i] += 1
-                elif c is C.FAVOUR:
-                    self.fav3[i] += 1
-                elif c is C.DISFAVOUR:
-                    self.dis3[i] += 1
-        else:
-            pi = interim.pi
-            dropped = set(interim.dropped)
-            for i in actives:
-                if i in dropped:
-                    self.drop3[i] += 1
-                elif dropped:
-                    self.keep3[i] += 1
-                elif pi[i] > 1.0 / k + _SHARE_TOL:
-                    self.fav3[i] += 1
-                elif pi[i] < 1.0 / k - _SHARE_TOL:
-                    self.dis3[i] += 1
+            last = block.stage_of == design.n_stages
+            last_counts = _onehot(block.arm[:, last], k).sum(axis=1)
+            self.zero3 += int((last_counts[:, actives] == 0).any(axis=1).sum())
+            decisions, which = block.decisions[-1], block.which[-1]
+            ratio = block.ratios[-1]
+            if ratio is not None:
+                balanced = np.asarray(BALANCED[3].counts)
+                self.adapt3 += int((ratio != balanced).any(axis=1).sum())
+            else:
+                pi = _pi_rows(decisions, which)
+                self.adapt3 += int(_off_centre(pi, centre).any(axis=1).sum())
+            weights = np.bincount(which, minlength=len(decisions))
+            marks = np.array([_stage3_marks(d, actives, k) for d in decisions])
+            drop, keep, fav, dis = np.tensordot(weights, marks, axes=1)
+            self.drop3 += drop
+            self.keep3 += keep
+            self.fav3 += fav
+            self.dis3 += dis
 
 
 @dataclass
@@ -693,32 +981,25 @@ class _PooledTally:
         self.reject += other.reject
         self.skip += other.skip
 
-
-def _pooled_add(
-    tally: _PooledTally,
-    results,
-    actives: tuple[int, ...],
-    effect_sums: tuple[float, ...],
-    null_actives: frozenset[int],
-) -> None:
-    tally.n += 1
-    by_arm = {r.treatment.index: r for r in results}
-    max_eff = max(effect_sums[i] for i in actives)
-    any_r = best_r = null_r = False
-    for i in actives:
-        res = by_arm[i]
-        if res.skipped:
-            tally.skip[i] += 1
-        if res.reject:
-            tally.reject[i] += 1
-            any_r = True
-            if max_eff > 0 and effect_sums[i] == max_eff:
-                best_r = True
-            if i in null_actives:
-                null_r = True
-    tally.any_reject += any_r
-    tally.best_reject += best_r
-    tally.null_reject += null_r
+    def add_rows(
+        self,
+        reject: np.ndarray,
+        skipped: np.ndarray,
+        actives: tuple[int, ...],
+        effect_sums: tuple[float, ...],
+        null_actives: frozenset[int],
+    ) -> None:
+        self.n += len(reject)
+        self.skip[list(actives)] += skipped.sum(axis=0)
+        self.reject[list(actives)] += reject.sum(axis=0)
+        any_r, best_r, null_r = _reject_counts(
+            reject,
+            [effect_sums[i] for i in actives],
+            [i in null_actives for i in actives],
+        )
+        self.any_reject += any_r
+        self.best_reject += best_r
+        self.null_reject += null_r
 
 
 @dataclass(frozen=True)
@@ -859,12 +1140,17 @@ def _chunks(n: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
+def _block_ranges(lo: int, hi: int) -> list[range]:
+    return [range(s, min(s + _BLOCK_REPS, hi)) for s in range(lo, hi, _BLOCK_REPS)]
+
+
 def _replicate_chunk(args) -> _Tally:
     design, model, case, policy, master_seed, lo, hi = args
     tally = _Tally(design.k)
-    for rep in range(lo, hi):
-        traj = _conduct_trial(design, model, case, policy, _rep_rng(master_seed, rep))
-        tally.add(traj, model.effects)
+    for reps in _block_ranges(lo, hi):
+        rngs = [_rep_rng(master_seed, rep) for rep in reps]
+        block = _conduct_block(design, model, case, policy, rngs)
+        tally.add_block(block, design, model.effects)
     return tally
 
 
@@ -926,19 +1212,19 @@ def _pooled_chunk(args):
         i for i in actives
         if model_a.effects[i] == 0.0 and model_b.effects[i] == 0.0
     )
-    for rep in range(lo, hi):
-        traj_a = _conduct_trial(
-            design_a, model_a, case, policy, _rep_rng(master_seed, rep, 0)
+    for reps in _block_ranges(lo, hi):
+        block_a = _conduct_block(
+            design_a, model_a, case, policy,
+            [_rep_rng(master_seed, rep, 0) for rep in reps],
         )
-        traj_b = _conduct_trial(
-            design_b, model_b, case, policy, _rep_rng(master_seed, rep, 1)
+        block_b = _conduct_block(
+            design_b, model_b, case, policy,
+            [_rep_rng(master_seed, rep, 1) for rep in reps],
         )
-        tally_a.add(traj_a, model_a.effects)
-        tally_b.add(traj_b, model_b.effects)
-        results = pooled_analysis(
-            list(traj_a.records), list(traj_b.records), design_a
-        )
-        _pooled_add(pooled, results, actives, effect_sums, null_actives)
+        tally_a.add_block(block_a, design_a, model_a.effects)
+        tally_b.add_block(block_b, design_b, model_b.effects)
+        _, reject, skipped = _pooled_tests(block_a, block_b, design_a)
+        pooled.add_rows(reject, skipped, actives, effect_sums, null_actives)
     return tally_a, tally_b, pooled
 
 
@@ -1016,6 +1302,8 @@ def replicate_pooled(
     model_b = OutcomeModel.parametric(scenario.effects_b, scale=scale, shape=shape)
     _require_arity(design_a, model_a)
     _require_arity(design_b, model_b)
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
 
     jobs = [
         (design_a, design_b, model_a, model_b, case, policy, master_seed, lo, hi)

@@ -24,6 +24,7 @@ __all__ = [
     "STAGE2_MENU",
     "STAGE3_MENU",
     "decide_category",
+    "allocation_options",
     "resolve_allocation",
     "stage_ratio",
     "active_shares",
@@ -110,31 +111,29 @@ def decide_category(
     return categories[-1]
 
 
-def _two_active_ratio(control: int, t1: int, t2: int) -> RatioVector:
-    return RatioVector((control, t1, t2))
+def _placed(i: int, own: int, other: int) -> RatioVector:
+    # 2 controls; active position i gets `own` patients, the other `other`
+    parts = [0, 0]
+    parts[i] = own
+    parts[1 - i] = other
+    return RatioVector((2, *parts))
 
 
-def _resolve_stage2(cats, rng: np.random.Generator) -> RatioVector:
+def _stage2_options(cats) -> tuple[RatioVector, ...]:
     C = AdaptationCategory
     if C.DROP in cats or C.KEEP in cats:
         raise ValueError(f"{cats} illegal at stage 2 (Drop/Keep are stage-3 only)")
     dis = [i for i, c in enumerate(cats) if c is C.DISFAVOUR]
     fav = [i for i, c in enumerate(cats) if c is C.FAVOUR]
     if len(dis) == 1:
-        parts = [0, 0]
-        parts[dis[0]] = 1
-        parts[1 - dis[0]] = 3
-        return _two_active_ratio(2, *parts)
+        return (_placed(dis[0], 1, 3),)
     if len(fav) == 1:
-        parts = [0, 0]
-        parts[fav[0]] = 3
-        parts[1 - fav[0]] = 1
-        return _two_active_ratio(2, *parts)
+        return (_placed(fav[0], 3, 1),)
     # both arms share a category: keep the stage balanced
-    return BALANCED[2]
+    return (BALANCED[2],)
 
 
-def _resolve_stage3(cats, rng: np.random.Generator) -> RatioVector:
+def _stage3_options(cats) -> tuple[RatioVector, ...]:
     # first-match over the listed cases: Drop, Disfavour, Favour, single
     # Balance, Keep, otherwise balanced
     C = AdaptationCategory
@@ -145,29 +144,32 @@ def _resolve_stage3(cats, rng: np.random.Generator) -> RatioVector:
     keep = [i for i, c in enumerate(cats) if c is C.KEEP]
 
     if len(drop) == 1:
-        parts = [0, 0]
-        parts[1 - drop[0]] = 8 - 2
-        return _two_active_ratio(2, *parts)
+        return (_placed(drop[0], 0, 8 - 2),)
     if len(dis) == 1:
-        low, high = _STAGE3_DIS_OPTIONS[rng.integers(2)]
-        parts = [0, 0]
-        parts[dis[0]] = low
-        parts[1 - dis[0]] = high
-        return _two_active_ratio(2, *parts)
+        return tuple(_placed(dis[0], low, high) for low, high in _STAGE3_DIS_OPTIONS)
     if len(fav) == 1:
-        high, low = _STAGE3_FAV_OPTIONS[rng.integers(2)]
-        parts = [0, 0]
-        parts[fav[0]] = high
-        parts[1 - fav[0]] = low
-        return _two_active_ratio(2, *parts)
+        return tuple(_placed(fav[0], high, low) for high, low in _STAGE3_FAV_OPTIONS)
     if len(bal) == 1:
-        return BALANCED[3]
+        return (BALANCED[3],)
     if len(keep) == 1:
-        parts = [0, 0]
-        parts[keep[0]] = 8 - 2
-        return _two_active_ratio(2, *parts)
+        return (_placed(keep[0], 8 - 2, 0),)
     # both-same (including both Drop / both Keep)
-    return BALANCED[3]
+    return (BALANCED[3],)
+
+
+def allocation_options(
+    categories: tuple[AdaptationCategory, AdaptationCategory], stage: int
+) -> tuple[RatioVector, ...]:
+    """The ratios the two active arms' categories admit at a mapped stage:
+    one, or for a stage-3 single Disfavour or single Favour the two that
+    resolve_allocation's fair coin picks between, in the coin's order."""
+    if len(categories) != 2:
+        raise ValueError("exactly two active arms are supported")
+    if stage == 2:
+        return _stage2_options(categories)
+    if stage == 3:
+        return _stage3_options(categories)
+    raise ValueError(f"mapped stages are 2 and 3, got {stage}")
 
 
 def resolve_allocation(
@@ -181,13 +183,10 @@ def resolve_allocation(
     admits two ratios (stage-3 single Disfavour or single Favour) one is drawn
     from the caller's stream with equal probability.
     """
-    if len(categories) != 2:
-        raise ValueError("exactly two active arms are supported")
-    if stage == 2:
-        return _resolve_stage2(categories, rng)
-    if stage == 3:
-        return _resolve_stage3(categories, rng)
-    raise ValueError(f"mapped stages are 2 and 3, got {stage}")
+    options = allocation_options(categories, stage)
+    if len(options) == 1:
+        return options[0]
+    return options[rng.integers(2)]
 
 
 def active_shares(pi: ProbVector) -> tuple[float, float]:

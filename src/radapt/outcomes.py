@@ -28,6 +28,8 @@ __all__ = [
     "CALIBRATED_SIGMA",
     "DEFAULT_SHAPE",
     "draw_outcome",
+    "draw_raw",
+    "outcomes_from_raw",
     "dichotomise",
     "apply_missingness",
     "mark_missing",
@@ -159,21 +161,32 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
-def _centered_lognormal(shape: float, rng: np.random.Generator, size=None):
-    # L ~ LogNormal(0, shape) shifted and scaled to mean 0, variance 1.
-    raw = rng.lognormal(0.0, shape, size)
-    mean = math.exp(shape**2 / 2)
-    sd = math.sqrt((math.exp(shape**2) - 1.0) * math.exp(shape**2))
-    return (raw - mean) / sd
-
-
 def draw_outcome(model: OutcomeModel, arm: ArmId, rng: np.random.Generator) -> float:
     """One delta_y draw for the given arm."""
-    shift = model.effects[arm.index]
+    raw = draw_raw(model, 1, rng)
+    return float(outcomes_from_raw(model, np.array([arm.index]), raw)[0])
+
+
+def draw_raw(model: OutcomeModel, size: int, rng: np.random.Generator) -> np.ndarray:
+    """The generator draws behind `size` consecutive draw_outcome calls, in
+    one call: the same values, and the generator left in the same state."""
     if model.kind == "bootstrap":
-        base = model.pilot[rng.integers(len(model.pilot))]
-        return float(base + shift)
-    return float(shift + model.scale * _centered_lognormal(model.shape, rng))
+        return rng.integers(len(model.pilot), size=size)
+    return rng.lognormal(0.0, model.shape, size)
+
+
+def outcomes_from_raw(
+    model: OutcomeModel, arms: np.ndarray, raw: np.ndarray
+) -> np.ndarray:
+    """delta_y for each draw of draw_raw: raw[i] belongs to a patient on arm
+    index arms[i] (any array shape, the same for both)."""
+    shift = np.asarray(model.effects, dtype=float)[arms]
+    if model.kind == "bootstrap":
+        return np.asarray(model.pilot, dtype=float)[raw] + shift
+    # L ~ LogNormal(0, shape) shifted and scaled to mean 0, variance 1.
+    mean = math.exp(model.shape**2 / 2)
+    sd = math.sqrt((math.exp(model.shape**2) - 1.0) * math.exp(model.shape**2))
+    return shift + model.scale * ((raw - mean) / sd)
 
 
 def dichotomise(delta_y: float, delta: float) -> bool:

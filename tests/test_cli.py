@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -115,6 +116,14 @@ class TestSimulate:
         assert code == 2
         assert "expected 3 effects" in capsys.readouterr().err
 
+    def test_zero_reps_rejected(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--design", "mapped_beta", "--scenario", "S4",
+            "--reps", "0", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "n_reps must be >= 1, got 0" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["simulate", "--design", "mapped_alpha", "--scenario", "S2",
                 "--reps", "25", "--seed", "11"]
@@ -141,6 +150,47 @@ class TestSimulate:
         ])
         assert code == 2
         assert "RADAPT_SEED" in capsys.readouterr().err
+
+
+# First 16 hex digits of the SHA-256 of oc_report.csv and adaptability.csv.
+# The seeding contract fixes every byte of a report, so an engine change
+# that moves one of these has changed the simulated trials.
+PINNED_DIGESTS = {
+    "fixed_equal": ("8fc8b8192e26cdda", "9428ca165445d77e"),
+    "unrestricted": ("775cbb833407003d", "0f4a389bc4ede357"),
+    "control_protected": ("740c61567480460f", "70103575b21d66a7"),
+    "baseline": ("e9c640b83b8c7ca8", "534cf2bd7def195c"),
+    "permuted_block": ("1026cce821a0433f", "db05a02d1cd1e468"),
+    "mapped_alpha": ("24cdc991afbf15ab", "011352fe7259acda"),
+    "mapped_beta": ("7e7ee12a727089d2", "bb2ea87269c503f4"),
+}
+
+
+def _digests(out):
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+        for name in ("oc_report.csv", "adaptability.csv")
+    )
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("design", sorted(PINNED_DIGESTS))
+    def test_effects_run(self, design, tmp_path, capsys):
+        code = main([
+            "simulate", "--design", design, "--effects", "0,0.3,0.4",
+            "--reps", "200", "--seed", "7", "--workers", "1", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert _digests(tmp_path) == PINNED_DIGESTS[design]
+
+    def test_pooled_imputed_run(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--design", "mapped_beta", "--scenario", "S4", "--case", "4",
+            "--impute-stage2", "--reps", "200", "--seed", "7", "--workers", "1",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert _digests(tmp_path) == ("af184634e73159c9", "be7a01052fc7f428")
 
 
 class TestCalibrate:

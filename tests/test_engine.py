@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radapt import engine, preset_design
+from radapt.analysis import pooled_analysis
 from radapt.core import RuleConfig, TrialDesign
 from radapt.engine import (
     CalibrationResult,
@@ -17,6 +18,7 @@ from radapt.engine import (
     interim_recommendation,
     read_accrued,
     replicate,
+    replicate_pooled,
     run_trial,
     write_adaptability_csv,
     write_oc_csv,
@@ -29,7 +31,7 @@ from radapt.mapping import (
     decide_category,
     stage_ratio,
 )
-from radapt.outcomes import MissingCase, OutcomeModel, impute_stage2_mean
+from radapt.outcomes import SCENARIOS, MissingCase, OutcomeModel, impute_stage2_mean
 from radapt.posterior import BetaPosterior, SuccessCount, update
 from radapt.presets import PRESET_NAMES
 from radapt.rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
@@ -259,6 +261,190 @@ class TestInterimDecisionMemo:
         assert info.hits > 0 and info.misses > 0
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _assert_row_is_trial(block, r, traj):
+    """Row r of a conducted block against the scalar trial on the same stream."""
+    cells = [rec for stage in traj.stages for rec in stage.records]
+    assert block.arm[r].tolist() == [rec.arm.index for rec in cells]
+    assert block.missing[r].tolist() == [rec.missing for rec in cells]
+    drawn = [j for j, rec in enumerate(cells) if not rec.missing]
+    assert _bits(block.y[r, drawn]) == _bits([cells[j].delta_y for j in drawn])
+    # the analysed cells: observed values plus whatever imputation filled
+    analysed = traj.records
+    assert block.observed[r].tolist() == [rec.delta_y is not None for rec in analysed]
+    seen = [j for j, rec in enumerate(analysed) if rec.delta_y is not None]
+    assert _bits(block.y[r, seen]) == _bits([analysed[j].delta_y for j in seen])
+    for t, stage in enumerate(traj.stages):
+        ratios = block.ratios[t]
+        got = None if ratios is None else tuple(ratios[r].tolist())
+        assert got == (None if stage.ratio is None else stage.ratio.counts)
+    for t, interim in enumerate(traj.interims):
+        decision = block.decisions[t][block.which[t][r]]
+        # a coin-drawn stage-3 ratio lives in block.ratios, checked above
+        assert dataclasses.replace(decision, ratio=None) == dataclasses.replace(
+            interim, ratio=None
+        )
+    assert _bits(block.p_value[r]) == _bits([res.p_value for res in traj.results])
+    assert block.reject[r].tolist() == [res.reject for res in traj.results]
+    assert block.skipped[r].tolist() == [res.skipped for res in traj.results]
+    assert block.recommended[r] == traj.recommended.index
+    assert block.impute_failures[r] == traj.imputation_failures
+
+
+def _block_and_trials(design, model, case, policy, master, reps, stream=None):
+    """A block conducted on replicates `reps` and the scalar trials on the
+    same streams; every row must equal its trial, generator state included."""
+    rngs = [engine._rep_rng(master, rep, stream) for rep in reps]
+    block = engine._conduct_block(design, model, case, policy, rngs)
+    trajs = []
+    for r, rep in enumerate(reps):
+        rng = engine._rep_rng(master, rep, stream)
+        trajs.append(run_trial(design, model, case=case, policy=policy, rng=rng))
+        _assert_row_is_trial(block, r, trajs[-1])
+        assert rngs[r].bit_generator.state == rng.bit_generator.state
+    return block, trajs
+
+
+def _reference_tally(trajs, effects):
+    """The _Tally counters recomputed trajectory by trajectory from the
+    scalar trials: realised ratios and applied categories for mapped
+    designs, pi and tau drops otherwise."""
+    design = trajs[0].design
+    k, actives = design.k, design.active_indices()
+    centre, tol = 1.0 / k, engine._SHARE_TOL
+    per_arm = ("alloc_sum", "alloc_sumsq", "reject", "skip", "recommend",
+               "fav2", "dis2", "fav3", "dis3", "drop3", "keep3")
+    c = {name: [0] * k for name in per_arm}
+    c.update(n=len(trajs), rec_reject=0, any_reject=0, best_reject=0,
+             null_reject=0, adapt2=0, adapt3=0, zero3=0, impute_fail=0)
+    top = max(effects[i] for i in actives)
+    for traj in trajs:
+        for i, n in enumerate(traj.allocation_counts()):
+            c["alloc_sum"][i] += n
+            c["alloc_sumsq"][i] += n * n
+        c["impute_fail"] += traj.imputation_failures > 0
+        result = {res.treatment.index: res for res in traj.results}
+        c["recommend"][traj.recommended.index] += 1
+        c["rec_reject"] += result[traj.recommended.index].reject
+        rejected = [i for i in actives if result[i].reject]
+        for i in actives:
+            c["skip"][i] += result[i].skipped
+            c["reject"][i] += result[i].reject
+        c["any_reject"] += bool(rejected)
+        c["best_reject"] += any(top > 0 and effects[i] == top for i in rejected)
+        c["null_reject"] += any(effects[i] == 0.0 for i in rejected)
+
+        stage2, pi2 = traj.stages[1], traj.interims[0].pi
+        if stage2.ratio is not None:
+            base = stage2.ratio.total // k
+            c["adapt2"] += any(x != base for x in stage2.ratio.counts)
+            for i in actives:
+                c["fav2"][i] += stage2.ratio[i] > base
+                c["dis2"][i] += stage2.ratio[i] < base
+        else:
+            c["adapt2"] += any(abs(p - centre) > tol for p in pi2.probs)
+            for i in actives:
+                c["fav2"][i] += pi2[i] > centre + tol
+                c["dis2"][i] += pi2[i] < centre - tol
+
+        stage3, interim3 = traj.stages[2], traj.interims[1]
+        c["zero3"] += any(stage3.counts[i] == 0 for i in actives)
+        if stage3.ratio is not None:
+            c["adapt3"] += stage3.ratio.counts != BALANCED[3].counts
+        else:
+            c["adapt3"] += any(abs(p - centre) > tol for p in interim3.pi.probs)
+        for pos, i in enumerate(actives):
+            if interim3.applied_categories is not None:
+                cat = interim3.applied_categories[pos]
+                name = {C.DROP: "drop3", C.KEEP: "keep3", C.FAVOUR: "fav3",
+                        C.DISFAVOUR: "dis3"}.get(cat)
+            elif i in interim3.dropped:
+                name = "drop3"
+            elif interim3.dropped:
+                name = "keep3"
+            elif interim3.pi[i] > centre + tol:
+                name = "fav3"
+            elif interim3.pi[i] < centre - tol:
+                name = "dis3"
+            else:
+                name = None
+            if name is not None:
+                c[name][i] += 1
+    return c
+
+
+class TestBlockConduct:
+    POLICIES = TestInterimDecisionMemo.POLICIES
+    # a small pilot resampled 20 times: nearly every final test has ties
+    BOOT = OutcomeModel.bootstrap(
+        (-0.4, -0.1, 0.0, 0.2, 0.3, 0.3, 0.45, 0.7, 1.1), (0.0, 0.2, 0.5)
+    )
+    MODELS = (OutcomeModel.parametric((0.0, 0.3, 0.4)), BOOT)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_rows_equal_scalar_trials(self, name):
+        design = preset_design(name)
+        for case_id in range(6):
+            case = MissingCase.from_id(case_id)
+            for p, policy in enumerate(self.POLICIES):
+                for model in self.MODELS:
+                    for stream in (None, 0, 1):
+                        _block_and_trials(
+                            design, model, case, policy, 10 * case_id + p,
+                            range(2), stream,
+                        )
+
+    @pytest.mark.parametrize("size", [1, 255, 256, 257])
+    def test_block_sizes(self, size):
+        _block_and_trials(
+            preset_design("mapped_beta"), self.MODELS[0], MissingCase.from_id(5),
+            MissingPolicy(impute_stage2=True), 99, range(1000, 1000 + size),
+        )
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_tally_equals_scalar_reference(self, name):
+        design = preset_design(name)
+        model = self.MODELS[0]
+        for case_id in range(6):
+            case = MissingCase.from_id(case_id)
+            for p, policy in enumerate(self.POLICIES):
+                block, trajs = _block_and_trials(
+                    design, model, case, policy, 100 + case_id, range(3 * p, 3 * p + 12)
+                )
+                tally = engine._Tally(design.k)
+                tally.add_block(block, design, model.effects)
+                want = _reference_tally(trajs, model.effects)
+                for key, value in want.items():
+                    got = getattr(tally, key)
+                    got = got.tolist() if isinstance(got, np.ndarray) else got
+                    assert got == value, (name, case_id, policy, key)
+
+    @pytest.mark.parametrize("name", ["mapped_beta", "baseline", "fixed_equal"])
+    @pytest.mark.parametrize("scenario", ["S4", "S9"])
+    def test_pooled_tests_equal_pooled_analysis(self, name, scenario):
+        design = preset_design(name)
+        effects = SCENARIOS[scenario]
+        case, policy = MissingCase.from_id(4), MissingPolicy(impute_stage2=True)
+        strata = [
+            _block_and_trials(
+                design, OutcomeModel.parametric(e), case, policy, 5, range(40), s
+            )
+            for s, e in enumerate((effects.effects_a, effects.effects_b))
+        ]
+        (block_a, trajs_a), (block_b, trajs_b) = strata
+        p, reject, skipped = engine._pooled_tests(block_a, block_b, design)
+        for r, (traj_a, traj_b) in enumerate(zip(trajs_a, trajs_b)):
+            results = pooled_analysis(
+                list(traj_a.records), list(traj_b.records), design
+            )
+            assert _bits(p[r]) == _bits([res.p_value for res in results])
+            assert reject[r].tolist() == [res.reject for res in results]
+            assert skipped[r].tolist() == [res.skipped for res in results]
+
+
 class TestReplicate:
     def test_mapped_control_allocation_pinned(self):
         report = replicate(
@@ -291,6 +477,27 @@ class TestReplicate:
     def test_bad_rep_count(self):
         with pytest.raises(ValueError):
             replicate(preset_design("fixed_equal"), NULL, n_reps=0, master_seed=0)
+
+    @pytest.mark.parametrize("n_reps", [0, -3])
+    def test_pooled_bad_rep_count_before_any_worker(self, n_reps, monkeypatch):
+        def no_workers(*args):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(engine, "_pool_map", no_workers)
+        with pytest.raises(ValueError, match=f"n_reps must be >= 1, got {n_reps}"):
+            replicate_pooled(
+                preset_design("mapped_beta"), SCENARIOS["S4"], n_reps=n_reps,
+                workers=2,
+            )
+
+    def test_block_boundaries_do_not_change_reports(self):
+        # one process conducts blocks 0-255, 256-511 and 512; three conduct
+        # 0-171, 171-342 and 342-513, split into blocks differently
+        kwargs = dict(n_reps=513, master_seed=21)
+        design = preset_design("mapped_alpha")
+        assert replicate(design, ALT, workers=1, **kwargs) == replicate(
+            design, ALT, workers=3, **kwargs
+        )
 
 
 class TestAllocationLaw:
