@@ -192,6 +192,21 @@ class TestPinnedReports:
         assert code == 0
         assert _digests(tmp_path) == ("af184634e73159c9", "be7a01052fc7f428")
 
+    # i.i.d. pooled runs: pi-based adaptation rates, tau drops, and the
+    # pooled row's type1 / null_arm_reject rules
+    @pytest.mark.parametrize("scenario, digests", [
+        ("S1", ("2f41597881c4d3a1", "3f6a6a4042945453")),
+        ("S9", ("659bd46710646cc9", "cb4b080e457c682f")),
+    ])
+    def test_pooled_iid_run(self, scenario, digests, tmp_path, capsys):
+        code = main([
+            "simulate", "--design", "baseline", "--scenario", scenario,
+            "--case", "5", "--reps", "200", "--seed", "7", "--workers", "1",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert _digests(tmp_path) == digests
+
 
 class TestCalibrate:
     def test_sweep_writes_tradeoff(self, tmp_path, capsys):
