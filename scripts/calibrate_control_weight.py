@@ -34,7 +34,7 @@ def control_alloc_at(eta: float, reps: int, seed: int) -> float:
         n_reps=reps,
         master_seed=seed,
     )
-    return report.alloc_mean[design.control_index()]
+    return report.rates["alloc_mean"][design.control_index()]
 
 
 def main() -> None:

@@ -31,7 +31,7 @@ def power_at(sigma: float, reps: int, seed: int) -> float:
         n_reps=reps,
         master_seed=seed,
     )
-    return report.power
+    return report.rates["power"]
 
 
 def main() -> None:

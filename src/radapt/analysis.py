@@ -272,11 +272,18 @@ def pooled_analysis(
     records_b: list[PatientRecord],
     design: TrialDesign,
 ) -> list[TestResult]:
-    """Tests on the two strata's concatenated per-arm samples."""
-    labels_a = {r.arm.label for r in records_a}
-    labels_b = {r.arm.label for r in records_b}
-    if labels_a and labels_b and labels_a != labels_b:
-        raise ValueError(f"arm sets differ between strata: {labels_a} vs {labels_b}")
+    """Tests on the two strata's concatenated per-arm samples.
+
+    Every record's arm must be one of the design's arms. A stratum may leave
+    an arm without patients (i.i.d. assignment can); that arm's pooled
+    sample is then the other stratum's values.
+    """
+    for r in (*records_a, *records_b):
+        if r.arm not in design.arms:
+            raise ValueError(
+                f"patient {r.patient_id}: arm {r.arm.label!r} is not one of "
+                f"the design's arms"
+            )
 
     control_idx = design.control_index()
     control_arm = design.arms[control_idx]

@@ -161,13 +161,14 @@ def _print_summary(reports: list[OCReport]) -> None:
     alloc_head = "/".join(head.arm_labels)
     print(f"{'stratum':<8} {'type1':>7} {'power':>7} {'any_rej':>8}  alloc {alloc_head}")
     for rep in reports:
-        if rep.alloc_mean is None:
+        rates = rep.rates
+        if rates["alloc_mean"] is None:
             alloc = "NA"
         else:
-            alloc = "/".join(f"{m:.3f}" for m in rep.alloc_mean)
+            alloc = "/".join(f"{m:.3f}" for m in rates["alloc_mean"])
         print(
-            f"{rep.stratum:<8} {_fmt_cell(rep.type1):>7} {_fmt_cell(rep.power):>7} "
-            f"{rep.any_reject_rate:>8.4f}  {alloc}"
+            f"{rep.stratum:<8} {_fmt_cell(rates['type1']):>7} "
+            f"{_fmt_cell(rates['power']):>7} {rates['any_reject']:>8.4f}  {alloc}"
         )
 
 
@@ -297,8 +298,6 @@ def _predetermined_ratios(design: TrialDesign) -> list[tuple[int, RatioVector]]:
         ]
     if design.mapping is not None or design.stage1_balanced_block:
         size = design.stages[0].size
-        if size % design.k:
-            raise ValueError("stage-1 size not divisible by the number of arms")
         return [(1, RatioVector((size // design.k,) * design.k))]
     raise ValueError(
         "design has no pre-determined blocks (i.i.d. randomisation); "

@@ -244,6 +244,13 @@ def validate_design(design: TrialDesign) -> list[str]:
             )
     if design.stages and design.stages[0].arm_dropping_allowed:
         v.append("stage 1 never allows arm dropping")
+    if design.stage1_balanced_block and design.stages and k:
+        size = design.stages[0].size
+        if size % k:
+            v.append(
+                f"balanced stage-1 block needs a stage-1 size divisible by "
+                f"K={k}, got {size}"
+            )
 
     if design.planned_n is not None and design.planned_n != design.n_total:
         v.append(
@@ -308,13 +315,15 @@ def _validate_mapping(design: TrialDesign) -> list[str]:
         return v
     if design.k != 3:
         v.append(f"mapping requires K=3 (one control, two actives), got K={design.k}")
-    if mapping.variant == "PermutedBlock":
-        return v
-
-    # The ratio menu assumes stage sizes (6, 6, 8) with 2 controls per stage.
+    # Every variant's ratios (2:2:2, 2:2:2, then 2:3:3 or a mapped stage-3
+    # ratio) fill stages of sizes (6, 6, 8).
     sizes = tuple(s.size for s in design.stages)
     if sizes != (6, 6, 8):
         v.append(f"mapped designs require stage sizes (6, 6, 8), got {sizes}")
+    if mapping.variant == "PermutedBlock":
+        return v
+
+    # The ratio menu assumes 2 controls per stage.
     if mapping.control_fix != 2:
         v.append(f"mapped designs fix 2 controls per stage, got {mapping.control_fix}")
 

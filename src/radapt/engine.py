@@ -10,9 +10,11 @@ The continuous rules draw nothing: each one, P(best) included, is computed
 exactly from the posterior state and the assigned counts, so memoised values
 cannot depend on evaluation order or on how replicates are split across worker
 processes.
-Replicate aggregation uses integer accumulators only; every reported float is
-derived once from the merged integers, which makes reports byte-identical for
-any worker count and across repeated runs.
+Each block of replicates reduces to integer counters keyed by metric name,
+and blocks, worker chunks and strata merge by summing them (_merge). Every
+reported rate is derived once from the merged integers by one column spec
+(_COLUMNS), which also lays out both report CSVs, so reports are
+byte-identical for any worker count and across repeated runs.
 
 Replicates are conducted in blocks, all rows one stage at a time, over
 (replicates x patients) arrays of arms, outcomes and missing cells. Each row
@@ -27,7 +29,7 @@ import csv
 import math
 import multiprocessing
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -463,21 +465,12 @@ def _conduct_trial(
     for plan in design.stages:
         t = plan.stage_index
         if t == 1:
-            pi = fixed_equal(k)
-            ratio = None
-            if design.mapping is not None:
-                ratio, _ = stage_ratio(design, 1, pi, rng)
-            elif design.stage1_balanced_block:
-                if plan.size % k:
-                    raise ValueError(
-                        f"balanced stage-1 block needs size divisible by {k}"
-                    )
-                ratio = RatioVector((plan.size // k,) * k)
+            choices, probs = _first_stage_option(design)
+            ratio = None if choices is None else choices[0]
         else:
             interim = interim_decision(design, accrued, t, policy, rng)
             interims.append(interim)
-            pi = interim.pi
-            ratio = interim.ratio
+            ratio, probs = interim.ratio, np.asarray(interim.pi.probs)
 
         if ratio is not None:
             block = generate_block(
@@ -486,7 +479,7 @@ def _conduct_trial(
             assigned = block.assignments
         else:
             block = None
-            draws = rng.choice(k, size=plan.size, p=np.asarray(pi.probs))
+            draws = rng.choice(k, size=plan.size, p=probs)
             assigned = tuple(design.arms[int(i)] for i in draws)
 
         stage_records = []
@@ -635,16 +628,15 @@ def _stage_option(decision: InterimRecord):
     return None, np.asarray(decision.pi.probs)
 
 
-def _first_stage_option(design: TrialDesign, plan):
+def _first_stage_option(design: TrialDesign):
+    """Stage 1's ratio, or None and pi for i.i.d. assignment; it draws
+    nothing, as no decision precedes it."""
     pi = fixed_equal(design.k)
     if design.mapping is not None:
         return (stage_ratio(design, 1, pi, None)[0],), None
     if design.stage1_balanced_block:
-        if plan.size % design.k:
-            raise ValueError(
-                f"balanced stage-1 block needs size divisible by {design.k}"
-            )
-        return (RatioVector((plan.size // design.k,) * design.k),), None
+        size = design.stages[0].size
+        return (RatioVector((size // design.k,) * design.k),), None
     return None, np.asarray(pi.probs)
 
 
@@ -707,7 +699,7 @@ def _conduct_block(
     for plan in design.stages:
         t = plan.stage_index
         if t == 1:
-            options = [_first_stage_option(design, plan)]
+            options = [_first_stage_option(design)]
             chosen = [0] * n_rows
         else:
             view_y, view_observed, _ = _analysis_view(
@@ -777,36 +769,11 @@ def _conduct_block(
 def _pooled_tests(block_a: _Block, block_b: _Block, design: TrialDesign):
     """pooled_analysis for every row of two strata's blocks, as p-values,
     rejections and skips: each arm's sample is stratum A's values followed
-    by stratum B's."""
-    k = design.k
-    present_a = _onehot(block_a.arm, k).any(axis=1)
-    present_b = _onehot(block_b.arm, k).any(axis=1)
-    differ = np.flatnonzero((present_a != present_b).any(axis=1))
-    if differ.size:
-        r = differ[0]
-        labels_a = {a.label for a in design.arms if present_a[r, a.index]}
-        labels_b = {a.label for a in design.arms if present_b[r, a.index]}
-        raise ValueError(
-            f"arm sets differ between strata: {labels_a} vs {labels_b}"
-        )
+    by stratum B's, so an arm one stratum left empty pools the other's."""
     arm = np.hstack([block_a.arm, block_b.arm])
     y = np.hstack([block_a.y, block_b.y])
     observed = np.hstack([block_a.observed, block_b.observed])
-    return _final_tests(design, _onehot(arm, k), y, observed)
-
-
-def _reject_counts(reject: np.ndarray, effects, null) -> tuple[int, int, int]:
-    """Rows with any rejection, with a best arm's rejection (only when the
-    best effect is positive) and with a null arm's rejection; `reject`,
-    `effects` and `null` have one column or entry per active arm."""
-    max_eff = max(effects)
-    best = np.array([max_eff > 0 and e == max_eff for e in effects])
-    null = np.array(null, dtype=bool)
-    return (
-        int(reject.any(axis=1).sum()),
-        int(reject[:, best].any(axis=1).sum()),
-        int(reject[:, null].any(axis=1).sum()),
-    )
+    return _final_tests(design, _onehot(arm, design.k), y, observed)
 
 
 def _stage3_marks(decision: InterimRecord, actives, k: int) -> np.ndarray:
@@ -841,182 +808,126 @@ def _off_centre(pi: np.ndarray, centre: float) -> np.ndarray:
     return np.abs(pi - centre) > _SHARE_TOL
 
 
-@dataclass
-class _Tally:
-    """Integer accumulators for one stratum; merge order never matters."""
+# ---------------------------------------------------------------------------
+# Counters: int64 arrays keyed by metric name, summed by _merge. A stratum
+# block has every name below; the pooled tests have only _test_counts' names.
 
-    k: int
-    n: int = 0
-    alloc_sum: np.ndarray = field(default=None)
-    alloc_sumsq: np.ndarray = field(default=None)
-    reject: np.ndarray = field(default=None)
-    skip: np.ndarray = field(default=None)
-    recommend: np.ndarray = field(default=None)
-    rec_reject: int = 0
-    any_reject: int = 0
-    best_reject: int = 0
-    null_reject: int = 0
-    adapt2: int = 0
-    adapt3: int = 0
-    zero3: int = 0
-    fav2: np.ndarray = field(default=None)
-    dis2: np.ndarray = field(default=None)
-    fav3: np.ndarray = field(default=None)
-    dis3: np.ndarray = field(default=None)
-    drop3: np.ndarray = field(default=None)
-    keep3: np.ndarray = field(default=None)
-    impute_fail: int = 0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "alloc_sum", "alloc_sumsq", "reject", "skip", "recommend",
-            "fav2", "dis2", "fav3", "dis3", "drop3", "keep3",
-        ):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros(self.k, dtype=np.int64))
-
-    def merge(self, other: "_Tally") -> None:
-        if other.k != self.k:
-            raise ValueError("cannot merge tallies of different arm counts")
-        self.n += other.n
-        self.rec_reject += other.rec_reject
-        self.any_reject += other.any_reject
-        self.best_reject += other.best_reject
-        self.null_reject += other.null_reject
-        self.adapt2 += other.adapt2
-        self.adapt3 += other.adapt3
-        self.zero3 += other.zero3
-        self.impute_fail += other.impute_fail
-        for name in (
-            "alloc_sum", "alloc_sumsq", "reject", "skip", "recommend",
-            "fav2", "dis2", "fav3", "dis3", "drop3", "keep3",
-        ):
-            getattr(self, name).__iadd__(getattr(other, name))
-
-    def add_block(
-        self, block: _Block, design: TrialDesign, effects: tuple[float, ...]
-    ) -> None:
-        k, rows = self.k, len(block.arm)
-        actives = list(design.active_indices())
-        centre = 1.0 / k
-        self.n += rows
-        counts = _onehot(block.arm, k).sum(axis=1)
-        self.alloc_sum += counts.sum(axis=0)
-        self.alloc_sumsq += (counts * counts).sum(axis=0)
-        self.impute_fail += int(np.count_nonzero(block.impute_failures))
-
-        self.recommend += np.bincount(block.recommended, minlength=k)
-        column = np.zeros(k, dtype=np.intp)
-        column[actives] = np.arange(len(actives))
-        self.rec_reject += int(
-            block.reject[np.arange(rows), column[block.recommended]].sum()
-        )
-        self.skip[actives] += block.skipped.sum(axis=0)
-        self.reject[actives] += block.reject.sum(axis=0)
-        any_r, best_r, null_r = _reject_counts(
-            block.reject,
-            [effects[i] for i in actives],
-            [effects[i] == 0.0 for i in actives],
-        )
-        self.any_reject += any_r
-        self.best_reject += best_r
-        self.null_reject += null_r
-
-        if design.n_stages >= 2:
-            ratio = block.ratios[1]
-            if ratio is not None:
-                base = ratio.sum(axis=1, keepdims=True) // k
-                self.adapt2 += int((ratio != base).any(axis=1).sum())
-                self.fav2[actives] += (ratio[:, actives] > base).sum(axis=0)
-                self.dis2[actives] += (ratio[:, actives] < base).sum(axis=0)
-            else:
-                pi = _pi_rows(block.decisions[0], block.which[0])
-                self.adapt2 += int(_off_centre(pi, centre).any(axis=1).sum())
-                self.fav2[actives] += (pi[:, actives] > centre + _SHARE_TOL).sum(0)
-                self.dis2[actives] += (pi[:, actives] < centre - _SHARE_TOL).sum(0)
-
-        if design.n_stages >= 3:
-            last = block.stage_of == design.n_stages
-            last_counts = _onehot(block.arm[:, last], k).sum(axis=1)
-            self.zero3 += int((last_counts[:, actives] == 0).any(axis=1).sum())
-            decisions, which = block.decisions[-1], block.which[-1]
-            ratio = block.ratios[-1]
-            if ratio is not None:
-                balanced = np.asarray(BALANCED[3].counts)
-                self.adapt3 += int((ratio != balanced).any(axis=1).sum())
-            else:
-                pi = _pi_rows(decisions, which)
-                self.adapt3 += int(_off_centre(pi, centre).any(axis=1).sum())
-            weights = np.bincount(which, minlength=len(decisions))
-            marks = np.array([_stage3_marks(d, actives, k) for d in decisions])
-            drop, keep, fav, dis = np.tensordot(weights, marks, axes=1)
-            self.drop3 += drop
-            self.keep3 += keep
-            self.fav3 += fav
-            self.dis3 += dis
+Counts = dict[str, np.ndarray]
 
 
-@dataclass
-class _PooledTally:
-    """Integer accumulators for the pooled-strata tests."""
+def _merge(parts) -> Counts:
+    """Sum counter maps by name: blocks, worker chunks, strata and the
+    pooled tests alike. Integer sums, so the order never matters."""
+    total: Counts = {}
+    for part in parts:
+        for name, value in part.items():
+            total[name] = total[name] + value if name in total else value
+    return total
 
-    k: int
-    n: int = 0
-    reject: np.ndarray = field(default=None)
-    skip: np.ndarray = field(default=None)
-    any_reject: int = 0
-    best_reject: int = 0
-    null_reject: int = 0
 
-    def __post_init__(self) -> None:
-        for name in ("reject", "skip"):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros(self.k, dtype=np.int64))
+def _test_counts(reject, skipped, design: TrialDesign, effects) -> Counts:
+    """Rejections and skips per arm, and rows with any rejection, with a
+    best arm's rejection (only when the best effect is positive) and with a
+    null arm's rejection; `reject` and `skipped` have one column per active
+    arm."""
+    actives = list(design.active_indices())
+    active_effects = np.array([effects[i] for i in actives])
+    top = active_effects.max()
+    per_arm = np.zeros((2, design.k), dtype=np.int64)
+    per_arm[0, actives] = reject.sum(axis=0)
+    per_arm[1, actives] = skipped.sum(axis=0)
+    best = (top > 0) & (active_effects == top)
+    return {
+        "n": np.int64(len(reject)),
+        "reject": per_arm[0],
+        "skip": per_arm[1],
+        "any_reject": reject.any(axis=1).sum(),
+        "best_reject": reject[:, best].any(axis=1).sum(),
+        "null_reject": reject[:, active_effects == 0.0].any(axis=1).sum(),
+    }
 
-    def merge(self, other: "_PooledTally") -> None:
-        self.n += other.n
-        self.any_reject += other.any_reject
-        self.best_reject += other.best_reject
-        self.null_reject += other.null_reject
-        self.reject += other.reject
-        self.skip += other.skip
 
-    def add_rows(
-        self,
-        reject: np.ndarray,
-        skipped: np.ndarray,
-        actives: tuple[int, ...],
-        effect_sums: tuple[float, ...],
-        null_actives: frozenset[int],
-    ) -> None:
-        self.n += len(reject)
-        self.skip[list(actives)] += skipped.sum(axis=0)
-        self.reject[list(actives)] += reject.sum(axis=0)
-        any_r, best_r, null_r = _reject_counts(
-            reject,
-            [effect_sums[i] for i in actives],
-            [i in null_actives for i in actives],
-        )
-        self.any_reject += any_r
-        self.best_reject += best_r
-        self.null_reject += null_r
+def _stage2_counts(block: _Block, design: TrialDesign) -> Counts:
+    """Rows whose stage-2 allocation left balance, and per active arm the
+    rows that favoured or disfavoured it: from the realised ratio where the
+    stage has one, from pi otherwise."""
+    k, actives = design.k, list(design.active_indices())
+    fav, dis = np.zeros((2, k), dtype=np.int64)
+    if design.n_stages < 2:
+        return {"adapt2": np.int64(0), "fav2": fav, "dis2": dis}
+    ratio = block.ratios[1]
+    if ratio is not None:
+        base = ratio.sum(axis=1, keepdims=True) // k
+        moved, up, down = ratio != base, ratio > base, ratio < base
+    else:
+        pi, centre = _pi_rows(block.decisions[0], block.which[0]), 1.0 / k
+        moved = _off_centre(pi, centre)
+        up, down = pi > centre + _SHARE_TOL, pi < centre - _SHARE_TOL
+    fav[actives] = up[:, actives].sum(axis=0)
+    dis[actives] = down[:, actives].sum(axis=0)
+    return {"adapt2": moved.any(axis=1).sum(), "fav2": fav, "dis2": dis}
 
+
+def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
+    """Rows whose last-stage allocation left balance or gave an active arm
+    no patient, and per active arm the rows of each stage-3 category."""
+    k, actives = design.k, list(design.active_indices())
+    if design.n_stages < 3:
+        counts = {
+            name: np.zeros(k, dtype=np.int64)
+            for name in ("drop3", "keep3", "fav3", "dis3")
+        }
+        return {"adapt3": np.int64(0), "zero3": np.int64(0), **counts}
+    last = block.stage_of == design.n_stages
+    last_counts = _onehot(block.arm[:, last], k).sum(axis=1)
+    decisions, which = block.decisions[-1], block.which[-1]
+    ratio = block.ratios[-1]
+    if ratio is not None:
+        moved = ratio != np.asarray(BALANCED[3].counts)
+    else:
+        moved = _off_centre(_pi_rows(decisions, which), 1.0 / k)
+    weights = np.bincount(which, minlength=len(decisions))
+    marks = np.array([_stage3_marks(d, actives, k) for d in decisions])
+    drop, keep, fav, dis = np.tensordot(weights, marks, axes=1)
+    return {
+        "adapt3": moved.any(axis=1).sum(),
+        "zero3": (last_counts[:, actives] == 0).any(axis=1).sum(),
+        "drop3": drop, "keep3": keep, "fav3": fav, "dis3": dis,
+    }
+
+
+def _block_counts(block: _Block, design: TrialDesign, effects) -> Counts:
+    """Every counter of one stratum's block."""
+    k, rows = design.k, len(block.arm)
+    actives = design.active_indices()
+    alloc = _onehot(block.arm, k).sum(axis=1)
+    column = np.zeros(k, dtype=np.intp)
+    column[list(actives)] = np.arange(len(actives))
+    return {
+        **_test_counts(block.reject, block.skipped, design, effects),
+        "alloc_sum": alloc.sum(axis=0),
+        "alloc_sumsq": (alloc * alloc).sum(axis=0),
+        "recommend": np.bincount(block.recommended, minlength=k),
+        "rec_reject": block.reject[np.arange(rows), column[block.recommended]].sum(),
+        "impute_fail": np.int64(np.count_nonzero(block.impute_failures)),
+        **_stage2_counts(block, design),
+        **_stage3_counts(block, design),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Reports
 
 @dataclass(frozen=True)
 class OCReport:
     """Operating characteristics of one design under one data scenario.
 
-    Rates are fractions of replicates. Per-arm tuples align with
-    `arm_labels`; entries that make no sense for an arm (rejection for the
-    control) or for the row kind (allocation for a pooled row) are None and
-    rendered as NA in CSV output.
-
-    `type1` is the probability that the recommended arm's test rejects,
-    defined under a global null only (any-arm rejection for pooled rows);
-    `power` is the probability that a best active arm's test rejects, defined
-    only when a strictly positive best effect exists. Adaptation rates come
-    from realised ratios and post-policy categories for mapped designs, and
-    from the continuous probabilities (tau drops included) otherwise.
+    `rates` maps each CSV column stem (_COLUMNS; README.md defines them) to
+    a fraction of replicates: a float, or a tuple aligned with `arm_labels`.
+    None marks what is undefined: the control's entry of an active-arm stem,
+    a stem whose effects rule fails, and a stem whose counter the row lacks
+    (a pooled row has only the tests' counters). CSV output renders None as
+    NA. A pooled row's effects are the two strata's sums.
     """
 
     design_name: str
@@ -1029,41 +940,80 @@ class OCReport:
     arm_labels: tuple[str, ...]
     active_labels: tuple[str, ...]
     effects: tuple[float, ...]
-    reject_rate: tuple[float | None, ...]
-    skip_rate: tuple[float | None, ...]
-    any_reject_rate: float
-    recommended_reject_rate: float | None
-    type1: float | None
-    power: float | None
-    null_arm_reject_rate: float | None
-    recommend_rate: tuple[float | None, ...] | None
-    alloc_mean: tuple[float, ...] | None
-    alloc_sd: tuple[float, ...] | None
-    stage2_adapt_rate: float | None
-    stage3_adapt_rate: float | None
-    stage3_zero_rate: float | None
-    favour2_rate: tuple[float | None, ...] | None
-    disfavour2_rate: tuple[float | None, ...] | None
-    favour3_rate: tuple[float | None, ...] | None
-    disfavour3_rate: tuple[float | None, ...] | None
-    drop3_rate: tuple[float | None, ...] | None
-    keep3_rate: tuple[float | None, ...] | None
-    imputation_failure_rate: float | None
+    rates: dict[str, float | tuple[float | None, ...] | None]
 
 
-def _per_arm(values, design: TrialDesign, n: int, actives_only: bool):
-    actives = set(design.active_indices())
-    out = []
-    for i in range(design.k):
-        if actives_only and i not in actives:
-            out.append(None)
-        else:
-            out.append(int(values[i]) / n)
-    return tuple(out)
+def _alloc_mean(counts: Counts, n: int, n_total: int):
+    if "alloc_sum" not in counts:
+        return None
+    return counts["alloc_sum"] / n_total / n
 
 
-def _tally_report(
-    tally: _Tally,
+def _alloc_sd(counts: Counts, n: int, n_total: int):
+    if "alloc_sumsq" not in counts:
+        return None
+    if n == 1:
+        return np.zeros(len(counts["alloc_sum"]))
+    sum_p = counts["alloc_sum"] / n_total
+    sum_p2 = counts["alloc_sumsq"] / (n_total * n_total)
+    return np.sqrt(np.maximum((sum_p2 - sum_p * sum_p / n) / (n - 1), 0.0))
+
+
+def _global_null(effects) -> bool:
+    return all(e == 0.0 for e in effects)
+
+
+def _has_best(effects) -> bool:
+    return max(effects) > 0
+
+
+def _has_null(effects) -> bool:
+    return any(e == 0.0 for e in effects)
+
+
+_ARM, _ACTIVE, _SCALAR = "arm", "active", "scalar"
+
+# Each report column stem in file order, after the identity columns: its
+# file; its numerator, a counter name (the rate is the count over the
+# replicates; given several, the first counter the row has), a function of
+# the counters, or None for the report's own effects; its domain, every arm,
+# the active arms or one value; and the active-arm effects it needs to be
+# defined, or None for always.
+_COLUMNS = (
+    ("oc", "effect", None, _ARM, None),
+    ("oc", "alloc_mean", _alloc_mean, _ARM, None),
+    ("oc", "alloc_sd", _alloc_sd, _ARM, None),
+    ("oc", "reject", "reject", _ACTIVE, None),
+    ("oc", "skip", "skip", _ACTIVE, None),
+    ("oc", "recommend", "recommend", _ACTIVE, None),
+    ("oc", "any_reject", "any_reject", _SCALAR, None),
+    ("oc", "recommended_reject", "rec_reject", _SCALAR, None),
+    ("oc", "type1", ("rec_reject", "any_reject"), _SCALAR, _global_null),
+    ("oc", "power", "best_reject", _SCALAR, _has_best),
+    ("oc", "null_arm_reject", "null_reject", _SCALAR, _has_null),
+    ("oc", "imputation_failures", "impute_fail", _SCALAR, None),
+    ("adaptability", "stage2_adapt", "adapt2", _SCALAR, None),
+    ("adaptability", "stage3_adapt", "adapt3", _SCALAR, None),
+    ("adaptability", "stage3_zero", "zero3", _SCALAR, None),
+    ("adaptability", "favour2", "fav2", _ACTIVE, None),
+    ("adaptability", "disfavour2", "dis2", _ACTIVE, None),
+    ("adaptability", "favour3", "fav3", _ACTIVE, None),
+    ("adaptability", "disfavour3", "dis3", _ACTIVE, None),
+    ("adaptability", "drop3", "drop3", _ACTIVE, None),
+    ("adaptability", "keep3", "keep3", _ACTIVE, None),
+)
+
+
+def _rate(numerator, counts: Counts, n: int, n_total: int):
+    if callable(numerator):
+        return numerator(counts, n, n_total)
+    names = (numerator,) if isinstance(numerator, str) else numerator
+    present = [counts[name] for name in names if name in counts]
+    return present[0] / n if present else None
+
+
+def _report(
+    counts: Counts,
     design: TrialDesign,
     effects: tuple[float, ...],
     case: MissingCase,
@@ -1071,25 +1021,23 @@ def _tally_report(
     scenario_label: str,
     master_seed: int,
 ) -> OCReport:
-    n = tally.n
-    if n == 0:
-        raise ValueError("no replicates tallied")
+    n = int(counts["n"])
     actives = design.active_indices()
-    n_total = design.n_total
-
-    sum_p = tally.alloc_sum / n_total
-    sum_p2 = tally.alloc_sumsq / (n_total * n_total)
-    mean = sum_p / n
-    if n > 1:
-        var = (sum_p2 - sum_p * sum_p / n) / (n - 1)
-        sd = np.sqrt(np.maximum(var, 0.0))
-    else:
-        sd = np.zeros(design.k)
-
-    max_eff = max(effects[i] for i in actives)
-    global_null = all(effects[i] == 0.0 for i in actives)
-    has_null_active = any(effects[i] == 0.0 for i in actives)
-
+    active_effects = [effects[i] for i in actives]
+    rates = {}
+    for _, stem, numerator, domain, applies in _COLUMNS:
+        if numerator is None:
+            continue
+        value = None
+        if applies is None or applies(active_effects):
+            value = _rate(numerator, counts, n, design.n_total)
+        if value is None or domain == _SCALAR:
+            rates[stem] = None if value is None else float(value)
+        else:
+            rates[stem] = tuple(
+                float(value[i]) if domain == _ARM or i in actives else None
+                for i in range(design.k)
+            )
     return OCReport(
         design_name=design.name,
         scenario=scenario_label,
@@ -1101,26 +1049,7 @@ def _tally_report(
         arm_labels=tuple(a.label for a in design.arms),
         active_labels=tuple(design.arms[i].label for i in actives),
         effects=tuple(effects),
-        reject_rate=_per_arm(tally.reject, design, n, actives_only=True),
-        skip_rate=_per_arm(tally.skip, design, n, actives_only=True),
-        any_reject_rate=tally.any_reject / n,
-        recommended_reject_rate=tally.rec_reject / n,
-        type1=tally.rec_reject / n if global_null else None,
-        power=tally.best_reject / n if max_eff > 0 else None,
-        null_arm_reject_rate=tally.null_reject / n if has_null_active else None,
-        recommend_rate=_per_arm(tally.recommend, design, n, actives_only=True),
-        alloc_mean=tuple(float(x) for x in mean),
-        alloc_sd=tuple(float(x) for x in sd),
-        stage2_adapt_rate=tally.adapt2 / n,
-        stage3_adapt_rate=tally.adapt3 / n,
-        stage3_zero_rate=tally.zero3 / n,
-        favour2_rate=_per_arm(tally.fav2, design, n, actives_only=True),
-        disfavour2_rate=_per_arm(tally.dis2, design, n, actives_only=True),
-        favour3_rate=_per_arm(tally.fav3, design, n, actives_only=True),
-        disfavour3_rate=_per_arm(tally.dis3, design, n, actives_only=True),
-        drop3_rate=_per_arm(tally.drop3, design, n, actives_only=True),
-        keep3_rate=_per_arm(tally.keep3, design, n, actives_only=True),
-        imputation_failure_rate=tally.impute_fail / n,
+        rates=rates,
     )
 
 
@@ -1144,14 +1073,16 @@ def _block_ranges(lo: int, hi: int) -> list[range]:
     return [range(s, min(s + _BLOCK_REPS, hi)) for s in range(lo, hi, _BLOCK_REPS)]
 
 
-def _replicate_chunk(args) -> _Tally:
+def _replicate_chunk(args) -> Counts:
     design, model, case, policy, master_seed, lo, hi = args
-    tally = _Tally(design.k)
-    for reps in _block_ranges(lo, hi):
-        rngs = [_rep_rng(master_seed, rep) for rep in reps]
-        block = _conduct_block(design, model, case, policy, rngs)
-        tally.add_block(block, design, model.effects)
-    return tally
+    blocks = (
+        _conduct_block(
+            design, model, case, policy,
+            [_rep_rng(master_seed, rep) for rep in reps],
+        )
+        for reps in _block_ranges(lo, hi)
+    )
+    return _merge(_block_counts(block, design, model.effects) for block in blocks)
 
 
 def _pool_map(worker, jobs, workers: int):
@@ -1176,7 +1107,7 @@ def replicate(
     """Operating characteristics of one design stratum over `n_reps` trials.
 
     The result is identical for any `workers` value: replicates are seeded
-    individually and aggregated with integer accumulators, so the split into
+    individually and aggregated with integer counters, so the split into
     processes cannot change a single reported digit.
     """
     _require_valid(design)
@@ -1190,28 +1121,16 @@ def replicate(
         (design, model, case, policy, master_seed, lo, hi)
         for lo, hi in _chunks(n_reps, workers)
     ]
-    tallies = _pool_map(_replicate_chunk, jobs, workers)
-    total = _Tally(design.k)
-    for t in tallies:
-        total.merge(t)
-    return _tally_report(
-        total, design, model.effects, case, policy, scenario_label, master_seed
+    counts = _merge(_pool_map(_replicate_chunk, jobs, workers))
+    return _report(
+        counts, design, model.effects, case, policy, scenario_label, master_seed
     )
 
 
-def _pooled_chunk(args):
-    design_a, design_b, model_a, model_b, case, policy, master_seed, lo, hi = args
-    tally_a = _Tally(design_a.k)
-    tally_b = _Tally(design_b.k)
-    pooled = _PooledTally(design_a.k)
-    actives = design_a.active_indices()
-    effect_sums = tuple(
-        model_a.effects[i] + model_b.effects[i] for i in range(design_a.k)
-    )
-    null_actives = frozenset(
-        i for i in actives
-        if model_a.effects[i] == 0.0 and model_b.effects[i] == 0.0
-    )
+def _pooled_chunk(args) -> tuple[Counts, Counts, Counts]:
+    (design_a, design_b, model_a, model_b, effect_sums, case, policy,
+     master_seed, lo, hi) = args
+    parts = []
     for reps in _block_ranges(lo, hi):
         block_a = _conduct_block(
             design_a, model_a, case, policy,
@@ -1221,59 +1140,13 @@ def _pooled_chunk(args):
             design_b, model_b, case, policy,
             [_rep_rng(master_seed, rep, 1) for rep in reps],
         )
-        tally_a.add_block(block_a, design_a, model_a.effects)
-        tally_b.add_block(block_b, design_b, model_b.effects)
         _, reject, skipped = _pooled_tests(block_a, block_b, design_a)
-        pooled.add_rows(reject, skipped, actives, effect_sums, null_actives)
-    return tally_a, tally_b, pooled
-
-
-def _pooled_report(
-    tally: _PooledTally,
-    design: TrialDesign,
-    effect_sums: tuple[float, ...],
-    null_actives: frozenset[int],
-    case: MissingCase,
-    policy: MissingPolicy,
-    scenario_label: str,
-    master_seed: int,
-) -> OCReport:
-    n = tally.n
-    actives = design.active_indices()
-    max_eff = max(effect_sums[i] for i in actives)
-    global_null = all(effect_sums[i] == 0.0 for i in actives)
-    return OCReport(
-        design_name=design.name,
-        scenario=scenario_label,
-        stratum="pooled",
-        case_id=case.case_id,
-        impute=policy.impute_stage2,
-        n_reps=n,
-        master_seed=master_seed,
-        arm_labels=tuple(a.label for a in design.arms),
-        active_labels=tuple(design.arms[i].label for i in actives),
-        effects=effect_sums,
-        reject_rate=_per_arm(tally.reject, design, n, actives_only=True),
-        skip_rate=_per_arm(tally.skip, design, n, actives_only=True),
-        any_reject_rate=tally.any_reject / n,
-        recommended_reject_rate=None,
-        type1=tally.any_reject / n if global_null else None,
-        power=tally.best_reject / n if max_eff > 0 else None,
-        null_arm_reject_rate=tally.null_reject / n if null_actives else None,
-        recommend_rate=None,
-        alloc_mean=None,
-        alloc_sd=None,
-        stage2_adapt_rate=None,
-        stage3_adapt_rate=None,
-        stage3_zero_rate=None,
-        favour2_rate=None,
-        disfavour2_rate=None,
-        favour3_rate=None,
-        disfavour3_rate=None,
-        drop3_rate=None,
-        keep3_rate=None,
-        imputation_failure_rate=None,
-    )
+        parts.append((
+            _block_counts(block_a, design_a, model_a.effects),
+            _block_counts(block_b, design_b, model_b.effects),
+            _test_counts(reject, skipped, design_a, effect_sums),
+        ))
+    return tuple(_merge(column) for column in zip(*parts))
 
 
 def replicate_pooled(
@@ -1290,8 +1163,8 @@ def replicate_pooled(
     """Run the same design independently in two strata and pool the tests.
 
     Returns the stratum-A report, the stratum-B report, and the pooled-test
-    report. Stratum r of replicate rep is seeded from
-    SeedSequence([master_seed, rep, r]).
+    report, whose effects are the strata's sums. Stratum r of replicate rep
+    is seeded from SeedSequence([master_seed, rep, r]).
     """
     if case is None:
         case = MissingCase.from_id(0)
@@ -1304,38 +1177,26 @@ def replicate_pooled(
     _require_arity(design_b, model_b)
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    effect_sums = tuple(a + b for a, b in zip(scenario.effects_a, scenario.effects_b))
 
     jobs = [
-        (design_a, design_b, model_a, model_b, case, policy, master_seed, lo, hi)
+        (design_a, design_b, model_a, model_b, effect_sums, case, policy,
+         master_seed, lo, hi)
         for lo, hi in _chunks(n_reps, workers)
     ]
     parts = _pool_map(_pooled_chunk, jobs, workers)
-    total_a, total_b = _Tally(design.k), _Tally(design.k)
-    pooled = _PooledTally(design.k)
-    for ta, tb, tp in parts:
-        total_a.merge(ta)
-        total_b.merge(tb)
-        pooled.merge(tp)
-
-    label = scenario.scenario_id
-    report_a = _tally_report(
-        total_a, design_a, scenario.effects_a, case, policy, label, master_seed
+    strata = (
+        (design_a, scenario.effects_a),
+        (design_b, scenario.effects_b),
+        (replace(design, stratum_label="pooled"), effect_sums),
     )
-    report_b = _tally_report(
-        total_b, design_b, scenario.effects_b, case, policy, label, master_seed
+    return tuple(
+        _report(
+            _merge(column), d, effects, case, policy, scenario.scenario_id,
+            master_seed,
+        )
+        for column, (d, effects) in zip(zip(*parts), strata)
     )
-    effect_sums = tuple(
-        scenario.effects_a[i] + scenario.effects_b[i] for i in range(design.k)
-    )
-    null_actives = frozenset(
-        i for i in design_a.active_indices()
-        if scenario.effects_a[i] == 0.0 and scenario.effects_b[i] == 0.0
-    )
-    report_p = _pooled_report(
-        pooled, design_a, effect_sums, null_actives, case, policy, label,
-        master_seed,
-    )
-    return report_a, report_b, report_p
 
 
 def allocation_law(
@@ -1447,19 +1308,18 @@ def calibrate_threshold(
     model_h0 = OutcomeModel.parametric(h0_effects, scale=scale, shape=shape)
     model_h1 = OutcomeModel.parametric(h1_effects, scale=scale, shape=shape)
 
+    metric = "stage2_adapt" if stage == 2 else "stage3_zero"
     rows = []
     for g in grid:
         d_g = _with_threshold(design, stage, g)
-        metrics = []
-        for model in (model_h0, model_h1):
-            report = replicate(
+        h0, h1 = (
+            replicate(
                 d_g, model, case=case, policy=policy, n_reps=n_reps,
                 master_seed=master_seed, workers=workers,
-            )
-            metrics.append(
-                report.stage2_adapt_rate if stage == 2 else report.stage3_zero_rate
-            )
-        rows.append((g, metrics[0], metrics[1]))
+            ).rates[metric]
+            for model in (model_h0, model_h1)
+        )
+        rows.append((g, h0, h1))
 
     flags = _pareto_flags([(m0, m1) for _, m0, m1 in rows])
     out_rows = tuple(
@@ -1653,91 +1513,58 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _base_columns(report: OCReport) -> list[tuple[str, object]]:
-    return [
-        ("design", report.design_name),
-        ("scenario", report.scenario),
-        ("stratum", report.stratum),
-        ("case", report.case_id),
-        ("impute", report.impute),
-        ("n_reps", report.n_reps),
-        ("master_seed", report.master_seed),
-    ]
+# Identity columns leading both report files: (header, OCReport field).
+_IDENTITY = (
+    ("design", "design_name"),
+    ("scenario", "scenario"),
+    ("stratum", "stratum"),
+    ("case", "case_id"),
+    ("impute", "impute"),
+    ("n_reps", "n_reps"),
+    ("master_seed", "master_seed"),
+)
 
 
-def _check_labels(reports: list[OCReport]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    labels = reports[0].arm_labels
-    actives = reports[0].active_labels
-    for r in reports[1:]:
-        if r.arm_labels != labels or r.active_labels != actives:
-            raise ValueError("reports in one CSV must share their arm labels")
-    return labels, actives
-
-
-def _maybe(tup, i):
-    return None if tup is None else tup[i]
+def _write_report_csv(reports: list[OCReport], path: str | Path, file: str) -> None:
+    """One row per report: the identity columns, then the file's _COLUMNS;
+    a per-arm stem gets one column per arm of its domain."""
+    if not reports:
+        raise ValueError("no reports to write")
+    labels, active_labels = reports[0].arm_labels, reports[0].active_labels
+    if any((r.arm_labels, r.active_labels) != (labels, active_labels) for r in reports):
+        raise ValueError("reports in one CSV must share their arm labels")
+    arms = {
+        _ARM: range(len(labels)),
+        _ACTIVE: [labels.index(L) for L in active_labels],
+        _SCALAR: None,
+    }
+    columns = [(stem, arms[domain]) for f, stem, _, domain, _ in _COLUMNS if f == file]
+    header = [name for name, _ in _IDENTITY]
+    for stem, index in columns:
+        header += [stem] if index is None else [f"{stem}_{labels[i]}" for i in index]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for rep in reports:
+            values = {"effect": rep.effects, **rep.rates}
+            row = [getattr(rep, attr) for _, attr in _IDENTITY]
+            for stem, index in columns:
+                value = values[stem]
+                if index is None:
+                    row.append(value)
+                else:
+                    row += [None if value is None else value[i] for i in index]
+            writer.writerow([_fmt(v) for v in row])
 
 
 def write_oc_csv(reports: list[OCReport], path: str | Path) -> None:
     """Decision metrics and allocations, one row per report."""
-    if not reports:
-        raise ValueError("no reports to write")
-    labels, active_labels = _check_labels(reports)
-    header = [name for name, _ in _base_columns(reports[0])]
-    header += [f"effect_{L}" for L in labels]
-    header += [f"alloc_mean_{L}" for L in labels]
-    header += [f"alloc_sd_{L}" for L in labels]
-    header += [f"reject_{L}" for L in active_labels]
-    header += [f"skip_{L}" for L in active_labels]
-    header += [f"recommend_{L}" for L in active_labels]
-    header += [
-        "any_reject", "recommended_reject", "type1", "power",
-        "null_arm_reject", "imputation_failures",
-    ]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rep in reports:
-            k = len(labels)
-            active_idx = [labels.index(L) for L in active_labels]
-            row = [value for _, value in _base_columns(rep)]
-            row += [rep.effects[i] for i in range(k)]
-            row += [_maybe(rep.alloc_mean, i) for i in range(k)]
-            row += [_maybe(rep.alloc_sd, i) for i in range(k)]
-            row += [rep.reject_rate[i] for i in active_idx]
-            row += [rep.skip_rate[i] for i in active_idx]
-            row += [_maybe(rep.recommend_rate, i) for i in active_idx]
-            row += [
-                rep.any_reject_rate, rep.recommended_reject_rate, rep.type1,
-                rep.power, rep.null_arm_reject_rate, rep.imputation_failure_rate,
-            ]
-            writer.writerow([_fmt(v) for v in row])
+    _write_report_csv(reports, path, "oc")
 
 
 def write_adaptability_csv(reports: list[OCReport], path: str | Path) -> None:
     """Stage-level adaptation rates, one row per report."""
-    if not reports:
-        raise ValueError("no reports to write")
-    labels, active_labels = _check_labels(reports)
-    header = [name for name, _ in _base_columns(reports[0])]
-    header += ["stage2_adapt", "stage3_adapt", "stage3_zero"]
-    for tag in ("favour2", "disfavour2", "favour3", "disfavour3", "drop3", "keep3"):
-        header += [f"{tag}_{L}" for L in active_labels]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rep in reports:
-            active_idx = [labels.index(L) for L in active_labels]
-            row = [value for _, value in _base_columns(rep)]
-            row += [
-                rep.stage2_adapt_rate, rep.stage3_adapt_rate, rep.stage3_zero_rate,
-            ]
-            for tup in (
-                rep.favour2_rate, rep.disfavour2_rate, rep.favour3_rate,
-                rep.disfavour3_rate, rep.drop3_rate, rep.keep3_rate,
-            ):
-                row += [_maybe(tup, i) for i in active_idx]
-            writer.writerow([_fmt(v) for v in row])
+    _write_report_csv(reports, path, "adaptability")
 
 
 def write_tradeoff_csv(result: CalibrationResult, path: str | Path) -> None:

@@ -258,22 +258,20 @@ def test_criterion_04_control_allocation_by_design():
     failures = []
     for name in ("mapped_alpha", "mapped_beta", "permuted_block"):
         rep = reports[name]
-        if abs(rep.alloc_mean[0] - 0.3) > 1e-12 or rep.alloc_sd[0] != 0.0:
-            failures.append(
-                f"{name} control {rep.alloc_mean[0]:.4f} sd {rep.alloc_sd[0]:.4f}"
-            )
+        mean, sd = rep.rates["alloc_mean"][0], rep.rates["alloc_sd"][0]
+        if abs(mean - 0.3) > 1e-12 or sd != 0.0:
+            failures.append(f"{name} control {mean:.4f} sd {sd:.4f}")
     cp = reports["control_protected"]
-    if not (0.30 <= cp.alloc_mean[0] <= 0.38 and cp.alloc_sd[0] > 0.0):
-        failures.append(
-            f"control_protected mean {cp.alloc_mean[0]:.4f} sd {cp.alloc_sd[0]:.4f}"
-        )
+    cp_mean, cp_sd = cp.rates["alloc_mean"][0], cp.rates["alloc_sd"][0]
+    if not (0.30 <= cp_mean <= 0.38 and cp_sd > 0.0):
+        failures.append(f"control_protected mean {cp_mean:.4f} sd {cp_sd:.4f}")
     if elapsed >= 120.0:
         failures.append(f"runtime {elapsed:.1f}s >= 120s")
     _verdict(
         4,
         failures,
         f"mapped control exactly 0.300/sd 0, control_protected "
-        f"{cp.alloc_mean[0]:.4f}/sd {cp.alloc_sd[0]:.4f}, {elapsed:.1f}s",
+        f"{cp_mean:.4f}/sd {cp_sd:.4f}, {elapsed:.1f}s",
     )
 
 
@@ -302,7 +300,7 @@ def test_criterion_05_type_one_error_and_power_ordering():
     for name, rep in nulls.items():
         alpha = designs[name].alpha_level
         cap = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / REPS)
-        for label, rate in zip(rep.arm_labels, rep.reject_rate):
+        for label, rate in zip(rep.arm_labels, rep.rates["reject"]):
             if rate is None:
                 continue
             worst_arm = max(worst_arm, (rate, cap))
@@ -317,25 +315,27 @@ def test_criterion_05_type_one_error_and_power_ordering():
     # often than alpha with no adaptation at all. permuted_block has the same
     # fixed control count and recommendation rule but never adapts, so it
     # sets the type-I level that adaptation must not raise.
-    ref = nulls["permuted_block"].type1
+    ref = nulls["permuted_block"].rates["type1"]
     for name, rep in nulls.items():
-        cap = ref + 3.0 * _two_run_se(rep.type1, ref, REPS)
-        if rep.type1 > cap:
+        cap = ref + 3.0 * _two_run_se(rep.rates["type1"], ref, REPS)
+        if rep.rates["type1"] > cap:
             failures.append(
-                f"{name} type-I {rep.type1:.4f} > permuted_block {ref:.4f} + 3 SE"
+                f"{name} type-I {rep.rates['type1']:.4f} > permuted_block "
+                f"{ref:.4f} + 3 SE"
             )
-    if ma.power < fe.power - 0.02:
-        failures.append(f"power {ma.power:.4f} < fixed-equal {fe.power:.4f} - 0.02")
+    ma_power, fe_power = ma.rates["power"], fe.rates["power"]
+    if ma_power < fe_power - 0.02:
+        failures.append(f"power {ma_power:.4f} < fixed-equal {fe_power:.4f} - 0.02")
     if elapsed >= 300.0:
         failures.append(f"runtime {elapsed:.1f}s >= 300s")
-    worst = max(nulls, key=lambda name: nulls[name].type1)
+    worst = max(nulls, key=lambda name: nulls[name].rates["type1"])
     _verdict(
         5,
         failures,
         f"worst per-arm null rejection {worst_arm[0]:.4f} of alpha + 3 SE "
-        f"{worst_arm[1]:.4f}, worst type-I {nulls[worst].type1:.4f} ({worst}) "
-        f"vs permuted_block {ref:.4f}, adaptive power {ma.power:.4f} vs "
-        f"fixed-equal {fe.power:.4f}, {elapsed:.1f}s",
+        f"{worst_arm[1]:.4f}, worst type-I {nulls[worst].rates['type1']:.4f} ({worst}) "
+        f"vs permuted_block {ref:.4f}, adaptive power {ma_power:.4f} vs "
+        f"fixed-equal {fe_power:.4f}, {elapsed:.1f}s",
     )
 
 
@@ -358,28 +358,28 @@ def test_criterion_06_missing_data_policy_invariants():
 
     failures = []
     for cid in (1, 2, 5):
-        if reports[cid].stage2_adapt_rate != 0.0:
-            failures.append(
-                f"case {cid} stage-2 deviated in {reports[cid].stage2_adapt_rate:.4f}"
-            )
+        adapt = reports[cid].rates["stage2_adapt"]
+        if adapt != 0.0:
+            failures.append(f"case {cid} stage-2 deviated in {adapt:.4f}")
     for cid in (3, 4, 5):
         rep = reports[cid]
         applied = [
             v
-            for rates in (rep.drop3_rate, rep.keep3_rate)
+            for rates in (rep.rates["drop3"], rep.rates["keep3"])
             for v in rates
             if v is not None
         ]
-        if any(v != 0.0 for v in applied) or rep.stage3_zero_rate != 0.0:
+        if any(v != 0.0 for v in applied) or rep.rates["stage3_zero"] != 0.0:
             failures.append(f"case {cid} produced Drop/Keep stage-3 ratios")
-    base_power = reports[0].power
+    base_power = reports[0].rates["power"]
     worst_drop = 0.0
     for cid in range(1, 6):
-        drop = base_power - reports[cid].power
+        drop = base_power - reports[cid].rates["power"]
         worst_drop = max(worst_drop, drop)
         if drop < 0.0 or drop > 0.08:
             failures.append(
-                f"case {cid} power {reports[cid].power:.4f} vs {base_power:.4f}"
+                f"case {cid} power {reports[cid].rates['power']:.4f} vs "
+                f"{base_power:.4f}"
             )
     _verdict(
         6,
@@ -392,17 +392,17 @@ def test_criterion_06_missing_data_policy_invariants():
 def _adaptability_families(rep):
     """(name, value) pairs for every recorded adaptability rate."""
     out = [
-        ("stage2_adapt", rep.stage2_adapt_rate),
-        ("stage3_adapt", rep.stage3_adapt_rate),
-        ("stage3_zero", rep.stage3_zero_rate),
+        ("stage2_adapt", rep.rates["stage2_adapt"]),
+        ("stage3_adapt", rep.rates["stage3_adapt"]),
+        ("stage3_zero", rep.rates["stage3_zero"]),
     ]
     per_arm = (
-        ("favour2", rep.favour2_rate),
-        ("disfavour2", rep.disfavour2_rate),
-        ("favour3", rep.favour3_rate),
-        ("disfavour3", rep.disfavour3_rate),
-        ("drop3", rep.drop3_rate),
-        ("keep3", rep.keep3_rate),
+        ("favour2", rep.rates["favour2"]),
+        ("disfavour2", rep.rates["disfavour2"]),
+        ("favour3", rep.rates["favour3"]),
+        ("disfavour3", rep.rates["disfavour3"]),
+        ("drop3", rep.rates["drop3"]),
+        ("keep3", rep.rates["keep3"]),
     )
     for name, rates in per_arm:
         for label, value in zip(rep.arm_labels, rates):
@@ -489,7 +489,7 @@ def test_criterion_07_imputation_restores_adaptability(monkeypatch):
             # it must do is lift the no-drop override that stage-2
             # missingness imposes without imputation (keep3 is then 0).
             for label, got, want in zip(
-                rep.arm_labels, rep.keep3_rate, base.keep3_rate
+                rep.arm_labels, rep.rates["keep3"], base.rates["keep3"]
             ):
                 if want and not got:
                     failures.append(
@@ -507,8 +507,9 @@ def test_criterion_07_imputation_restores_adaptability(monkeypatch):
         # the stage-1 record stays missing in case 5, so its balanced stage-2
         # override must keep the deviation rate far from the complete-data one
         rep5 = run(model, 5)
-        gap_se = _two_run_se(rep5.stage2_adapt_rate, base.stage2_adapt_rate, REPS)
-        if abs(rep5.stage2_adapt_rate - base.stage2_adapt_rate) <= 3.0 * gap_se:
+        adapt5, adapt0 = rep5.rates["stage2_adapt"], base.rates["stage2_adapt"]
+        gap_se = _two_run_se(adapt5, adapt0, REPS)
+        if abs(adapt5 - adapt0) <= 3.0 * gap_se:
             failures.append(f"{tag} case 5 indistinct from complete data")
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -571,10 +572,12 @@ def test_criterion_09_pooled_strata_analysis():
     failures = []
     for sid in ("S2", "S3", "S4"):
         rep_a, rep_b, pooled = results[sid]
-        if not (pooled.power > rep_a.power and pooled.power > rep_b.power):
+        power, power_a, power_b = (
+            r.rates["power"] for r in (pooled, rep_a, rep_b)
+        )
+        if not (power > power_a and power > power_b):
             failures.append(
-                f"{sid} pooled {pooled.power:.4f} vs {rep_a.power:.4f}/"
-                f"{rep_b.power:.4f}"
+                f"{sid} pooled {power:.4f} vs {power_a:.4f}/{power_b:.4f}"
             )
 
     # S9 gives each active arm its effect in one stratum only. Pooling one
@@ -591,8 +594,8 @@ def test_criterion_09_pooled_strata_analysis():
             failures.append(f"S9 arm {label} not null in exactly one stratum")
             continue
         effect, null = (rep_a, rep_b) if scen9.effects_a[arm] > 0 else (rep_b, rep_a)
-        rate = pooled.reject_rate[arm]
-        lo, hi = null.reject_rate[arm], effect.reject_rate[arm]
+        rate = pooled.rates["reject"][arm]
+        lo, hi = null.rates["reject"][arm], effect.rates["reject"][arm]
         if rate - lo < 3.0 * _two_run_se(rate, lo, REPS):
             failures.append(
                 f"S9 pooled reject[{label}] {rate:.4f} not 3 SE above "
@@ -604,7 +607,7 @@ def test_criterion_09_pooled_strata_analysis():
                 f"effect-stratum {hi:.4f}"
             )
         s9.append(f"{label} {lo:.4f} < {rate:.4f} < {hi:.4f}")
-    t1, t2 = pooled.reject_rate[1], pooled.reject_rate[2]
+    t1, t2 = pooled.rates["reject"][1], pooled.rates["reject"][2]
     if abs(t1 - t2) > 3.0 * _two_run_se(t1, t2, REPS):
         failures.append(
             f"S9 pooled reject {pooled.arm_labels[1]} {t1:.4f} vs "
@@ -614,17 +617,17 @@ def test_criterion_09_pooled_strata_analysis():
     # same readout on both sides: any-arm against any-arm, per-arm against
     # per-arm (a two-strata analysis has no recommended-arm rejection)
     rep_a, rep_b, pooled = results["S1"]
-    stand_any = max(rep_a.any_reject_rate, rep_b.any_reject_rate)
-    if pooled.any_reject_rate > stand_any + 0.03:
+    stand_any = max(rep_a.rates["any_reject"], rep_b.rates["any_reject"])
+    if pooled.rates["any_reject"] > stand_any + 0.03:
         failures.append(
-            f"S1 any-arm {pooled.any_reject_rate:.4f} vs {stand_any:.4f} + 0.03"
+            f"S1 any-arm {pooled.rates['any_reject']:.4f} vs {stand_any:.4f} + 0.03"
         )
     for arm in (1, 2):
-        stand = max(rep_a.reject_rate[arm], rep_b.reject_rate[arm])
-        if pooled.reject_rate[arm] > stand + 0.03:
+        stand = max(rep_a.rates["reject"][arm], rep_b.rates["reject"][arm])
+        if pooled.rates["reject"][arm] > stand + 0.03:
             failures.append(
                 f"S1 per-arm {pooled.arm_labels[arm]} "
-                f"{pooled.reject_rate[arm]:.4f} vs {stand:.4f} + 0.03"
+                f"{pooled.rates['reject'][arm]:.4f} vs {stand:.4f} + 0.03"
             )
     if elapsed >= 900.0:
         failures.append(f"runtime {elapsed:.1f}s >= 900s")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from radapt.analysis import (
     stratum_decision,
     wilcoxon_one_sided,
 )
-from radapt.core import default_arms
+from radapt.core import ArmId, default_arms
 from radapt.outcomes import PatientRecord
 
 ARMS = default_arms()
@@ -313,11 +314,30 @@ class TestPooledAnalysis:
             assert result.n_treat == 14
             assert result.n_control == 12
 
-    def test_mismatched_arm_sets_rejected(self, reference_design):
+    def test_foreign_arm_rejected(self, reference_design):
         full = _trial_records({0: [0.0] * 6, 1: [0.1] * 7, 2: [0.2] * 7})
-        partial = _trial_records({0: [0.0] * 6, 1: [0.1] * 7})
-        with pytest.raises(ValueError, match="differ"):
-            pooled_analysis(full, partial, reference_design)
+        foreign = [
+            dataclasses.replace(r, arm=ArmId(2, "Active", "T9")) if r.arm.index == 2
+            else r
+            for r in full
+        ]
+        with pytest.raises(ValueError, match="T9"):
+            pooled_analysis(full, foreign, reference_design)
+
+    def test_arm_absent_from_one_stratum_pools_the_other(self, reference_design):
+        # i.i.d. assignment can leave a stratum without T2 patients
+        full = _trial_records({0: [0.0, 0.3, 0.5], 1: [0.1, 0.4], 2: [0.2, 0.6]})
+        partial = _trial_records({0: [0.05, 0.7], 1: [0.9, 0.15, 0.35]})
+        pooled = {r.treatment.label: r for r in pooled_analysis(
+            full, partial, reference_design
+        )}
+        control = [0.0, 0.3, 0.5, 0.05, 0.7]
+        for label, treat in (("T1", [0.1, 0.4, 0.9, 0.15, 0.35]), ("T2", [0.2, 0.6])):
+            assert pooled[label].n_treat == len(treat)
+            assert pooled[label].n_control == len(control)
+            assert pooled[label].p_value == wilcoxon_one_sided(
+                treat, control, method="exact"
+            )
 
     def test_pooling_sharpens_a_real_effect(self, reference_design):
         rng = np.random.default_rng(23)

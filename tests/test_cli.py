@@ -124,6 +124,15 @@ class TestSimulate:
         assert code == 2
         assert "n_reps must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_default_fixed_equal_run(self, tmp_path, capsys, monkeypatch):
+        # scenario S1, 1000 replicates, seed 0: some replicates leave one
+        # stratum without patients on an arm, which the pooled tests absorb
+        monkeypatch.delenv("RADAPT_SEED", raising=False)
+        code = main(["simulate", "--design", "fixed_equal", "--out", str(tmp_path)])
+        assert code == 0
+        rows = _read_csv(tmp_path / "oc_report.csv")
+        assert [row["stratum"] for row in rows] == ["A", "B", "pooled"]
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["simulate", "--design", "mapped_alpha", "--scenario", "S2",
                 "--reps", "25", "--seed", "11"]

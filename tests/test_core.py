@@ -72,6 +72,21 @@ class TestValidateDesign:
         bad = TrialDesign(stages=stages, rule=RuleConfig("FixedEqual"))
         assert any("control_fix" in msg for msg in validate_design(bad))
 
+    def test_balanced_stage1_needs_divisible_size(self):
+        stages = (StagePlan(1, 7), StagePlan(2, 6), StagePlan(3, 8))
+        bad = dataclasses.replace(preset_design("baseline"), stages=stages)
+        assert any(
+            "balanced stage-1 block" in msg and "divisible by K=3" in msg
+            for msg in validate_design(bad)
+        )
+        unbalanced = dataclasses.replace(bad, stage1_balanced_block=False)
+        assert validate_design(unbalanced) == []
+
+    def test_permuted_block_stage_sizes(self):
+        stages = tuple(StagePlan(i, 9) for i in (1, 2, 3))
+        bad = dataclasses.replace(preset_design("permuted_block"), stages=stages)
+        assert any("stage sizes (6, 6, 8)" in msg for msg in validate_design(bad))
+
     def test_mapping_requires_three_arms(self):
         ref = _reference()
         bad = dataclasses.replace(

@@ -309,7 +309,7 @@ def _block_and_trials(design, model, case, policy, master, reps, stream=None):
 
 
 def _reference_tally(trajs, effects):
-    """The _Tally counters recomputed trajectory by trajectory from the
+    """The block counters recomputed trajectory by trajectory from the
     scalar trials: realised ratios and applied categories for mapped
     designs, pi and tau drops otherwise."""
     design = trajs[0].design
@@ -414,23 +414,36 @@ class TestBlockConduct:
                 block, trajs = _block_and_trials(
                     design, model, case, policy, 100 + case_id, range(3 * p, 3 * p + 12)
                 )
-                tally = engine._Tally(design.k)
-                tally.add_block(block, design, model.effects)
+                counts = engine._block_counts(block, design, model.effects)
                 want = _reference_tally(trajs, model.effects)
                 for key, value in want.items():
-                    got = getattr(tally, key)
+                    got = counts[key]
                     got = got.tolist() if isinstance(got, np.ndarray) else got
                     assert got == value, (name, case_id, policy, key)
 
-    @pytest.mark.parametrize("name", ["mapped_beta", "baseline", "fixed_equal"])
-    @pytest.mark.parametrize("scenario", ["S4", "S9"])
-    def test_pooled_tests_equal_pooled_analysis(self, name, scenario):
+    # (scenario, design, case, master seed, replicates); in the last, master
+    # seed 0's replicate 555 assigns stratum A no T1 patient
+    POOLED_RUNS = [
+        pytest.param(scenario, name, 4, 5, range(40), id=f"{scenario}-{name}")
+        for scenario in ("S4", "S9")
+        for name in ("mapped_beta", "baseline", "fixed_equal")
+    ] + [
+        pytest.param(
+            "S1", "fixed_equal", 0, 0, range(540, 580), id="S1-fixed_equal-case0"
+        ),
+    ]
+
+    @pytest.mark.parametrize("scenario, name, case_id, master, reps", POOLED_RUNS)
+    def test_pooled_tests_equal_pooled_analysis(
+        self, scenario, name, case_id, master, reps
+    ):
         design = preset_design(name)
         effects = SCENARIOS[scenario]
-        case, policy = MissingCase.from_id(4), MissingPolicy(impute_stage2=True)
+        case = MissingCase.from_id(case_id)
+        policy = MissingPolicy(impute_stage2=True)
         strata = [
             _block_and_trials(
-                design, OutcomeModel.parametric(e), case, policy, 5, range(40), s
+                design, OutcomeModel.parametric(e), case, policy, master, reps, s
             )
             for s, e in enumerate((effects.effects_a, effects.effects_b))
         ]
@@ -450,21 +463,21 @@ class TestReplicate:
         report = replicate(
             preset_design("mapped_alpha"), NULL, n_reps=50, master_seed=4
         )
-        assert report.alloc_mean[0] == 0.3
-        assert report.alloc_sd[0] == 0.0
+        assert report.rates["alloc_mean"][0] == 0.3
+        assert report.rates["alloc_sd"][0] == 0.0
         assert report.n_reps == 50
-        assert report.reject_rate[0] is None
-        assert sum(report.alloc_mean) == pytest.approx(1.0, abs=1e-9)
+        assert report.rates["reject"][0] is None
+        assert sum(report.rates["alloc_mean"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_rates_in_unit_interval(self):
         report = replicate(
             preset_design("control_protected"), ALT, n_reps=40, master_seed=8
         )
         for value in (
-            report.any_reject_rate,
-            report.recommended_reject_rate,
-            report.power,
-            report.stage2_adapt_rate,
+            report.rates["any_reject"],
+            report.rates["recommended_reject"],
+            report.rates["power"],
+            report.rates["stage2_adapt"],
         ):
             assert value is None or 0.0 <= value <= 1.0
 
