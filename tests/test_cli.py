@@ -201,6 +201,20 @@ class TestPinnedReports:
         assert code == 0
         assert _digests(tmp_path) == ("af184634e73159c9", "be7a01052fc7f428")
 
+    # imputation over an i.i.d. stage 1 (fixed_equal) and a block stage 1
+    # (mapped_alpha)
+    @pytest.mark.parametrize("design, case, digests", [
+        ("fixed_equal", "5", ("1a54cbad0188b566", "ca5f4006f3ca0a2a")),
+        ("mapped_alpha", "1", ("1ccb8d75a82126b4", "0a4f1ec4cc905d74")),
+    ])
+    def test_imputed_run(self, design, case, digests, tmp_path, capsys):
+        code = main([
+            "simulate", "--design", design, "--case", case, "--impute-stage2",
+            "--reps", "200", "--seed", "7", "--workers", "1", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert _digests(tmp_path) == digests
+
     # i.i.d. pooled runs: pi-based adaptation rates, tau drops, and the
     # pooled row's type1 / null_arm_reject rules
     @pytest.mark.parametrize("scenario, digests", [
