@@ -67,11 +67,10 @@ def _null_survival(scaled_ranks: tuple[int, ...], n1: int) -> np.ndarray:
     smax = sum(ranks[-n1:])
     counts = np.zeros((n1 + 1, smax + 1))
     counts[0, 0] = 1.0
-    seen = 0
     for r in ranks:
-        seen += 1
-        for k in range(min(seen, n1), 0, -1):
-            counts[k, r:] += counts[k - 1, : smax + 1 - r]
+        # every subset size at once; numpy reads the overlapping right side
+        # before it writes, and the counts are integers, so the sums are exact
+        counts[1:, r:] += counts[:-1, : smax + 1 - r]
     total = counts[n1].sum()
     surv = np.cumsum(counts[n1][::-1])[::-1] / total
     surv.flags.writeable = False
@@ -156,7 +155,7 @@ def rank_sum_rows(
     an empty sample gets 1, the p-value of a skipped test. Rows are grouped
     by sample sizes. A tie-free row's doubled midranks are 2, 4, ..., 2n, so
     it reads the cached null table under the key the scalar test uses; a row
-    with ties, or past the exact method's guard, calls wilcoxon_one_sided.
+    with ties, or past the exact method's guard, goes to _tied_p_values.
     """
     n1s, n2s = treat.sum(axis=1), control.sum(axis=1)
     p = np.ones(len(values))
@@ -182,8 +181,38 @@ def rank_sum_rows(
             position = np.argsort(by_value[free], axis=1)
             w2 = 2 * position[:, :n1].sum(axis=1) + 2 * n1
             p[rows[free]] = _null_survival(ranks, n1)[w2]
-        for i in np.flatnonzero(tied):
-            p[rows[i]] = wilcoxon_one_sided(sample[i, :n1], sample[i, n1:])
+        if tied.any():
+            p[rows[tied]] = _tied_p_values(sample[tied], by_value[tied], n1)
+    return p
+
+
+def _tied_p_values(sample, by_value, n1: int) -> np.ndarray:
+    """wilcoxon_one_sided on each row of rank_sum_rows' `sample`, whose
+    first n1 values are the treatment's, bit for bit.
+
+    `by_value` sorts each row. A run of equal values at 0-based sorted
+    positions f..l gets the doubled midrank f + l + 2, as _doubled_midranks
+    gives it, and the sorted doubled midranks key the cached null table; a
+    row past the exact method's guard calls wilcoxon_one_sided.
+    """
+    n = sample.shape[1]
+    ordered = np.take_along_axis(sample, by_value, axis=1)
+    position = np.broadcast_to(np.arange(n), ordered.shape)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ends = np.ones(ordered.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, position, n)[:, ::-1], axis=1)
+    doubled = first + last[:, ::-1] + 2
+    w2 = np.take_along_axis(doubled, np.argsort(by_value, axis=1), axis=1)
+    w2 = w2[:, :n1].sum(axis=1).tolist()
+    p = np.empty(len(sample))
+    for i, ranks in enumerate(doubled.tolist()):
+        if (n1 + 1) * (sum(ranks[-n1:]) + 1) <= _EXACT_CELL_GUARD:
+            p[i] = _null_survival(tuple(ranks), n1)[w2[i]]
+        else:
+            p[i] = wilcoxon_one_sided(sample[i, :n1], sample[i, n1:])
     return p
 
 

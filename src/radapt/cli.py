@@ -259,7 +259,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_interim(args) -> int:
     design = _resolve_design(args.design)
-    records = read_accrued(args.data, design)
+    records = read_accrued(args.data, design, upcoming_stage=args.next_stage)
     seed = _resolve_seed(args)
     result = interim_recommendation(
         design, records, args.next_stage, policy=_policy_from(args), seed=seed

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import outcomes
 from .analysis import TestResult, rank_sum_rows, stratum_decision
 from .core import ArmId, TrialDesign, validate_design
 from .mapping import (
@@ -563,18 +564,53 @@ def _arm_counts(design: TrialDesign, onehot, y, observed):
     return wins, seen
 
 
+def _mean_imputed(arm, y, missing, stage_of, k: int):
+    """impute_stage2_mean on every row at once, as _analysis_view returns it.
+
+    A missing stage-2 cell's donors are the observed cells of its arm in
+    earlier columns; cells imputed here are missing in `missing`, so they
+    donate nothing. Prefix sums and counts over the columns give each cell
+    its donors' sum and count. The sums run left to right, which is how
+    np.mean sums fewer than 8 values, so those means match it bit for bit;
+    np.mean sums 8 or more pairwise, so such cells take np.mean of their
+    donors. A cell with no donor stays missing and is a failure.
+    """
+    target = missing & (stage_of == 2)
+    if not target.any():
+        return y, ~missing, np.zeros(len(arm), dtype=np.int64)
+    donor = _onehot(arm, k) & ~missing[:, :, None]
+    values = np.where(donor, y[:, :, None], 0.0)
+    # a target cell donates nothing, so its inclusive prefix sum and count
+    # are its donors'; its own +0.0 turns a -0.0 sum into the +0.0 that
+    # np.mean's sum from 0.0 gives
+    sums = np.cumsum(values, axis=1)
+    counts = np.cumsum(donor, axis=1)
+    own = arm[:, :, None]
+    total = np.take_along_axis(sums, own, axis=2)[:, :, 0]
+    n = np.take_along_axis(counts, own, axis=2)[:, :, 0]
+    filled = target & (n > 0)
+    view = y.copy()
+    view[filled] = total[filled] / n[filled]
+    for r, j in np.argwhere(filled & (n >= 8)).tolist():
+        view[r, j] = np.mean(y[r, :j][donor[r, :j, arm[r, j]]])
+    return view, ~missing | filled, (target & (n == 0)).sum(axis=1)
+
+
 def _analysis_view(design, policy, arm, y, missing, stage_of):
     """Cell values and availability after stage-2 imputation, plus each
     row's count of stage-2 cells imputation left missing.
 
-    Rows with a missing stage-2 cell go through _prepare_analysis_records
-    one at a time, so they are imputed exactly as a scalar trial is, by
-    whatever engine.impute_stage2_mean is bound to at the time.
+    While engine.impute_stage2_mean is the mean imputer outcomes defines,
+    _mean_imputed does its work over the whole block. A replacement goes
+    through _prepare_analysis_records one row at a time, so those rows are
+    imputed exactly as a scalar trial is, by whatever the name is bound to.
     """
     observed = ~missing
     failures = np.zeros(len(arm), dtype=np.int64)
     if not policy.impute_stage2:
         return y, observed, failures
+    if impute_stage2_mean is outcomes.impute_stage2_mean:
+        return _mean_imputed(arm, y, missing, stage_of, design.k)
     rows = np.flatnonzero(missing[:, stage_of == 2].any(axis=1))
     if not rows.size:
         return y, observed, failures
@@ -850,11 +886,11 @@ def _test_counts(reject, skipped, design: TrialDesign, effects) -> Counts:
 def _stage2_counts(block: _Block, design: TrialDesign) -> Counts:
     """Rows whose stage-2 allocation left balance, and per active arm the
     rows that favoured or disfavoured it: from the realised ratio where the
-    stage has one, from pi otherwise."""
+    stage has one, from pi otherwise. No counters without a stage 2."""
+    if design.n_stages < 2:
+        return {}
     k, actives = design.k, list(design.active_indices())
     fav, dis = np.zeros((2, k), dtype=np.int64)
-    if design.n_stages < 2:
-        return {"adapt2": np.int64(0), "fav2": fav, "dis2": dis}
     ratio = block.ratios[1]
     if ratio is not None:
         base = ratio.sum(axis=1, keepdims=True) // k
@@ -870,14 +906,11 @@ def _stage2_counts(block: _Block, design: TrialDesign) -> Counts:
 
 def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
     """Rows whose last-stage allocation left balance or gave an active arm
-    no patient, and per active arm the rows of each stage-3 category."""
-    k, actives = design.k, list(design.active_indices())
+    no patient, and per active arm the rows of each stage-3 category. No
+    counters without a stage 3."""
     if design.n_stages < 3:
-        counts = {
-            name: np.zeros(k, dtype=np.int64)
-            for name in ("drop3", "keep3", "fav3", "dis3")
-        }
-        return {"adapt3": np.int64(0), "zero3": np.int64(0), **counts}
+        return {}
+    k, actives = design.k, list(design.active_indices())
     last = block.stage_of == design.n_stages
     last_counts = _onehot(block.arm[:, last], k).sum(axis=1)
     decisions, which = block.decisions[-1], block.which[-1]
@@ -1344,16 +1377,22 @@ def calibrate_threshold(
 _ACCRUED_HEADER = ["patient_id", "stage", "arm_label", "delta_y"]
 
 
-def read_accrued(path: str | Path, design: TrialDesign) -> list[PatientRecord]:
+def read_accrued(
+    path: str | Path, design: TrialDesign, upcoming_stage: int | None = None
+) -> list[PatientRecord]:
     """Parse an accrued-data CSV (patient_id, stage, arm_label, delta_y).
 
     delta_y is a float or the literal NA for a missing outcome. Malformed
-    content raises ValueError naming the offending line.
+    content raises ValueError naming the offending line. Given
+    `upcoming_stage`, so does a stage before it whose patient count is not
+    the design's planned size, naming the stage's first line; a stage with
+    no rows at all is left to interim_recommendation.
     """
     path = Path(path)
     by_label = {a.label: a for a in design.arms}
     records: list[PatientRecord] = []
     seen: set[int] = set()
+    first_line: dict[int, int] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -1401,8 +1440,18 @@ def read_accrued(path: str | Path, design: TrialDesign) -> list[PatientRecord]:
                 if not math.isfinite(delta):
                     raise ValueError(f"{path}:{lineno}: delta_y must be finite")
             records.append(PatientRecord(pid, stage, arm, delta))
+            first_line.setdefault(stage, lineno)
     if not records:
         raise ValueError(f"{path}: no patient rows")
+    if upcoming_stage is not None:
+        for plan in design.stages[: upcoming_stage - 1]:
+            t = plan.stage_index
+            got = sum(1 for r in records if r.stage == t)
+            if got and got != plan.size:
+                raise ValueError(
+                    f"{path}:{first_line[t]}: stage {t} has {got} patients, "
+                    f"the design plans {plan.size}"
+                )
     records.sort(key=lambda r: r.patient_id)
     return records
 

@@ -13,6 +13,7 @@ from radapt.analysis import (
     _doubled_midranks,
     _null_survival,
     pooled_analysis,
+    rank_sum_rows,
     stratum_decision,
     wilcoxon_one_sided,
 )
@@ -213,6 +214,36 @@ class TestMidranksAgainstScipy:
         assert got == _rankdata_p(
             t, c, "permutation", rng=np.random.default_rng(seed)
         )
+
+
+@st.composite
+def rank_sum_blocks(draw):
+    # rows of one width, each cell treatment (0), control (1) or neither (2);
+    # few distinct values so most rows tie, and several rows share sizes
+    rows, width = draw(st.integers(1, 8)), draw(st.integers(2, 24))
+    levels = draw(st.integers(0, 6))
+    value = st.one_of(
+        st.integers(0, levels).map(float),
+        st.sampled_from([-0.0, 0.0]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    cells = rows * width
+    values = draw(st.lists(value, min_size=cells, max_size=cells))
+    group = draw(st.lists(st.integers(0, 2), min_size=cells, max_size=cells))
+    group = np.array(group).reshape(rows, width)
+    return np.array(values).reshape(rows, width), group == 0, group == 1
+
+
+class TestRankSumRows:
+    @given(block=rank_sum_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_scalar_test(self, block):
+        values, treat, control = block
+        p = rank_sum_rows(values, treat, control)
+        for r, got in enumerate(p.tolist()):
+            t, c = values[r][treat[r]], values[r][control[r]]
+            want = wilcoxon_one_sided(t, c) if t.size and c.size else 1.0
+            assert got == want, r
 
 
 class TestStratumDecision:

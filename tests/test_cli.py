@@ -311,6 +311,32 @@ class TestInterim:
         assert code == 2
         assert ":3" in capsys.readouterr().err
 
+    def test_stage_off_its_planned_size_refused(self, tmp_path, capsys):
+        # 7 patients in stage 1, one of them a control, where mapped_alpha
+        # plans a 2:2:2 block of 6
+        body = (
+            "1,1,C,0.5\n2,1,T1,0.1\n3,1,T1,0.4\n4,1,T1,0.0\n"
+            "5,1,T2,0.35\n6,1,T2,0.9\n7,1,T2,0.2\n"
+        )
+        data = self._data(tmp_path, body)
+        code = main([
+            "interim", "--design", "mapped_alpha", "--data", str(data),
+            "--next-stage", "2",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{data}:2: stage 1 has 7 patients, the design plans 6" in err
+
+    def test_short_stage2_names_its_first_line(self, tmp_path, capsys):
+        stage2 = "7,2,C,0.2\n8,2,T1,0.3\n9,2,T2,0.1\n"
+        data = self._data(tmp_path, STAGE1_ROWS + stage2)
+        code = main([
+            "interim", "--design", "mapped_alpha", "--data", str(data),
+            "--next-stage", "3",
+        ])
+        assert code == 2
+        assert f"{data}:8: stage 2 has 3 patients" in capsys.readouterr().err
+
     def test_stage_without_data(self, tmp_path, capsys):
         data = self._data(tmp_path)
         code = main([

@@ -1,13 +1,16 @@
+import csv
 import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radapt import engine, preset_design
 from radapt.analysis import pooled_analysis
-from radapt.core import RuleConfig, TrialDesign
+from radapt.core import RuleConfig, StagePlan, TrialDesign, default_arms
 from radapt.engine import (
     CalibrationResult,
     InterimRecord,
@@ -31,7 +34,13 @@ from radapt.mapping import (
     decide_category,
     stage_ratio,
 )
-from radapt.outcomes import SCENARIOS, MissingCase, OutcomeModel, impute_stage2_mean
+from radapt.outcomes import (
+    SCENARIOS,
+    MissingCase,
+    OutcomeModel,
+    PatientRecord,
+    impute_stage2_mean,
+)
 from radapt.posterior import BetaPosterior, SuccessCount, update
 from radapt.presets import PRESET_NAMES
 from radapt.rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
@@ -458,6 +467,147 @@ class TestBlockConduct:
             assert skipped[r].tolist() == [res.skipped for res in results]
 
 
+IMPUTE = MissingPolicy(impute_stage2=True)
+
+
+def _assert_mean_imputed_is_record_path(k, stages, arm, y, missing):
+    """engine._mean_imputed over a block against _prepare_analysis_records on
+    each row's records: values, availability and failures, bit for bit."""
+    arms = default_arms(k)
+    stage_of = np.repeat(np.arange(1, len(stages) + 1), stages)
+    view, observed, failures = engine._mean_imputed(arm, y, missing, stage_of, k)
+    for r in range(len(arm)):
+        records = [
+            PatientRecord(j + 1, int(stage_of[j]), arms[a], None if gone else v)
+            for j, (a, v, gone) in enumerate(
+                zip(arm[r].tolist(), y[r].tolist(), missing[r].tolist())
+            )
+        ]
+        imputed, want_failures = engine._prepare_analysis_records(records, IMPUTE)
+        values = [rec.delta_y for rec in imputed]
+        present = [v for v in values if v is not None]
+        assert observed[r].tolist() == [v is not None for v in values]
+        assert _bits(view[r, observed[r]]) == _bits(present)
+        assert failures[r] == want_failures
+    return view, observed, failures
+
+
+@st.composite
+def imputation_blocks(draw):
+    # tied values, signed zeros and free floats; about a third of the cells
+    # missing, in every stage; layouts up to 16 patients in one stage, so
+    # some cells have 8 or more donors
+    k = draw(st.integers(2, 4))
+    stages = draw(st.sampled_from([(6, 6, 8), (10, 10, 8), (16, 4), (1, 12, 3, 2)]))
+    shape = (draw(st.integers(1, 4)), sum(stages))
+    cells = shape[0] * shape[1]
+
+    def block(elements):
+        return draw(st.lists(elements, min_size=cells, max_size=cells))
+
+    value = st.one_of(
+        st.integers(-2, 2).map(float),
+        st.sampled_from([-0.0, 0.0]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    arm = np.array(block(st.integers(0, k - 1))).reshape(shape)
+    y = np.array(block(value), dtype=float).reshape(shape)
+    missing = np.array(block(st.sampled_from([False, False, True]))).reshape(shape)
+    return k, stages, arm, y, missing
+
+
+class TestArrayImputer:
+    @given(blocks=imputation_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_record_path(self, blocks):
+        _assert_mean_imputed_is_record_path(*blocks)
+
+    def test_no_donor_fails_and_other_stages_stay_missing(self):
+        # arm 2's stage-1 cells are both missing, so its stage-2 cell (column
+        # 6) has no donor; columns 4, 5 (stage 1) and 12 (stage 3) stay missing
+        arm = np.array([[0, 0, 1, 1, 2, 2, 2, 0, 1, 2, 0, 1, 0, 1, 2, 0, 1, 2, 0, 1]])
+        y = np.linspace(-1.0, 1.0, 20)[None, :]
+        missing = np.zeros_like(arm, dtype=bool)
+        missing[0, [4, 5, 6, 12]] = True
+        view, observed, failures = _assert_mean_imputed_is_record_path(
+            3, (6, 6, 8), arm, y, missing
+        )
+        assert np.flatnonzero(~observed[0]).tolist() == [4, 5, 6, 12]
+        assert failures.tolist() == [1]
+
+    def test_eight_or_more_donors_take_np_mean(self):
+        # ten stage-1 donors on arm 0 whose left-to-right sum differs from
+        # np.mean's pairwise one in the last bit
+        donors = np.random.default_rng(1).normal(size=10)
+        sequential = 0.0
+        for v in donors.tolist():
+            sequential += v
+        assert sequential / 10 != np.mean(donors)
+        arm = np.zeros((1, 28), dtype=np.int64)
+        y = np.zeros((1, 28))
+        y[0, :10] = donors
+        missing = np.zeros_like(arm, dtype=bool)
+        missing[0, 10] = True
+        view, _, _ = _assert_mean_imputed_is_record_path(
+            2, (10, 10, 8), arm, y, missing
+        )
+        assert _bits([view[0, 10]]) == _bits([np.mean(donors)])
+
+    def test_negative_zero_donor_sums_from_zero(self):
+        # np.mean sums from +0.0, so a lone -0.0 donor imputes +0.0
+        arm = np.zeros((1, 4), dtype=np.int64)
+        y = np.array([[-0.0, 5.0, 0.0, 0.0]])
+        missing = np.array([[False, True, False, False]])
+        view, _, _ = _assert_mean_imputed_is_record_path(2, (1, 3), arm, y, missing)
+        assert _bits([view[0, 1]]) == _bits([0.0])
+
+    def test_imputed_cell_donates_nothing(self):
+        # arm 0 misses columns 6 and 8: column 8's donors are columns 0, 1
+        # and 7, not the value imputed at column 6
+        arm = np.array([[0, 0, 1, 1, 2, 2, 0, 0, 0, 1, 2, 1, 0, 0, 1, 1, 2, 2, 0, 1]])
+        y = np.arange(1.0, 21.0)[None, :]
+        missing = np.zeros_like(arm, dtype=bool)
+        missing[0, [6, 8]] = True
+        view, observed, _ = _assert_mean_imputed_is_record_path(
+            3, (6, 6, 8), arm, y, missing
+        )
+        assert observed[0, [6, 8]].tolist() == [True, True]
+        assert view[0, 6] == np.mean([1.0, 2.0])
+        assert view[0, 8] == np.mean([1.0, 2.0, 8.0])
+
+    def test_default_imputer_builds_no_records(self, monkeypatch):
+        def no_records(*args):
+            raise AssertionError("the record path ran")
+
+        monkeypatch.setattr(engine, "_prepare_analysis_records", no_records)
+        replicate(
+            preset_design("mapped_beta"), ALT, case=MissingCase.from_id(4),
+            policy=IMPUTE, n_reps=20, master_seed=3,
+        )
+
+    def test_replaced_imputer_takes_the_record_path(self, monkeypatch):
+        kwargs = dict(
+            case=MissingCase.from_id(4), policy=IMPUTE, n_reps=60, master_seed=3
+        )
+        design = preset_design("mapped_beta")
+        default = replicate(design, ALT, **kwargs)
+        calls = []
+
+        def far_below(records):
+            calls.append(len(records))
+            return [
+                dataclasses.replace(r, delta_y=-1e6, imputed=True)
+                if r.stage == 2 and r.missing else r
+                for r in records
+            ]
+
+        monkeypatch.setattr(engine, "impute_stage2_mean", far_below)
+        replaced = replicate(design, ALT, **kwargs)
+        assert calls
+        assert replaced.rates["imputation_failures"] == 0.0
+        assert replaced != default
+
+
 class TestReplicate:
     def test_mapped_control_allocation_pinned(self):
         report = replicate(
@@ -502,6 +652,29 @@ class TestReplicate:
                 preset_design("mapped_beta"), SCENARIOS["S4"], n_reps=n_reps,
                 workers=2,
             )
+
+    @pytest.mark.parametrize("sizes", [(10, 10), (20,)])
+    def test_missing_stages_report_na(self, sizes, tmp_path):
+        design = dataclasses.replace(
+            preset_design("control_protected"),
+            stages=tuple(StagePlan(t, n) for t, n in enumerate(sizes, start=1)),
+        )
+        report = replicate(design, ALT, n_reps=50, master_seed=0)
+        absent = [
+            "stage3_adapt", "stage3_zero", "favour3", "disfavour3", "drop3", "keep3"
+        ]
+        if len(sizes) < 2:
+            absent += ["stage2_adapt", "favour2", "disfavour2"]
+        else:
+            assert report.rates["stage2_adapt"] is not None
+        assert all(report.rates[stem] is None for stem in absent)
+        path = tmp_path / "adaptability.csv"
+        write_adaptability_csv([report], path)
+        with path.open(newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        for name, value in row.items():
+            if name.split("_")[0] in absent or name in absent:
+                assert value == "NA", name
 
     def test_block_boundaries_do_not_change_reports(self):
         # one process conducts blocks 0-255, 256-511 and 512; three conduct
