@@ -4,6 +4,12 @@ randomisation blocks with exact allocation ratios.
 """
 
 from .analysis import TestResult, pooled_analysis, stratum_decision, wilcoxon_one_sided
+from .calibration import (
+    CalibrationResult,
+    CalibrationRow,
+    calibrate_threshold,
+    write_tradeoff_csv,
+)
 from .core import (
     DEFAULT_ALPHA_LEVEL,
     DEFAULT_DELTA,
@@ -23,8 +29,6 @@ from .core import (
     validate_design,
 )
 from .engine import (
-    CalibrationResult,
-    CalibrationRow,
     InterimRecord,
     InterimResult,
     MissingPolicy,
@@ -32,7 +36,6 @@ from .engine import (
     StageRecord,
     TrialTrajectory,
     allocation_law,
-    calibrate_threshold,
     interim_decision,
     interim_recommendation,
     posterior_snapshot,
@@ -42,7 +45,6 @@ from .engine import (
     run_trial,
     write_adaptability_csv,
     write_oc_csv,
-    write_tradeoff_csv,
 )
 from .mapping import (
     AdaptationCategory,

@@ -20,18 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .calibration import calibrate_threshold, write_tradeoff_csv
 from .core import TrialDesign, load_design, validate_design
 from .engine import (
     MissingPolicy,
     OCReport,
-    calibrate_threshold,
     interim_recommendation,
     read_accrued,
     replicate,
     replicate_pooled,
     write_adaptability_csv,
     write_oc_csv,
-    write_tradeoff_csv,
 )
 from .mapping import BALANCED, RatioVector
 from .outcomes import CALIBRATED_SIGMA, SCENARIOS, MissingCase, OutcomeModel, load_pilot

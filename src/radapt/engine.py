@@ -1,15 +1,22 @@
 """Trial conduct and replication: single trajectories, operating
-characteristics over many replicates, threshold calibration, and one-off
-interim recommendations on accrued data.
+characteristics over many replicates, report CSVs, and one-off interim
+recommendations on accrued data. Threshold calibration is in calibration.py.
 
 Determinism contract
 --------------------
-Replicate r of a run with master seed m draws every random quantity from
-``SeedSequence([m, r])`` (pooled strata use ``[m, r, 0]`` and ``[m, r, 1]``).
-The continuous rules draw nothing: each one, P(best) included, is computed
-exactly from the posterior state and the assigned counts, so memoised values
-cannot depend on evaluation order or on how replicates are split across worker
-processes.
+Replicates run in blocks of _BLOCK_REPS (256), whatever the worker count.
+Block b of a run with master seed m draws every random number of its
+replicates from one counter-based generator, Philox keyed by
+``SeedSequence([m, b])`` (pooled strata use ``[m, b, 0]`` and ``[m, b, 1]``),
+in two whole-block calls of fixed shape: uniforms and outcome normals for a
+full block of rows (_draw). Row i of block b is replicate 256 b + i, so a
+replicate's numbers depend only on (m, i) and the stage sizes, not on the
+rule, the mapping, the run length or the interim decisions: runs of two
+designs at one seed use common random numbers, and any replicate can be
+replayed from (m, i). The continuous rules
+draw nothing: each one, P(best) included, is computed exactly from the
+posterior state and the assigned counts, so memoised values cannot depend on
+evaluation order or on how replicates are split across worker processes.
 Each block of replicates reduces to integer counters keyed by metric name,
 and blocks, worker chunks and strata merge by summing them (_merge). Every
 reported rate is derived once from the merged integers by one column spec
@@ -17,10 +24,12 @@ reported rate is derived once from the merged integers by one column spec
 byte-identical for any worker count and across repeated runs.
 
 Replicates are conducted in blocks, all rows one stage at a time, over
-(replicates x patients) arrays of arms, outcomes and missing cells. Each row
-keeps its own generator and draws from it exactly what run_trial draws from
-the same generator, in the same order, so where a replicate falls in a block
-changes nothing. run_trial stays the scalar reference, one trial at a time.
+(replicates x patients) arrays of arms, outcomes and missing cells. Per stage
+a row's uniform keys order its ratio's arm list (or, for i.i.d. assignment,
+fall through pi's cumulative sum), its outcomes come from its normals, the
+smallest of its missingness keys mark the missing cells, and its coin picks
+between two stage-3 ratios. run_trial stays the scalar reference, one trial
+at a time on one row of the same draws.
 """
 
 from __future__ import annotations
@@ -56,14 +65,11 @@ from .outcomes import (
     PatientRecord,
     Scenario,
     dichotomise,
-    draw_outcome,
-    draw_raw,
     impute_stage2_mean,
-    mark_missing,
     outcomes_from_raw,
 )
 from .posterior import BetaPosterior, SuccessCount, update
-from .randlist import RandomisationBlock, generate_block
+from .randlist import RandomisationBlock
 from .rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
 
 __all__ = [
@@ -78,15 +84,11 @@ __all__ = [
     "replicate",
     "replicate_pooled",
     "allocation_law",
-    "CalibrationRow",
-    "CalibrationResult",
-    "calibrate_threshold",
     "InterimResult",
     "interim_recommendation",
     "read_accrued",
     "write_oc_csv",
     "write_adaptability_csv",
-    "write_tradeoff_csv",
 ]
 
 _SHARE_TOL = 1e-9
@@ -398,15 +400,68 @@ def interim_decision(
     call, memo hit or not, so the caller's stream advances exactly as if
     nothing were memoised.
     """
-    if policy.impute_stage2:
-        records, _ = _prepare_analysis_records(records, policy)
-    tallies, missing = _interim_counts(records, design)
-    decision = _decide(design, policy, upcoming_stage, tallies, missing)
+    decision = _counted_decision(design, records, upcoming_stage, policy)
     if decision.ratio is None and decision.applied_categories is not None:
         # mapped stage 3: a single Disfavour or Favour admits two ratios
         ratio = resolve_allocation(decision.applied_categories, 3, rng)
         decision = replace(decision, ratio=ratio)
     return decision
+
+
+def _counted_decision(design, records, upcoming_stage, policy) -> InterimRecord:
+    """_decide on the records' counts, with no coin drawn."""
+    if policy.impute_stage2:
+        records, _ = _prepare_analysis_records(records, policy)
+    tallies, missing = _interim_counts(records, design)
+    return _decide(design, policy, upcoming_stage, tallies, missing)
+
+
+# ---------------------------------------------------------------------------
+# Random numbers
+
+@dataclass(frozen=True)
+class _Draws:
+    """Every random number of a set of trials, one row per trial and one
+    column per patient (per stage for `coin`): uniform assignment keys,
+    outcome draws as outcomes_from_raw takes them, uniform missingness keys
+    and a uniform coin. Indexing selects rows: a slice gives a block, an
+    integer one trial's numbers."""
+
+    key: np.ndarray
+    raw: np.ndarray
+    miss: np.ndarray
+    coin: np.ndarray
+
+    def __getitem__(self, rows) -> "_Draws":
+        return _Draws(
+            self.key[rows], self.raw[rows], self.miss[rows], self.coin[rows]
+        )
+
+
+def _draw(
+    rng: np.random.Generator, design: TrialDesign, model: OutcomeModel, rows: int
+) -> _Draws:
+    """Fixed-shape draws for `rows` trials: one uniform call, then one
+    outcome call (log-normal as exp(shape * Z), or pilot indices)."""
+    n, stages = design.n_total, design.n_stages
+    u = rng.random((rows, 2 * n + stages))
+    if model.kind == "bootstrap":
+        raw = rng.integers(len(model.pilot), size=(rows, n))
+    else:
+        raw = np.exp(model.shape * rng.standard_normal((rows, n)))
+    return _Draws(u[:, :n], raw, u[:, n : 2 * n], u[:, 2 * n :])
+
+
+def _stage_columns(design: TrialDesign) -> list[slice]:
+    ends = np.cumsum([0] + [plan.size for plan in design.stages]).tolist()
+    return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
+def _missing_count(case: MissingCase, plan) -> int:
+    drop = case.count_for_stage(plan.stage_index)
+    if drop > plan.size:
+        raise ValueError(f"cannot drop {drop} of {plan.size} records")
+    return drop
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +477,8 @@ def run_trial(
 ) -> TrialTrajectory:
     """Conduct one trial of one stratum from first patient to final analysis.
 
-    Randomness is consumed in a fixed order per stage: interim decision (coin
-    for two-option categories), block permutation or i.i.d. assignment draws,
-    one outcome per patient in assignment order, then the missingness draw.
+    The trial's random numbers are one row of _draw from `rng`, the same
+    fixed-shape set a replicate takes from its block's generator.
     """
     _require_valid(design)
     _require_arity(design, model)
@@ -432,7 +486,8 @@ def run_trial(
         case = MissingCase.from_id(0)
     if rng is None:
         rng = np.random.default_rng()
-    return _conduct_trial(design, model, case, policy, rng, seed_tag)
+    draws = _draw(rng, design, model, 1)[0]
+    return _conduct_trial(design, model, case, policy, draws, seed_tag)
 
 
 def _require_valid(design: TrialDesign) -> None:
@@ -453,43 +508,49 @@ def _conduct_trial(
     model: OutcomeModel,
     case: MissingCase,
     policy: MissingPolicy,
-    rng: np.random.Generator,
+    draws: _Draws,
     seed_tag: str = "",
 ) -> TrialTrajectory:
-    """run_trial's body, for callers that checked design and model once."""
+    """run_trial's body on one trial's draws, for callers that checked
+    design and model once."""
     k = design.k
     accrued: list[PatientRecord] = []
     stages: list[StageRecord] = []
     interims: list[InterimRecord] = []
-    pid = 0
 
-    for plan in design.stages:
+    for plan, cols in zip(design.stages, _stage_columns(design)):
         t = plan.stage_index
         if t == 1:
             choices, probs = _first_stage_option(design)
-            ratio = None if choices is None else choices[0]
         else:
-            interim = interim_decision(design, accrued, t, policy, rng)
-            interims.append(interim)
-            ratio, probs = interim.ratio, np.asarray(interim.pi.probs)
+            interim = _counted_decision(design, accrued, t, policy)
+            choices, probs = _stage_option(interim)
 
-        if ratio is not None:
-            block = generate_block(
-                ratio, rng, design.arms, stage_index=t, seed_tag=seed_tag
+        block = ratio = None
+        keys = draws.key[cols]
+        if choices is not None:
+            # the coin picks one of two stage-3 ratios, in the options' order
+            ratio = choices[int(draws.coin[t - 1] >= 0.5) if len(choices) > 1 else 0]
+            order = np.argsort(keys, kind="stable")
+            assigned = np.repeat(np.arange(k), ratio.counts)[order]
+            block = RandomisationBlock(
+                t, tuple(design.arms[i] for i in assigned), seed_tag
             )
-            assigned = block.assignments
         else:
-            block = None
-            draws = rng.choice(k, size=plan.size, p=probs)
-            assigned = tuple(design.arms[int(i)] for i in draws)
+            cum = np.cumsum(probs)
+            assigned = np.searchsorted(cum[:-1], keys * cum[-1], side="right")
+        if t > 1:
+            interims.append(replace(interim, ratio=ratio))
 
-        stage_records = []
-        for arm in assigned:
-            pid += 1
-            stage_records.append(
-                PatientRecord(pid, t, arm, draw_outcome(model, arm, rng))
+        y = outcomes_from_raw(model, assigned, draws.raw[cols]).tolist()
+        order = np.argsort(draws.miss[cols], kind="stable")
+        gone = set(order[: _missing_count(case, plan)].tolist())
+        stage_records = [
+            PatientRecord(
+                cols.start + j + 1, t, design.arms[a], None if j in gone else y[j]
             )
-        stage_records = mark_missing(stage_records, case.count_for_stage(t), rng)
+            for j, a in enumerate(assigned.tolist())
+        ]
         stages.append(
             StageRecord(
                 stage_index=t,
@@ -518,7 +579,8 @@ def _conduct_trial(
 # Replicates conducted in blocks, stage by stage
 
 # Replicates conducted together: numpy's per-call cost is shared by this many
-# rows, and a block's arrays stay small whatever the replicate count.
+# rows, and a block's arrays stay small whatever the replicate count. Blocks
+# key the random stream, so this is fixed whatever the worker count.
 _BLOCK_REPS = 256
 
 
@@ -714,72 +776,63 @@ def _conduct_block(
     model: OutcomeModel,
     case: MissingCase,
     policy: MissingPolicy,
-    rngs: list[np.random.Generator],
+    draws: _Draws,
 ) -> _Block:
-    """_conduct_trial for every generator in `rngs`, all rows a stage at a time.
+    """_conduct_trial for every row of `draws`, all rows a stage at a time.
 
-    Row r draws from rngs[r] exactly what _conduct_trial draws from it, in
-    the same order: per stage the coin (only where the decision leaves the
-    ratio to it), the block permutation or the i.i.d. assignments, the
-    stage's outcomes in one call, then the missing positions. Between draws
-    everything is array arithmetic over the rows.
+    Row r of the block is _conduct_trial on draws[r]: between the stages'
+    decisions everything is array arithmetic over the rows.
     """
-    k, n_rows = design.k, len(rngs)
+    k, n_rows = design.k, len(draws.coin)
     arm = np.empty((n_rows, 0), dtype=np.int64)
     y = np.empty((n_rows, 0))
     missing = np.empty((n_rows, 0), dtype=bool)
     stage_of = np.empty(0, dtype=np.int64)
     ratios, decisions, which = [], [], []
-    pools: dict[tuple[int, ...], np.ndarray] = {}
 
-    for plan in design.stages:
+    for plan, cols in zip(design.stages, _stage_columns(design)):
         t = plan.stage_index
         if t == 1:
             options = [_first_stage_option(design)]
-            chosen = [0] * n_rows
+            row_option = np.zeros(n_rows, dtype=np.intp)
         else:
             view_y, view_observed, _ = _analysis_view(
                 design, policy, arm, y, missing, stage_of
             )
-            stage_decisions, row_decision = _block_decisions(
+            stage_decisions, row_option = _block_decisions(
                 design, policy, t, arm, view_y, view_observed, stage_of
             )
             decisions.append(stage_decisions)
-            which.append(row_decision)
+            which.append(row_option)
             options = [_stage_option(d) for d in stage_decisions]
-            chosen = row_decision.tolist()
-        by_ratio = options[0][0] is not None
-        if by_ratio:
-            for ratio in {ratio for choices, _ in options for ratio in choices}:
-                if ratio.counts not in pools:
-                    pools[ratio.counts] = np.repeat(np.arange(k), ratio.counts)
-        # every ratio a stage admits has the same total
-        width = options[0][0][0].total if by_ratio else plan.size
-        drop = case.count_for_stage(t)
-        if drop > width:
-            raise ValueError(f"cannot drop {drop} of {width} records")
-        stage_arm = np.empty((n_rows, width), dtype=np.int64)
-        stage_missing = np.zeros((n_rows, width), dtype=bool)
-        stage_ratios = np.empty((n_rows, k), dtype=np.int64) if by_ratio else None
-        raw = []
-
-        for r, rng in enumerate(rngs):
-            choices, probs = options[chosen[r]]
-            if by_ratio:
-                # resolve_allocation's coin, drawn only where it has two choices
-                ratio = choices[0] if len(choices) == 1 else choices[rng.integers(2)]
-                stage_arm[r] = rng.permutation(pools[ratio.counts])
-                stage_ratios[r] = ratio.counts
-            else:
-                stage_arm[r] = rng.choice(k, size=width, p=probs)
-            raw.append(draw_raw(model, width, rng))
-            if drop:
-                stage_missing[r, rng.choice(width, size=drop, replace=False)] = True
+        keys = draws.key[:, cols]
+        if options[0][0] is not None:
+            # each option's first and last ratio: the coin's two choices, or
+            # one ratio twice
+            table = np.array([[c[0].counts, c[-1].counts] for c, _ in options])
+            heads = (draws.coin[:, t - 1] >= 0.5).astype(np.intp)
+            stage_ratios = table[row_option, heads]
+            # position j of a ratio's sorted arm list holds the arm whose
+            # cumulative count first exceeds j
+            order = np.argsort(keys, axis=1, kind="stable")
+            cum = np.cumsum(stage_ratios, axis=1)
+            stage_arm = (order[:, :, None] >= cum[:, None, :]).sum(axis=2)
+        else:
+            stage_ratios = None
+            # the arm whose cumulative pi first exceeds the key times the total
+            cum = np.cumsum(np.array([p for _, p in options])[row_option], axis=1)
+            scaled = (keys * cum[:, -1:])[:, :, None]
+            stage_arm = (cum[:, None, :-1] <= scaled).sum(axis=2)
+        stage_missing = np.zeros((n_rows, plan.size), dtype=bool)
+        drop = _missing_count(case, plan)
+        if drop:
+            order = np.argsort(draws.miss[:, cols], axis=1, kind="stable")
+            np.put_along_axis(stage_missing, order[:, :drop], True, axis=1)
 
         arm = np.hstack([arm, stage_arm])
-        y = np.hstack([y, outcomes_from_raw(model, stage_arm, np.array(raw))])
+        y = np.hstack([y, outcomes_from_raw(model, stage_arm, draws.raw[:, cols])])
         missing = np.hstack([missing, stage_missing])
-        stage_of = np.concatenate([stage_of, np.full(width, t)])
+        stage_of = np.concatenate([stage_of, np.full(plan.size, t)])
         ratios.append(stage_ratios)
 
     y, observed, failures = _analysis_view(design, policy, arm, y, missing, stage_of)
@@ -1086,36 +1139,39 @@ def _report(
     )
 
 
-def _rep_rng(master_seed: int, rep: int, stream: int | None = None):
-    keys = [master_seed, rep] if stream is None else [master_seed, rep, stream]
-    return np.random.default_rng(np.random.SeedSequence(keys))
-
-
 def _chunks(n: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, n))
-    size, extra = divmod(n, parts)
+    """Up to `parts` contiguous replicate ranges covering 0..n, split only
+    at block boundaries so that every worker conducts whole blocks."""
+    blocks = -(-n // _BLOCK_REPS)
+    parts = max(1, min(parts, blocks))
+    size, extra = divmod(blocks, parts)
     out, lo = [], 0
     for j in range(parts):
         hi = lo + size + (1 if j < extra else 0)
-        out.append((lo, hi))
+        out.append((lo * _BLOCK_REPS, min(hi * _BLOCK_REPS, n)))
         lo = hi
     return out
 
 
-def _block_ranges(lo: int, hi: int) -> list[range]:
-    return [range(s, min(s + _BLOCK_REPS, hi)) for s in range(lo, hi, _BLOCK_REPS)]
+def _block_draws(design, model, master_seed: int, lo: int, hi: int, stream=None):
+    """Each block's draws for replicates lo..hi (lo on a block boundary):
+    a full block from the block's keyed generator, cut to the run's end."""
+    for start in range(lo, hi, _BLOCK_REPS):
+        keys = [master_seed, start // _BLOCK_REPS]
+        if stream is not None:
+            keys.append(stream)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(keys)))
+        yield _draw(rng, design, model, _BLOCK_REPS)[: hi - start]
 
 
 def _replicate_chunk(args) -> Counts:
     design, model, case, policy, master_seed, lo, hi = args
-    blocks = (
-        _conduct_block(
-            design, model, case, policy,
-            [_rep_rng(master_seed, rep) for rep in reps],
+    return _merge(
+        _block_counts(
+            _conduct_block(design, model, case, policy, draws), design, model.effects
         )
-        for reps in _block_ranges(lo, hi)
+        for draws in _block_draws(design, model, master_seed, lo, hi)
     )
-    return _merge(_block_counts(block, design, model.effects) for block in blocks)
 
 
 def _pool_map(worker, jobs, workers: int):
@@ -1139,9 +1195,10 @@ def replicate(
 ) -> OCReport:
     """Operating characteristics of one design stratum over `n_reps` trials.
 
-    The result is identical for any `workers` value: replicates are seeded
-    individually and aggregated with integer counters, so the split into
-    processes cannot change a single reported digit.
+    The result is identical for any `workers` value: each block of
+    replicates draws from its own keyed generator, workers take whole
+    blocks, and counts are integers, so the split into processes cannot
+    change a single reported digit.
     """
     _require_valid(design)
     _require_arity(design, model)
@@ -1164,15 +1221,12 @@ def _pooled_chunk(args) -> tuple[Counts, Counts, Counts]:
     (design_a, design_b, model_a, model_b, effect_sums, case, policy,
      master_seed, lo, hi) = args
     parts = []
-    for reps in _block_ranges(lo, hi):
-        block_a = _conduct_block(
-            design_a, model_a, case, policy,
-            [_rep_rng(master_seed, rep, 0) for rep in reps],
-        )
-        block_b = _conduct_block(
-            design_b, model_b, case, policy,
-            [_rep_rng(master_seed, rep, 1) for rep in reps],
-        )
+    for draws_a, draws_b in zip(
+        _block_draws(design_a, model_a, master_seed, lo, hi, 0),
+        _block_draws(design_b, model_b, master_seed, lo, hi, 1),
+    ):
+        block_a = _conduct_block(design_a, model_a, case, policy, draws_a)
+        block_b = _conduct_block(design_b, model_b, case, policy, draws_b)
         _, reject, skipped = _pooled_tests(block_a, block_b, design_a)
         parts.append((
             _block_counts(block_a, design_a, model_a.effects),
@@ -1196,8 +1250,8 @@ def replicate_pooled(
     """Run the same design independently in two strata and pool the tests.
 
     Returns the stratum-A report, the stratum-B report, and the pooled-test
-    report, whose effects are the strata's sums. Stratum r of replicate rep
-    is seeded from SeedSequence([master_seed, rep, r]).
+    report, whose effects are the strata's sums. Stratum s of block b draws
+    from Philox keyed by SeedSequence([master_seed, b, s]).
     """
     if case is None:
         case = MissingCase.from_id(0)
@@ -1243,135 +1297,6 @@ def allocation_law(
 
 
 # ---------------------------------------------------------------------------
-# Threshold calibration
-
-@dataclass(frozen=True)
-class CalibrationRow:
-    """One grid point: threshold, null-scenario metric, effect-scenario metric."""
-
-    threshold: float
-    metric_h0: float
-    metric_h1: float
-    pareto: bool
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    stage: int
-    criterion: str
-    selected: float | None
-    rows: tuple[CalibrationRow, ...]
-
-
-def _with_threshold(design: TrialDesign, stage: int, g: float) -> TrialDesign:
-    """Grid design: substitute the stage's top threshold, clamping the lower
-    interior thresholds down to keep the cut-points non-decreasing."""
-    mapping = design.mapping
-    th = mapping.thresholds
-    if stage == 2:
-        if len(th.stage2) == 1:
-            stage2 = (g,)
-        else:
-            stage2 = (min(th.stage2[0], g), g)
-        new_th = replace(th, stage2=stage2)
-    else:
-        lower = tuple(min(c, g) for c in th.stage3[1:-1])
-        new_th = replace(th, stage3=(th.stage3[0],) + lower + (g,))
-    candidate = replace(design, mapping=replace(mapping, thresholds=new_th))
-    problems = validate_design(candidate)
-    if problems:
-        raise ValueError(
-            f"threshold {g} at stage {stage} yields an invalid design: "
-            + "; ".join(problems)
-        )
-    return candidate
-
-
-def _pareto_flags(points: list[tuple[float, float]]) -> list[bool]:
-    # maximise metric_h1, minimise metric_h0
-    flags = []
-    for i, (h0_i, h1_i) in enumerate(points):
-        dominated = any(
-            (h0_j <= h0_i and h1_j >= h1_i) and (h0_j < h0_i or h1_j > h1_i)
-            for j, (h0_j, h1_j) in enumerate(points)
-            if j != i
-        )
-        flags.append(not dominated)
-    return flags
-
-
-def calibrate_threshold(
-    design: TrialDesign,
-    stage: int,
-    grid,
-    n_reps: int = 1000,
-    master_seed: int = 0,
-    h0_effects: tuple[float, ...] = (0.0, 0.0, 0.0),
-    h1_effects: tuple[float, ...] = (0.0, 0.0, 0.3),
-    case: MissingCase | None = None,
-    policy: MissingPolicy = MissingPolicy(),
-    workers: int = 1,
-    criterion: str = "corner",
-    scale: float = CALIBRATED_SIGMA,
-    shape: float = DEFAULT_SHAPE,
-) -> CalibrationResult:
-    """Sweep the stage's top adaptation threshold over a grid.
-
-    The target metric is the stage-2 adaptation rate for stage 2 and the
-    rate of some active arm receiving zero stage-3 patients for stage 3,
-    evaluated under the null effects (false adaptation) and under the
-    alternative effects (useful adaptation). All grid points share the same
-    replicate seeds, so differences between rows are never seed noise.
-
-    criterion "corner" selects the threshold minimising the Euclidean
-    distance to the ideal point (metric 0 under the null, metric 1 under the
-    alternative), ties to the smaller threshold; "pareto" only flags the
-    non-dominated rows and selects nothing.
-    """
-    if design.mapping is None or design.mapping.thresholds is None:
-        raise ValueError("threshold calibration needs a mapped design")
-    if stage not in (2, 3):
-        raise ValueError(f"calibration stage must be 2 or 3, got {stage}")
-    if criterion not in ("corner", "pareto"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    grid = tuple(float(g) for g in grid)
-    if not grid:
-        raise ValueError("empty threshold grid")
-
-    model_h0 = OutcomeModel.parametric(h0_effects, scale=scale, shape=shape)
-    model_h1 = OutcomeModel.parametric(h1_effects, scale=scale, shape=shape)
-
-    metric = "stage2_adapt" if stage == 2 else "stage3_zero"
-    rows = []
-    for g in grid:
-        d_g = _with_threshold(design, stage, g)
-        h0, h1 = (
-            replicate(
-                d_g, model, case=case, policy=policy, n_reps=n_reps,
-                master_seed=master_seed, workers=workers,
-            ).rates[metric]
-            for model in (model_h0, model_h1)
-        )
-        rows.append((g, h0, h1))
-
-    flags = _pareto_flags([(m0, m1) for _, m0, m1 in rows])
-    out_rows = tuple(
-        CalibrationRow(g, m0, m1, flag)
-        for (g, m0, m1), flag in zip(rows, flags)
-    )
-    selected = None
-    if criterion == "corner":
-        best = min(
-            out_rows,
-            key=lambda r: (math.hypot(r.metric_h0, 1.0 - r.metric_h1), r.threshold),
-        )
-        selected = best.threshold
-    return CalibrationResult(
-        stage=stage, criterion=criterion, selected=selected, rows=out_rows
-    )
-
-
-# ---------------------------------------------------------------------------
 # Interim recommendation on accrued data
 
 _ACCRUED_HEADER = ["patient_id", "stage", "arm_label", "delta_y"]
@@ -1384,9 +1309,13 @@ def read_accrued(
 
     delta_y is a float or the literal NA for a missing outcome. Malformed
     content raises ValueError naming the offending line. Given
-    `upcoming_stage`, so does a stage before it whose patient count is not
-    the design's planned size, naming the stage's first line; a stage with
-    no rows at all is left to interim_recommendation.
+    `upcoming_stage`, so does data the interim before that stage must not
+    decide on: a row of that stage or a later one (naming the row); and,
+    naming the stage's first line, a stage before it whose patient count is
+    not the design's planned size, a stage-1 arm split other than a fixed
+    stage-1 block's ratio, or a mapped stage with other than the design's
+    fixed control count. A stage with no rows at all is left to
+    interim_recommendation.
     """
     path = Path(path)
     by_label = {a.label: a for a in design.arms}
@@ -1439,21 +1368,46 @@ def read_accrued(
                     ) from exc
                 if not math.isfinite(delta):
                     raise ValueError(f"{path}:{lineno}: delta_y must be finite")
+            if upcoming_stage is not None and stage >= upcoming_stage:
+                raise ValueError(
+                    f"{path}:{lineno}: a stage-{stage} patient, but the "
+                    f"interim before stage {upcoming_stage} may use only "
+                    f"stages before it"
+                )
             records.append(PatientRecord(pid, stage, arm, delta))
             first_line.setdefault(stage, lineno)
     if not records:
         raise ValueError(f"{path}: no patient rows")
     if upcoming_stage is not None:
-        for plan in design.stages[: upcoming_stage - 1]:
-            t = plan.stage_index
-            got = sum(1 for r in records if r.stage == t)
-            if got and got != plan.size:
-                raise ValueError(
-                    f"{path}:{first_line[t]}: stage {t} has {got} patients, "
-                    f"the design plans {plan.size}"
-                )
+        _check_accrued_stages(path, design, records, first_line, upcoming_stage)
     records.sort(key=lambda r: r.patient_id)
     return records
+
+
+def _check_accrued_stages(path, design, records, first_line, upcoming_stage):
+    """read_accrued's checks of each stage before `upcoming_stage`."""
+    first_block = _first_stage_option(design)[0]
+    for plan in design.stages[: upcoming_stage - 1]:
+        t = plan.stage_index
+        counts = _assigned_counts([r for r in records if r.stage == t], design.k)
+        if not sum(counts):
+            continue
+        where = f"{path}:{first_line[t]}: stage {t}"
+        if sum(counts) != plan.size:
+            raise ValueError(
+                f"{where} has {sum(counts)} patients, the design plans {plan.size}"
+            )
+        if t == 1 and first_block is not None and counts != first_block[0].counts:
+            raise ValueError(
+                f"{where} splits the arms {':'.join(map(str, counts))}, the "
+                f"design's stage-1 block is {first_block[0].label()}"
+            )
+        control = counts[design.control_index()]
+        if design.mapping is not None and control != design.mapping.control_fix:
+            raise ValueError(
+                f"{where} has {control} control patients, the design fixes "
+                f"{design.mapping.control_fix}"
+            )
 
 
 @dataclass(frozen=True)
@@ -1614,18 +1568,3 @@ def write_oc_csv(reports: list[OCReport], path: str | Path) -> None:
 def write_adaptability_csv(reports: list[OCReport], path: str | Path) -> None:
     """Stage-level adaptation rates, one row per report."""
     _write_report_csv(reports, path, "adaptability")
-
-
-def write_tradeoff_csv(result: CalibrationResult, path: str | Path) -> None:
-    """Calibration sweep, one row per grid point.
-
-    Pareto flags and the selected threshold stay on the CalibrationResult;
-    the file carries only the sweep itself.
-    """
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "metric_H0", "metric_H1"])
-        for row in result.rows:
-            writer.writerow(
-                [_fmt(row.threshold), _fmt(row.metric_h0), _fmt(row.metric_h1)]
-            )

@@ -28,7 +28,6 @@ __all__ = [
     "CALIBRATED_SIGMA",
     "DEFAULT_SHAPE",
     "draw_outcome",
-    "draw_raw",
     "outcomes_from_raw",
     "dichotomise",
     "apply_missingness",
@@ -163,23 +162,19 @@ SCENARIOS: dict[str, Scenario] = {
 
 def draw_outcome(model: OutcomeModel, arm: ArmId, rng: np.random.Generator) -> float:
     """One delta_y draw for the given arm."""
-    raw = draw_raw(model, 1, rng)
-    return float(outcomes_from_raw(model, np.array([arm.index]), raw)[0])
-
-
-def draw_raw(model: OutcomeModel, size: int, rng: np.random.Generator) -> np.ndarray:
-    """The generator draws behind `size` consecutive draw_outcome calls, in
-    one call: the same values, and the generator left in the same state."""
     if model.kind == "bootstrap":
-        return rng.integers(len(model.pilot), size=size)
-    return rng.lognormal(0.0, model.shape, size)
+        raw = rng.integers(len(model.pilot), size=1)
+    else:
+        raw = rng.lognormal(0.0, model.shape, 1)
+    return float(outcomes_from_raw(model, np.array([arm.index]), raw)[0])
 
 
 def outcomes_from_raw(
     model: OutcomeModel, arms: np.ndarray, raw: np.ndarray
 ) -> np.ndarray:
-    """delta_y for each draw of draw_raw: raw[i] belongs to a patient on arm
-    index arms[i] (any array shape, the same for both)."""
+    """delta_y for raw draws: a pilot index for the bootstrap model, a
+    LogNormal(0, shape) value for the parametric one. raw[i] belongs to a
+    patient on arm index arms[i] (any array shape, the same for both)."""
     shift = np.asarray(model.effects, dtype=float)[arms]
     if model.kind == "bootstrap":
         return np.asarray(model.pilot, dtype=float)[raw] + shift

@@ -165,13 +165,13 @@ class TestSimulate:
 # The seeding contract fixes every byte of a report, so an engine change
 # that moves one of these has changed the simulated trials.
 PINNED_DIGESTS = {
-    "fixed_equal": ("8fc8b8192e26cdda", "9428ca165445d77e"),
-    "unrestricted": ("775cbb833407003d", "0f4a389bc4ede357"),
-    "control_protected": ("740c61567480460f", "70103575b21d66a7"),
-    "baseline": ("e9c640b83b8c7ca8", "534cf2bd7def195c"),
-    "permuted_block": ("1026cce821a0433f", "db05a02d1cd1e468"),
-    "mapped_alpha": ("24cdc991afbf15ab", "011352fe7259acda"),
-    "mapped_beta": ("7e7ee12a727089d2", "bb2ea87269c503f4"),
+    "fixed_equal": ("66e2c9401ca5ef74", "9428ca165445d77e"),
+    "unrestricted": ("53c536cd3d4267b3", "ad579188d58c5deb"),
+    "control_protected": ("d9317b47b34e73c8", "aa060b2617f89a94"),
+    "baseline": ("d0089f7055be6224", "a52c6079fea542d6"),
+    "permuted_block": ("861cfab708fda49b", "db05a02d1cd1e468"),
+    "mapped_alpha": ("e6360bf200a4c96f", "ecc60f7e6e97c21f"),
+    "mapped_beta": ("6313a3bf43786da5", "e6d58da61dd699af"),
 }
 
 
@@ -199,13 +199,13 @@ class TestPinnedReports:
             "--out", str(tmp_path),
         ])
         assert code == 0
-        assert _digests(tmp_path) == ("af184634e73159c9", "be7a01052fc7f428")
+        assert _digests(tmp_path) == ("ad7b7b6cb15ce139", "f5e52f13ef2e6326")
 
     # imputation over an i.i.d. stage 1 (fixed_equal) and a block stage 1
     # (mapped_alpha)
     @pytest.mark.parametrize("design, case, digests", [
-        ("fixed_equal", "5", ("1a54cbad0188b566", "ca5f4006f3ca0a2a")),
-        ("mapped_alpha", "1", ("1ccb8d75a82126b4", "0a4f1ec4cc905d74")),
+        ("fixed_equal", "5", ("3d8292bdb4663064", "f2adb02ac4359726")),
+        ("mapped_alpha", "1", ("a92db88c826c46e0", "3246451179fe4b6e")),
     ])
     def test_imputed_run(self, design, case, digests, tmp_path, capsys):
         code = main([
@@ -218,8 +218,8 @@ class TestPinnedReports:
     # i.i.d. pooled runs: pi-based adaptation rates, tau drops, and the
     # pooled row's type1 / null_arm_reject rules
     @pytest.mark.parametrize("scenario, digests", [
-        ("S1", ("2f41597881c4d3a1", "3f6a6a4042945453")),
-        ("S9", ("659bd46710646cc9", "cb4b080e457c682f")),
+        ("S1", ("fab0a19c60bedfde", "3a005a26224b1fb2")),
+        ("S9", ("de8b588801bab967", "f2b708cb86b9d839")),
     ])
     def test_pooled_iid_run(self, scenario, digests, tmp_path, capsys):
         code = main([
@@ -336,6 +336,55 @@ class TestInterim:
         ])
         assert code == 2
         assert f"{data}:8: stage 2 has 3 patients" in capsys.readouterr().err
+
+    def test_rows_of_the_stage_to_open_refused(self, tmp_path, capsys):
+        # two stage-2 successes on T2 would count into the stage-2 interim
+        # and print T2's posterior as Beta(5, 1)
+        data = self._data(tmp_path, STAGE1_ROWS + "7,2,T2,0.5\n8,2,T2,0.6\n")
+        code = main([
+            "interim", "--design", "mapped_alpha", "--data", str(data),
+            "--next-stage", "2",
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert f"{data}:8: a stage-2 patient, but the interim before stage 2" in err
+        assert "Beta(5, 1)" not in out
+
+    @pytest.mark.parametrize("design", ["mapped_alpha", "baseline"])
+    def test_stage1_split_off_its_block_refused(self, design, tmp_path, capsys):
+        body = STAGE1_ROWS.replace("4,1,T1,0.0", "4,1,T2,0.0")
+        data = self._data(tmp_path, body)
+        code = main([
+            "interim", "--design", design, "--data", str(data), "--next-stage", "2",
+        ])
+        assert code == 2
+        assert (
+            f"{data}:2: stage 1 splits the arms 2:1:3, the design's stage-1 "
+            "block is 2:2:2"
+        ) in capsys.readouterr().err
+
+    def test_iid_stage1_split_accepted(self, tmp_path, capsys):
+        body = STAGE1_ROWS.replace("4,1,T1,0.0", "4,1,T2,0.0")
+        code = main([
+            "interim", "--design", "control_protected",
+            "--data", str(self._data(tmp_path, body)), "--next-stage", "2",
+        ])
+        assert code == 0
+
+    def test_mapped_control_count_refused(self, tmp_path, capsys):
+        stage2 = (
+            "7,2,C,0.2\n8,2,C,0.3\n9,2,C,0.1\n"
+            "10,2,T1,0.3\n11,2,T2,0.1\n12,2,T2,0.4\n"
+        )
+        data = self._data(tmp_path, STAGE1_ROWS + stage2)
+        code = main([
+            "interim", "--design", "mapped_alpha", "--data", str(data),
+            "--next-stage", "3",
+        ])
+        assert code == 2
+        assert (
+            f"{data}:8: stage 2 has 3 control patients, the design fixes 2"
+        ) in capsys.readouterr().err
 
     def test_stage_without_data(self, tmp_path, capsys):
         data = self._data(tmp_path)
