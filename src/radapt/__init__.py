@@ -35,10 +35,8 @@ from .engine import (
     OCReport,
     StageRecord,
     TrialTrajectory,
-    allocation_law,
     interim_decision,
     interim_recommendation,
-    posterior_snapshot,
     read_accrued,
     replicate,
     replicate_pooled,
@@ -50,9 +48,9 @@ from .mapping import (
     AdaptationCategory,
     RatioVector,
     active_shares,
+    allocation_options,
     decide_category,
-    resolve_allocation,
-    stage_ratio,
+    planned_ratio,
 )
 from .outcomes import (
     CALIBRATED_SIGMA,
@@ -61,7 +59,6 @@ from .outcomes import (
     OutcomeModel,
     PatientRecord,
     Scenario,
-    apply_missingness,
     dichotomise,
     draw_outcome,
     impute_stage2_mean,

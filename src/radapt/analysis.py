@@ -98,9 +98,8 @@ def wilcoxon_one_sided(
     """One-sided rank-sum p-value, alternative: treatment greater.
 
     p = P(W >= w_observed) under the permutation null (inclusive at the
-    observed statistic). method is "exact" (default), "normal" for the
-    tie-corrected normal approximation with continuity correction, or
-    "permutation" for seeded resampling.
+    observed statistic). method is "exact" (default) or "permutation" for
+    seeded resampling.
     """
     n1, n2 = len(treatment), len(control)
     if n1 == 0 or n2 == 0:
@@ -111,7 +110,6 @@ def wilcoxon_one_sided(
 
     doubled = _doubled_midranks(values)
     w2 = sum(doubled[:n1])
-    n = n1 + n2
 
     if method == "exact":
         sorted_ranks = tuple(sorted(doubled))
@@ -121,21 +119,11 @@ def wilcoxon_one_sided(
             return float(surv[w2])
         method = "permutation"
 
-    scaled = np.array(doubled, dtype=np.int64)
-    if method == "normal":
-        mean_r = scaled.mean()
-        var_w2 = n1 * n2 / (n - 1) * float(np.mean((scaled - mean_r) ** 2))
-        if var_w2 == 0.0:
-            return 1.0
-        # continuity correction: W2 steps in units of 1 (doubled midranks)
-        z = (w2 - 1.0 - n1 * mean_r) / math.sqrt(var_w2)
-        return float(0.5 * math.erfc(z / math.sqrt(2.0)))
-
     if method == "permutation":
         if rng is None:
             rng = np.random.default_rng(0)
         hits = 0
-        pool = scaled.copy()
+        pool = np.array(doubled, dtype=np.int64)
         for _ in range(_PERMUTATION_DRAWS):
             rng.shuffle(pool)
             if pool[:n1].sum() >= w2:

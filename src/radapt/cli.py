@@ -25,6 +25,7 @@ from .core import TrialDesign, load_design, validate_design
 from .engine import (
     MissingPolicy,
     OCReport,
+    _split_problem,
     interim_recommendation,
     read_accrued,
     replicate,
@@ -32,7 +33,7 @@ from .engine import (
     write_adaptability_csv,
     write_oc_csv,
 )
-from .mapping import BALANCED, RatioVector
+from .mapping import RatioVector, planned_ratio
 from .outcomes import CALIBRATED_SIGMA, SCENARIOS, MissingCase, OutcomeModel, load_pilot
 from .presets import PRESET_NAMES, preset_design
 from .randlist import export_list, generate_block
@@ -282,26 +283,7 @@ def _parse_ratio(text: str, k: int) -> RatioVector:
         raise ValueError(f"ratio must be colon-separated integers: {text!r}") from exc
     if len(counts) != k:
         raise ValueError(f"ratio needs {k} entries, got {len(counts)}: {text!r}")
-    if any(c < 0 for c in counts) or sum(counts) == 0:
-        raise ValueError(f"ratio entries must be >= 0 and not all zero: {text!r}")
     return RatioVector(counts)
-
-
-def _predetermined_ratios(design: TrialDesign) -> list[tuple[int, RatioVector]]:
-    """Stage ratios known before any data: the full schedule for the fixed
-    permuted-block variant, the balanced first stage otherwise."""
-    if design.mapping is not None and design.mapping.variant == "PermutedBlock":
-        return [
-            (plan.stage_index, BALANCED[2] if plan.stage_index <= 2 else BALANCED[3])
-            for plan in design.stages
-        ]
-    if design.mapping is not None or design.stage1_balanced_block:
-        size = design.stages[0].size
-        return [(1, RatioVector((size // design.k,) * design.k))]
-    raise ValueError(
-        "design has no pre-determined blocks (i.i.d. randomisation); "
-        "pass --ratio to generate a block for a decided ratio"
-    )
 
 
 def _cmd_genlist(args) -> int:
@@ -311,15 +293,23 @@ def _cmd_genlist(args) -> int:
     tag = f"seed={seed}"
 
     if args.ratio:
-        entries = [
-            (args.stage + i, _parse_ratio(text, design.k))
-            for i, text in enumerate(args.ratio)
-        ]
-        for stage, _ in entries:
-            if not 1 <= stage <= design.n_stages:
-                raise ValueError(f"stage {stage} outside 1..{design.n_stages}")
+        entries = []
+        for stage, text in enumerate(args.ratio, start=args.stage):
+            ratio = _parse_ratio(text, design.k)
+            # the checks interim applies to accrued stages
+            problem = _split_problem(design, stage, ratio.counts)
+            if problem is not None:
+                raise ValueError(f"--ratio {text}: stage {stage} {problem}")
+            entries.append((stage, ratio))
     else:
-        entries = _predetermined_ratios(design)
+        # the permuted-block schedule, or a fixed balanced first stage
+        planned = [(t, planned_ratio(design, t)) for t in range(1, design.n_stages + 1)]
+        entries = [(t, ratio) for t, ratio in planned if ratio is not None]
+        if not entries:
+            raise ValueError(
+                "design has no pre-determined blocks (i.i.d. randomisation); "
+                "pass --ratio to generate a block for a decided ratio"
+            )
 
     blocks = [
         generate_block(ratio, rng, design.arms, stage_index=stage, seed_tag=tag)

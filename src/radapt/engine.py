@@ -30,6 +30,14 @@ fall through pi's cumulative sum), its outcomes come from its normals, the
 smallest of its missingness keys mark the missing cells, and its coin picks
 between two stage-3 ratios. run_trial stays the scalar reference, one trial
 at a time on one row of the same draws.
+
+The ratios a stage may take come from one place. Stage 1 takes
+mapping.planned_ratio, or i.i.d. assignment where it is None; every later
+stage takes the `options` of its memoised interim decision (_decide), which
+reads planned_ratio first and mapping.allocation_options only for a mapped
+stage the data decide. Blocks, single trials and interim all read them from
+there; the simulated coin is a row's `coin` draw, interim's a draw from the
+caller's generator.
 """
 
 from __future__ import annotations
@@ -54,8 +62,7 @@ from .mapping import (
     active_shares,
     allocation_options,
     decide_category,
-    resolve_allocation,
-    stage_ratio,
+    planned_ratio,
 )
 from .outcomes import (
     CALIBRATED_SIGMA,
@@ -79,11 +86,9 @@ __all__ = [
     "TrialTrajectory",
     "run_trial",
     "interim_decision",
-    "posterior_snapshot",
     "OCReport",
     "replicate",
     "replicate_pooled",
-    "allocation_law",
     "InterimResult",
     "interim_recommendation",
     "read_accrued",
@@ -120,7 +125,12 @@ class MissingPolicy:
 
 @dataclass(frozen=True)
 class InterimRecord:
-    """Everything decided at one interim, before `upcoming_stage` opens."""
+    """Everything decided at one interim, before `upcoming_stage` opens.
+
+    `options` are the ratios the stage may take: one, two in the order of
+    the fair coin that picks between them, or none for i.i.d. assignment at
+    `pi`. `ratio` is the one the stage takes, None for i.i.d. assignment.
+    """
 
     upcoming_stage: int
     posteriors: tuple[BetaPosterior, ...]
@@ -128,6 +138,7 @@ class InterimRecord:
     categories: tuple[AdaptationCategory, ...] | None
     applied_categories: tuple[AdaptationCategory, ...] | None
     overrides: tuple[str, ...]
+    options: tuple[RatioVector, ...]
     ratio: RatioVector | None
     dropped: tuple[int, ...] = ()
 
@@ -214,13 +225,6 @@ def _posteriors(design: TrialDesign, tallies: ArmTallies) -> tuple[BetaPosterior
     )
 
 
-def posterior_snapshot(
-    records: list[PatientRecord] | tuple[PatientRecord, ...], design: TrialDesign
-) -> tuple[BetaPosterior, ...]:
-    """Per-arm endpoint posteriors from all observed (or imputed) outcomes."""
-    return _posteriors(design, _interim_counts(records, design)[0])
-
-
 def _assigned_counts(
     records: list[PatientRecord] | tuple[PatientRecord, ...], k: int
 ) -> tuple[int, ...]:
@@ -296,10 +300,8 @@ def _decide(
 ) -> InterimRecord:
     """The interim decision as a pure function of integer counts.
 
-    Nothing here draws: the mapping resolves stage-2 ratios and the
-    PermutedBlock schedule without the generator, so none is passed. A
-    mapped stage-3 decision comes back with ratio None, because its
-    category pair may need the fair coin; interim_decision draws it.
+    Nothing here draws: a stage-3 category pair that admits two ratios
+    leaves both in `options` and `ratio` None, for the caller's coin.
     """
     posteriors = _posteriors(design, tallies)
     pi = _rule_pi(design, upcoming_stage, posteriors, tuple(n for _, _, n in tallies))
@@ -307,43 +309,32 @@ def _decide(
     plan = design.stages[upcoming_stage - 1]
     overrides: list[str] = []
     categories = applied = None
-    ratio = None
+    options: tuple[RatioVector, ...] = ()
     dropped: tuple[int, ...] = ()
+    planned = planned_ratio(design, upcoming_stage)
 
-    if design.mapping is not None:
-        if design.mapping.variant == "PermutedBlock":
-            ratio, _ = stage_ratio(design, upcoming_stage, pi, None)
-        elif upcoming_stage == 2:
-            x1, x2 = active_shares(pi)
-            categories = (
-                decide_category(x1, 2, design.mapping),
-                decide_category(x2, 2, design.mapping),
-            )
-            applied = categories
-            if policy.no_adapt_on_stage1_missing and stage1_missing:
-                ratio = BALANCED[2]
-                overrides.append(
-                    "stage-1 outcomes missing: stage-2 block held balanced"
-                )
-            else:
-                ratio, _ = stage_ratio(
-                    design, 2, pi, None, category_override=categories
-                )
+    if planned is not None:
+        options = (planned,)
+    elif design.mapping is not None:
+        x1, x2 = active_shares(pi)
+        categories = applied = (
+            decide_category(x1, upcoming_stage, design.mapping),
+            decide_category(x2, upcoming_stage, design.mapping),
+        )
+        held = policy.no_adapt_on_stage1_missing and stage1_missing
+        if upcoming_stage == 2 and held:
+            options = (BALANCED[2],)
+            overrides.append("stage-1 outcomes missing: stage-2 block held balanced")
         else:
-            x1, x2 = active_shares(pi)
-            categories = (
-                decide_category(x1, 3, design.mapping),
-                decide_category(x2, 3, design.mapping),
-            )
-            applied = categories
-            if policy.no_drop_on_stage2_missing and stage2_missing:
-                demoted = tuple(_DEMOTED.get(c, c) for c in categories)
-                if demoted != categories:
+            kept = policy.no_drop_on_stage2_missing and stage2_missing
+            if upcoming_stage == 3 and kept:
+                applied = tuple(_DEMOTED.get(c, c) for c in categories)
+                if applied != categories:
                     overrides.append(
                         "stage-2 outcomes missing: Drop/Keep demoted to "
                         "Disfavour/Favour"
                     )
-                applied = demoted
+            options = allocation_options(applied, upcoming_stage)
     else:
         if (
             upcoming_stage == 2
@@ -376,7 +367,8 @@ def _decide(
         categories=categories,
         applied_categories=applied,
         overrides=tuple(overrides),
-        ratio=ratio,
+        options=options,
+        ratio=options[0] if len(options) == 1 else None,
         dropped=dropped,
     )
 
@@ -396,15 +388,13 @@ def interim_decision(
     when the policy asks for it) reduces them to per-arm successes, failures
     and assigned counts plus the stage-1 and stage-2 missingness flags; the
     decision is memoised on those counts. The only randomness consumed is the
-    fair coin a two-option stage-3 category needs, drawn from `rng` at every
-    call, memo hit or not, so the caller's stream advances exactly as if
-    nothing were memoised.
+    fair coin between two options, drawn from `rng` at every call, memo hit
+    or not, so the caller's stream advances exactly as if nothing were
+    memoised.
     """
     decision = _counted_decision(design, records, upcoming_stage, policy)
-    if decision.ratio is None and decision.applied_categories is not None:
-        # mapped stage 3: a single Disfavour or Favour admits two ratios
-        ratio = resolve_allocation(decision.applied_categories, 3, rng)
-        decision = replace(decision, ratio=ratio)
+    if len(decision.options) > 1:
+        decision = replace(decision, ratio=decision.options[rng.integers(2)])
     return decision
 
 
@@ -521,23 +511,25 @@ def _conduct_trial(
     for plan, cols in zip(design.stages, _stage_columns(design)):
         t = plan.stage_index
         if t == 1:
-            choices, probs = _first_stage_option(design)
+            planned = planned_ratio(design, 1)
+            options = () if planned is None else (planned,)
+            pi = fixed_equal(k)
         else:
             interim = _counted_decision(design, accrued, t, policy)
-            choices, probs = _stage_option(interim)
+            options, pi = interim.options, interim.pi
 
         block = ratio = None
         keys = draws.key[cols]
-        if choices is not None:
+        if options:
             # the coin picks one of two stage-3 ratios, in the options' order
-            ratio = choices[int(draws.coin[t - 1] >= 0.5) if len(choices) > 1 else 0]
+            ratio = options[int(draws.coin[t - 1] >= 0.5) if len(options) > 1 else 0]
             order = np.argsort(keys, kind="stable")
             assigned = np.repeat(np.arange(k), ratio.counts)[order]
             block = RandomisationBlock(
                 t, tuple(design.arms[i] for i in assigned), seed_tag
             )
         else:
-            cum = np.cumsum(probs)
+            cum = np.cumsum(pi.probs)
             assigned = np.searchsorted(cum[:-1], keys * cum[-1], side="right")
         if t > 1:
             interims.append(replace(interim, ratio=ratio))
@@ -716,28 +708,6 @@ def _block_decisions(design, policy, stage, arm, y, observed, stage_of):
     return decisions, which.reshape(-1)
 
 
-def _stage_option(decision: InterimRecord):
-    """The ratios a decision leaves to its stage, with the stage-3 coin's
-    two choices in the coin's order, or None and pi for i.i.d. assignment."""
-    if decision.ratio is not None:
-        return (decision.ratio,), None
-    if decision.applied_categories is not None:
-        return allocation_options(decision.applied_categories, 3), None
-    return None, np.asarray(decision.pi.probs)
-
-
-def _first_stage_option(design: TrialDesign):
-    """Stage 1's ratio, or None and pi for i.i.d. assignment; it draws
-    nothing, as no decision precedes it."""
-    pi = fixed_equal(design.k)
-    if design.mapping is not None:
-        return (stage_ratio(design, 1, pi, None)[0],), None
-    if design.stage1_balanced_block:
-        size = design.stages[0].size
-        return (RatioVector((size // design.k,) * design.k),), None
-    return None, np.asarray(pi.probs)
-
-
 def _final_tests(design: TrialDesign, onehot, y, observed):
     """stratum_decision's tests for every row: p-values, rejections and
     skips, one column per active arm."""
@@ -793,7 +763,9 @@ def _conduct_block(
     for plan, cols in zip(design.stages, _stage_columns(design)):
         t = plan.stage_index
         if t == 1:
-            options = [_first_stage_option(design)]
+            planned = planned_ratio(design, 1)
+            options = [() if planned is None else (planned,)]
+            pis = [fixed_equal(k).probs]
             row_option = np.zeros(n_rows, dtype=np.intp)
         else:
             view_y, view_observed, _ = _analysis_view(
@@ -804,23 +776,24 @@ def _conduct_block(
             )
             decisions.append(stage_decisions)
             which.append(row_option)
-            options = [_stage_option(d) for d in stage_decisions]
+            options = [d.options for d in stage_decisions]
+            pis = [d.pi.probs for d in stage_decisions]
         keys = draws.key[:, cols]
-        if options[0][0] is not None:
-            # each option's first and last ratio: the coin's two choices, or
-            # one ratio twice
-            table = np.array([[c[0].counts, c[-1].counts] for c, _ in options])
+        if options[0]:
+            # each decision's first and last option: the coin's two choices,
+            # or one ratio twice
+            table = np.array([[c[0].counts, c[-1].counts] for c in options])
             heads = (draws.coin[:, t - 1] >= 0.5).astype(np.intp)
-            stage_ratios = table[row_option, heads]
+            row_ratios = table[row_option, heads]
             # position j of a ratio's sorted arm list holds the arm whose
             # cumulative count first exceeds j
             order = np.argsort(keys, axis=1, kind="stable")
-            cum = np.cumsum(stage_ratios, axis=1)
+            cum = np.cumsum(row_ratios, axis=1)
             stage_arm = (order[:, :, None] >= cum[:, None, :]).sum(axis=2)
         else:
-            stage_ratios = None
+            row_ratios = None
             # the arm whose cumulative pi first exceeds the key times the total
-            cum = np.cumsum(np.array([p for _, p in options])[row_option], axis=1)
+            cum = np.cumsum(np.array(pis)[row_option], axis=1)
             scaled = (keys * cum[:, -1:])[:, :, None]
             stage_arm = (cum[:, None, :-1] <= scaled).sum(axis=2)
         stage_missing = np.zeros((n_rows, plan.size), dtype=bool)
@@ -833,7 +806,7 @@ def _conduct_block(
         y = np.hstack([y, outcomes_from_raw(model, stage_arm, draws.raw[:, cols])])
         missing = np.hstack([missing, stage_missing])
         stage_of = np.concatenate([stage_of, np.full(plan.size, t)])
-        ratios.append(stage_ratios)
+        ratios.append(row_ratios)
 
     y, observed, failures = _analysis_view(design, policy, arm, y, missing, stage_of)
     onehot = _onehot(arm, k)
@@ -1286,16 +1259,6 @@ def replicate_pooled(
     )
 
 
-def allocation_law(
-    pi: ProbVector, n: int, reps: int, seed: int = 0
-) -> np.ndarray:
-    """reps x K matrix of i.i.d. allocation counts for n patients at fixed pi."""
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    return rng.multinomial(n, np.asarray(pi.probs), size=reps)
-
-
 # ---------------------------------------------------------------------------
 # Interim recommendation on accrued data
 
@@ -1310,12 +1273,9 @@ def read_accrued(
     delta_y is a float or the literal NA for a missing outcome. Malformed
     content raises ValueError naming the offending line. Given
     `upcoming_stage`, so does data the interim before that stage must not
-    decide on: a row of that stage or a later one (naming the row); and,
-    naming the stage's first line, a stage before it whose patient count is
-    not the design's planned size, a stage-1 arm split other than a fixed
-    stage-1 block's ratio, or a mapped stage with other than the design's
-    fixed control count. A stage with no rows at all is left to
-    interim_recommendation.
+    decide on: a row of that stage or a later one (naming the row); a stage
+    before it with no rows (naming the file); and, naming the stage's first
+    line, a stage before it whose arm split _split_problem refuses.
     """
     path = Path(path)
     by_label = {a.label: a for a in design.arms}
@@ -1379,35 +1339,43 @@ def read_accrued(
     if not records:
         raise ValueError(f"{path}: no patient rows")
     if upcoming_stage is not None:
-        _check_accrued_stages(path, design, records, first_line, upcoming_stage)
+        before = range(1, min(upcoming_stage, design.n_stages + 1))
+        absent = [t for t in before if t not in first_line]
+        if absent:
+            raise ValueError(
+                f"{path}: accrued data has no patients in stage(s) "
+                f"{', '.join(map(str, absent))}"
+            )
+        for t in before:
+            counts = _assigned_counts([r for r in records if r.stage == t], design.k)
+            problem = _split_problem(design, t, counts)
+            if problem is not None:
+                raise ValueError(f"{path}:{first_line[t]}: stage {t} {problem}")
     records.sort(key=lambda r: r.patient_id)
     return records
 
 
-def _check_accrued_stages(path, design, records, first_line, upcoming_stage):
-    """read_accrued's checks of each stage before `upcoming_stage`."""
-    first_block = _first_stage_option(design)[0]
-    for plan in design.stages[: upcoming_stage - 1]:
-        t = plan.stage_index
-        counts = _assigned_counts([r for r in records if r.stage == t], design.k)
-        if not sum(counts):
-            continue
-        where = f"{path}:{first_line[t]}: stage {t}"
-        if sum(counts) != plan.size:
-            raise ValueError(
-                f"{where} has {sum(counts)} patients, the design plans {plan.size}"
-            )
-        if t == 1 and first_block is not None and counts != first_block[0].counts:
-            raise ValueError(
-                f"{where} splits the arms {':'.join(map(str, counts))}, the "
-                f"design's stage-1 block is {first_block[0].label()}"
-            )
-        control = counts[design.control_index()]
-        if design.mapping is not None and control != design.mapping.control_fix:
-            raise ValueError(
-                f"{where} has {control} control patients, the design fixes "
-                f"{design.mapping.control_fix}"
-            )
+def _split_problem(design: TrialDesign, stage: int, counts) -> str | None:
+    """Why a stage's per-arm patient counts do not fit the design, or None:
+    a total other than the stage's planned size, a split other than the
+    stage's planned_ratio, or for mapped designs a control count other than
+    the fixed one. read_accrued and genlist check with it alike."""
+    planned = planned_ratio(design, stage)
+    size = design.stages[stage - 1].size
+    if sum(counts) != size:
+        return f"has {sum(counts)} patients, the design plans {size}"
+    if planned is not None and counts != planned.counts:
+        return (
+            f"splits the arms {':'.join(map(str, counts))}, the design's "
+            f"stage-{stage} block is {planned.label()}"
+        )
+    control = counts[design.control_index()]
+    if design.mapping is not None and control != design.mapping.control_fix:
+        return (
+            f"has {control} control patients, the design fixes "
+            f"{design.mapping.control_fix}"
+        )
+    return None
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Each active arm's probability share is placed into an adaptation category
 (Drop / Disfavour / Balance / Favour / Keep) by half-open threshold intervals,
-and the category pair picks a ratio from the fixed per-stage menu. Stage 1 is
-always the balanced 2:2:2 block and the control count is fixed at 2 in every
-mapped stage.
+and the category pair picks a ratio from the fixed per-stage menu
+(allocation_options). Stage 1 is always the balanced 2:2:2 block and the
+control count is fixed at 2 in every mapped stage; planned_ratio gives the
+ratios a design fixes before any data.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import MappingConfig, ThresholdSet, TrialDesign
 from .rules import ProbVector
@@ -25,8 +24,7 @@ __all__ = [
     "STAGE3_MENU",
     "decide_category",
     "allocation_options",
-    "resolve_allocation",
-    "stage_ratio",
+    "planned_ratio",
     "active_shares",
 ]
 
@@ -161,8 +159,8 @@ def allocation_options(
     categories: tuple[AdaptationCategory, AdaptationCategory], stage: int
 ) -> tuple[RatioVector, ...]:
     """The ratios the two active arms' categories admit at a mapped stage:
-    one, or for a stage-3 single Disfavour or single Favour the two that
-    resolve_allocation's fair coin picks between, in the coin's order."""
+    one, or for a stage-3 single Disfavour or single Favour the two that a
+    fair coin picks between, in the coin's order."""
     if len(categories) != 2:
         raise ValueError("exactly two active arms are supported")
     if stage == 2:
@@ -170,23 +168,6 @@ def allocation_options(
     if stage == 3:
         return _stage3_options(categories)
     raise ValueError(f"mapped stages are 2 and 3, got {stage}")
-
-
-def resolve_allocation(
-    categories: tuple[AdaptationCategory, AdaptationCategory],
-    stage: int,
-    rng: np.random.Generator,
-) -> RatioVector:
-    """Ratio for the two active arms' categories at a mapped stage.
-
-    Output is ordered C:T1:T2 with the control fixed at 2. When a category
-    admits two ratios (stage-3 single Disfavour or single Favour) one is drawn
-    from the caller's stream with equal probability.
-    """
-    options = allocation_options(categories, stage)
-    if len(options) == 1:
-        return options[0]
-    return options[rng.integers(2)]
 
 
 def active_shares(pi: ProbVector) -> tuple[float, float]:
@@ -203,33 +184,15 @@ def active_shares(pi: ProbVector) -> tuple[float, float]:
     return (a1 / total, a2 / total)
 
 
-def stage_ratio(
-    design: TrialDesign,
-    stage: int,
-    pi: ProbVector,
-    rng: np.random.Generator,
-    category_override=None,
-) -> tuple[RatioVector, tuple[AdaptationCategory, ...] | None]:
-    """Stage ratio plus the categories that produced it (None for stage 1 / PB).
-
-    Stage 1 always returns 2:2:2; the PermutedBlock variant returns its fixed
-    2:2:2 / 2:2:2 / 2:3:3 schedule unconditionally. `category_override` lets a
-    caller substitute post-policy categories (same arity as the actives).
-    """
-    if design.mapping is None:
-        raise ValueError("design has no mapping config")
+def planned_ratio(design: TrialDesign, stage: int) -> RatioVector | None:
+    """The ratio a stage runs whatever the data: the balanced first block of
+    mapped designs and of designs with stage1_balanced_block, and every stage
+    of the PermutedBlock schedule (2:2:2, 2:2:2, 2:3:3). None where the
+    interim's data (allocation_options) or i.i.d. assignment decide it."""
     if not 1 <= stage <= design.n_stages:
         raise ValueError(f"stage {stage} outside 1..{design.n_stages}")
-    if stage == 1:
-        return BALANCED[2], None
-    if design.mapping.variant == "PermutedBlock":
-        return BALANCED[stage], None
-    if category_override is not None:
-        cats = tuple(category_override)
-    else:
-        x1, x2 = active_shares(pi)
-        cats = (
-            decide_category(x1, stage, design.mapping),
-            decide_category(x2, stage, design.mapping),
-        )
-    return resolve_allocation(cats, stage, rng), cats
+    if stage == 1 and (design.mapping is not None or design.stage1_balanced_block):
+        return RatioVector((design.stages[0].size // design.k,) * design.k)
+    if design.mapping is not None and design.mapping.variant == "PermutedBlock":
+        return BALANCED[stage]
+    return None

@@ -30,8 +30,6 @@ __all__ = [
     "draw_outcome",
     "outcomes_from_raw",
     "dichotomise",
-    "apply_missingness",
-    "mark_missing",
     "impute_stage2_mean",
     "load_pilot",
 ]
@@ -191,34 +189,6 @@ def dichotomise(delta_y: float, delta: float) -> bool:
     if not (math.isfinite(delta_y) and math.isfinite(delta)):
         raise ValueError(f"non-finite inputs: {delta_y}, {delta}")
     return delta_y >= delta
-
-
-def mark_missing(
-    records: list[PatientRecord], count: int, rng: np.random.Generator
-) -> list[PatientRecord]:
-    """Mark `count` uniformly chosen records as missing (all-or-nothing)."""
-    if count == 0:
-        return list(records)
-    if count > len(records):
-        raise ValueError(f"cannot drop {count} of {len(records)} records")
-    chosen = set(rng.choice(len(records), size=count, replace=False).tolist())
-    return [
-        replace(r, delta_y=None, imputed=False) if i in chosen else r
-        for i, r in enumerate(records)
-    ]
-
-
-def apply_missingness(
-    records: list[PatientRecord], case: MissingCase, rng: np.random.Generator
-) -> list[PatientRecord]:
-    """Apply the case's per-stage missing counts; assignments untouched."""
-    out: list[PatientRecord] = []
-    stages = sorted({r.stage for r in records})
-    by_stage = {t: [r for r in records if r.stage == t] for t in stages}
-    for t in stages:
-        out.extend(mark_missing(by_stage[t], case.count_for_stage(t), rng))
-    out.sort(key=lambda r: r.patient_id)
-    return out
 
 
 def impute_stage2_mean(records: list[PatientRecord]) -> list[PatientRecord]:

@@ -26,7 +26,6 @@ from radapt.analysis import wilcoxon_one_sided
 from radapt.core import MappingConfig, ThresholdSet
 from radapt.engine import (
     MissingPolicy,
-    allocation_law,
     replicate,
     replicate_pooled,
     write_adaptability_csv,
@@ -36,12 +35,11 @@ from radapt.mapping import (
     STAGE2_MENU,
     STAGE3_MENU,
     AdaptationCategory,
+    allocation_options,
     decide_category,
-    resolve_allocation,
 )
 from radapt.outcomes import SCENARIOS, MissingCase, OutcomeModel, draw_outcome
 from radapt.posterior import BetaPosterior, MonteCarlo, prob_greater
-from radapt.rules import ProbVector
 
 MASTER = 20240817
 REPS = 10_000
@@ -73,7 +71,8 @@ def _two_run_se(p1, p2, n):
 def test_criterion_01_iid_allocation_instability():
     """n=20 i.i.d. draws at pi=(0.5,0.4,0.1) leave arm totals badly dispersed."""
     t0 = time.perf_counter()
-    law = allocation_law(ProbVector((0.5, 0.4, 0.1)), 20, REPS, seed=MASTER)
+    rng = np.random.default_rng(np.random.SeedSequence([MASTER]))
+    law = rng.multinomial(20, (0.5, 0.4, 0.1), size=REPS)
     p_arm2_empty = float(np.mean(law[:, 2] == 0))
     p_arm0_low = float(np.mean(law[:, 0] <= 8))  # share <= 0.4 of 20
     p_arm1_low = float(np.mean(law[:, 1] <= 6))  # share <= 0.3 of 20
@@ -169,6 +168,11 @@ def test_criterion_02_exact_posterior_probability_vs_monte_carlo():
     )
 
 
+def _coin_pick(options, rng):
+    # one option, or the fair coin interim draws between two
+    return options[rng.integers(2)] if len(options) == 2 else options[0]
+
+
 def test_criterion_03_mapping_structure_on_dense_grid():
     alpha_cfg = MappingConfig(
         variant="MappedAlpha", thresholds=ThresholdSet.alpha_defaults()
@@ -201,7 +205,7 @@ def test_criterion_03_mapping_structure_on_dense_grid():
             pair_a = (cat_a, decide_category(other, stage, alpha_cfg))
             pair_b = (cat_b, decide_category(other, stage, beta_cfg))
             for pair in (pair_a, pair_b):
-                ratio = resolve_allocation(pair, stage, rng)
+                ratio = _coin_pick(allocation_options(pair, stage), rng)
                 if tuple(ratio) not in menu or ratio[0] != 2:
                     menu_bad += 1
 
@@ -214,7 +218,7 @@ def test_criterion_03_mapping_structure_on_dense_grid():
                 np.random.SeedSequence([MASTER, 3, a_i * len(cats) + b_i])
             )
             counts = Counter(
-                tuple(resolve_allocation((cat_a, cat_b), 3, crng))
+                tuple(_coin_pick(allocation_options((cat_a, cat_b), 3), crng))
                 for _ in range(REPS)
             )
             assert all(r in STAGE3_MENU for r in counts)

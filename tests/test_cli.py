@@ -395,6 +395,38 @@ class TestInterim:
         assert code == 2
         assert "stage" in capsys.readouterr().err
 
+    def test_absent_earlier_stage_names_the_file(self, tmp_path, capsys):
+        stage2 = "".join(
+            f"{7 + i},2,{arm},0.3\n"
+            for i, arm in enumerate(["C", "C", "T1", "T1", "T2", "T2"])
+        )
+        data = self._data(tmp_path, stage2)
+        code = main([
+            "interim", "--design", "mapped_alpha", "--data", str(data),
+            "--next-stage", "3",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: accrued data has no patients in stage(s) 1\n"
+        )
+
+    def test_permuted_block_stage2_split_refused(self, tmp_path, capsys):
+        # every permuted_block stage is planned, stage 2 as 2:2:2
+        stage2 = (
+            "7,2,C,0.2\n8,2,C,0.3\n9,2,T1,0.1\n"
+            "10,2,T2,0.3\n11,2,T2,0.1\n12,2,T2,0.4\n"
+        )
+        data = self._data(tmp_path, STAGE1_ROWS + stage2)
+        code = main([
+            "interim", "--design", "permuted_block", "--data", str(data),
+            "--next-stage", "3",
+        ])
+        assert code == 2
+        assert (
+            f"{data}:8: stage 2 splits the arms 2:1:3, the design's stage-2 "
+            "block is 2:2:2"
+        ) in capsys.readouterr().err
+
 
 class TestGenlist:
     def test_predetermined_block_for_mapped_design(self, tmp_path, capsys):
@@ -450,6 +482,49 @@ class TestGenlist:
         ])
         assert code == 2
         assert "3 entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (
+                ["--ratio", "1:1:1"],
+                "--ratio 1:1:1: stage 1 has 3 patients, the design plans 6",
+            ),
+            (
+                ["--ratio", "2:3:1", "--stage", "3"],
+                "--ratio 2:3:1: stage 3 has 6 patients, the design plans 8",
+            ),
+            (
+                ["--ratio", "3:3:0", "--stage", "2"],
+                "--ratio 3:3:0: stage 2 has 3 control patients, the design fixes 2",
+            ),
+            (
+                ["--ratio", "1:3:2"],
+                "--ratio 1:3:2: stage 1 splits the arms 1:3:2, the design's "
+                "stage-1 block is 2:2:2",
+            ),
+        ],
+    )
+    def test_ratio_interim_would_refuse(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["genlist", "--design", "mapped_alpha", *flags, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--design", "permuted_block", "--seed", "11"],
+            [
+                "--design", "mapped_alpha", "--ratio", "2:1:3", "--ratio", "2:2:4",
+                "--stage", "2",
+            ],
+        ],
+        ids=["permuted_block", "mapped_alpha_tail"],
+    )
+    def test_readme_examples(self, flags, tmp_path):
+        assert main(["genlist", *flags, "--out", str(tmp_path / "list.csv")]) == 0
 
 
 class TestReport:

@@ -19,7 +19,6 @@ from radapt.core import RuleConfig, StagePlan, TrialDesign, default_arms
 from radapt.engine import (
     InterimRecord,
     MissingPolicy,
-    allocation_law,
     interim_decision,
     interim_recommendation,
     read_accrued,
@@ -33,8 +32,9 @@ from radapt.mapping import (
     BALANCED,
     AdaptationCategory,
     active_shares,
+    allocation_options,
     decide_category,
-    stage_ratio,
+    planned_ratio,
 )
 from radapt.outcomes import (
     SCENARIOS,
@@ -175,16 +175,16 @@ def _reference_interim(design, records, stage, policy, rng):
     keep_arms = policy.no_drop_on_stage2_missing and any(
         r.stage == 2 and r.missing for r in records
     )
-    overrides, categories, applied, ratio, dropped = [], None, None, None, ()
-    if design.mapping is not None and design.mapping.variant == "PermutedBlock":
-        ratio, _ = stage_ratio(design, stage, pi, rng)
+    overrides, categories, applied, options, dropped = [], None, None, (), ()
+    if planned_ratio(design, stage) is not None:
+        options = (planned_ratio(design, stage),)
     elif design.mapping is not None:
         categories = tuple(
             decide_category(x, stage, design.mapping) for x in active_shares(pi)
         )
         applied = categories
         if stage == 2 and hold:
-            ratio = BALANCED[2]
+            options = (BALANCED[2],)
             overrides.append("stage-1 outcomes missing: stage-2 block held balanced")
         else:
             if stage == 3 and keep_arms:
@@ -195,7 +195,7 @@ def _reference_interim(design, records, stage, policy, rng):
                         "stage-2 outcomes missing: Drop/Keep demoted to "
                         "Disfavour/Favour"
                     )
-            ratio, _ = stage_ratio(design, stage, pi, rng, category_override=applied)
+            options = allocation_options(applied, stage)
     else:
         if stage == 2 and hold:
             pi = fixed_equal(design.k)
@@ -222,10 +222,14 @@ def _reference_interim(design, records, stage, policy, rng):
                     dropped = drops
                     labels = ", ".join(design.arms[i].label for i in drops)
                     overrides.append(f"active share below tau, dropped: {labels}")
+    ratio = None
+    if options:
+        # one option, or a fair coin on the caller's stream between two
+        ratio = options[rng.integers(2)] if len(options) == 2 else options[0]
     return InterimRecord(
         upcoming_stage=stage, posteriors=posteriors, pi=pi, categories=categories,
-        applied_categories=applied, overrides=tuple(overrides), ratio=ratio,
-        dropped=dropped,
+        applied_categories=applied, overrides=tuple(overrides), options=options,
+        ratio=ratio, dropped=dropped,
     )
 
 
@@ -698,27 +702,28 @@ class TestReplicate:
         )
 
 
+def _allocation_law(pi, n, reps, seed=0):
+    # reps x K i.i.d. allocation counts of n patients at fixed pi, drawn as
+    # acceptance criterion 1 draws them
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    return rng.multinomial(n, np.asarray(pi.probs), size=reps)
+
+
 class TestAllocationLaw:
     def test_shape_and_row_sums(self):
-        from radapt import ProbVector
-
-        law = allocation_law(ProbVector((0.5, 0.4, 0.1)), n=20, reps=100, seed=3)
+        law = _allocation_law(ProbVector((0.5, 0.4, 0.1)), n=20, reps=100, seed=3)
         assert law.shape == (100, 3)
         assert (law.sum(axis=1) == 20).all()
 
     def test_seeded_determinism(self):
-        from radapt import ProbVector
-
         pi = ProbVector((0.5, 0.4, 0.1))
-        a = allocation_law(pi, 20, 50, seed=9)
-        b = allocation_law(pi, 20, 50, seed=9)
+        a = _allocation_law(pi, 20, 50, seed=9)
+        b = _allocation_law(pi, 20, 50, seed=9)
         assert (a == b).all()
 
     def test_bad_arguments(self):
-        from radapt import ProbVector
-
         with pytest.raises(ValueError):
-            allocation_law(ProbVector((0.5, 0.5)), 0, 10)
+            _allocation_law(ProbVector((0.5, 0.5)), -1, 10)
 
 
 class TestCalibrateThreshold:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radapt import ProbVector, preset_design
-from radapt.core import MappingConfig, ThresholdSet
+from radapt.core import MappingConfig, ThresholdSet, default_arms
+from radapt.engine import MissingPolicy, interim_decision
 from radapt.mapping import (
     BALANCED,
     STAGE2_MENU,
@@ -12,12 +13,25 @@ from radapt.mapping import (
     AdaptationCategory,
     RatioVector,
     active_shares,
+    allocation_options,
     decide_category,
-    resolve_allocation,
-    stage_ratio,
+    planned_ratio,
 )
+from radapt.outcomes import PatientRecord
+from radapt.presets import PRESET_NAMES
 
 C = AdaptationCategory
+
+ARMS = {arm.label: arm for arm in default_arms()}
+
+
+def _accrued(*rows):
+    # rows: (stage, arm label, delta_y)
+    return [
+        PatientRecord(i + 1, stage, ARMS[label], y)
+        for i, (stage, label, y) in enumerate(rows)
+    ]
+
 
 ALPHA = MappingConfig(variant="MappedAlpha", thresholds=ThresholdSet.alpha_defaults())
 BETA = MappingConfig(variant="MappedBeta", thresholds=ThresholdSet.beta_defaults())
@@ -107,13 +121,13 @@ class TestResolveStage2:
             ((C.DISFAVOUR, C.DISFAVOUR), (2, 2, 2)),
         ],
     )
-    def test_examples(self, cats, expected, rng):
-        assert resolve_allocation(cats, 2, rng).counts == expected
+    def test_examples(self, cats, expected):
+        assert allocation_options(cats, 2) == (RatioVector(expected),)
 
     @pytest.mark.parametrize("cat", [C.DROP, C.KEEP])
-    def test_drop_keep_illegal(self, cat, rng):
+    def test_drop_keep_illegal(self, cat):
         with pytest.raises(ValueError, match="stage 2"):
-            resolve_allocation((cat, C.BALANCE), 2, rng)
+            allocation_options((cat, C.BALANCE), 2)
 
 
 class TestResolveStage3:
@@ -131,48 +145,58 @@ class TestResolveStage3:
             ((C.KEEP, C.KEEP), (2, 3, 3)),
         ],
     )
-    def test_deterministic_cases(self, cats, expected, rng):
-        assert resolve_allocation(cats, 3, rng).counts == expected
+    def test_deterministic_cases(self, cats, expected):
+        assert allocation_options(cats, 3) == (RatioVector(expected),)
 
     @pytest.mark.parametrize(
         "cats,options",
         [
-            ((C.DISFAVOUR, C.KEEP), {(2, 1, 5), (2, 2, 4)}),
-            ((C.KEEP, C.DISFAVOUR), {(2, 5, 1), (2, 4, 2)}),
-            ((C.DISFAVOUR, C.FAVOUR), {(2, 1, 5), (2, 2, 4)}),
-            ((C.FAVOUR, C.KEEP), {(2, 5, 1), (2, 4, 2)}),
-            ((C.KEEP, C.FAVOUR), {(2, 1, 5), (2, 2, 4)}),
-            ((C.FAVOUR, C.BALANCE), {(2, 5, 1), (2, 4, 2)}),
+            ((C.DISFAVOUR, C.KEEP), ((2, 1, 5), (2, 2, 4))),
+            ((C.KEEP, C.DISFAVOUR), ((2, 5, 1), (2, 4, 2))),
+            ((C.DISFAVOUR, C.FAVOUR), ((2, 1, 5), (2, 2, 4))),
+            ((C.FAVOUR, C.KEEP), ((2, 5, 1), (2, 4, 2))),
+            ((C.KEEP, C.FAVOUR), ((2, 1, 5), (2, 2, 4))),
+            ((C.FAVOUR, C.BALANCE), ((2, 5, 1), (2, 4, 2))),
         ],
     )
-    def test_coin_cases_membership(self, cats, options, rng):
-        seen = {resolve_allocation(cats, 3, rng).counts for _ in range(64)}
-        assert seen == options
+    def test_coin_cases_membership(self, cats, options):
+        # both ratios, in the order the coin indexes them
+        assert tuple(r.counts for r in allocation_options(cats, 3)) == options
 
-    def test_coin_is_fair(self, rng):
-        # two-option randomisation must be an unbiased coin
+    def test_coin_is_fair(self, reference_design, rng):
+        # interim's coin between a single Disfavour's two ratios is unbiased
+        records = _accrued(
+            (1, "C", 0.0), (1, "C", 0.0), (1, "T1", 0.0), (1, "T1", 0.0),
+            (1, "T2", 0.5), (1, "T2", 0.5), (2, "C", 0.0), (2, "C", 0.0),
+            (2, "T1", 0.0), (2, "T1", 0.0), (2, "T2", 0.5), (2, "T2", 0.5),
+        )
+        policy = MissingPolicy()
+        decision = interim_decision(reference_design, records, 3, policy, rng)
+        assert decision.applied_categories == (C.DISFAVOUR, C.KEEP)
+        assert len(decision.options) == 2
         n = 10_000
         hits = sum(
-            resolve_allocation((C.DISFAVOUR, C.KEEP), 3, rng).counts == (2, 1, 5)
+            interim_decision(reference_design, records, 3, policy, rng).ratio
+            == decision.options[0]
             for _ in range(n)
         )
         assert abs(hits / n - 0.5) < 0.02
 
-    def test_arity_and_stage_errors(self, rng):
+    def test_arity_and_stage_errors(self):
         with pytest.raises(ValueError):
-            resolve_allocation((C.BALANCE,), 3, rng)
+            allocation_options((C.BALANCE,), 3)
         with pytest.raises(ValueError):
-            resolve_allocation((C.BALANCE, C.BALANCE, C.BALANCE), 3, rng)
+            allocation_options((C.BALANCE, C.BALANCE, C.BALANCE), 3)
         with pytest.raises(ValueError):
-            resolve_allocation((C.BALANCE, C.BALANCE), 4, rng)
+            allocation_options((C.BALANCE, C.BALANCE), 4)
 
 
 class TestTotality:
     @pytest.mark.parametrize("config", [ALPHA, BETA], ids=["alpha", "beta"])
     @pytest.mark.parametrize("stage", [2, 3])
-    def test_dense_grid(self, config, stage, rng):
-        # every share on a 0.001 grid must categorise and resolve to a menu
-        # ratio with the control entry pinned at 2
+    def test_dense_grid(self, config, stage):
+        # every share on a 0.001 grid must categorise and admit only menu
+        # ratios with the control entry pinned at 2
         menu = STAGE2_MENU if stage == 2 else STAGE3_MENU
         total = 6 if stage == 2 else 8
         for x1 in np.arange(0.0, 1.0005, 0.001):
@@ -181,32 +205,24 @@ class TestTotality:
                 decide_category(x1, stage, config),
                 decide_category(1.0 - x1, stage, config),
             )
-            ratio = resolve_allocation(cats, stage, rng)
-            assert ratio.counts in menu
-            assert ratio.counts[0] == 2
-            assert ratio.total == total
+            for ratio in allocation_options(cats, stage):
+                assert ratio.counts in menu
+                assert ratio.counts[0] == 2
+                assert ratio.total == total
 
-    @given(
-        x1=st.floats(0.0, 1.0),
-        stage=st.sampled_from([2, 3]),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(x1=st.floats(0.0, 1.0), stage=st.sampled_from([2, 3]))
     @settings(max_examples=150, deadline=None)
-    def test_mirror_symmetry(self, x1, stage, seed):
-        # swapping the two active shares mirrors the resolved ratio when the
-        # coin flips agree
+    def test_mirror_symmetry(self, x1, stage):
+        # swapping the two active shares mirrors every option, in the same
+        # coin order
         for config in (ALPHA, BETA):
             cats = (
                 decide_category(x1, stage, config),
                 decide_category(1.0 - x1, stage, config),
             )
-            fwd = resolve_allocation(
-                cats, stage, np.random.default_rng(seed)
-            ).counts
-            rev = resolve_allocation(
-                cats[::-1], stage, np.random.default_rng(seed)
-            ).counts
-            assert rev == (fwd[0], fwd[2], fwd[1])
+            fwd = [r.counts for r in allocation_options(cats, stage)]
+            rev = [r.counts for r in allocation_options(cats[::-1], stage)]
+            assert rev == [(c, t2, t1) for c, t1, t2 in fwd]
 
 
 class TestActiveShares:
@@ -219,60 +235,75 @@ class TestActiveShares:
         assert active_shares(ProbVector((1.0, 0.0, 0.0))) == (0.5, 0.5)
 
 
+def _options(design, stage, pi):
+    """The options of a mapped stage whose pi the mapping categorises."""
+    cats = tuple(decide_category(x, stage, design.mapping) for x in active_shares(pi))
+    return cats, allocation_options(cats, stage)
+
+
 class TestStageRatio:
-    def test_stage1_balanced(self, reference_design, rng):
-        ratio, cats = stage_ratio(reference_design, 1, ProbVector((0.1, 0.1, 0.8)), rng)
-        assert ratio.counts == (2, 2, 2)
-        assert cats is None
+    def test_stage1_balanced(self, reference_design):
+        assert planned_ratio(reference_design, 1) == BALANCED[2]
 
     @pytest.mark.parametrize("stage,expected", [(2, (2, 2, 2)), (3, (2, 3, 3))])
-    def test_permuted_block_fixed_schedule(self, stage, expected, rng):
+    def test_permuted_block_fixed_schedule(self, stage, expected):
         design = preset_design("permuted_block")
-        ratio, cats = stage_ratio(design, stage, ProbVector((0.0, 0.0, 1.0)), rng)
-        assert ratio.counts == expected
-        assert cats is None
+        assert planned_ratio(design, stage).counts == expected
 
-    def test_requires_mapping(self, rng):
-        with pytest.raises(ValueError, match="no mapping"):
-            stage_ratio(preset_design("fixed_equal"), 2, ProbVector((0.4, 0.3, 0.3)), rng)
+    def test_requires_mapping(self):
+        # without a mapping stage 2 is i.i.d. at pi: no ratio to plan
+        assert planned_ratio(preset_design("fixed_equal"), 2) is None
 
     @pytest.mark.parametrize("stage", [0, 4])
-    def test_stage_bounds(self, reference_design, stage, rng):
+    def test_stage_bounds(self, reference_design, stage):
         with pytest.raises(ValueError, match="outside"):
-            stage_ratio(reference_design, stage, ProbVector((0.4, 0.3, 0.3)), rng)
+            planned_ratio(reference_design, stage)
 
-    def test_category_override(self, reference_design, rng):
-        ratio, cats = stage_ratio(
-            reference_design,
-            3,
-            ProbVector((0.4, 0.3, 0.3)),
-            rng,
-            category_override=(C.DROP, C.KEEP),
-        )
-        assert ratio.counts == (2, 0, 6)
-        assert cats == (C.DROP, C.KEEP)
+    def test_category_override(self):
+        # the applied categories alone pick the ratio, whatever pi was
+        assert allocation_options((C.DROP, C.KEEP), 3) == (RatioVector((2, 0, 6)),)
 
-    def test_stage2_categorises_active_shares(self, reference_design, rng):
+    def test_stage2_categorises_active_shares(self, reference_design):
         # raw pi (0.2, 0.32, 0.48) renormalises to (0.40, 0.60): second-stage
         # cut 0.45 sends T1 low and T2 high
-        ratio, cats = stage_ratio(reference_design, 2, ProbVector((0.2, 0.32, 0.48)), rng)
+        cats, options = _options(reference_design, 2, ProbVector((0.2, 0.32, 0.48)))
+        assert planned_ratio(reference_design, 2) is None
         assert cats == (C.DISFAVOUR, C.FAVOUR)
-        assert ratio.counts == (2, 1, 3)
+        assert options == (RatioVector((2, 1, 3)),)
 
-    def test_stage3_keep_side_rides_disfavour_coin(self, reference_design, rng):
+    def test_stage3_keep_side_rides_disfavour_coin(self, reference_design):
         # shares (0.40, 0.60) at the last interim: T1 is disfavoured, T2 kept,
         # and the first matching rule randomises the disfavoured arm down
-        seen = set()
-        for _ in range(64):
-            ratio, cats = stage_ratio(
-                reference_design, 3, ProbVector((0.2, 0.32, 0.48)), rng
-            )
-            assert cats == (C.DISFAVOUR, C.KEEP)
-            seen.add(ratio.counts)
-        assert seen == {(2, 1, 5), (2, 2, 4)}
+        cats, options = _options(reference_design, 3, ProbVector((0.2, 0.32, 0.48)))
+        assert cats == (C.DISFAVOUR, C.KEEP)
+        assert [r.counts for r in options] == [(2, 1, 5), (2, 2, 4)]
 
-    def test_stage3_drop(self, reference_design, rng):
+    def test_stage3_drop(self, reference_design):
         # share below tau = 0.1 drops the arm outright
-        ratio, cats = stage_ratio(reference_design, 3, ProbVector((0.2, 0.04, 0.76)), rng)
+        cats, options = _options(reference_design, 3, ProbVector((0.2, 0.04, 0.76)))
         assert cats == (C.DROP, C.KEEP)
-        assert ratio.counts == (2, 0, 6)
+        assert options == (RatioVector((2, 0, 6)),)
+
+
+# The ratio each preset fixes before any data, stages 1-3; None where the
+# interim's data or i.i.d. assignment decide the stage.
+PLANNED = {
+    "fixed_equal": (None, None, None),
+    "unrestricted": (None, None, None),
+    "control_protected": (None, None, None),
+    "baseline": ((2, 2, 2), None, None),
+    "mapped_alpha": ((2, 2, 2), None, None),
+    "mapped_beta": ((2, 2, 2), None, None),
+    "permuted_block": ((2, 2, 2), (2, 2, 2), (2, 3, 3)),
+}
+
+
+def test_planned_ratio_table():
+    assert set(PLANNED) == set(PRESET_NAMES)
+    for name, want in PLANNED.items():
+        design = preset_design(name)
+        got = tuple(
+            None if r is None else r.counts
+            for r in (planned_ratio(design, t) for t in (1, 2, 3))
+        )
+        assert got == want, name

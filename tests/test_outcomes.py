@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from radapt.core import default_arms
+from radapt import preset_design
+from radapt.core import StagePlan, default_arms
+from radapt.engine import _missing_count, run_trial
 from radapt.outcomes import (
     CALIBRATED_SIGMA,
     SCENARIOS,
     MissingCase,
     OutcomeModel,
     PatientRecord,
-    apply_missingness,
     dichotomise,
     draw_outcome,
     impute_stage2_mean,
     load_pilot,
-    mark_missing,
 )
 
 ARMS = default_arms()
@@ -126,39 +126,42 @@ class TestMissingCase:
 
 
 class TestApplyMissingness:
-    def _trial(self):
-        spec = [(1, i % 3, float(i)) for i in range(6)]
-        spec += [(2, i % 3, float(10 + i)) for i in range(6)]
-        spec += [(3, i % 3, float(20 + i)) for i in range(8)]
-        return _records(spec)
+    """A case's missing cells as a conducted trial leaves them, before any
+    imputation; permuted_block's assignments do not depend on the data."""
 
-    def test_case0_identity(self, rng):
-        records = self._trial()
-        assert apply_missingness(records, MissingCase.from_id(0), rng) == records
+    def _cells(self, case_id, seed=0):
+        traj = run_trial(
+            preset_design("permuted_block"), OutcomeModel.parametric((0.0, 0.0, 0.3)),
+            case=MissingCase.from_id(case_id), rng=np.random.default_rng(seed),
+        )
+        return [r for stage in traj.stages for r in stage.records]
 
-    def test_case2_stage1_counts(self, rng):
-        out = apply_missingness(self._trial(), MissingCase.from_id(2), rng)
+    def test_case0_identity(self):
+        assert not any(r.missing for r in self._cells(0))
+
+    def test_case2_stage1_counts(self):
+        out = self._cells(2)
         stage1 = [r for r in out if r.stage == 1]
         assert sum(r.missing for r in stage1) == 2
         assert sum(not r.missing for r in stage1) == 4
         assert not any(r.missing for r in out if r.stage != 1)
 
-    def test_case5_one_per_stage(self, rng):
-        out = apply_missingness(self._trial(), MissingCase.from_id(5), rng)
+    def test_case5_one_per_stage(self):
+        out = self._cells(5)
         assert sum(r.missing for r in out if r.stage == 1) == 1
         assert sum(r.missing for r in out if r.stage == 2) == 1
         assert not any(r.missing for r in out if r.stage == 3)
 
-    def test_assignments_and_order_preserved(self, rng):
-        records = self._trial()
-        out = apply_missingness(records, MissingCase.from_id(5), rng)
+    def test_assignments_and_order_preserved(self):
+        records, out = self._cells(0, seed=7), self._cells(5, seed=7)
         assert [r.patient_id for r in out] == [r.patient_id for r in records]
         assert [r.arm for r in out] == [r.arm for r in records]
+        kept = [(r.delta_y, c.delta_y) for r, c in zip(out, records) if not r.missing]
+        assert all(a == b for a, b in kept)
 
-    def test_count_exceeding_stage_size(self, rng):
-        records = _records([(1, 0, 0.5)])
+    def test_count_exceeding_stage_size(self):
         with pytest.raises(ValueError, match="cannot drop"):
-            mark_missing(records, 2, rng)
+            _missing_count(MissingCase.from_id(2), StagePlan(1, 1))
 
 
 class TestImputeStage2Mean:

@@ -13,7 +13,7 @@ from scipy import stats
 
 from radapt import engine, preset_design
 from radapt.engine import MissingPolicy, replicate
-from radapt.mapping import allocation_options
+from radapt.mapping import planned_ratio
 from radapt.outcomes import MissingCase, OutcomeModel
 from radapt.presets import PRESET_NAMES
 
@@ -74,7 +74,7 @@ class TestDrawLaws:
         first = two = 0
         for b in blocks:
             for r, d in enumerate(b.which[-1].tolist()):
-                options = allocation_options(b.decisions[-1][d].applied_categories, 3)
+                options = b.decisions[-1][d].options
                 if len(options) == 2:
                     two += 1
                     first += tuple(b.ratios[2][r].tolist()) == options[0].counts
@@ -156,7 +156,7 @@ def exact_stage2_law(design, model):
     data, exactly: stage 1 assigns each arm its fixed count n_i, so its
     successes are Bin(n_i, p_i) independently, and every joint outcome maps
     to one stage-2 ratio through the interim decision on those counts."""
-    ((ratio,), _) = engine._first_stage_option(design)
+    ratio = planned_ratio(design, 1)
     p = [_success_probability(model, i, design.delta) for i in range(design.k)]
     adapt, fav, dis = 0.0, [0.0] * design.k, [0.0] * design.k
     for wins in itertools.product(*(range(n + 1) for n in ratio.counts)):
