@@ -3,7 +3,7 @@ whose continuous randomisation probabilities are mapped to restricted
 randomisation blocks with exact allocation ratios.
 """
 
-from .analysis import TestResult, pooled_analysis, stratum_decision, wilcoxon_one_sided
+from .analysis import wilcoxon_one_sided
 from .calibration import (
     CalibrationResult,
     CalibrationRow,
@@ -33,14 +33,10 @@ from .engine import (
     InterimResult,
     MissingPolicy,
     OCReport,
-    StageRecord,
-    TrialTrajectory,
-    interim_decision,
     interim_recommendation,
     read_accrued,
     replicate,
     replicate_pooled,
-    run_trial,
     write_adaptability_csv,
     write_oc_csv,
 )
@@ -60,18 +56,13 @@ from .outcomes import (
     PatientRecord,
     Scenario,
     dichotomise,
-    draw_outcome,
-    impute_stage2_mean,
     load_pilot,
 )
 from .posterior import (
     BetaPosterior,
-    MonteCarlo,
     SuccessCount,
     prob_best,
     prob_greater,
-    prob_max,
-    prob_max_all,
     update,
 )
 from .presets import PRESET_NAMES, preset_design

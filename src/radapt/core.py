@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .analysis import EXACT_CELL_GUARD, table_cells
+
 __all__ = [
     "ArmId",
     "StagePlan",
@@ -257,6 +259,12 @@ def validate_design(design: TrialDesign) -> list[str]:
             f"declared stratum size {design.planned_n} != sum of stage sizes "
             f"{design.n_total}"
         )
+    if table_cells(2 * design.n_total) > EXACT_CELL_GUARD:
+        v.append(
+            f"stratum of {design.n_total} patients: two pooled strata must fit "
+            f"the exact rank-sum table, which takes strata of at most "
+            f"{_largest_stratum()} patients"
+        )
 
     if not 0.0 <= design.tau <= 0.2:
         v.append(f"tau outside [0,0.2]: {design.tau}")
@@ -276,6 +284,13 @@ def validate_design(design: TrialDesign) -> list[str]:
     if design.mapping is not None:
         v.extend(_validate_mapping(design))
     return v
+
+
+def _largest_stratum() -> int:
+    n = 1
+    while table_cells(2 * n + 2) <= EXACT_CELL_GUARD:
+        n += 1
+    return n
 
 
 def _validate_rule(design: TrialDesign) -> list[str]:

@@ -28,16 +28,18 @@ Replicates are conducted in blocks, all rows one stage at a time, over
 a row's uniform keys order its ratio's arm list (or, for i.i.d. assignment,
 fall through pi's cumulative sum), its outcomes come from its normals, the
 smallest of its missingness keys mark the missing cells, and its coin picks
-between two stage-3 ratios. run_trial stays the scalar reference, one trial
-at a time on one row of the same draws.
+between two stage-3 ratios. This is the package's one conduct path: a live
+interim decision on accrued data is taken as a block of one row. The record-
+level trial in tests/reference.py, one trial at a time on one row of the same
+draws, is the tests' oracle for it.
 
 The ratios a stage may take come from one place. Stage 1 takes
 mapping.planned_ratio, or i.i.d. assignment where it is None; every later
 stage takes the `options` of its memoised interim decision (_decide), which
 reads planned_ratio first and mapping.allocation_options only for a mapped
-stage the data decide. Blocks, single trials and interim all read them from
-there; the simulated coin is a row's `coin` draw, interim's a draw from the
-caller's generator.
+stage the data decide. Blocks and interim both read them from there; the
+simulated coin is a row's `coin` draw, interim's a draw from a generator the
+caller seeds.
 """
 
 from __future__ import annotations
@@ -45,16 +47,14 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from . import outcomes
-from .analysis import TestResult, rank_sum_rows, stratum_decision
-from .core import ArmId, TrialDesign, validate_design
+from .analysis import rank_sum_rows
+from .core import TrialDesign, validate_design
 from .mapping import (
     BALANCED,
     AdaptationCategory,
@@ -71,21 +71,14 @@ from .outcomes import (
     OutcomeModel,
     PatientRecord,
     Scenario,
-    dichotomise,
-    impute_stage2_mean,
     outcomes_from_raw,
 )
 from .posterior import BetaPosterior, SuccessCount, update
-from .randlist import RandomisationBlock
 from .rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
 
 __all__ = [
     "MissingPolicy",
     "InterimRecord",
-    "StageRecord",
-    "TrialTrajectory",
-    "run_trial",
-    "interim_decision",
     "OCReport",
     "replicate",
     "replicate_pooled",
@@ -143,76 +136,12 @@ class InterimRecord:
     dropped: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class StageRecord:
-    """One accrual stage as conducted."""
-
-    stage_index: int
-    ratio: RatioVector | None
-    block: RandomisationBlock | None
-    counts: tuple[int, ...]
-    records: tuple[PatientRecord, ...]
-
-
-@dataclass(frozen=True)
-class TrialTrajectory:
-    """A completed one-stratum trial: conduct history plus final readouts.
-
-    `records` is the analysis-ready patient list (missingness applied and,
-    when the policy asks for it, stage-2 outcomes imputed); the per-stage
-    records inside `stages` are kept pre-imputation.
-    """
-
-    design: TrialDesign
-    stages: tuple[StageRecord, ...]
-    interims: tuple[InterimRecord, ...]
-    records: tuple[PatientRecord, ...]
-    results: tuple[TestResult, ...]
-    recommended: ArmId
-    imputation_failures: int = 0
-
-    def allocation_counts(self) -> tuple[int, ...]:
-        total = [0] * self.design.k
-        for stage in self.stages:
-            for i, c in enumerate(stage.counts):
-                total[i] += c
-        return tuple(total)
-
-    def interim_before(self, stage: int) -> InterimRecord:
-        for rec in self.interims:
-            if rec.upcoming_stage == stage:
-                return rec
-        raise KeyError(f"no interim recorded before stage {stage}")
-
-
 # ---------------------------------------------------------------------------
 # Posterior bookkeeping and the continuous rule
 
 # Per-arm (successes, failures, assigned): with the stage-1 and stage-2
-# missingness flags, everything an interim decision reads from the records.
+# missingness flags, everything an interim decision reads from the data.
 ArmTallies = tuple[tuple[int, int, int], ...]
-
-
-def _interim_counts(
-    records: list[PatientRecord] | tuple[PatientRecord, ...], design: TrialDesign
-) -> tuple[ArmTallies, tuple[bool, bool]]:
-    success = [0] * design.k
-    failure = [0] * design.k
-    assigned = [0] * design.k
-    stage1_missing = stage2_missing = False
-    for rec in records:
-        i = rec.arm.index
-        assigned[i] += 1
-        if rec.delta_y is None:
-            if rec.stage == 1:
-                stage1_missing = True
-            elif rec.stage == 2:
-                stage2_missing = True
-        elif dichotomise(rec.delta_y, design.delta):
-            success[i] += 1
-        else:
-            failure[i] += 1
-    return tuple(zip(success, failure, assigned)), (stage1_missing, stage2_missing)
 
 
 def _posteriors(design: TrialDesign, tallies: ArmTallies) -> tuple[BetaPosterior, ...]:
@@ -223,15 +152,6 @@ def _posteriors(design: TrialDesign, tallies: ArmTallies) -> tuple[BetaPosterior
         )
         for i, (s, f, _) in enumerate(tallies)
     )
-
-
-def _assigned_counts(
-    records: list[PatientRecord] | tuple[PatientRecord, ...], k: int
-) -> tuple[int, ...]:
-    counts = [0] * k
-    for rec in records:
-        counts[rec.arm.index] += 1
-    return tuple(counts)
 
 
 def _rule_pi(
@@ -253,19 +173,6 @@ def _rule_pi(
         rule.eta_for_stage(upcoming_stage),
         form=rule.control_exponent_form,
     )
-
-
-def _prepare_analysis_records(
-    records, policy: MissingPolicy
-) -> tuple[list[PatientRecord], int]:
-    """Imputed copy of the records (when asked) plus the unimputable count."""
-    if not policy.impute_stage2:
-        return list(records), 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        imputed = impute_stage2_mean(list(records))
-    failures = sum(1 for r in imputed if r.stage == 2 and r.missing)
-    return imputed, failures
 
 
 # ---------------------------------------------------------------------------
@@ -373,39 +280,6 @@ def _decide(
     )
 
 
-def interim_decision(
-    design: TrialDesign,
-    records,
-    upcoming_stage: int,
-    policy: MissingPolicy,
-    rng: np.random.Generator,
-) -> InterimRecord:
-    """Posterior update, continuous rule, policy overrides, and (for mapped
-    designs) the discrete ratio of the stage about to open.
-
-    `records` is everything accrued so far; assignments count even when the
-    outcome is missing. One pass over the records (after stage-2 imputation
-    when the policy asks for it) reduces them to per-arm successes, failures
-    and assigned counts plus the stage-1 and stage-2 missingness flags; the
-    decision is memoised on those counts. The only randomness consumed is the
-    fair coin between two options, drawn from `rng` at every call, memo hit
-    or not, so the caller's stream advances exactly as if nothing were
-    memoised.
-    """
-    decision = _counted_decision(design, records, upcoming_stage, policy)
-    if len(decision.options) > 1:
-        decision = replace(decision, ratio=decision.options[rng.integers(2)])
-    return decision
-
-
-def _counted_decision(design, records, upcoming_stage, policy) -> InterimRecord:
-    """_decide on the records' counts, with no coin drawn."""
-    if policy.impute_stage2:
-        records, _ = _prepare_analysis_records(records, policy)
-    tallies, missing = _interim_counts(records, design)
-    return _decide(design, policy, upcoming_stage, tallies, missing)
-
-
 # ---------------------------------------------------------------------------
 # Random numbers
 
@@ -454,32 +328,6 @@ def _missing_count(case: MissingCase, plan) -> int:
     return drop
 
 
-# ---------------------------------------------------------------------------
-# One trial
-
-def run_trial(
-    design: TrialDesign,
-    model: OutcomeModel,
-    case: MissingCase | None = None,
-    policy: MissingPolicy = MissingPolicy(),
-    rng: np.random.Generator | None = None,
-    seed_tag: str = "",
-) -> TrialTrajectory:
-    """Conduct one trial of one stratum from first patient to final analysis.
-
-    The trial's random numbers are one row of _draw from `rng`, the same
-    fixed-shape set a replicate takes from its block's generator.
-    """
-    _require_valid(design)
-    _require_arity(design, model)
-    if case is None:
-        case = MissingCase.from_id(0)
-    if rng is None:
-        rng = np.random.default_rng()
-    draws = _draw(rng, design, model, 1)[0]
-    return _conduct_trial(design, model, case, policy, draws, seed_tag)
-
-
 def _require_valid(design: TrialDesign) -> None:
     problems = validate_design(design)
     if problems:
@@ -491,80 +339,6 @@ def _require_arity(design: TrialDesign, model: OutcomeModel) -> None:
         raise ValueError(
             f"model has {len(model.effects)} effects for {design.k} arms"
         )
-
-
-def _conduct_trial(
-    design: TrialDesign,
-    model: OutcomeModel,
-    case: MissingCase,
-    policy: MissingPolicy,
-    draws: _Draws,
-    seed_tag: str = "",
-) -> TrialTrajectory:
-    """run_trial's body on one trial's draws, for callers that checked
-    design and model once."""
-    k = design.k
-    accrued: list[PatientRecord] = []
-    stages: list[StageRecord] = []
-    interims: list[InterimRecord] = []
-
-    for plan, cols in zip(design.stages, _stage_columns(design)):
-        t = plan.stage_index
-        if t == 1:
-            planned = planned_ratio(design, 1)
-            options = () if planned is None else (planned,)
-            pi = fixed_equal(k)
-        else:
-            interim = _counted_decision(design, accrued, t, policy)
-            options, pi = interim.options, interim.pi
-
-        block = ratio = None
-        keys = draws.key[cols]
-        if options:
-            # the coin picks one of two stage-3 ratios, in the options' order
-            ratio = options[int(draws.coin[t - 1] >= 0.5) if len(options) > 1 else 0]
-            order = np.argsort(keys, kind="stable")
-            assigned = np.repeat(np.arange(k), ratio.counts)[order]
-            block = RandomisationBlock(
-                t, tuple(design.arms[i] for i in assigned), seed_tag
-            )
-        else:
-            cum = np.cumsum(pi.probs)
-            assigned = np.searchsorted(cum[:-1], keys * cum[-1], side="right")
-        if t > 1:
-            interims.append(replace(interim, ratio=ratio))
-
-        y = outcomes_from_raw(model, assigned, draws.raw[cols]).tolist()
-        order = np.argsort(draws.miss[cols], kind="stable")
-        gone = set(order[: _missing_count(case, plan)].tolist())
-        stage_records = [
-            PatientRecord(
-                cols.start + j + 1, t, design.arms[a], None if j in gone else y[j]
-            )
-            for j, a in enumerate(assigned.tolist())
-        ]
-        stages.append(
-            StageRecord(
-                stage_index=t,
-                ratio=ratio,
-                block=block,
-                counts=_assigned_counts(stage_records, k),
-                records=tuple(stage_records),
-            )
-        )
-        accrued.extend(stage_records)
-
-    working, failures = _prepare_analysis_records(accrued, policy)
-    results, recommended = stratum_decision(working, design)
-    return TrialTrajectory(
-        design=design,
-        stages=tuple(stages),
-        interims=tuple(interims),
-        records=tuple(working),
-        results=tuple(results),
-        recommended=recommended,
-        imputation_failures=failures,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +393,18 @@ def _arm_counts(design: TrialDesign, onehot, y, observed):
 
 
 def _mean_imputed(arm, y, missing, stage_of, k: int):
-    """impute_stage2_mean on every row at once, as _analysis_view returns it.
+    """Stage-2 mean imputation on every row at once, as _analysis_view
+    returns it: a missing stage-2 cell takes the mean of its donors, as
+    np.mean gives it.
 
     A missing stage-2 cell's donors are the observed cells of its arm in
     earlier columns; cells imputed here are missing in `missing`, so they
-    donate nothing. Prefix sums and counts over the columns give each cell
-    its donors' sum and count. The sums run left to right, which is how
-    np.mean sums fewer than 8 values, so those means match it bit for bit;
-    np.mean sums 8 or more pairwise, so such cells take np.mean of their
-    donors. A cell with no donor stays missing and is a failure.
+    donate nothing. Stage-1 and stage-3 cells are never imputed. Prefix sums
+    and counts over the columns give each cell its donors' sum and count.
+    The sums run left to right, which is how np.mean sums fewer than 8
+    values, so those means match it bit for bit; np.mean sums 8 or more
+    pairwise, so such cells take np.mean of their donors. A cell with no
+    donor stays missing and is a failure.
     """
     target = missing & (stage_of == 2)
     if not target.any():
@@ -651,66 +428,40 @@ def _mean_imputed(arm, y, missing, stage_of, k: int):
 
 
 def _analysis_view(design, policy, arm, y, missing, stage_of):
-    """Cell values and availability after stage-2 imputation, plus each
-    row's count of stage-2 cells imputation left missing.
-
-    While engine.impute_stage2_mean is the mean imputer outcomes defines,
-    _mean_imputed does its work over the whole block. A replacement goes
-    through _prepare_analysis_records one row at a time, so those rows are
-    imputed exactly as a scalar trial is, by whatever the name is bound to.
-    """
-    observed = ~missing
-    failures = np.zeros(len(arm), dtype=np.int64)
+    """Cell values and availability after stage-2 imputation when the policy
+    asks for it, plus each row's count of stage-2 cells left missing."""
     if not policy.impute_stage2:
-        return y, observed, failures
-    if impute_stage2_mean is outcomes.impute_stage2_mean:
-        return _mean_imputed(arm, y, missing, stage_of, design.k)
-    rows = np.flatnonzero(missing[:, stage_of == 2].any(axis=1))
-    if not rows.size:
-        return y, observed, failures
-    y = y.copy()
-    stages = stage_of.tolist()
-    for r in rows.tolist():
-        values, gone = y[r].tolist(), missing[r].tolist()
-        records = [
-            PatientRecord(
-                j + 1, stages[j], design.arms[a], None if gone[j] else values[j]
-            )
-            for j, a in enumerate(arm[r].tolist())
-        ]
-        imputed, failures[r] = _prepare_analysis_records(records, policy)
-        for rec in imputed:
-            j = rec.patient_id - 1
-            observed[r, j] = rec.delta_y is not None
-            if rec.delta_y is not None:
-                y[r, j] = rec.delta_y
-    return y, observed, failures
+        return y, ~missing, np.zeros(len(arm), dtype=np.int64)
+    return _mean_imputed(arm, y, missing, stage_of, design.k)
 
 
 def _block_decisions(design, policy, stage, arm, y, observed, stage_of):
     """Each row's interim decision before `stage`, taken by _decide once per
-    distinct count key; returns the decisions and each row's index into them."""
+    distinct count key in first-seen order; returns the decisions and each
+    row's index into them."""
     k = design.k
     onehot = _onehot(arm, k)
     wins, seen = _arm_counts(design, onehot, y, observed)
     tallies = np.stack([wins, seen - wins, onehot.sum(axis=1)], axis=2)
     flags = [(~observed[:, stage_of == s]).any(axis=1) for s in (1, 2)]
     keys = np.column_stack([tallies.reshape(len(arm), 3 * k), *flags])
-    distinct, which = np.unique(keys, axis=0, return_inverse=True)
+    index: dict[tuple[int, ...], int] = {}
+    which = [index.setdefault(key, len(index)) for key in map(tuple, keys.tolist())]
     decisions = [
         _decide(
             design, policy, stage,
-            tuple(tuple(key[3 * i : 3 * i + 3]) for i in range(k)),
+            tuple(key[3 * i : 3 * i + 3] for i in range(k)),
             (bool(key[-2]), bool(key[-1])),
         )
-        for key in distinct.tolist()
+        for key in index
     ]
-    return decisions, which.reshape(-1)
+    return decisions, np.array(which)
 
 
 def _final_tests(design: TrialDesign, onehot, y, observed):
-    """stratum_decision's tests for every row: p-values, rejections and
-    skips, one column per active arm."""
+    """The final rank-sum tests of every row, each active arm's available
+    values against the control's: p-values, rejections and skips, one column
+    per active arm. A test with an empty sample is skipped with p 1."""
     control = onehot[:, :, design.control_index()] & observed
     actives = design.active_indices()
     p = np.column_stack(
@@ -722,8 +473,9 @@ def _final_tests(design: TrialDesign, onehot, y, observed):
 
 
 def _recommended(design: TrialDesign, onehot, y, observed) -> np.ndarray:
-    """stratum_decision's recommendation for every row: the most patients
-    assigned, then the larger final posterior mean, then the lower index."""
+    """Every row's recommended arm: the active arm with the most patients
+    assigned, then the larger final posterior mean of the adaptation
+    endpoint, then the lower index."""
     assigned = onehot.sum(axis=1)
     wins, seen = _arm_counts(design, onehot, y, observed)
     alpha = np.asarray(design.prior_alpha) + wins
@@ -748,10 +500,11 @@ def _conduct_block(
     policy: MissingPolicy,
     draws: _Draws,
 ) -> _Block:
-    """_conduct_trial for every row of `draws`, all rows a stage at a time.
+    """One trial for every row of `draws`, all rows a stage at a time.
 
-    Row r of the block is _conduct_trial on draws[r]: between the stages'
-    decisions everything is array arithmetic over the rows.
+    Between the stages' decisions everything is array arithmetic over the
+    rows. Row r is the trial tests/reference.py conducts as records on
+    draws[r].
     """
     k, n_rows = design.k, len(draws.coin)
     arm = np.empty((n_rows, 0), dtype=np.int64)
@@ -829,9 +582,10 @@ def _conduct_block(
 
 
 def _pooled_tests(block_a: _Block, block_b: _Block, design: TrialDesign):
-    """pooled_analysis for every row of two strata's blocks, as p-values,
-    rejections and skips: each arm's sample is stratum A's values followed
-    by stratum B's, so an arm one stratum left empty pools the other's."""
+    """The final tests on two strata's pooled samples for every row of their
+    blocks, as p-values, rejections and skips: each arm's sample is stratum
+    A's values followed by stratum B's, so an arm one stratum left empty
+    pools the other's."""
     arm = np.hstack([block_a.arm, block_b.arm])
     y = np.hstack([block_a.y, block_b.y])
     observed = np.hstack([block_a.observed, block_b.observed])
@@ -1347,7 +1101,8 @@ def read_accrued(
                 f"{', '.join(map(str, absent))}"
             )
         for t in before:
-            counts = _assigned_counts([r for r in records if r.stage == t], design.k)
+            arms = [r.arm.index for r in records if r.stage == t]
+            counts = tuple(np.bincount(arms, minlength=design.k).tolist())
             problem = _split_problem(design, t, counts)
             if problem is not None:
                 raise ValueError(f"{path}:{first_line[t]}: stage {t} {problem}")
@@ -1376,6 +1131,30 @@ def _split_problem(design: TrialDesign, stage: int, counts) -> str | None:
             f"{design.mapping.control_fix}"
         )
     return None
+
+
+def _accrued_decision(
+    design: TrialDesign,
+    records: list[PatientRecord],
+    upcoming_stage: int,
+    policy: MissingPolicy,
+    rng: np.random.Generator,
+) -> InterimRecord:
+    """The interim decision on accrued records, taken as a block of one row
+    whose columns are the patients in patient-id order. The coin between two
+    options is drawn from `rng`."""
+    records = sorted(records, key=lambda r: r.patient_id)
+    arm = np.array([[r.arm.index for r in records]])
+    y = np.array([[0.0 if r.missing else r.delta_y for r in records]])
+    missing = np.array([[r.missing for r in records]])
+    stage_of = np.array([r.stage for r in records])
+    view_y, observed, _ = _analysis_view(design, policy, arm, y, missing, stage_of)
+    (decision,), _ = _block_decisions(
+        design, policy, upcoming_stage, arm, view_y, observed, stage_of
+    )
+    if len(decision.options) > 1:
+        decision = replace(decision, ratio=decision.options[rng.integers(2)])
+    return decision
 
 
 @dataclass(frozen=True)
@@ -1414,7 +1193,7 @@ def interim_recommendation(
         )
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    rec = interim_decision(design, records, upcoming_stage, policy, rng)
+    rec = _accrued_decision(design, records, upcoming_stage, policy, rng)
 
     audit = []
     for arm, post in zip(design.arms, rec.posteriors):

@@ -1,18 +1,17 @@
-"""Continuous outcome generation, dichotomisation, missingness, and imputation.
+"""Continuous outcome generation, dichotomisation and missingness.
 
 Outcomes are differences from baseline (delta_y). The parametric model draws
 mu_k + sigma * Z with Z a centered, unit-variance log-normal shape (skewed on
 purpose); the bootstrap model resamples a pilot dataset uniformly and adds the
 arm's location shift. Missingness is applied uniformly at random within a
-stage; mean imputation is available for stage 2 only.
+stage.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +26,8 @@ __all__ = [
     "SCENARIOS",
     "CALIBRATED_SIGMA",
     "DEFAULT_SHAPE",
-    "draw_outcome",
     "outcomes_from_raw",
     "dichotomise",
-    "impute_stage2_mean",
     "load_pilot",
 ]
 
@@ -158,15 +155,6 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
-def draw_outcome(model: OutcomeModel, arm: ArmId, rng: np.random.Generator) -> float:
-    """One delta_y draw for the given arm."""
-    if model.kind == "bootstrap":
-        raw = rng.integers(len(model.pilot), size=1)
-    else:
-        raw = rng.lognormal(0.0, model.shape, 1)
-    return float(outcomes_from_raw(model, np.array([arm.index]), raw)[0])
-
-
 def outcomes_from_raw(
     model: OutcomeModel, arms: np.ndarray, raw: np.ndarray
 ) -> np.ndarray:
@@ -189,40 +177,6 @@ def dichotomise(delta_y: float, delta: float) -> bool:
     if not (math.isfinite(delta_y) and math.isfinite(delta)):
         raise ValueError(f"non-finite inputs: {delta_y}, {delta}")
     return delta_y >= delta
-
-
-def impute_stage2_mean(records: list[PatientRecord]) -> list[PatientRecord]:
-    """Replace stage-2 missing outcomes by their arm's observed mean so far.
-
-    Donors are the observed (never imputed) values in the same arm accrued
-    before the missing record, in patient order; stage-1 missing records are
-    left untouched. A stage-2 record with no donors stays missing and emits a
-    warning.
-    """
-    ordered = sorted(records, key=lambda r: r.patient_id)
-    out: list[PatientRecord] = []
-    for rec in ordered:
-        if rec.stage == 2 and rec.missing:
-            donors = [
-                r.delta_y
-                for r in ordered
-                if r.arm.index == rec.arm.index
-                and r.patient_id < rec.patient_id
-                and r.delta_y is not None
-                and not r.imputed
-            ]
-            if donors:
-                out.append(replace(rec, delta_y=float(np.mean(donors)), imputed=True))
-            else:
-                warnings.warn(
-                    f"no observed values in arm {rec.arm.label} before patient "
-                    f"{rec.patient_id}; record left missing",
-                    stacklevel=2,
-                )
-                out.append(rec)
-        else:
-            out.append(rec)
-    return out
 
 
 def load_pilot(path: str | Path) -> tuple[float, ...]:

@@ -2,9 +2,7 @@
 
 Success counts come from dichotomised outcomes only; the conjugate update and
 the two comparison probabilities here feed the allocation rules. Both are
-computed deterministically; the seeded Monte Carlo estimators are kept as
-independent references for them. Everything is a pure function over immutable
-inputs: Monte Carlo state is caller-provided, never global.
+computed deterministically, as pure functions over immutable inputs.
 """
 
 from __future__ import annotations
@@ -19,12 +17,9 @@ import numpy as np
 __all__ = [
     "BetaPosterior",
     "SuccessCount",
-    "MonteCarlo",
     "update",
     "prob_greater",
     "prob_best",
-    "prob_max",
-    "prob_max_all",
 ]
 
 
@@ -55,21 +50,6 @@ class SuccessCount:
     def __post_init__(self) -> None:
         if self.successes < 0 or self.failures < 0:
             raise ValueError(f"counts must be non-negative, got {self}")
-
-
-@dataclass(frozen=True)
-class MonteCarlo:
-    """Seeded Monte Carlo configuration for the sampling-based estimators."""
-
-    draws: int = 100_000
-    seed: int | np.random.SeedSequence | None = None
-
-    def __post_init__(self) -> None:
-        if self.draws < 1:
-            raise ValueError(f"draws must be >= 1, got {self.draws}")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def update(prior: BetaPosterior, counts: SuccessCount) -> BetaPosterior:
@@ -147,25 +127,13 @@ def _prob_greater_quad(a: BetaPosterior, b: BetaPosterior) -> float:
     return min(1.0, max(0.0, _pg_quad_oriented(a, b)))
 
 
-def prob_greater(
-    a: BetaPosterior,
-    b: BetaPosterior,
-    method: str | MonteCarlo = "exact",
-) -> float:
-    """P(X > Y) for X ~ a and Y ~ b.
+def prob_greater(a: BetaPosterior, b: BetaPosterior) -> float:
+    """P(X > Y) for X ~ a and Y ~ b, evaluated deterministically.
 
-    method="exact" evaluates deterministically: a closed-form finite sum when
-    all four parameters are integers (the only case reachable from integer
-    priors and counts), adaptive quadrature otherwise; absolute error <= 1e-9
-    either way. Passing a MonteCarlo config estimates by seeded sampling.
+    A closed-form finite sum when all four parameters are integers (the only
+    case reachable from integer priors and counts), adaptive quadrature
+    otherwise; absolute error <= 1e-9 either way.
     """
-    if isinstance(method, MonteCarlo):
-        rng = method.rng()
-        x = rng.beta(a.alpha, a.beta, method.draws)
-        y = rng.beta(b.alpha, b.beta, method.draws)
-        return float(np.mean(x > y))
-    if method != "exact":
-        raise ValueError(f"unknown method {method!r}")
     params = (a.alpha, a.beta, b.alpha, b.beta)
     if all(_is_integral(p) for p in params):
         return _prob_greater_int(*(int(p) for p in params))
@@ -264,50 +232,3 @@ def prob_best(
         values = _prob_best_quad(arms)
     by_key = {(a, b): v for (a, b, _), v in zip(arms, values)}
     return tuple(by_key[key] for key in keys)
-
-
-def prob_max_all(
-    posteriors: list[BetaPosterior] | tuple[BetaPosterior, ...],
-    mc: MonteCarlo,
-) -> np.ndarray:
-    """P(each arm has the maximum success probability), jointly estimated.
-
-    The sampling counterpart of `prob_best`, kept as its independent
-    reference. One common sample of shape (draws, K) is drawn; each draw
-    credits exactly one arm, with argmax ties broken uniformly, so the K
-    estimates sum to exactly 1.
-    """
-    k = len(posteriors)
-    if k < 2:
-        raise ValueError("need at least two posteriors")
-    rng = mc.rng()
-    samples = np.column_stack(
-        [rng.beta(p.alpha, p.beta, mc.draws) for p in posteriors]
-    )
-    winners = np.argmax(samples, axis=1)
-    row_max = samples[np.arange(mc.draws), winners]
-    tied = (samples == row_max[:, None]).sum(axis=1) > 1
-    if tied.any():
-        for row in np.nonzero(tied)[0]:
-            options = np.nonzero(samples[row] == row_max[row])[0]
-            winners[row] = options[rng.integers(len(options))]
-    counts = np.bincount(winners, minlength=k)
-    probs = counts / mc.draws
-    # counts sum to draws exactly; fold the per-entry division rounding (at
-    # most a few ulps) into the last entry so the float sum is exactly 1
-    partial = 0.0
-    for i in range(k - 1):
-        partial = partial + float(probs[i])
-    probs[k - 1] = 1.0 - partial
-    return probs
-
-
-def prob_max(
-    posteriors: list[BetaPosterior] | tuple[BetaPosterior, ...],
-    arm: int,
-    mc: MonteCarlo,
-) -> float:
-    """P(arm's success probability is the maximum of all arms)."""
-    if not 0 <= arm < len(posteriors):
-        raise ValueError(f"arm index {arm} out of range for {len(posteriors)} arms")
-    return float(prob_max_all(posteriors, mc)[arm])

@@ -112,7 +112,7 @@ def trippa_brar(
         raise ValueError("rule is defined for exactly 3 arms with arm 0 as control")
 
     control = posteriors[0]
-    beats = [prob_greater(p, control, method="exact") for p in posteriors[1:]]
+    beats = [prob_greater(p, control) for p in posteriors[1:]]
     raw_active = [b**gamma_t for b in beats]
     active_total = math.fsum(raw_active)
     if active_total <= 0:

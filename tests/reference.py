@@ -1,0 +1,474 @@
+"""The record-level reference the tests check radapt against.
+
+radapt conducts trials one way: blocks of trials over arrays, stage by stage
+(engine._conduct_block), and a live interim as a block of one row. This
+module conducts one trial at a time as a list of PatientRecords, on one row
+of the same draws and through the same memoised decision (engine._decide),
+with the record-level imputer and final analysis written out once more. It
+also keeps the seeded Monte Carlo estimators that the exact posterior
+probabilities are checked against.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from radapt import engine
+from radapt.analysis import wilcoxon_one_sided
+from radapt.core import ArmId, TrialDesign
+from radapt.engine import InterimRecord, MissingPolicy
+from radapt.mapping import RatioVector, planned_ratio
+from radapt.outcomes import (
+    MissingCase,
+    OutcomeModel,
+    PatientRecord,
+    dichotomise,
+    outcomes_from_raw,
+)
+from radapt.posterior import BetaPosterior, SuccessCount, update
+from radapt.randlist import RandomisationBlock
+from radapt.rules import fixed_equal
+
+# ---------------------------------------------------------------------------
+# Outcomes and imputation
+
+
+def draw_outcome(model: OutcomeModel, arm: ArmId, rng: np.random.Generator) -> float:
+    """One delta_y draw for the given arm."""
+    if model.kind == "bootstrap":
+        raw = rng.integers(len(model.pilot), size=1)
+    else:
+        raw = rng.lognormal(0.0, model.shape, 1)
+    return float(outcomes_from_raw(model, np.array([arm.index]), raw)[0])
+
+
+def impute_stage2_mean(records: list[PatientRecord]) -> list[PatientRecord]:
+    """Replace stage-2 missing outcomes by their arm's observed mean so far.
+
+    Donors are the observed (never imputed) values in the same arm accrued
+    before the missing record, in patient order; stage-1 missing records are
+    left untouched. A stage-2 record with no donors stays missing and emits a
+    warning.
+    """
+    ordered = sorted(records, key=lambda r: r.patient_id)
+    out: list[PatientRecord] = []
+    for rec in ordered:
+        if rec.stage == 2 and rec.missing:
+            donors = [
+                r.delta_y
+                for r in ordered
+                if r.arm.index == rec.arm.index
+                and r.patient_id < rec.patient_id
+                and r.delta_y is not None
+                and not r.imputed
+            ]
+            if donors:
+                out.append(replace(rec, delta_y=float(np.mean(donors)), imputed=True))
+            else:
+                warnings.warn(
+                    f"no observed values in arm {rec.arm.label} before patient "
+                    f"{rec.patient_id}; record left missing",
+                    stacklevel=2,
+                )
+                out.append(rec)
+        else:
+            out.append(rec)
+    return out
+
+
+def analysis_records(records, policy: MissingPolicy) -> tuple[list[PatientRecord], int]:
+    """Imputed copy of the records (when asked) plus the unimputable count."""
+    if not policy.impute_stage2:
+        return list(records), 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        imputed = impute_stage2_mean(list(records))
+    failures = sum(1 for r in imputed if r.stage == 2 and r.missing)
+    return imputed, failures
+
+
+# ---------------------------------------------------------------------------
+# Final analysis
+
+
+@dataclass(frozen=True)
+class TestResult:
+    """One active-vs-control comparison."""
+
+    treatment: ArmId
+    control: ArmId
+    p_value: float
+    reject: bool
+    n_treat: int
+    n_control: int
+    skipped: bool = False
+
+    def label(self) -> str:
+        return f"{self.treatment.label} vs {self.control.label}"
+
+
+def arm_values(records: list[PatientRecord], arm_index: int) -> list[float]:
+    """Continuous outcomes available for testing: observed plus imputed."""
+    return [
+        r.delta_y
+        for r in records
+        if r.arm.index == arm_index and r.delta_y is not None
+    ]
+
+
+def _final_posterior(
+    records: list[PatientRecord], design: TrialDesign, arm_index: int
+) -> BetaPosterior:
+    values = arm_values(records, arm_index)
+    successes = sum(1 for v in values if dichotomise(v, design.delta))
+    prior = BetaPosterior(design.prior_alpha[arm_index], design.prior_beta[arm_index])
+    return update(prior, SuccessCount(successes, len(values) - successes))
+
+
+def _test_pair(
+    treat_values, control_values, treat_arm, control_arm, alpha_level
+) -> TestResult:
+    if not treat_values or not control_values:
+        return TestResult(
+            treatment=treat_arm,
+            control=control_arm,
+            p_value=1.0,
+            reject=False,
+            n_treat=len(treat_values),
+            n_control=len(control_values),
+            skipped=True,
+        )
+    p = wilcoxon_one_sided(treat_values, control_values)
+    return TestResult(
+        treatment=treat_arm,
+        control=control_arm,
+        p_value=p,
+        reject=p < alpha_level,
+        n_treat=len(treat_values),
+        n_control=len(control_values),
+    )
+
+
+def stratum_decision(
+    records: list[PatientRecord], design: TrialDesign
+) -> tuple[list[TestResult], ArmId]:
+    """Per-arm tests plus the recommended arm for one completed stratum.
+
+    The recommended arm is the active arm with the largest final assigned
+    allocation; ties go to the larger posterior mean of the adaptation
+    endpoint, then to the lower arm index. An arm with no testable data gets
+    a skipped (never rejected) result.
+    """
+    control_idx = design.control_index()
+    control_arm = design.arms[control_idx]
+    control_values = arm_values(records, control_idx)
+
+    assigned = {a.index: 0 for a in design.arms}
+    for rec in records:
+        assigned[rec.arm.index] += 1
+
+    results = []
+    for idx in design.active_indices():
+        results.append(
+            _test_pair(
+                arm_values(records, idx),
+                control_values,
+                design.arms[idx],
+                control_arm,
+                design.alpha_level,
+            )
+        )
+
+    best, best_key = None, None
+    for idx in design.active_indices():
+        key = (assigned[idx], _final_posterior(records, design, idx).mean, -idx)
+        if best_key is None or key > best_key:
+            best, best_key = idx, key
+    return results, design.arms[best]
+
+
+def pooled_analysis(
+    records_a: list[PatientRecord],
+    records_b: list[PatientRecord],
+    design: TrialDesign,
+) -> list[TestResult]:
+    """Tests on the two strata's concatenated per-arm samples.
+
+    Every record's arm must be one of the design's arms. A stratum may leave
+    an arm without patients (i.i.d. assignment can); that arm's pooled
+    sample is then the other stratum's values.
+    """
+    for r in (*records_a, *records_b):
+        if r.arm not in design.arms:
+            raise ValueError(
+                f"patient {r.patient_id}: arm {r.arm.label!r} is not one of "
+                f"the design's arms"
+            )
+
+    control_idx = design.control_index()
+    control_arm = design.arms[control_idx]
+    pooled_control = arm_values(records_a, control_idx) + arm_values(
+        records_b, control_idx
+    )
+    results = []
+    for idx in design.active_indices():
+        pooled_treat = arm_values(records_a, idx) + arm_values(records_b, idx)
+        results.append(
+            _test_pair(
+                pooled_treat,
+                pooled_control,
+                design.arms[idx],
+                control_arm,
+                design.alpha_level,
+            )
+        )
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Interim decisions and one trial
+
+
+def _decision(design, records, upcoming_stage, policy) -> InterimRecord:
+    """engine._decide on the records' counts, with no coin drawn: per arm
+    the successes, failures and assigned patients after stage-2 imputation
+    (when the policy asks for it), and whether any stage-1 and any stage-2
+    outcome is missing."""
+    records, _ = analysis_records(records, policy)
+    tallies = []
+    for i in range(design.k):
+        arm = [r for r in records if r.arm.index == i]
+        values = [r.delta_y for r in arm if not r.missing]
+        wins = sum(dichotomise(v, design.delta) for v in values)
+        tallies.append((wins, len(values) - wins, len(arm)))
+    missing = tuple(any(r.missing for r in records if r.stage == s) for s in (1, 2))
+    return engine._decide(design, policy, upcoming_stage, tuple(tallies), missing)
+
+
+def interim_decision(
+    design: TrialDesign,
+    records,
+    upcoming_stage: int,
+    policy: MissingPolicy,
+    rng: np.random.Generator,
+) -> InterimRecord:
+    """The interim decision on the records, the fair coin between two
+    options drawn from `rng` at every call, memo hit or not."""
+    decision = _decision(design, records, upcoming_stage, policy)
+    if len(decision.options) > 1:
+        decision = replace(decision, ratio=decision.options[rng.integers(2)])
+    return decision
+
+
+@dataclass(frozen=True)
+class StageRecord:
+    """One accrual stage as conducted."""
+
+    stage_index: int
+    ratio: RatioVector | None
+    block: RandomisationBlock | None
+    counts: tuple[int, ...]
+    records: tuple[PatientRecord, ...]
+
+
+@dataclass(frozen=True)
+class TrialTrajectory:
+    """A completed one-stratum trial: conduct history plus final readouts.
+
+    `records` is the analysis-ready patient list (missingness applied and,
+    when the policy asks for it, stage-2 outcomes imputed); the per-stage
+    records inside `stages` are kept pre-imputation.
+    """
+
+    design: TrialDesign
+    stages: tuple[StageRecord, ...]
+    interims: tuple[InterimRecord, ...]
+    records: tuple[PatientRecord, ...]
+    results: tuple[TestResult, ...]
+    recommended: ArmId
+    imputation_failures: int = 0
+
+    def allocation_counts(self) -> tuple[int, ...]:
+        total = [0] * self.design.k
+        for stage in self.stages:
+            for i, c in enumerate(stage.counts):
+                total[i] += c
+        return tuple(total)
+
+    def interim_before(self, stage: int) -> InterimRecord:
+        for rec in self.interims:
+            if rec.upcoming_stage == stage:
+                return rec
+        raise KeyError(f"no interim recorded before stage {stage}")
+
+
+def run_trial(
+    design: TrialDesign,
+    model: OutcomeModel,
+    case: MissingCase | None = None,
+    policy: MissingPolicy = MissingPolicy(),
+    rng: np.random.Generator | None = None,
+    seed_tag: str = "",
+) -> TrialTrajectory:
+    """Conduct one trial of one stratum from first patient to final analysis.
+
+    The trial's random numbers are one row of engine._draw from `rng`, the
+    same fixed-shape set a replicate takes from its block's generator.
+    """
+    engine._require_valid(design)
+    engine._require_arity(design, model)
+    if case is None:
+        case = MissingCase.from_id(0)
+    if rng is None:
+        rng = np.random.default_rng()
+    draws = engine._draw(rng, design, model, 1)[0]
+    return _conduct_trial(design, model, case, policy, draws, seed_tag)
+
+
+def _conduct_trial(
+    design: TrialDesign,
+    model: OutcomeModel,
+    case: MissingCase,
+    policy: MissingPolicy,
+    draws,
+    seed_tag: str = "",
+) -> TrialTrajectory:
+    """run_trial's body on one trial's draws (one row of engine._Draws)."""
+    k = design.k
+    accrued: list[PatientRecord] = []
+    stages: list[StageRecord] = []
+    interims: list[InterimRecord] = []
+
+    for plan, cols in zip(design.stages, engine._stage_columns(design)):
+        t = plan.stage_index
+        if t == 1:
+            planned = planned_ratio(design, 1)
+            options = () if planned is None else (planned,)
+            pi = fixed_equal(k)
+        else:
+            interim = _decision(design, accrued, t, policy)
+            options, pi = interim.options, interim.pi
+
+        block = ratio = None
+        keys = draws.key[cols]
+        if options:
+            # the coin picks one of two stage-3 ratios, in the options' order
+            ratio = options[int(draws.coin[t - 1] >= 0.5) if len(options) > 1 else 0]
+            order = np.argsort(keys, kind="stable")
+            assigned = np.repeat(np.arange(k), ratio.counts)[order]
+            block = RandomisationBlock(
+                t, tuple(design.arms[i] for i in assigned), seed_tag
+            )
+        else:
+            cum = np.cumsum(pi.probs)
+            assigned = np.searchsorted(cum[:-1], keys * cum[-1], side="right")
+        if t > 1:
+            interims.append(replace(interim, ratio=ratio))
+
+        y = outcomes_from_raw(model, assigned, draws.raw[cols]).tolist()
+        order = np.argsort(draws.miss[cols], kind="stable")
+        gone = set(order[: engine._missing_count(case, plan)].tolist())
+        stage_records = [
+            PatientRecord(
+                cols.start + j + 1, t, design.arms[a], None if j in gone else y[j]
+            )
+            for j, a in enumerate(assigned.tolist())
+        ]
+        stages.append(
+            StageRecord(
+                stage_index=t,
+                ratio=ratio,
+                block=block,
+                counts=tuple(np.bincount(assigned, minlength=k).tolist()),
+                records=tuple(stage_records),
+            )
+        )
+        accrued.extend(stage_records)
+
+    working, failures = analysis_records(accrued, policy)
+    results, recommended = stratum_decision(working, design)
+    return TrialTrajectory(
+        design=design,
+        stages=tuple(stages),
+        interims=tuple(interims),
+        records=tuple(working),
+        results=tuple(results),
+        recommended=recommended,
+        imputation_failures=failures,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo estimators of the posterior comparison probabilities
+
+
+@dataclass(frozen=True)
+class MonteCarlo:
+    """Seeded Monte Carlo configuration for the sampling-based estimators."""
+
+    draws: int = 100_000
+    seed: int | np.random.SeedSequence | None = None
+
+    def __post_init__(self) -> None:
+        if self.draws < 1:
+            raise ValueError(f"draws must be >= 1, got {self.draws}")
+
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
+
+
+def prob_greater_mc(a: BetaPosterior, b: BetaPosterior, mc: MonteCarlo) -> float:
+    """P(X > Y) for X ~ a and Y ~ b, estimated by seeded sampling."""
+    rng = mc.rng()
+    x = rng.beta(a.alpha, a.beta, mc.draws)
+    y = rng.beta(b.alpha, b.beta, mc.draws)
+    return float(np.mean(x > y))
+
+
+def prob_max_all(
+    posteriors: list[BetaPosterior] | tuple[BetaPosterior, ...],
+    mc: MonteCarlo,
+) -> np.ndarray:
+    """P(each arm has the maximum success probability), jointly estimated.
+
+    The sampling counterpart of `posterior.prob_best`. One common sample of
+    shape (draws, K) is drawn; each draw credits exactly one arm, with argmax
+    ties broken uniformly, so the K estimates sum to exactly 1.
+    """
+    k = len(posteriors)
+    if k < 2:
+        raise ValueError("need at least two posteriors")
+    rng = mc.rng()
+    samples = np.column_stack(
+        [rng.beta(p.alpha, p.beta, mc.draws) for p in posteriors]
+    )
+    winners = np.argmax(samples, axis=1)
+    row_max = samples[np.arange(mc.draws), winners]
+    tied = (samples == row_max[:, None]).sum(axis=1) > 1
+    if tied.any():
+        for row in np.nonzero(tied)[0]:
+            options = np.nonzero(samples[row] == row_max[row])[0]
+            winners[row] = options[rng.integers(len(options))]
+    counts = np.bincount(winners, minlength=k)
+    probs = counts / mc.draws
+    # counts sum to draws exactly; fold the per-entry division rounding (at
+    # most a few ulps) into the last entry so the float sum is exactly 1
+    partial = 0.0
+    for i in range(k - 1):
+        partial = partial + float(probs[i])
+    probs[k - 1] = 1.0 - partial
+    return probs
+
+
+def prob_max(
+    posteriors: list[BetaPosterior] | tuple[BetaPosterior, ...],
+    arm: int,
+    mc: MonteCarlo,
+) -> float:
+    """P(arm's success probability is the maximum of all arms)."""
+    if not 0 <= arm < len(posteriors):
+        raise ValueError(f"arm index {arm} out of range for {len(posteriors)} arms")
+    return float(prob_max_all(posteriors, mc)[arm])

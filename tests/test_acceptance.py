@@ -14,7 +14,6 @@ import bisect
 import math
 import time
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +22,7 @@ import pytest
 import radapt.engine
 from radapt import PRESET_NAMES, preset_design
 from radapt.analysis import wilcoxon_one_sided
-from radapt.core import MappingConfig, ThresholdSet
+from radapt.core import MappingConfig, ThresholdSet, default_arms
 from radapt.engine import (
     MissingPolicy,
     replicate,
@@ -38,8 +37,9 @@ from radapt.mapping import (
     allocation_options,
     decide_category,
 )
-from radapt.outcomes import SCENARIOS, MissingCase, OutcomeModel, draw_outcome
-from radapt.posterior import BetaPosterior, MonteCarlo, prob_greater
+from radapt.outcomes import SCENARIOS, MissingCase, OutcomeModel
+from radapt.posterior import BetaPosterior, prob_greater
+from reference import MonteCarlo, draw_outcome, prob_greater_mc
 
 MASTER = 20240817
 REPS = 10_000
@@ -143,7 +143,7 @@ def test_criterion_02_exact_posterior_probability_vs_monte_carlo():
     for t, flat in enumerate(chosen):
         i, j = divmod(int(flat), len(grid))
         p = exact[i, j]
-        mc = prob_greater(
+        mc = prob_greater_mc(
             BetaPosterior(*grid[i]),
             BetaPosterior(*grid[j]),
             MonteCarlo(draws=MC_DRAWS, seed=np.random.SeedSequence([1, t])),
@@ -416,31 +416,26 @@ def _adaptability_families(rep):
 
 
 def _law_imputer(model):
-    """Stand-in for `impute_stage2_mean` that fills each missing stage-2
-    outcome with a draw from its arm's outcome law instead of an arm mean.
+    """Stand-in for `engine._mean_imputed` that fills each missing stage-2
+    cell with a draw from its arm's outcome law instead of an arm mean.
 
-    The draw is seeded from the patient id and the trial's observed stage-1
-    outcomes, so the stage-3 interim and the final analysis of one trial
-    impute the same value while different trials draw independently.
+    The draw is seeded from the row's observed stage-1 outcomes and the
+    cell's patient id (its column + 1), so the stage-3 interim and the final
+    analysis of one trial impute the same value while different trials draw
+    independently.
     """
 
-    def impute(records):
-        ordered = sorted(records, key=lambda r: r.patient_id)
-        stage1 = np.array(
-            [r.delta_y for r in ordered if r.stage == 1 and not r.missing]
-        )
-        entropy = [int(w) for w in stage1.view(np.uint64)]
-        out = []
-        for rec in ordered:
-            if rec.stage == 2 and rec.missing:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy + [rec.patient_id])
-                )
-                rec = replace(
-                    rec, delta_y=draw_outcome(model, rec.arm, rng), imputed=True
-                )
-            out.append(rec)
-        return out
+    def impute(arm, y, missing, stage_of, k):
+        arms = default_arms(k)
+        target = missing & (stage_of == 2)
+        view = y.copy()
+        for r in np.flatnonzero(target.any(axis=1)).tolist():
+            stage1 = y[r, (stage_of == 1) & ~missing[r]]
+            entropy = [int(w) for w in stage1.view(np.uint64)]
+            for j in np.flatnonzero(target[r]).tolist():
+                rng = np.random.default_rng(np.random.SeedSequence(entropy + [j + 1]))
+                view[r, j] = draw_outcome(model, arms[arm[r, j]], rng)
+        return view, ~missing | target, np.zeros(len(arm), dtype=np.int64)
 
     return impute
 
@@ -503,7 +498,7 @@ def test_criterion_07_imputation_restores_adaptability(monkeypatch):
             # The restoration path itself is checked with imputed values
             # drawn from the true outcome law: complete data in distribution.
             with monkeypatch.context() as patch:
-                patch.setattr(radapt.engine, "impute_stage2_mean", _law_imputer(model))
+                patch.setattr(radapt.engine, "_mean_imputed", _law_imputer(model))
                 law = run(model, cid)
             worst_law_se = max(
                 worst_law_se, gate(f"alt case {cid} law-draw imputation", law, base)
@@ -540,13 +535,11 @@ def test_criterion_08_rank_sum_exact_matches_enumeration():
                 ) / len(sums)
                 treatment = [float(r) for r in subset]
                 control = [float(r) for r in ranks if r not in subset]
-                p = wilcoxon_one_sided(treatment, control, method="exact")
+                p = wilcoxon_one_sided(treatment, control)
                 checked += 1
                 if abs(p - p_true) > 1e-12:
                     mismatches += 1
-    p_extreme = wilcoxon_one_sided(
-        [5.0, 6.0, 7.0, 8.0], [1.0, 2.0, 3.0, 4.0], method="exact"
-    )
+    p_extreme = wilcoxon_one_sided([5.0, 6.0, 7.0, 8.0], [1.0, 2.0, 3.0, 4.0])
 
     failures = []
     if mismatches:

