@@ -197,7 +197,10 @@ def _tau_dropped_pi(pi: ProbVector, design: TrialDesign) -> tuple[ProbVector, tu
     return ProbVector(tuple(w / total for w in weights)), drops
 
 
-@lru_cache(maxsize=4096)
+_DECISION_MEMO = 4096  # decisions _decide keeps
+
+
+@lru_cache(maxsize=_DECISION_MEMO)
 def _decide(
     design: TrialDesign,
     policy: MissingPolicy,
@@ -592,6 +595,23 @@ def _pooled_tests(block_a: _Block, block_b: _Block, design: TrialDesign):
     return _final_tests(design, _onehot(arm, design.k), y, observed)
 
 
+# Each memoised stage-3 decision's _stage3_marks, keyed by the decision's id.
+# An entry holds its decision, so no other object can take that id while
+# the entry lives; the memo is emptied when it holds as many as _decide keeps.
+_marks_cache: dict[int, tuple[InterimRecord, np.ndarray]] = {}
+
+
+def _cached_marks(decision: InterimRecord, actives, k: int) -> np.ndarray:
+    hit = _marks_cache.get(id(decision))
+    if hit is None:
+        if len(_marks_cache) >= _DECISION_MEMO:
+            _marks_cache.clear()
+        hit = _marks_cache[id(decision)] = (
+            decision, _stage3_marks(decision, actives, k)
+        )
+    return hit[1]
+
+
 def _stage3_marks(decision: InterimRecord, actives, k: int) -> np.ndarray:
     """Rows drop, keep, favour, disfavour: one trial's stage-3 category per
     active arm, from the applied categories or else from pi and tau drops."""
@@ -700,7 +720,7 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
     else:
         moved = _off_centre(_pi_rows(decisions, which), 1.0 / k)
     weights = np.bincount(which, minlength=len(decisions))
-    marks = np.array([_stage3_marks(d, actives, k) for d in decisions])
+    marks = np.array([_cached_marks(d, actives, k) for d in decisions])
     drop, keep, fav, dis = np.tensordot(weights, marks, axes=1)
     return {
         "adapt3": moved.any(axis=1).sum(),

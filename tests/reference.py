@@ -6,7 +6,8 @@ module conducts one trial at a time as a list of PatientRecords, on one row
 of the same draws and through the same memoised decision (engine._decide),
 with the record-level imputer and final analysis written out once more. It
 also keeps the seeded Monte Carlo estimators that the exact posterior
-probabilities are checked against.
+probabilities are checked against, and the direct subset-sum table that the
+rank-sum null tables radapt derives are checked against.
 """
 
 from __future__ import annotations
@@ -399,6 +400,30 @@ def _conduct_trial(
         recommended=recommended,
         imputation_failures=failures,
     )
+
+
+# ---------------------------------------------------------------------------
+# The rank-sum null distribution, by one direct table per tie pattern
+
+
+def null_survival(scaled_ranks: tuple[int, ...], n1: int) -> np.ndarray:
+    """P(W2 >= s) for the scaled rank-sum of a uniformly random n1-subset.
+
+    scaled_ranks are the doubled midranks of the combined sample (integers);
+    index s runs 0..max subset sum. The counts table covers every subset
+    size and sum over the doubled grid and is built from the ranks
+    themselves, with no shared table and no derivation.
+    """
+    ranks = sorted(scaled_ranks)
+    smax = sum(ranks[-n1:])
+    counts = np.zeros((n1 + 1, smax + 1))
+    counts[0, 0] = 1.0
+    for r in ranks:
+        # every subset size at once; numpy reads the overlapping right side
+        # before it writes
+        counts[1:, r:] += counts[:-1, : smax + 1 - r]
+    total = counts[n1].sum()
+    return np.cumsum(counts[n1][::-1])[::-1] / total
 
 
 # ---------------------------------------------------------------------------

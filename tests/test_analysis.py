@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from radapt import preset_design
+from radapt import analysis, preset_design
 from radapt.analysis import (
     _doubled_midranks,
     _null_survival,
@@ -16,7 +17,7 @@ from radapt.analysis import (
 )
 from radapt.core import ArmId, default_arms
 from radapt.outcomes import PatientRecord
-from reference import pooled_analysis, stratum_decision
+from reference import null_survival, pooled_analysis, stratum_decision
 
 ARMS = default_arms()
 
@@ -130,14 +131,15 @@ class TestWilcoxonExact:
 
 
 def _rankdata_p(treatment, control):
-    # the p-value path as it was with scipy's midranks, kept as an oracle
+    # scipy's midranks and the reference's direct table: shares no code with
+    # radapt's p-value paths
     combined = np.concatenate(
         [np.asarray(treatment, float), np.asarray(control, float)]
     )
     scaled = np.rint(2.0 * rankdata(combined)).astype(np.int64)
     n1 = len(treatment)
     w2 = int(scaled[:n1].sum())
-    return float(_null_survival(tuple(sorted(int(r) for r in scaled)), n1)[w2])
+    return float(null_survival(tuple(sorted(int(r) for r in scaled)), n1)[w2])
 
 
 @st.composite
@@ -169,6 +171,102 @@ class TestMidranksAgainstScipy:
         assert wilcoxon_one_sided(treatment, control) == (
             _rankdata_p(treatment, control)
         )
+
+
+def _pattern_sample(sizes, order, n1):
+    # runs of equal values in `order` (sizes indexed by run), split into the
+    # first n1 values and the rest
+    values = [float(level) for level, size in enumerate(sizes) for _ in range(size)]
+    values = [values[i] for i in order]
+    return values[:n1], values[n1:]
+
+
+@st.composite
+def tie_patterns(draw):
+    """A sample of n <= 40 values with 1-3 tie groups of 2-5 values, which
+    may sit at the first or last sorted positions, and n1 often 1 or n - 1."""
+    groups = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    singles = draw(st.integers(0, 40 - sum(groups)))
+    sizes = draw(st.permutations(groups + [1] * singles))
+    n = sum(sizes)
+    n1 = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    order = draw(st.permutations(range(n)))
+    return sizes, order, n1
+
+
+def _firsts(sizes):
+    return [int(f) for f in np.cumsum([0] + list(sizes[:-1]))]
+
+
+def _groups(sizes):
+    return [(f, t) for f, t in zip(_firsts(sizes), sizes) if t > 1]
+
+
+def _midranks(sizes):
+    # a run of t values from 0-based position f has doubled midrank 2f + t + 1
+    return tuple(2 * f + t + 1 for f, t in zip(_firsts(sizes), sizes) for _ in range(t))
+
+
+def _derived_survival(sizes, n1, length):
+    row = analysis._derived_row(sum(sizes), n1, _groups(sizes))[:length]
+    return np.cumsum(row[::-1])[::-1] / row.sum()
+
+
+class TestDerivedNullTables:
+    """radapt reads tied null tables derived from one shared tie-free table;
+    the reference builds each one directly from its ranks."""
+
+    @given(pattern=tie_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_both_paths_read_the_oracle(self, pattern):
+        treatment, control = _pattern_sample(*pattern)
+        want = _rankdata_p(treatment, control)
+        assert wilcoxon_one_sided(treatment, control) == want
+        values = np.array([treatment + control])
+        treat = np.arange(values.shape[1]) < len(treatment)
+        got = rank_sum_rows(values, treat[None], ~treat[None])[0]
+        assert got == want
+
+    @given(pattern=tie_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_derived_table_equals_the_direct_one(self, pattern):
+        # the whole survival, whatever route _null_survival would choose
+        sizes, _, n1 = pattern
+        want = null_survival(_midranks(sizes), n1)
+        assert np.array_equal(_derived_survival(sizes, n1, want.size), want)
+
+    def test_just_past_the_exact_bound_builds_directly(self, monkeypatch):
+        # 57 values: C(57, 28) > 2**53, so a derived count could round
+        sizes = [1] * 20 + [2] + [1] * 35
+        n1 = 28
+        assert math.comb(56, 28) < 2**53 < math.comb(57, 28)
+        treatment, control = _pattern_sample(sizes, range(57), n1)
+
+        def refused(*args):
+            raise AssertionError("derived past the exact bound")
+
+        monkeypatch.setattr(analysis, "_derived_row", refused)
+        _null_survival.cache_clear()
+        assert wilcoxon_one_sided(treatment, control) == _rankdata_p(treatment, control)
+
+    def test_derivation_past_the_bound_would_round(self):
+        # at 64 values deconvolution no longer matches the direct table, so
+        # the bound is needed; the table the tests read still matches
+        sizes = [1] * 5 + [4] + [1] * 55
+        n1 = 32
+        want = null_survival(_midranks(sizes), n1)
+        assert not np.array_equal(_derived_survival(sizes, n1, want.size), want)
+        assert np.array_equal(_null_survival(_midranks(sizes), n1), want)
+
+    def test_heavy_ties_read_the_oracle(self):
+        # 40 values in four groups of ten: every position ties
+        sizes = [10, 10, 10, 10]
+        order = np.random.default_rng(5).permutation(40)
+        for n1 in (1, 13, 20, 39):
+            treatment, control = _pattern_sample(sizes, order, n1)
+            assert wilcoxon_one_sided(treatment, control) == _rankdata_p(
+                treatment, control
+            )
 
 
 @st.composite
