@@ -33,22 +33,31 @@ interim decision on accrued data is taken as a block of one row. The record-
 level trial in tests/reference.py, one trial at a time on one row of the same
 draws, is the tests' oracle for it.
 
+Interim decisions are pure functions of a few integer counts per row, its
+count key (per arm successes, failures and assigned patients, plus whether
+any stage-1 and any stage-2 outcome is missing). Each (design, policy,
+stage) has one decision table (_DecisionTable, kept in _decision_cache) with
+a row per key seen so far; a block looks its rows' keys up there and decides
+the keys the table lacks together, as arrays and through the rules' shared
+arithmetic. An InterimRecord is built from a table row only where something
+prints or inspects it: the interim audit and the tests.
+
 The ratios a stage may take come from one place. Stage 1 takes
 mapping.planned_ratio, or i.i.d. assignment where it is None; every later
-stage takes the `options` of its memoised interim decision (_decide), which
-reads planned_ratio first and mapping.allocation_options only for a mapped
-stage the data decide. Blocks and interim both read them from there; the
-simulated coin is a row's `coin` draw, interim's a draw from a generator the
-caller seeds.
+stage takes its table row's options, which are planned_ratio's where it
+gives one and otherwise, for a mapped stage the data decide,
+mapping.allocation_options of the row's category pair. Blocks and interim
+both read them from there; the simulated coin is a row's `coin` draw,
+interim's a draw from a generator the caller seeds.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -57,11 +66,13 @@ from .analysis import rank_sum_rows
 from .core import TrialDesign, validate_design
 from .mapping import (
     BALANCED,
+    CATEGORIES,
     AdaptationCategory,
     RatioVector,
+    active_share_rows,
     active_shares,
     allocation_options,
-    decide_category,
+    category_codes,
     planned_ratio,
 )
 from .outcomes import (
@@ -73,8 +84,15 @@ from .outcomes import (
     Scenario,
     outcomes_from_raw,
 )
-from .posterior import BetaPosterior, SuccessCount, update
-from .rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
+from .posterior import BetaPosterior, _prob_best_of, _prob_greater_of
+from .rules import (
+    ProbVector,
+    _check_trippa,
+    _equal_probs,
+    _normalised,
+    _trippa_probs,
+    _ts_probs,
+)
 
 __all__ = [
     "MissingPolicy",
@@ -137,150 +155,310 @@ class InterimRecord:
 
 
 # ---------------------------------------------------------------------------
-# Posterior bookkeeping and the continuous rule
-
-# Per-arm (successes, failures, assigned): with the stage-1 and stage-2
-# missingness flags, everything an interim decision reads from the data.
-ArmTallies = tuple[tuple[int, int, int], ...]
-
-
-def _posteriors(design: TrialDesign, tallies: ArmTallies) -> tuple[BetaPosterior, ...]:
-    return tuple(
-        update(
-            BetaPosterior(design.prior_alpha[i], design.prior_beta[i]),
-            SuccessCount(s, f),
-        )
-        for i, (s, f, _) in enumerate(tallies)
-    )
-
-
-def _rule_pi(
-    design: TrialDesign,
-    upcoming_stage: int,
-    posteriors: tuple[BetaPosterior, ...],
-    counts: tuple[int, ...],
-) -> ProbVector:
-    rule = design.rule
-    if rule.kind == "FixedEqual":
-        return fixed_equal(design.k)
-    gamma = rule.gamma_for_stage(upcoming_stage)
-    if rule.kind == "TSBRAR":
-        return ts_brar(posteriors, gamma)
-    return trippa_brar(
-        posteriors,
-        ArmCounts(counts),
-        gamma,
-        rule.eta_for_stage(upcoming_stage),
-        form=rule.control_exponent_form,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Interim decisions
 
-_DEMOTED = {
+_DEMOTE = {
     AdaptationCategory.DROP: AdaptationCategory.DISFAVOUR,
     AdaptationCategory.KEEP: AdaptationCategory.FAVOUR,
 }
+# Each category code's code (position in CATEGORIES) after the Drop/Keep
+# demotion.
+_DEMOTED = np.array([CATEGORIES.index(_DEMOTE.get(c, c)) for c in CATEGORIES])
+# The rows of a table's `marks`, and by option slot of a category pair the
+# marks of its two actives, (slots, 4, 2).
+_MARKED = (
+    AdaptationCategory.DROP,
+    AdaptationCategory.KEEP,
+    AdaptationCategory.FAVOUR,
+    AdaptationCategory.DISFAVOUR,
+)
+_PAIR_MARKS = np.array([
+    [[CATEGORIES[c] is mark for c in pair] for mark in _MARKED]
+    for pair in itertools.product(range(len(CATEGORIES)), repeat=2)
+])
+# Option slots: the applied category codes c1, c2 of the two actives take
+# slot c1 * 5 + c2 (the dot product with _SLOT_OF), as in _PAIR_MARKS; then
+# come the held stage-2 block and the planned ratio.
+_SLOT_OF = np.array([len(CATEGORIES), 1])
+_HELD_SLOT = len(CATEGORIES) ** 2
+_PLANNED_SLOT = _HELD_SLOT + 1
 
 
-def _tau_dropped_pi(pi: ProbVector, design: TrialDesign) -> tuple[ProbVector, tuple[int, ...]]:
-    shares = active_shares(pi)
-    actives = design.active_indices()
-    drops = tuple(i for i, s in zip(actives, shares) if s < design.tau)
-    if not drops or len(drops) == len(actives):
-        return pi, ()
-    weights = list(pi.probs)
-    for i in drops:
-        weights[i] = 0.0
-    total = math.fsum(weights)
-    return ProbVector(tuple(w / total for w in weights)), drops
+def _stacked(column: np.ndarray | None, new: np.ndarray) -> np.ndarray:
+    return new if column is None else np.concatenate([column, new])
 
 
-_DECISION_MEMO = 4096  # decisions _decide keeps
+class _DecisionTable:
+    """The interim decisions before one stage of one design under one
+    missing-data policy, one row per count key, in the order first seen.
 
+    A count key is everything an interim decision reads from the data: per
+    arm the successes, failures and assigned patients, arm after arm, then
+    whether any stage-1 and whether any stage-2 outcome is missing (1 or 0).
+    `count_keys` holds them, (rows, 3K + 2) int64, and `rows` maps each
+    key's bytes to its row.
 
-@lru_cache(maxsize=_DECISION_MEMO)
-def _decide(
-    design: TrialDesign,
-    policy: MissingPolicy,
-    upcoming_stage: int,
-    tallies: ArmTallies,
-    missing: tuple[bool, bool],
-) -> InterimRecord:
-    """The interim decision as a pure function of integer counts.
-
-    Nothing here draws: a stage-3 category pair that admits two ratios
-    leaves both in `options` and `ratio` None, for the caller's coin.
+    Every other column is a pure function of its row's key. Blocks read
+    `pi`, the randomisation probabilities after every override, (rows, K);
+    `ratios`, the first and last of the row's options, the coin's two
+    choices or one ratio twice, (rows, 2, K), or None for i.i.d. assignment
+    at `pi`; and, on the last stage's table, `marks`. Where the data decide
+    a mapped stage, `slot` holds each row's key into `options` and `codes`
+    the two actives' categories, then their applied categories, as
+    CATEGORIES codes, (rows, 4); where the stage drops arms by tau,
+    `dropped` holds the arms dropped, (rows, K). table[row] builds the row's
+    InterimRecord. Columns are None until the first key is decided.
     """
-    posteriors = _posteriors(design, tallies)
-    pi = _rule_pi(design, upcoming_stage, posteriors, tuple(n for _, _, n in tallies))
-    stage1_missing, stage2_missing = missing
-    plan = design.stages[upcoming_stage - 1]
-    overrides: list[str] = []
-    categories = applied = None
-    options: tuple[RatioVector, ...] = ()
-    dropped: tuple[int, ...] = ()
-    planned = planned_ratio(design, upcoming_stage)
 
-    if planned is not None:
-        options = (planned,)
-    elif design.mapping is not None:
-        x1, x2 = active_shares(pi)
-        categories = applied = (
-            decide_category(x1, upcoming_stage, design.mapping),
-            decide_category(x2, upcoming_stage, design.mapping),
-        )
-        held = policy.no_adapt_on_stage1_missing and stage1_missing
-        if upcoming_stage == 2 and held:
-            options = (BALANCED[2],)
-            overrides.append("stage-1 outcomes missing: stage-2 block held balanced")
-        else:
-            kept = policy.no_drop_on_stage2_missing and stage2_missing
-            if upcoming_stage == 3 and kept:
-                applied = tuple(_DEMOTED.get(c, c) for c in categories)
-                if applied != categories:
-                    overrides.append(
-                        "stage-2 outcomes missing: Drop/Keep demoted to "
-                        "Disfavour/Favour"
-                    )
-            options = allocation_options(applied, upcoming_stage)
-    else:
-        if (
-            upcoming_stage == 2
-            and policy.no_adapt_on_stage1_missing
-            and stage1_missing
-        ):
-            pi = fixed_equal(design.k)
-            overrides.append(
-                "stage-1 outcomes missing: stage-2 randomisation held at 1/K"
-            )
-        if (
-            upcoming_stage == design.n_stages
+    def __init__(self, design: TrialDesign, policy: MissingPolicy, stage: int):
+        self.design, self.policy, self.stage = design, policy, stage
+        k, rule = design.k, design.rule
+        planned = planned_ratio(design, stage)
+        self.categorised = planned is None and design.mapping is not None
+        self.tau_stage = (
+            design.mapping is None
+            and stage == design.n_stages
             and design.tau_dropping
-            and plan.arm_dropping_allowed
-        ):
-            if policy.no_drop_on_stage2_missing and stage2_missing:
+            and design.stages[stage - 1].arm_dropping_allowed
+        )
+        if rule.kind == "TrippaBRAR":
+            self.gamma, self.eta = rule.gamma_for_stage(stage), rule.eta_for_stage(stage)
+            _check_trippa(k, k, self.gamma, self.eta)
+        elif rule.kind == "TSBRAR":
+            self.gamma = rule.gamma_for_stage(stage)
+        self._priors = list(zip(design.prior_alpha, design.prior_beta))
+        self._reads_held = (
+            stage == 2 and planned is None and policy.no_adapt_on_stage1_missing
+        )
+        self._reads_kept = policy.no_drop_on_stage2_missing and (
+            self.categorised and stage == 3 or self.tau_stage
+        )
+        # the actives that active shares and categories pair with arms 1, 2
+        self._actives = list(design.active_indices()[:2])
+        self.rows: dict[bytes, int] = {}
+        self.hits = self.misses = 0
+        # the ratio options by slot, and each slot's first and last option
+        self.options: dict[int, tuple[RatioVector, ...]] = {}
+        if planned is not None or self.categorised:
+            self._option_counts = np.zeros((_PLANNED_SLOT + 1, 2, k), dtype=np.int64)
+        if planned is not None:
+            self._add_option(_PLANNED_SLOT, (planned,))
+        self.count_keys = self.pi = self.ratios = self._marks = None
+        self.slot = self.codes = self.dropped = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each count key, one key per row of `keys`; the keys
+        the table lacks are decided together. `hits` and `misses` count the
+        keys looked up that the table held and lacked."""
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        row_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+        raw = keys.view(row_bytes)[:, 0].tolist()
+        get = self.rows.get
+        found = [get(key) for key in raw]
+        absent = found.count(None)
+        self.hits += len(found) - absent
+        self.misses += absent
+        if absent:
+            new: dict[bytes, int] = {}
+            for i, (key, row) in enumerate(zip(raw, found)):
+                if row is None:
+                    new.setdefault(key, i)
+            if len(new) < len(raw):
+                keys = keys[list(new.values())]
+            self._decide_keys(list(new), keys)
+            found = [get(key) for key in raw]
+        return np.array(found, dtype=np.intp)
+
+    def _rule_pi(self, params, assigned) -> np.ndarray:
+        """The rule's pi for every key, from each arm's [alpha, beta] and
+        assigned count: P(beats control) or P(best) once per distinct set
+        of parameters, through the exact scalar functions and their memos,
+        then the rules' arithmetic on plain floats."""
+        design, k = self.design, self.design.k
+        kind = design.rule.kind
+        if kind == "FixedEqual" or (kind == "TSBRAR" and self.gamma == 0):
+            return np.tile(_equal_probs(k), (len(params), 1))
+        if kind == "TSBRAR":
+            best: dict[tuple[tuple[float, float], ...], tuple[float, ...]] = {}
+            out = []
+            for arms in params:
+                arms = tuple(map(tuple, arms))
+                if arms not in best:
+                    best[arms] = _ts_probs(_prob_best_of(list(arms)), self.gamma)
+                out.append(best[arms])
+            return np.array(out)
+        form = design.rule.control_exponent_form
+        beats: dict[tuple[float, ...], float] = {}
+        out = []
+        for arms, n in zip(params, assigned):
+            pairs = [(*arms[i], *arms[0]) for i in range(1, k)]
+            for pair in pairs:
+                if pair not in beats:
+                    beats[pair] = _prob_greater_of(*pair)
+            out.append(
+                _trippa_probs([beats[p] for p in pairs], n, self.gamma, self.eta, form)
+            )
+        return np.array(out)
+
+    def _decide_keys(self, raw: list[bytes], key: np.ndarray) -> None:
+        design, stage, k, m = self.design, self.stage, self.design.k, len(key)
+        counts = key[:, :-2].reshape(m, k, 3)
+        # a held stage-2 allocation and kept arms, where the stage reads them
+        held = key[:, -2] == 1 if self._reads_held else None
+        kept = key[:, -1] == 1 if self._reads_kept else None
+        pi = self._rule_pi(
+            (counts[:, :, :2] + self._priors).tolist(), counts[:, :, 2].tolist()
+        )
+        slot = None
+
+        if self.categorised:
+            cats = category_codes(active_share_rows(pi), stage, design.mapping)
+            applied = cats
+            if kept is not None and kept.any():
+                applied = np.where(kept[:, None], _DEMOTED[cats], cats)
+            slot = applied @ _SLOT_OF
+            if held is not None:
+                slot[held] = _HELD_SLOT
+            for s in set(slot.tolist()) - self.options.keys():
+                if s == _HELD_SLOT:
+                    self._add_option(s, (BALANCED[2],))
+                else:
+                    pair = tuple(CATEGORIES[c] for c in divmod(s, len(CATEGORIES)))
+                    self._add_option(s, allocation_options(pair, stage))
+            self.slot = _stacked(self.slot, slot)
+            self.codes = _stacked(self.codes, np.concatenate([cats, applied], axis=1))
+        elif self.options:  # a planned ratio
+            slot = np.full(m, _PLANNED_SLOT)
+        else:
+            if held is not None and held.any():
+                pi[held] = _equal_probs(k)
+            if self.tau_stage:
+                drops = active_share_rows(pi) < design.tau
+                n_drops = drops.sum(axis=1)
+                apply = (n_drops > 0) & (n_drops < len(design.active_indices()))
+                if kept is not None:
+                    apply &= ~kept
+                dropped = np.zeros((m, k), dtype=bool)
+                dropped[:, self._actives] = drops & apply[:, None]
+                for r in np.flatnonzero(apply).tolist():
+                    pi[r] = _normalised(np.where(dropped[r], 0.0, pi[r]).tolist())
+                self.dropped = _stacked(self.dropped, dropped)
+
+        self.rows.update(zip(raw, range(len(self.rows), len(self.rows) + m)))
+        self.count_keys = _stacked(self.count_keys, key)
+        self.pi = _stacked(self.pi, pi)
+        if slot is not None:
+            self.ratios = _stacked(self.ratios, self._option_counts[slot])
+
+    @property
+    def marks(self) -> np.ndarray:
+        """Per row and arm whether the row drops, keeps, favours or
+        disfavours it (_MARKED), (rows, 4, K): from the applied categories,
+        or else from pi and tau drops. Only the last stage's counters read
+        it, so it is built when read, for the rows added since."""
+        done = 0 if self._marks is None else len(self._marks)
+        if done < len(self):
+            self._marks = _stacked(self._marks, self._marks_from(done))
+        return self._marks
+
+    def _marks_from(self, done: int) -> np.ndarray:
+        k, pi = self.design.k, self.pi[done:]
+        marks = np.zeros((len(pi), 4, k), dtype=bool)
+        if self.categorised:
+            marks[:, :, self._actives] = _PAIR_MARKS[self.slot[done:]]
+            return marks
+        # favour or disfavour by pi, unless the row drops an arm: then drop
+        # it and keep the others
+        marks[:, 2] = pi > 1.0 / k + _SHARE_TOL
+        marks[:, 3] = pi < 1.0 / k - _SHARE_TOL
+        if self.dropped is not None:
+            dropped = self.dropped[done:]
+            any_drop = dropped.any(axis=1)
+            marks[any_drop] = False
+            marks[:, 0] = dropped
+            marks[:, 1] = ~dropped & any_drop[:, None]
+        marks[:, :, self.design.control_index()] = False
+        return marks
+
+    def _add_option(self, slot: int, options: tuple[RatioVector, ...]) -> None:
+        self.options[slot] = options
+        self._option_counts[slot] = (options[0].counts, options[-1].counts)
+
+    def __getitem__(self, row: int) -> InterimRecord:
+        design, policy, stage = self.design, self.policy, self.stage
+        key = self.count_keys[row].tolist()
+        posteriors = tuple(
+            BetaPosterior(a + key[3 * i], b + key[3 * i + 1])
+            for i, (a, b) in enumerate(zip(design.prior_alpha, design.prior_beta))
+        )
+        held = policy.no_adapt_on_stage1_missing and key[-2] == 1
+        kept = policy.no_drop_on_stage2_missing and key[-1] == 1
+        dropped = ()
+        if self.dropped is not None:
+            dropped = tuple(np.flatnonzero(self.dropped[row]).tolist())
+        categories = applied = None
+        overrides = []
+        options = self.options.get(_PLANNED_SLOT, ())
+        if self.categorised:
+            codes = [CATEGORIES[c] for c in self.codes[row].tolist()]
+            categories, applied = tuple(codes[:2]), tuple(codes[2:])
+            options = self.options[int(self.slot[row])]
+            if stage == 2 and held:
+                overrides.append("stage-1 outcomes missing: stage-2 block held balanced")
+            elif stage == 3 and kept and applied != categories:
+                overrides.append(
+                    "stage-2 outcomes missing: Drop/Keep demoted to Disfavour/Favour"
+                )
+        elif design.mapping is None:
+            if stage == 2 and held:
+                overrides.append(
+                    "stage-1 outcomes missing: stage-2 randomisation held at 1/K"
+                )
+            if self.tau_stage and kept:
                 overrides.append(
                     "stage-2 outcomes missing: tau-based arm dropping suppressed"
                 )
-            else:
-                pi, dropped = _tau_dropped_pi(pi, design)
-                if dropped:
-                    labels = ", ".join(design.arms[i].label for i in dropped)
-                    overrides.append(f"active share below tau, dropped: {labels}")
+            elif dropped:
+                labels = ", ".join(design.arms[i].label for i in dropped)
+                overrides.append(f"active share below tau, dropped: {labels}")
+        return InterimRecord(
+            upcoming_stage=stage,
+            posteriors=posteriors,
+            pi=ProbVector(tuple(self.pi[row].tolist())),
+            categories=categories,
+            applied_categories=applied,
+            overrides=tuple(overrides),
+            options=options,
+            ratio=options[0] if len(options) == 1 else None,
+            dropped=dropped,
+        )
 
-    return InterimRecord(
-        upcoming_stage=upcoming_stage,
-        posteriors=posteriors,
-        pi=pi,
-        categories=categories,
-        applied_categories=applied,
-        overrides=tuple(overrides),
-        options=options,
-        ratio=options[0] if len(options) == 1 else None,
-        dropped=dropped,
-    )
+
+# Count keys the decision tables keep, all tables together; one block's
+# lookup can pass it by at most a block of keys. Emptied whenever the tables
+# hold this many at the start of a lookup.
+_DECISION_MEMO = 4096
+
+# One _DecisionTable per (design, policy, stage), keyed by the design's id:
+# hashing a TrialDesign takes microseconds, and the table holds its design,
+# so no other design can take that id while the entry lives.
+_decision_cache: dict[tuple[int, MissingPolicy, int], _DecisionTable] = {}
+
+
+def _decision_table(
+    design: TrialDesign, policy: MissingPolicy, stage: int
+) -> _DecisionTable:
+    """The decision table of (design, policy, stage), made empty if new."""
+    if sum(map(len, _decision_cache.values())) >= _DECISION_MEMO:
+        _decision_cache.clear()
+    key = (id(design), policy, stage)
+    table = _decision_cache.get(key)
+    if table is None:
+        table = _decision_cache[key] = _DecisionTable(design, policy, stage)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +541,9 @@ class _Block:
     conduct left without an outcome; `observed` the cells the final analysis
     reads. `stage_of` gives each column's stage. `ratios[t - 1]` is the
     (rows, k) ratio stage t was conducted with, or None for an i.i.d. stage.
-    Row r's decision before stage t is `decisions[t - 2][which[t - 2][r]]`
-    as _decide returned it; a ratio the stage-3 coin chose is in `ratios`
+    Row r's decision before stage t is row `which[t - 2][r]` of the decision
+    table `decisions[t - 2]`, and `decisions[t - 2][which[t - 2][r]]` builds
+    it as an InterimRecord; a ratio the stage-3 coin chose is in `ratios`
     only. `p_value`, `reject` and `skipped` hold the final tests, one column
     per active arm, and `recommended` the recommended arm's index.
     """
@@ -375,7 +554,7 @@ class _Block:
     observed: np.ndarray
     stage_of: np.ndarray
     ratios: tuple[np.ndarray | None, ...]
-    decisions: tuple[list[InterimRecord], ...]
+    decisions: tuple[_DecisionTable, ...]
     which: tuple[np.ndarray, ...]
     impute_failures: np.ndarray
     p_value: np.ndarray
@@ -388,11 +567,18 @@ def _onehot(arm: np.ndarray, k: int) -> np.ndarray:
     return arm[:, :, None] == np.arange(k)
 
 
-def _arm_counts(design: TrialDesign, onehot, y, observed):
-    """Per row and arm: dichotomised successes and outcomes available."""
-    wins = (onehot & (observed & (y >= design.delta))[:, :, None]).sum(axis=1)
-    seen = (onehot & observed[:, :, None]).sum(axis=1)
-    return wins, seen
+def _tallies(design: TrialDesign, arm, y, observed) -> np.ndarray:
+    """Per row, for each arm in turn: dichotomised successes and failures
+    among the outcomes available, and patients assigned, as (rows, 3k)."""
+    rows, k = len(arm), design.k
+    # each cell counts in slot 3 arm + 0 (success), 1 (failure) or 2
+    # (missing) of its row; the missing slot then takes the row's sum
+    cell = arm * 3 + np.arange(2, 3 * k * rows, 3 * k)[:, None]
+    cell -= observed
+    cell -= observed & (y >= design.delta)
+    counts = np.bincount(cell.ravel(), minlength=rows * k * 3)
+    counts[2::3] += counts[0::3] + counts[1::3]
+    return counts.reshape(rows, 3 * k)
 
 
 def _mean_imputed(arm, y, missing, stage_of, k: int):
@@ -439,26 +625,14 @@ def _analysis_view(design, policy, arm, y, missing, stage_of):
 
 
 def _block_decisions(design, policy, stage, arm, y, observed, stage_of):
-    """Each row's interim decision before `stage`, taken by _decide once per
-    distinct count key in first-seen order; returns the decisions and each
-    row's index into them."""
-    k = design.k
-    onehot = _onehot(arm, k)
-    wins, seen = _arm_counts(design, onehot, y, observed)
-    tallies = np.stack([wins, seen - wins, onehot.sum(axis=1)], axis=2)
-    flags = [(~observed[:, stage_of == s]).any(axis=1) for s in (1, 2)]
-    keys = np.column_stack([tallies.reshape(len(arm), 3 * k), *flags])
-    index: dict[tuple[int, ...], int] = {}
-    which = [index.setdefault(key, len(index)) for key in map(tuple, keys.tolist())]
-    decisions = [
-        _decide(
-            design, policy, stage,
-            tuple(key[3 * i : 3 * i + 3] for i in range(k)),
-            (bool(key[-2]), bool(key[-1])),
-        )
-        for key in index
-    ]
-    return decisions, np.array(which)
+    """Each row's interim decision before `stage`: the decision table of
+    (design, policy, stage), which decides the count keys it lacks, and each
+    row's row in it."""
+    tallies = _tallies(design, arm, y, observed)
+    # whether any stage-1 and any stage-2 cell is unobserved
+    flags = ~observed @ (stage_of[:, None] == (1, 2))
+    table = _decision_table(design, policy, stage)
+    return table, table.lookup(np.concatenate([tallies, flags], axis=1))
 
 
 def _final_tests(design: TrialDesign, onehot, y, observed):
@@ -475,14 +649,14 @@ def _final_tests(design: TrialDesign, onehot, y, observed):
     return p, p < design.alpha_level, skipped
 
 
-def _recommended(design: TrialDesign, onehot, y, observed) -> np.ndarray:
+def _recommended(design: TrialDesign, arm, y, observed) -> np.ndarray:
     """Every row's recommended arm: the active arm with the most patients
     assigned, then the larger final posterior mean of the adaptation
     endpoint, then the lower index."""
-    assigned = onehot.sum(axis=1)
-    wins, seen = _arm_counts(design, onehot, y, observed)
+    tallies = _tallies(design, arm, y, observed)
+    wins, losses, assigned = (tallies[:, j::3] for j in range(3))
     alpha = np.asarray(design.prior_alpha) + wins
-    beta = np.asarray(design.prior_beta) + (seen - wins)
+    beta = np.asarray(design.prior_beta) + losses
     mean = alpha / (alpha + beta)
     actives = design.active_indices()
     rows = np.arange(len(y))
@@ -518,38 +692,35 @@ def _conduct_block(
 
     for plan, cols in zip(design.stages, _stage_columns(design)):
         t = plan.stage_index
+        keys = draws.key[:, cols]
         if t == 1:
             planned = planned_ratio(design, 1)
-            options = [() if planned is None else (planned,)]
-            pis = [fixed_equal(k).probs]
-            row_option = np.zeros(n_rows, dtype=np.intp)
+            row_pi = np.tile(_equal_probs(k), (n_rows, 1))
+            row_ratios = None if planned is None else np.tile(planned.counts, (n_rows, 1))
         else:
             view_y, view_observed, _ = _analysis_view(
                 design, policy, arm, y, missing, stage_of
             )
-            stage_decisions, row_option = _block_decisions(
+            table, rows = _block_decisions(
                 design, policy, t, arm, view_y, view_observed, stage_of
             )
-            decisions.append(stage_decisions)
-            which.append(row_option)
-            options = [d.options for d in stage_decisions]
-            pis = [d.pi.probs for d in stage_decisions]
-        keys = draws.key[:, cols]
-        if options[0]:
-            # each decision's first and last option: the coin's two choices,
-            # or one ratio twice
-            table = np.array([[c[0].counts, c[-1].counts] for c in options])
-            heads = (draws.coin[:, t - 1] >= 0.5).astype(np.intp)
-            row_ratios = table[row_option, heads]
+            decisions.append(table)
+            which.append(rows)
+            row_pi, row_ratios = table.pi[rows], table.ratios
+            if row_ratios is not None:
+                # each row's first and last option: the coin's two choices,
+                # or one ratio twice
+                heads = (draws.coin[:, t - 1] >= 0.5).astype(np.intp)
+                row_ratios = row_ratios[rows, heads]
+        if row_ratios is not None:
             # position j of a ratio's sorted arm list holds the arm whose
             # cumulative count first exceeds j
             order = np.argsort(keys, axis=1, kind="stable")
             cum = np.cumsum(row_ratios, axis=1)
             stage_arm = (order[:, :, None] >= cum[:, None, :]).sum(axis=2)
         else:
-            row_ratios = None
             # the arm whose cumulative pi first exceeds the key times the total
-            cum = np.cumsum(np.array(pis)[row_option], axis=1)
+            cum = np.cumsum(row_pi, axis=1)
             scaled = (keys * cum[:, -1:])[:, :, None]
             stage_arm = (cum[:, None, :-1] <= scaled).sum(axis=2)
         stage_missing = np.zeros((n_rows, plan.size), dtype=bool)
@@ -580,7 +751,7 @@ def _conduct_block(
         p_value=p_value,
         reject=reject,
         skipped=skipped,
-        recommended=_recommended(design, onehot, y, observed),
+        recommended=_recommended(design, arm, y, observed),
     )
 
 
@@ -593,51 +764,6 @@ def _pooled_tests(block_a: _Block, block_b: _Block, design: TrialDesign):
     y = np.hstack([block_a.y, block_b.y])
     observed = np.hstack([block_a.observed, block_b.observed])
     return _final_tests(design, _onehot(arm, design.k), y, observed)
-
-
-# Each memoised stage-3 decision's _stage3_marks, keyed by the decision's id.
-# An entry holds its decision, so no other object can take that id while
-# the entry lives; the memo is emptied when it holds as many as _decide keeps.
-_marks_cache: dict[int, tuple[InterimRecord, np.ndarray]] = {}
-
-
-def _cached_marks(decision: InterimRecord, actives, k: int) -> np.ndarray:
-    hit = _marks_cache.get(id(decision))
-    if hit is None:
-        if len(_marks_cache) >= _DECISION_MEMO:
-            _marks_cache.clear()
-        hit = _marks_cache[id(decision)] = (
-            decision, _stage3_marks(decision, actives, k)
-        )
-    return hit[1]
-
-
-def _stage3_marks(decision: InterimRecord, actives, k: int) -> np.ndarray:
-    """Rows drop, keep, favour, disfavour: one trial's stage-3 category per
-    active arm, from the applied categories or else from pi and tau drops."""
-    marks = np.zeros((4, k), dtype=np.int64)
-    C = AdaptationCategory
-    if decision.applied_categories is not None:
-        row = {C.DROP: 0, C.KEEP: 1, C.FAVOUR: 2, C.DISFAVOUR: 3}
-        for i, c in zip(actives, decision.applied_categories):
-            if c in row:
-                marks[row[c], i] = 1
-        return marks
-    dropped = set(decision.dropped)
-    for i in actives:
-        if i in dropped:
-            marks[0, i] = 1
-        elif dropped:
-            marks[1, i] = 1
-        elif decision.pi[i] > 1.0 / k + _SHARE_TOL:
-            marks[2, i] = 1
-        elif decision.pi[i] < 1.0 / k - _SHARE_TOL:
-            marks[3, i] = 1
-    return marks
-
-
-def _pi_rows(decisions: list[InterimRecord], which: np.ndarray) -> np.ndarray:
-    return np.array([d.pi.probs for d in decisions])[which]
 
 
 def _off_centre(pi: np.ndarray, centre: float) -> np.ndarray:
@@ -696,7 +822,7 @@ def _stage2_counts(block: _Block, design: TrialDesign) -> Counts:
         base = ratio.sum(axis=1, keepdims=True) // k
         moved, up, down = ratio != base, ratio > base, ratio < base
     else:
-        pi, centre = _pi_rows(block.decisions[0], block.which[0]), 1.0 / k
+        pi, centre = block.decisions[0].pi[block.which[0]], 1.0 / k
         moved = _off_centre(pi, centre)
         up, down = pi > centre + _SHARE_TOL, pi < centre - _SHARE_TOL
     fav[actives] = up[:, actives].sum(axis=0)
@@ -713,15 +839,13 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
     k, actives = design.k, list(design.active_indices())
     last = block.stage_of == design.n_stages
     last_counts = _onehot(block.arm[:, last], k).sum(axis=1)
-    decisions, which = block.decisions[-1], block.which[-1]
+    table, rows = block.decisions[-1], block.which[-1]
     ratio = block.ratios[-1]
     if ratio is not None:
         moved = ratio != np.asarray(BALANCED[3].counts)
     else:
-        moved = _off_centre(_pi_rows(decisions, which), 1.0 / k)
-    weights = np.bincount(which, minlength=len(decisions))
-    marks = np.array([_cached_marks(d, actives, k) for d in decisions])
-    drop, keep, fav, dis = np.tensordot(weights, marks, axes=1)
+        moved = _off_centre(table.pi[rows], 1.0 / k)
+    drop, keep, fav, dis = table.marks[rows].sum(axis=0)
     return {
         "adapt3": moved.any(axis=1).sum(),
         "zero3": (last_counts[:, actives] == 0).any(axis=1).sum(),
@@ -1169,9 +1293,10 @@ def _accrued_decision(
     missing = np.array([[r.missing for r in records]])
     stage_of = np.array([r.stage for r in records])
     view_y, observed, _ = _analysis_view(design, policy, arm, y, missing, stage_of)
-    (decision,), _ = _block_decisions(
+    table, (row,) = _block_decisions(
         design, policy, upcoming_stage, arm, view_y, observed, stage_of
     )
+    decision = table[row]
     if len(decision.options) > 1:
         decision = replace(decision, ratio=decision.options[rng.integers(2)])
     return decision

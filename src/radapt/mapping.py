@@ -14,7 +14,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import MappingConfig, ThresholdSet, TrialDesign
+import numpy as np
+
+from .core import MappingConfig, TrialDesign
 from .rules import ProbVector
 
 __all__ = [
@@ -22,10 +24,13 @@ __all__ = [
     "RatioVector",
     "STAGE2_MENU",
     "STAGE3_MENU",
+    "CATEGORIES",
     "decide_category",
+    "category_codes",
     "allocation_options",
     "planned_ratio",
     "active_shares",
+    "active_share_rows",
 ]
 
 
@@ -35,6 +40,10 @@ class AdaptationCategory(enum.Enum):
     BALANCE = "Balance"
     FAVOUR = "Favour"
     KEEP = "Keep"
+
+
+# Every category, low to high; category_codes gives positions in it.
+CATEGORIES = tuple(AdaptationCategory)
 
 
 @dataclass(frozen=True)
@@ -76,18 +85,19 @@ _STAGE3_DIS_OPTIONS = ((1, 5), (2, 4))
 _STAGE3_FAV_OPTIONS = ((5, 1), (4, 2))
 
 
-def _cuts(thresholds: ThresholdSet, stage: int, variant: str):
-    """Interior cut-points and the category for each interval, low to high."""
-    C = AdaptationCategory
-    if stage == 2:
-        if variant == "MappedAlpha":
-            return thresholds.stage2, (C.DISFAVOUR, C.FAVOUR)
-        return thresholds.stage2, (C.DISFAVOUR, C.BALANCE, C.FAVOUR)
-    if stage == 3:
-        if variant == "MappedAlpha":
-            return thresholds.stage3, (C.DROP, C.DISFAVOUR, C.FAVOUR, C.KEEP)
-        return thresholds.stage3, (C.DROP, C.DISFAVOUR, C.BALANCE, C.FAVOUR, C.KEEP)
-    raise ValueError(f"categories are defined for stages 2 and 3, got {stage}")
+_C = AdaptationCategory
+# The category of each threshold interval, low to high, as codes (positions
+# in CATEGORIES), by stage and whether the variant is MappedAlpha, which has
+# no Balance band.
+_INTERVAL_CODES = {
+    key: np.array([CATEGORIES.index(c) for c in categories])
+    for key, categories in {
+        (2, True): (_C.DISFAVOUR, _C.FAVOUR),
+        (2, False): (_C.DISFAVOUR, _C.BALANCE, _C.FAVOUR),
+        (3, True): (_C.DROP, _C.DISFAVOUR, _C.FAVOUR, _C.KEEP),
+        (3, False): (_C.DROP, _C.DISFAVOUR, _C.BALANCE, _C.FAVOUR, _C.KEEP),
+    }.items()
+}
 
 
 def decide_category(
@@ -100,13 +110,20 @@ def decide_category(
     """
     if not (0.0 <= pi_k <= 1.0) or not math.isfinite(pi_k):
         raise ValueError(f"probability share outside [0,1]: {pi_k}")
+    return CATEGORIES[int(category_codes(pi_k, stage, config))]
+
+
+def category_codes(shares, stage: int, config: MappingConfig) -> np.ndarray:
+    """decide_category of each share in an array, as positions in
+    CATEGORIES. The cuts ascend, so the first interval [p_{j-1}, p_j) that
+    holds a share is the one after the cuts at or below it."""
     if config.thresholds is None:
         raise ValueError(f"variant {config.variant} has no thresholds to apply")
-    cuts, categories = _cuts(config.thresholds, stage, config.variant)
-    for cut, category in zip(cuts, categories):
-        if pi_k < cut:
-            return category
-    return categories[-1]
+    if stage not in (2, 3):
+        raise ValueError(f"categories are defined for stages 2 and 3, got {stage}")
+    cuts = config.thresholds.stage2 if stage == 2 else config.thresholds.stage3
+    codes = _INTERVAL_CODES[stage, config.variant == "MappedAlpha"]
+    return codes[np.searchsorted(cuts, shares, side="right")]
 
 
 def _placed(i: int, own: int, other: int) -> RatioVector:
@@ -177,11 +194,16 @@ def active_shares(pi: ProbVector) -> tuple[float, float]:
     the control term joins, so renormalising the final vector recovers the raw
     shares the thresholds are defined on.
     """
-    a1, a2 = pi[1], pi[2]
-    total = a1 + a2
-    if total <= 0:
-        return (0.5, 0.5)
-    return (a1 / total, a2 / total)
+    (shares,) = active_share_rows(np.array([pi.probs])).tolist()
+    return tuple(shares)
+
+
+def active_share_rows(pi: np.ndarray) -> np.ndarray:
+    """active_shares of each row of a (rows, K) array of probabilities, as
+    (rows, 2): arms 1 and 2 over their sum, or 1/2 each where it is 0."""
+    total = pi[:, 1:2] + pi[:, 2:3]
+    positive = total > 0
+    return np.where(positive, pi[:, 1:3], 0.5) / np.where(positive, total, 1.0)
 
 
 def planned_ratio(design: TrialDesign, stage: int) -> RatioVector | None:

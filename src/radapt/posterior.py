@@ -134,10 +134,15 @@ def prob_greater(a: BetaPosterior, b: BetaPosterior) -> float:
     case reachable from integer priors and counts), adaptive quadrature
     otherwise; absolute error <= 1e-9 either way.
     """
-    params = (a.alpha, a.beta, b.alpha, b.beta)
+    return _prob_greater_of(a.alpha, a.beta, b.alpha, b.beta)
+
+
+def _prob_greater_of(aa: float, ab: float, ba: float, bb: float) -> float:
+    # prob_greater on the parameters of Beta(aa, ab) and Beta(ba, bb)
+    params = (aa, ab, ba, bb)
     if all(_is_integral(p) for p in params):
         return _prob_greater_int(*(int(p) for p in params))
-    return _prob_greater_quad(a, b)
+    return _prob_greater_quad(BetaPosterior(aa, ab), BetaPosterior(ba, bb))
 
 
 @lru_cache(maxsize=256)
@@ -224,7 +229,11 @@ def prob_best(
     """
     if len(posteriors) < 2:
         raise ValueError("need at least two posteriors")
-    keys = [(p.alpha, p.beta) for p in posteriors]
+    return _prob_best_of([(p.alpha, p.beta) for p in posteriors])
+
+
+def _prob_best_of(keys: list[tuple[float, float]]) -> tuple[float, ...]:
+    # prob_best on each arm's (alpha, beta)
     arms = tuple((a, b, m) for (a, b), m in sorted(Counter(keys).items()))
     if all(_is_integral(a) and _is_integral(b) for a, b, _ in arms):
         values = _prob_best_int(tuple((int(a), int(b), m) for a, b, m in arms))

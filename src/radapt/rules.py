@@ -55,18 +55,35 @@ class ArmCounts:
         return self.counts[i]
 
 
-def _normalised(weights: list[float]) -> ProbVector:
+# The rules' arithmetic on plain floats: the public rules wrap it in a checked
+# ProbVector, and engine's decision tables call it directly, so both give pi
+# bit for bit alike.
+
+
+def _normalised(weights: list[float]) -> tuple[float, ...]:
     total = math.fsum(weights)
     if total <= 0 or not math.isfinite(total):
         raise RuntimeError(f"degenerate weight vector {weights}")
-    return ProbVector(tuple(w / total for w in weights))
+    return tuple(w / total for w in weights)
+
+
+def _equal_probs(k: int) -> tuple[float, ...]:
+    return (1.0 / k,) * k
+
+
+def _ts_probs(best: tuple[float, ...], gamma: float) -> tuple[float, ...]:
+    """ts_brar's pi from each arm's P(best), for gamma > 0."""
+    weights = [p**gamma for p in best]
+    if all(w == 0.0 for w in weights):
+        raise RuntimeError("all probability-of-maximum values are zero")
+    return _normalised(weights)
 
 
 def fixed_equal(k: int) -> ProbVector:
     """Equal probability 1/K for each of K >= 2 arms."""
     if k < 2:
         raise ValueError(f"need at least two arms, got {k}")
-    return ProbVector((1.0 / k,) * k)
+    return ProbVector(_equal_probs(k))
 
 
 def ts_brar(
@@ -84,10 +101,7 @@ def ts_brar(
     k = len(posteriors)
     if gamma == 0:
         return fixed_equal(k)
-    weights = [p**gamma for p in prob_best(posteriors)]
-    if all(w == 0.0 for w in weights):
-        raise RuntimeError("all probability-of-maximum values are zero")
-    return _normalised(weights)
+    return ProbVector(_ts_probs(prob_best(posteriors), gamma))
 
 
 def trippa_brar(
@@ -106,13 +120,28 @@ def trippa_brar(
     exp(sign(dn) * |dn|^eta_t) (PowerForm). The joint raw vector is then
     normalised to a probability vector.
     """
-    if gamma_t < 0 or eta_t < 0:
-        raise ValueError(f"gamma_t and eta_t must be >= 0, got {gamma_t}, {eta_t}")
-    if len(posteriors) != 3 or len(counts) != 3:
-        raise ValueError("rule is defined for exactly 3 arms with arm 0 as control")
-
+    _check_trippa(len(posteriors), len(counts), gamma_t, eta_t)
     control = posteriors[0]
     beats = [prob_greater(p, control) for p in posteriors[1:]]
+    return ProbVector(_trippa_probs(beats, counts.counts, gamma_t, eta_t, form))
+
+
+def _check_trippa(k: int, n_counts: int, gamma_t: float, eta_t: float) -> None:
+    if gamma_t < 0 or eta_t < 0:
+        raise ValueError(f"gamma_t and eta_t must be >= 0, got {gamma_t}, {eta_t}")
+    if k != 3 or n_counts != 3:
+        raise ValueError("rule is defined for exactly 3 arms with arm 0 as control")
+
+
+def _trippa_probs(
+    beats: list[float],
+    counts: tuple[int, ...],
+    gamma_t: float,
+    eta_t: float,
+    form: str,
+) -> tuple[float, ...]:
+    """trippa_brar's pi from each active arm's P(beats control) and the
+    assigned counts, for parameters _check_trippa accepts."""
     raw_active = [b**gamma_t for b in beats]
     active_total = math.fsum(raw_active)
     if active_total <= 0:

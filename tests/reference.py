@@ -3,17 +3,23 @@
 radapt conducts trials one way: blocks of trials over arrays, stage by stage
 (engine._conduct_block), and a live interim as a block of one row. This
 module conducts one trial at a time as a list of PatientRecords, on one row
-of the same draws and through the same memoised decision (engine._decide),
-with the record-level imputer and final analysis written out once more. It
-also keeps the seeded Monte Carlo estimators that the exact posterior
-probabilities are checked against, and the direct subset-sum table that the
-rank-sum null tables radapt derives are checked against.
+of the same draws and through the same decision tables
+(engine._decision_table), with the record-level imputer and final analysis
+written out once more. It keeps the interim decision as radapt took it
+before the tables, one count key at a time (_decide), with the rules'
+arithmetic written out once more: the oracle the tables' decisions are
+checked against. It also keeps the seeded Monte Carlo estimators that the
+exact posterior probabilities are checked against, and the direct
+subset-sum table that the rank-sum null tables radapt derives are checked
+against.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +27,15 @@ from radapt import engine
 from radapt.analysis import wilcoxon_one_sided
 from radapt.core import ArmId, TrialDesign
 from radapt.engine import InterimRecord, MissingPolicy
-from radapt.mapping import RatioVector, planned_ratio
+from radapt.mapping import (
+    BALANCED,
+    AdaptationCategory,
+    RatioVector,
+    active_shares,
+    allocation_options,
+    decide_category,
+    planned_ratio,
+)
 from radapt.outcomes import (
     MissingCase,
     OutcomeModel,
@@ -29,9 +43,15 @@ from radapt.outcomes import (
     dichotomise,
     outcomes_from_raw,
 )
-from radapt.posterior import BetaPosterior, SuccessCount, update
+from radapt.posterior import (
+    BetaPosterior,
+    SuccessCount,
+    prob_best,
+    prob_greater,
+    update,
+)
 from radapt.randlist import RandomisationBlock
-from radapt.rules import fixed_equal
+from radapt.rules import ProbVector, fixed_equal
 
 # ---------------------------------------------------------------------------
 # Outcomes and imputation
@@ -230,14 +250,175 @@ def pooled_analysis(
 
 
 # ---------------------------------------------------------------------------
+# The interim decision, one count key at a time
+
+
+# Per-arm (successes, failures, assigned): with the stage-1 and stage-2
+# missingness flags, everything an interim decision reads from the data.
+ArmTallies = tuple[tuple[int, int, int], ...]
+
+
+def _posteriors(design: TrialDesign, tallies: ArmTallies) -> tuple[BetaPosterior, ...]:
+    return tuple(
+        update(
+            BetaPosterior(design.prior_alpha[i], design.prior_beta[i]),
+            SuccessCount(s, f),
+        )
+        for i, (s, f, _) in enumerate(tallies)
+    )
+
+
+def _normalised(weights: list[float]) -> ProbVector:
+    total = math.fsum(weights)
+    if total <= 0 or not math.isfinite(total):
+        raise RuntimeError(f"degenerate weight vector {weights}")
+    return ProbVector(tuple(w / total for w in weights))
+
+
+def _rule_pi(
+    design: TrialDesign,
+    upcoming_stage: int,
+    posteriors: tuple[BetaPosterior, ...],
+    counts: tuple[int, ...],
+) -> ProbVector:
+    # the rules' arithmetic written out once more, so a fault in the
+    # arithmetic radapt's rules and decision tables share shows here
+    rule = design.rule
+    if rule.kind == "FixedEqual":
+        return fixed_equal(design.k)
+    gamma = rule.gamma_for_stage(upcoming_stage)
+    if rule.kind == "TSBRAR":
+        if gamma == 0:
+            return fixed_equal(design.k)
+        return _normalised([p**gamma for p in prob_best(posteriors)])
+    eta = rule.eta_for_stage(upcoming_stage)
+    control = posteriors[0]
+    raw_active = [prob_greater(p, control) ** gamma for p in posteriors[1:]]
+    active_total = math.fsum(raw_active)
+    raw_active = [w / active_total for w in raw_active]
+    dn = max(counts[1], counts[2]) - counts[0]
+    if rule.control_exponent_form == "ProductForm":
+        g = math.exp(eta * dn)
+    else:
+        g = math.exp(math.copysign(abs(dn) ** eta, dn)) if dn != 0 else 1.0
+    return _normalised([(1.0 / 3.0) * g] + raw_active)
+
+
+_DEMOTED = {
+    AdaptationCategory.DROP: AdaptationCategory.DISFAVOUR,
+    AdaptationCategory.KEEP: AdaptationCategory.FAVOUR,
+}
+
+
+def _tau_dropped_pi(pi: ProbVector, design: TrialDesign) -> tuple[ProbVector, tuple[int, ...]]:
+    shares = active_shares(pi)
+    actives = design.active_indices()
+    drops = tuple(i for i, s in zip(actives, shares) if s < design.tau)
+    if not drops or len(drops) == len(actives):
+        return pi, ()
+    weights = list(pi.probs)
+    for i in drops:
+        weights[i] = 0.0
+    total = math.fsum(weights)
+    return ProbVector(tuple(w / total for w in weights)), drops
+
+
+_DECISION_MEMO = 4096  # decisions _decide keeps
+
+
+@lru_cache(maxsize=_DECISION_MEMO)
+def _decide(
+    design: TrialDesign,
+    policy: MissingPolicy,
+    upcoming_stage: int,
+    tallies: ArmTallies,
+    missing: tuple[bool, bool],
+) -> InterimRecord:
+    """The interim decision as a pure function of integer counts.
+
+    Nothing here draws: a stage-3 category pair that admits two ratios
+    leaves both in `options` and `ratio` None, for the caller's coin.
+    """
+    posteriors = _posteriors(design, tallies)
+    pi = _rule_pi(design, upcoming_stage, posteriors, tuple(n for _, _, n in tallies))
+    stage1_missing, stage2_missing = missing
+    plan = design.stages[upcoming_stage - 1]
+    overrides: list[str] = []
+    categories = applied = None
+    options: tuple[RatioVector, ...] = ()
+    dropped: tuple[int, ...] = ()
+    planned = planned_ratio(design, upcoming_stage)
+
+    if planned is not None:
+        options = (planned,)
+    elif design.mapping is not None:
+        x1, x2 = active_shares(pi)
+        categories = applied = (
+            decide_category(x1, upcoming_stage, design.mapping),
+            decide_category(x2, upcoming_stage, design.mapping),
+        )
+        held = policy.no_adapt_on_stage1_missing and stage1_missing
+        if upcoming_stage == 2 and held:
+            options = (BALANCED[2],)
+            overrides.append("stage-1 outcomes missing: stage-2 block held balanced")
+        else:
+            kept = policy.no_drop_on_stage2_missing and stage2_missing
+            if upcoming_stage == 3 and kept:
+                applied = tuple(_DEMOTED.get(c, c) for c in categories)
+                if applied != categories:
+                    overrides.append(
+                        "stage-2 outcomes missing: Drop/Keep demoted to "
+                        "Disfavour/Favour"
+                    )
+            options = allocation_options(applied, upcoming_stage)
+    else:
+        if (
+            upcoming_stage == 2
+            and policy.no_adapt_on_stage1_missing
+            and stage1_missing
+        ):
+            pi = fixed_equal(design.k)
+            overrides.append(
+                "stage-1 outcomes missing: stage-2 randomisation held at 1/K"
+            )
+        if (
+            upcoming_stage == design.n_stages
+            and design.tau_dropping
+            and plan.arm_dropping_allowed
+        ):
+            if policy.no_drop_on_stage2_missing and stage2_missing:
+                overrides.append(
+                    "stage-2 outcomes missing: tau-based arm dropping suppressed"
+                )
+            else:
+                pi, dropped = _tau_dropped_pi(pi, design)
+                if dropped:
+                    labels = ", ".join(design.arms[i].label for i in dropped)
+                    overrides.append(f"active share below tau, dropped: {labels}")
+
+    return InterimRecord(
+        upcoming_stage=upcoming_stage,
+        posteriors=posteriors,
+        pi=pi,
+        categories=categories,
+        applied_categories=applied,
+        overrides=tuple(overrides),
+        options=options,
+        ratio=options[0] if len(options) == 1 else None,
+        dropped=dropped,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Interim decisions and one trial
 
 
 def _decision(design, records, upcoming_stage, policy) -> InterimRecord:
-    """engine._decide on the records' counts, with no coin drawn: per arm
-    the successes, failures and assigned patients after stage-2 imputation
-    (when the policy asks for it), and whether any stage-1 and any stage-2
-    outcome is missing."""
+    """radapt's decision on the records' count key, with no coin drawn: per
+    arm the successes, failures and assigned patients after stage-2
+    imputation (when the policy asks for it), and whether any stage-1 and
+    any stage-2 outcome is missing; taken from the decision table of
+    (design, policy, upcoming_stage), as a block row takes it."""
     records, _ = analysis_records(records, policy)
     tallies = []
     for i in range(design.k):
@@ -246,7 +427,10 @@ def _decision(design, records, upcoming_stage, policy) -> InterimRecord:
         wins = sum(dichotomise(v, design.delta) for v in values)
         tallies.append((wins, len(values) - wins, len(arm)))
     missing = tuple(any(r.missing for r in records if r.stage == s) for s in (1, 2))
-    return engine._decide(design, policy, upcoming_stage, tuple(tallies), missing)
+    key = tuple(v for tally in tallies for v in tally) + tuple(map(int, missing))
+    table = engine._decision_table(design, policy, upcoming_stage)
+    (row,) = table.lookup([key])
+    return table[row]
 
 
 def interim_decision(

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radapt
-from radapt import preset_design, save_design
+from radapt import engine, preset_design, save_design
 from radapt.cli import main
 
 ACCRUED_HEADER = "patient_id,stage,arm_label,delta_y\n"
@@ -182,6 +183,26 @@ def _digests(out):
     )
 
 
+def _bits_digest(arrays) -> str:
+    """First 16 hex digits of the SHA-256 of the arrays' float64 bits."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _record(monkeypatch, name, read, seen):
+    """Extend `seen` with read(result) at every call of engine.<name>."""
+    original = getattr(engine, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.extend(read(result))
+        return result
+
+    monkeypatch.setattr(engine, name, recording)
+
+
 class TestPinnedReports:
     @pytest.mark.parametrize("design", sorted(PINNED_DIGESTS))
     def test_effects_run(self, design, tmp_path, capsys):
@@ -200,6 +221,38 @@ class TestPinnedReports:
         ])
         assert code == 0
         assert _digests(tmp_path) == ("ad7b7b6cb15ce139", "f5e52f13ef2e6326")
+
+    # The CSVs hold rates at alpha, so a wrong p-value or pi shows there
+    # only where it crosses alpha or a category cut. These pin the bits of
+    # every row's p-values (stratum A, stratum B, then the pooled tests,
+    # block by block) and of every row's decision pi, stage by stage.
+    def test_pooled_imputed_p_values(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        _record(monkeypatch, "_conduct_block", lambda block: [block.p_value], seen)
+        _record(monkeypatch, "_pooled_tests", lambda tests: [tests[0]], seen)
+        code = main([
+            "simulate", "--design", "mapped_beta", "--scenario", "S4", "--case", "4",
+            "--impute-stage2", "--reps", "200", "--seed", "7", "--workers", "1",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert _bits_digest(seen) == "eb191de6ddbee018"
+
+    @pytest.mark.parametrize("design, digest", [
+        ("mapped_alpha", "ab585dee4da045ba"),
+        ("unrestricted", "9d74dacc9f2e8b26"),
+    ])
+    def test_decision_pi(self, design, digest, tmp_path, monkeypatch, capsys):
+        seen = []
+        _record(monkeypatch, "_conduct_block", lambda block: [
+            table.pi[rows] for table, rows in zip(block.decisions, block.which)
+        ], seen)
+        code = main([
+            "simulate", "--design", design, "--effects", "0,0.3,0.4",
+            "--reps", "200", "--seed", "7", "--workers", "1", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert _bits_digest(seen) == digest
 
     # imputation over an i.i.d. stage 1 (fixed_equal) and a block stage 1
     # (mapped_alpha)

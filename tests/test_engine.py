@@ -44,6 +44,7 @@ from radapt.presets import PRESET_NAMES
 from radapt.rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
 from reference import (
     _conduct_trial,
+    _decide,
     analysis_records,
     impute_stage2_mean,
     interim_decision,
@@ -262,10 +263,10 @@ class TestInterimDecisionMemo:
                             r for s in traj.stages[: stage - 1] for r in s.records
                         ]
                         states.append((accrued, stage, policy, seed))
-        # a cold memo: a state's first decision is a miss, later ones with
+        # cold tables: a state's first decision is a miss, later ones with
         # the same counts are hits, and a key that confused two states with
         # different decisions would show as a mismatch
-        engine._decide.cache_clear()
+        engine._decision_cache.clear()
         for accrued, stage, policy, seed in states:
             got_rng = np.random.default_rng([seed, stage])
             want_rng = np.random.default_rng([seed, stage])
@@ -276,8 +277,80 @@ class TestInterimDecisionMemo:
                     name, policy, seed, stage, f.name
                 )
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        info = engine._decide.cache_info()
-        assert info.hits > 0 and info.misses > 0
+        tables = engine._decision_cache.values()
+        assert sum(t.hits for t in tables) > 0 and sum(t.misses for t in tables) > 0
+
+
+class TestDecisionTableOracle:
+    """Every count key that one block of every preset reaches, cases 0-5,
+    under the default policy and with both policies off, each with and
+    without stage-2 imputation: the decision table's InterimRecord equals
+    the oracle's (reference._decide) field by field, pi by its bits."""
+
+    POLICIES = (
+        MissingPolicy(),
+        MissingPolicy(impute_stage2=True),
+        MissingPolicy(no_adapt_on_stage1_missing=False, no_drop_on_stage2_missing=False),
+        MissingPolicy(
+            no_adapt_on_stage1_missing=False, no_drop_on_stage2_missing=False,
+            impute_stage2=True,
+        ),
+    )
+    MODEL = OutcomeModel.parametric((0.0, 0.3, 0.6))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_reached_key_equals_the_oracle(self, name):
+        design = preset_design(name)
+        tables = {}
+        for case_id in range(6):
+            case = MissingCase.from_id(case_id)
+            (draws,) = engine._block_draws(
+                design, self.MODEL, case_id, 0, engine._BLOCK_REPS
+            )
+            for policy in self.POLICIES:
+                block = engine._conduct_block(design, self.MODEL, case, policy, draws)
+                tables.update((id(table), table) for table in block.decisions)
+        checked = set()
+        for table in tables.values():
+            for row, key in enumerate(table.count_keys.tolist()):
+                tallies = tuple(tuple(key[3 * i : 3 * i + 3]) for i in range(design.k))
+                want = _decide(
+                    design, table.policy, table.stage, tallies,
+                    (bool(key[-2]), bool(key[-1])),
+                )
+                got = table[row]
+                for f in dataclasses.fields(InterimRecord):
+                    if f.name == "pi":
+                        assert _bits(got.pi.probs) == _bits(want.pi.probs), key
+                    else:
+                        assert getattr(got, f.name) == getattr(want, f.name), (
+                            table.policy, table.stage, key, f.name
+                        )
+                checked.add((table.policy, table.stage, tuple(key)))
+        # both interims under all four policies, many keys each
+        assert len({(policy, stage) for policy, stage, _ in checked}) == 8
+        assert len(checked) > 200
+
+    def test_tables_are_bounded(self, monkeypatch):
+        # the tables start afresh once they hold _DECISION_MEMO keys between
+        # them; a lookup adds at most one block of keys first, and a block
+        # reads its rows from the tables it was conducted with
+        monkeypatch.setattr(engine, "_DECISION_MEMO", 40)
+        engine._decision_cache.clear()
+        design = preset_design("unrestricted")
+        case = MissingCase.from_id(0)
+        blocks = []
+        for draws in engine._block_draws(design, self.MODEL, 3, 0, 3 * engine._BLOCK_REPS):
+            blocks.append(
+                engine._conduct_block(design, self.MODEL, case, MissingPolicy(), draws)
+            )
+            held = sum(map(len, engine._decision_cache.values()))
+            assert held <= 40 + engine._BLOCK_REPS
+        tables = {id(t): t for b in blocks for t in b.decisions}
+        assert len(tables) == 6
+        for block in blocks:
+            for table, rows in zip(block.decisions, block.which):
+                assert rows.max() < len(table)
 
 
 def _bits(values):

@@ -91,7 +91,7 @@ class TestDrawLaws:
         for i in range(design.k):
             excess = var = 0.0
             for b in blocks:
-                pi = engine._pi_rows(b.decisions[0], b.which[0])[:, i]
+                pi = b.decisions[0].pi[b.which[0], i]
                 got = (b.arm[:, 6:12] == i).sum(axis=1)
                 excess += float((got - 6 * pi).sum())
                 var += float((6 * pi * (1 - pi)).sum())
@@ -156,7 +156,7 @@ def exact_stage2_law(design, model):
     """stage2_adapt, favour2 and disfavour2 of a mapped design on complete
     data, exactly: stage 1 assigns each arm its fixed count n_i, so its
     successes are Bin(n_i, p_i) independently, and every joint outcome maps
-    to one stage-2 ratio through the interim decision on those counts."""
+    to one stage-2 ratio through the decision table's row for those counts."""
     ratio = planned_ratio(design, 1)
     p = [_success_probability(model, i, design.delta) for i in range(design.k)]
     adapt, fav, dis = 0.0, [0.0] * design.k, [0.0] * design.k
@@ -165,9 +165,10 @@ def exact_stage2_law(design, model):
             math.comb(n, w) * q**w * (1.0 - q) ** (n - w)
             for n, w, q in zip(ratio.counts, wins, p)
         )
-        tallies = tuple((w, n - w, n) for n, w in zip(ratio.counts, wins))
-        decided = engine._decide(design, MissingPolicy(), 2, tallies, (False, False))
-        counts = decided.ratio.counts
+        key = tuple(v for n, w in zip(ratio.counts, wins) for v in (w, n - w, n))
+        table = engine._decision_table(design, MissingPolicy(), 2)
+        (row,) = table.lookup([key + (0, 0)])
+        counts = table[row].ratio.counts
         adapt += weight * (counts != engine.BALANCED[2].counts)
         for i in design.active_indices():
             fav[i] += weight * (counts[i] > 2)
