@@ -435,10 +435,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every main() call in the process
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1170,11 +1170,15 @@ def read_accrued(
 
     delta_y is a float or the literal NA for a missing outcome. Malformed
     content raises ValueError naming the offending line. Given
-    `upcoming_stage`, so does data the interim before that stage must not
-    decide on: a row of that stage or a later one (naming the row); a stage
-    before it with no rows (naming the file); and, naming the stage's first
-    line, a stage before it whose arm split _split_problem refuses.
+    `upcoming_stage`, a value outside 2..n_stages raises before the file is
+    opened, and so, once it is read, does data the interim before that
+    stage must not decide on: a row of that stage or a later one (naming
+    the row); a stage before it with no rows (naming the file); and, naming
+    the stage's first line, a stage before it whose arm split _split_problem
+    refuses.
     """
+    if upcoming_stage is not None:
+        _check_upcoming(design, upcoming_stage)
     path = Path(path)
     by_label = {a.label: a for a in design.arms}
     records: list[PatientRecord] = []
@@ -1237,7 +1241,7 @@ def read_accrued(
     if not records:
         raise ValueError(f"{path}: no patient rows")
     if upcoming_stage is not None:
-        before = range(1, min(upcoming_stage, design.n_stages + 1))
+        before = range(1, upcoming_stage)
         absent = [t for t in before if t not in first_line]
         if absent:
             raise ValueError(
@@ -1252,6 +1256,13 @@ def read_accrued(
                 raise ValueError(f"{path}:{first_line[t]}: stage {t} {problem}")
     records.sort(key=lambda r: r.patient_id)
     return records
+
+
+def _check_upcoming(design: TrialDesign, upcoming_stage: int) -> None:
+    if not 2 <= upcoming_stage <= design.n_stages:
+        raise ValueError(
+            f"upcoming stage must be in 2..{design.n_stages}, got {upcoming_stage}"
+        )
 
 
 def _split_problem(design: TrialDesign, stage: int, counts) -> str | None:
@@ -1324,10 +1335,7 @@ def interim_recommendation(
     everything else is deterministic in the data.
     """
     _require_valid(design)
-    if not 2 <= upcoming_stage <= design.n_stages:
-        raise ValueError(
-            f"upcoming stage must be in 2..{design.n_stages}, got {upcoming_stage}"
-        )
+    _check_upcoming(design, upcoming_stage)
     present = {r.stage for r in records}
     needed = set(range(1, upcoming_stage))
     absent = needed - present

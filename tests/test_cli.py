@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import radapt
-from radapt import engine, preset_design, save_design
+from radapt import cli, engine, preset_design, save_design
 from radapt.cli import main
 
 ACCRUED_HEADER = "patient_id,stage,arm_label,delta_y\n"
@@ -480,6 +480,28 @@ class TestInterim:
             "block is 2:2:2"
         ) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data_file", ["stages_1_2", "absent"])
+    @pytest.mark.parametrize("stage", [0, 1, 4])
+    def test_next_stage_out_of_range_refused(self, stage, data_file, tmp_path, capsys):
+        # refused before the file is read: stage-2 rows must not be blamed
+        # on the interim before stage 1, nor a missing stage 3 on stage 4
+        if data_file == "absent":
+            data = tmp_path / "absent.csv"
+        else:
+            stage2 = "".join(
+                f"{7 + i},2,{arm},0.3\n"
+                for i, arm in enumerate(["C", "C", "T1", "T1", "T2", "T2"])
+            )
+            data = self._data(tmp_path, STAGE1_ROWS + stage2)
+        code = main([
+            "interim", "--design", "mapped_alpha", "--data", str(data),
+            "--next-stage", str(stage),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: upcoming stage must be in 2..3, got {stage}\n"
+        )
+
 
 class TestGenlist:
     def test_predetermined_block_for_mapped_design(self, tmp_path, capsys):
@@ -636,3 +658,66 @@ class TestParser:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
+
+
+class TestParserReuse:
+    """main() parses with one parser per process; no call may leave state
+    behind for the next."""
+
+    STAGE2_NA_ROWS = (
+        "7,2,C,0.2\n8,2,C,0.6\n9,2,T1,NA\n10,2,T1,0.3\n11,2,T2,0.7\n12,2,T2,0.1\n"
+    )
+
+    def _interim(self, tmp_path, *flags):
+        data = tmp_path / "accrued.csv"
+        body = ACCRUED_HEADER + STAGE1_ROWS + self.STAGE2_NA_ROWS
+        data.write_text(body, encoding="utf-8")
+        return [
+            "interim", "--design", "mapped_alpha", "--data", str(data),
+            "--next-stage", "3", *flags,
+        ]
+
+    def test_append_default_not_shared(self, tmp_path, capsys):
+        base = ["genlist", "--design", "permuted_block", "--seed", "11"]
+        assert main(base + ["--ratio", "2:2:2", "--out", str(tmp_path / "a.csv")]) == 0
+        assert "1 block(s), 6 positions" in capsys.readouterr().out
+        out = tmp_path / "b.csv"
+        assert main(base + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 3 block(s), 20 positions\n"
+        assert len(_read_csv(out)) == 20
+
+    def test_usage_error_leaves_no_state(self, tmp_path, capsys):
+        argv = self._interim(tmp_path, "--seed", "4")
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(["interim", "--design", "mapped_alpha", "--bogus"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_out_not_carried_over(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / "audit"
+        assert main(self._interim(tmp_path, "--out", str(out_dir))) == 0
+        assert f"wrote {out_dir / 'interim_audit.txt'}" in capsys.readouterr().out
+        (out_dir / "interim_audit.txt").unlink()
+        assert main(self._interim(tmp_path)) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert not (out_dir / "interim_audit.txt").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["accrued.csv", "audit"]
+
+    def test_store_true_not_carried_over(self, tmp_path, capsys):
+        assert main(self._interim(tmp_path)) == 0
+        plain = capsys.readouterr().out
+        assert main(self._interim(tmp_path, "--impute-stage2")) == 0
+        imputed = capsys.readouterr().out
+        assert main(self._interim(tmp_path)) == 0
+        assert capsys.readouterr().out == plain
+        assert imputed != plain
+
+    def test_main_does_not_rebuild_the_parser(self, tmp_path, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main() built a parser")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert main(self._interim(tmp_path)) == 0
