@@ -80,25 +80,16 @@ def default_arms(k: int = 3) -> tuple[ArmId, ...]:
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Size and restrictions of one accrual stage.
+    """One accrual stage: its 1-based number and its size in patients.
 
-    Parameters
-    ----------
-    stage_index : int
-        1-based stage number.
-    size : int
-        Patients accrued in this stage.
-    control_fix : int | None
-        Exact number of control patients in this stage, when the design
-        restricts it (mapped designs fix 2 per stage). None = unrestricted.
-    arm_dropping_allowed : bool
-        Whether an active arm may receive zero patients in this stage.
+    What a stage's block fixes follows from the rest of the design: mapped
+    designs run mapping.MAPPED_CONTROLS controls in every stage, and the last
+    stage may leave an active arm without patients where the design drops
+    arms there (a MappedAlpha or MappedBeta Drop category, or tau_dropping).
     """
 
     stage_index: int
     size: int
-    control_fix: int | None = None
-    arm_dropping_allowed: bool = False
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,6 @@ class MappingConfig:
 
     variant: str
     thresholds: ThresholdSet | None = None
-    control_fix: int = 2
 
 
 @dataclass(frozen=True)
@@ -169,7 +159,6 @@ class TrialDesign:
     delta: float = DEFAULT_DELTA
     tau: float = DEFAULT_TAU
     alpha_level: float = DEFAULT_ALPHA_LEVEL
-    planned_n: int | None = None
     stratum_label: str = "A"
     name: str = "custom"
     # Baseline-style extras for designs without a mapping: run stage 1 as a
@@ -237,15 +226,8 @@ def validate_design(design: TrialDesign) -> list[str]:
             v.append(f"stage {i} has stage_index {plan.stage_index}")
         if plan.size <= 0:
             v.append(f"stage {i} size must be positive, got {plan.size}")
-        if plan.control_fix is None:
-            if plan.size < k:
-                v.append(f"stage {i} size {plan.size} smaller than K={k}")
-        elif not 0 <= plan.control_fix <= plan.size:
-            v.append(
-                f"stage {i} control_fix {plan.control_fix} outside [0, {plan.size}]"
-            )
-    if design.stages and design.stages[0].arm_dropping_allowed:
-        v.append("stage 1 never allows arm dropping")
+        if plan.size < k:
+            v.append(f"stage {i} size {plan.size} smaller than K={k}")
     if design.stage1_balanced_block and design.stages and k:
         size = design.stages[0].size
         if size % k:
@@ -254,11 +236,6 @@ def validate_design(design: TrialDesign) -> list[str]:
                 f"K={k}, got {size}"
             )
 
-    if design.planned_n is not None and design.planned_n != design.n_total:
-        v.append(
-            f"declared stratum size {design.planned_n} != sum of stage sizes "
-            f"{design.n_total}"
-        )
     if table_cells(2 * design.n_total) > EXACT_CELL_GUARD:
         v.append(
             f"stratum of {design.n_total} patients: two pooled strata must fit "
@@ -338,10 +315,6 @@ def _validate_mapping(design: TrialDesign) -> list[str]:
     if mapping.variant == "PermutedBlock":
         return v
 
-    # The ratio menu assumes 2 controls per stage.
-    if mapping.control_fix != 2:
-        v.append(f"mapped designs fix 2 controls per stage, got {mapping.control_fix}")
-
     th = mapping.thresholds
     if th is None:
         v.append("mapped variant needs a ThresholdSet")
@@ -376,13 +349,7 @@ def design_to_dict(design: TrialDesign) -> dict:
             for a in design.arms
         ],
         "stages": [
-            {
-                "stage_index": s.stage_index,
-                "size": s.size,
-                "control_fix": s.control_fix,
-                "arm_dropping_allowed": s.arm_dropping_allowed,
-            }
-            for s in design.stages
+            {"stage_index": s.stage_index, "size": s.size} for s in design.stages
         ],
         "rule": {
             "kind": design.rule.kind,
@@ -396,16 +363,11 @@ def design_to_dict(design: TrialDesign) -> dict:
         "delta": design.delta,
         "tau": design.tau,
         "alpha_level": design.alpha_level,
-        "planned_n": design.planned_n,
         "stage1_balanced_block": design.stage1_balanced_block,
         "tau_dropping": design.tau_dropping,
     }
     if design.mapping is not None:
-        m: dict = {
-            "variant": design.mapping.variant,
-            "control_fix": design.mapping.control_fix,
-            "thresholds": None,
-        }
+        m: dict = {"variant": design.mapping.variant, "thresholds": None}
         if design.mapping.thresholds is not None:
             m["thresholds"] = {
                 "stage2": list(design.mapping.thresholds.stage2),
@@ -421,12 +383,7 @@ def design_from_dict(d: dict) -> TrialDesign:
             ArmId(a["index"], a["role"], a["label"]) for a in d["arms"]
         )
         stages = tuple(
-            StagePlan(
-                stage_index=s["stage_index"],
-                size=s["size"],
-                control_fix=s.get("control_fix"),
-                arm_dropping_allowed=s.get("arm_dropping_allowed", False),
-            )
+            StagePlan(stage_index=s["stage_index"], size=s["size"])
             for s in d["stages"]
         )
         r = d["rule"]
@@ -445,12 +402,8 @@ def design_from_dict(d: dict) -> TrialDesign:
                     stage2=tuple(m["thresholds"]["stage2"]),
                     stage3=tuple(m["thresholds"]["stage3"]),
                 )
-            mapping = MappingConfig(
-                variant=m["variant"],
-                thresholds=thresholds,
-                control_fix=m.get("control_fix", 2),
-            )
-        return TrialDesign(
+            mapping = MappingConfig(variant=m["variant"], thresholds=thresholds)
+        design = TrialDesign(
             stages=stages,
             rule=rule,
             mapping=mapping,
@@ -460,24 +413,65 @@ def design_from_dict(d: dict) -> TrialDesign:
             delta=d.get("delta", DEFAULT_DELTA),
             tau=d.get("tau", DEFAULT_TAU),
             alpha_level=d.get("alpha_level", DEFAULT_ALPHA_LEVEL),
-            planned_n=d.get("planned_n"),
             stratum_label=d.get("stratum_label", "A"),
             name=d.get("name", "custom"),
             stage1_balanced_block=d.get("stage1_balanced_block", False),
             tau_dropping=d.get("tau_dropping", False),
         )
+        _check_old_keys(d, design)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed design dict: {exc}") from exc
+    return design
+
+
+def _check_old_keys(d: dict, design: TrialDesign) -> None:
+    """Refuse a key of older files that the design now implies where it
+    states another value than the one radapt runs; null or absent is fine.
+    Mapped designs run mapping.MAPPED_CONTROLS controls in every stage, and
+    only the last stage of a design that drops arms there may drop one."""
+    from .mapping import MAPPED_CONTROLS
+
+    mapped = design.mapping is not None
+    drops_last = (
+        design.mapping.variant in ("MappedAlpha", "MappedBeta")
+        if mapped
+        else design.tau_dropping
+    )
+    checks = [("planned_n", d.get("planned_n"), design.n_total)]
+    if mapped:
+        checks.append(
+            ("mapping.control_fix", d["mapping"].get("control_fix"), MAPPED_CONTROLS)
+        )
+    controls = MAPPED_CONTROLS if mapped else None
+    for t, s in enumerate(d["stages"], start=1):
+        checks.append((f"stages[{t}].control_fix", s.get("control_fix"), controls))
+        checks.append((
+            f"stages[{t}].arm_dropping_allowed",
+            s.get("arm_dropping_allowed"),
+            drops_last and t == design.n_stages,
+        ))
+    for key, value, implied in checks:
+        if value is not None and (
+            value != implied or isinstance(value, bool) != isinstance(implied, bool)
+        ):
+            raise ValueError(
+                f"{key} is {json.dumps(value)}, but the design implies "
+                f"{json.dumps(implied)}; radapt no longer reads the key, so "
+                f"omit it"
+            )
 
 
 def load_design(path: str | Path) -> TrialDesign:
-    """Read a design from its JSON file."""
+    """Read a design from its JSON file; a ValueError names the file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return design_from_dict(payload)
+    try:
+        return design_from_dict(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_design(design: TrialDesign, path: str | Path) -> None:

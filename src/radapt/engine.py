@@ -67,6 +67,7 @@ from .core import TrialDesign, validate_design
 from .mapping import (
     BALANCED,
     CATEGORIES,
+    MAPPED_CONTROLS,
     AdaptationCategory,
     RatioVector,
     active_share_rows,
@@ -216,10 +217,7 @@ class _DecisionTable:
         planned = planned_ratio(design, stage)
         self.categorised = planned is None and design.mapping is not None
         self.tau_stage = (
-            design.mapping is None
-            and stage == design.n_stages
-            and design.tau_dropping
-            and design.stages[stage - 1].arm_dropping_allowed
+            design.mapping is None and stage == design.n_stages and design.tau_dropping
         )
         if rule.kind == "TrippaBRAR":
             self.gamma, self.eta = rule.gamma_for_stage(stage), rule.eta_for_stage(stage)
@@ -1172,18 +1170,16 @@ def read_accrued(
     content raises ValueError naming the offending line. Given
     `upcoming_stage`, a value outside 2..n_stages raises before the file is
     opened, and so, once it is read, does data the interim before that
-    stage must not decide on: a row of that stage or a later one (naming
-    the row); a stage before it with no rows (naming the file); and, naming
-    the stage's first line, a stage before it whose arm split _split_problem
-    refuses.
+    stage must not decide on (_accrued_problem), naming the line of the
+    record the refusal names, or else the file.
     """
     if upcoming_stage is not None:
         _check_upcoming(design, upcoming_stage)
     path = Path(path)
     by_label = {a.label: a for a in design.arms}
     records: list[PatientRecord] = []
+    lines: list[int] = []
     seen: set[int] = set()
-    first_line: dict[int, int] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -1230,30 +1226,16 @@ def read_accrued(
                     ) from exc
                 if not math.isfinite(delta):
                     raise ValueError(f"{path}:{lineno}: delta_y must be finite")
-            if upcoming_stage is not None and stage >= upcoming_stage:
-                raise ValueError(
-                    f"{path}:{lineno}: a stage-{stage} patient, but the "
-                    f"interim before stage {upcoming_stage} may use only "
-                    f"stages before it"
-                )
             records.append(PatientRecord(pid, stage, arm, delta))
-            first_line.setdefault(stage, lineno)
+            lines.append(lineno)
     if not records:
         raise ValueError(f"{path}: no patient rows")
     if upcoming_stage is not None:
-        before = range(1, upcoming_stage)
-        absent = [t for t in before if t not in first_line]
-        if absent:
-            raise ValueError(
-                f"{path}: accrued data has no patients in stage(s) "
-                f"{', '.join(map(str, absent))}"
-            )
-        for t in before:
-            arms = [r.arm.index for r in records if r.stage == t]
-            counts = tuple(np.bincount(arms, minlength=design.k).tolist())
-            problem = _split_problem(design, t, counts)
-            if problem is not None:
-                raise ValueError(f"{path}:{first_line[t]}: stage {t} {problem}")
+        problem = _accrued_problem(design, records, upcoming_stage)
+        if problem is not None:
+            at, message = problem
+            where = path if at is None else f"{path}:{lines[at]}"
+            raise ValueError(f"{where}: {message}")
     records.sort(key=lambda r: r.patient_id)
     return records
 
@@ -1265,11 +1247,42 @@ def _check_upcoming(design: TrialDesign, upcoming_stage: int) -> None:
         )
 
 
+def _accrued_problem(
+    design: TrialDesign, records: list[PatientRecord], upcoming_stage: int
+) -> tuple[int | None, str] | None:
+    """Why the interim before `upcoming_stage` must not decide on these
+    records, or None, with the position of the record the refusal names:
+    the first record of that stage or a later one (or of a stage before 1);
+    no record, where a stage before it has none; or the stage's first
+    record, where a stage before it has an arm split _split_problem refuses.
+    read_accrued and interim_recommendation refuse alike by it."""
+    counts = [[0] * design.k for _ in range(upcoming_stage)]
+    first: dict[int, int] = {}
+    for i, r in enumerate(records):
+        if r.stage < 1:
+            return i, f"stage {r.stage} outside 1..{design.n_stages}"
+        if r.stage >= upcoming_stage:
+            return i, (
+                f"a stage-{r.stage} patient, but the interim before stage "
+                f"{upcoming_stage} may use only stages before it"
+            )
+        counts[r.stage][r.arm.index] += 1
+        first.setdefault(r.stage, i)
+    absent = [str(t) for t in range(1, upcoming_stage) if t not in first]
+    if absent:
+        return None, f"accrued data has no patients in stage(s) {', '.join(absent)}"
+    for t in range(1, upcoming_stage):
+        problem = _split_problem(design, t, tuple(counts[t]))
+        if problem is not None:
+            return first[t], f"stage {t} {problem}"
+    return None
+
+
 def _split_problem(design: TrialDesign, stage: int, counts) -> str | None:
     """Why a stage's per-arm patient counts do not fit the design, or None:
     a total other than the stage's planned size, a split other than the
     stage's planned_ratio, or for mapped designs a control count other than
-    the fixed one. read_accrued and genlist check with it alike."""
+    MAPPED_CONTROLS. read_accrued and genlist check with it alike."""
     planned = planned_ratio(design, stage)
     size = design.stages[stage - 1].size
     if sum(counts) != size:
@@ -1280,11 +1293,8 @@ def _split_problem(design: TrialDesign, stage: int, counts) -> str | None:
             f"stage-{stage} block is {planned.label()}"
         )
     control = counts[design.control_index()]
-    if design.mapping is not None and control != design.mapping.control_fix:
-        return (
-            f"has {control} control patients, the design fixes "
-            f"{design.mapping.control_fix}"
-        )
+    if design.mapping is not None and control != MAPPED_CONTROLS:
+        return f"has {control} control patients, the design fixes {MAPPED_CONTROLS}"
     return None
 
 
@@ -1332,18 +1342,17 @@ def interim_recommendation(
     """One interim decision for real accrued data, with an audit trail.
 
     `seed` feeds only the fair coin a two-option mapped category may need;
-    everything else is deterministic in the data.
+    everything else is deterministic in the data. Records that read_accrued
+    would refuse raise ValueError, naming the patient where it names a line.
     """
     _require_valid(design)
     _check_upcoming(design, upcoming_stage)
-    present = {r.stage for r in records}
-    needed = set(range(1, upcoming_stage))
-    absent = needed - present
-    if absent:
-        raise ValueError(
-            f"accrued data has no patients in stage(s) "
-            f"{', '.join(str(s) for s in sorted(absent))}"
-        )
+    problem = _accrued_problem(design, records, upcoming_stage)
+    if problem is not None:
+        at, message = problem
+        if at is not None:
+            message = f"patient {records[at].patient_id}: {message}"
+        raise ValueError(message)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     rec = _accrued_decision(design, records, upcoming_stage, policy, rng)

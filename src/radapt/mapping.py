@@ -4,8 +4,9 @@ Each active arm's probability share is placed into an adaptation category
 (Drop / Disfavour / Balance / Favour / Keep) by half-open threshold intervals,
 and the category pair picks a ratio from the fixed per-stage menu
 (allocation_options). Stage 1 is always the balanced 2:2:2 block and the
-control count is fixed at 2 in every mapped stage; planned_ratio gives the
-ratios a design fixes before any data.
+control count is fixed at MAPPED_CONTROLS in every mapped stage, the only
+control count the menus hold; planned_ratio gives the ratios a design fixes
+before any data.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "STAGE2_MENU",
     "STAGE3_MENU",
     "CATEGORIES",
+    "MAPPED_CONTROLS",
     "decide_category",
     "category_codes",
     "allocation_options",
@@ -70,8 +72,13 @@ class RatioVector:
         return ":".join(str(c) for c in self.counts)
 
 
+# The control patients of every stage of a mapped design (MappedAlpha,
+# MappedBeta and PermutedBlock alike): the paper's menus hold no other count,
+# so the control share never tells which active arm leads.
+MAPPED_CONTROLS = 2
+
 # Ratio menus; every mapped stage-2 ratio sums to 6 and stage-3 ratio to 8,
-# always with 2 controls.
+# always with MAPPED_CONTROLS controls.
 STAGE2_MENU = frozenset({(2, 1, 3), (2, 2, 2), (2, 3, 1)})
 STAGE3_MENU = frozenset(
     {(2, 0, 6), (2, 1, 5), (2, 2, 4), (2, 3, 3), (2, 4, 2), (2, 5, 1), (2, 6, 0)}
@@ -127,11 +134,12 @@ def category_codes(shares, stage: int, config: MappingConfig) -> np.ndarray:
 
 
 def _placed(i: int, own: int, other: int) -> RatioVector:
-    # 2 controls; active position i gets `own` patients, the other `other`
+    # the fixed controls; active position i gets `own` patients, the other
+    # `other`
     parts = [0, 0]
     parts[i] = own
     parts[1 - i] = other
-    return RatioVector((2, *parts))
+    return RatioVector((MAPPED_CONTROLS, *parts))
 
 
 def _stage2_options(cats) -> tuple[RatioVector, ...]:
@@ -159,7 +167,7 @@ def _stage3_options(cats) -> tuple[RatioVector, ...]:
     keep = [i for i, c in enumerate(cats) if c is C.KEEP]
 
     if len(drop) == 1:
-        return (_placed(drop[0], 0, 8 - 2),)
+        return (_placed(drop[0], 0, 8 - MAPPED_CONTROLS),)
     if len(dis) == 1:
         return tuple(_placed(dis[0], low, high) for low, high in _STAGE3_DIS_OPTIONS)
     if len(fav) == 1:
@@ -167,7 +175,7 @@ def _stage3_options(cats) -> tuple[RatioVector, ...]:
     if len(bal) == 1:
         return (BALANCED[3],)
     if len(keep) == 1:
-        return (_placed(keep[0], 8 - 2, 0),)
+        return (_placed(keep[0], 8 - MAPPED_CONTROLS, 0),)
     # both-same (including both Drop / both Keep)
     return (BALANCED[3],)
 

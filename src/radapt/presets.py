@@ -35,13 +35,7 @@ PRESET_NAMES = (
 # adaptive stage, (6/20, 12/20) for the reference stages.
 _GAMMA_INFO = (0.3, 0.6)
 
-
-def _stages(control_fix: int | None, stage3_dropping: bool) -> tuple[StagePlan, ...]:
-    return (
-        StagePlan(1, 6, control_fix=control_fix),
-        StagePlan(2, 6, control_fix=control_fix),
-        StagePlan(3, 8, control_fix=control_fix, arm_dropping_allowed=stage3_dropping),
-    )
+_STAGES = (StagePlan(1, 6), StagePlan(2, 6), StagePlan(3, 8))
 
 
 def preset_design(
@@ -54,29 +48,18 @@ def preset_design(
     trippa = RuleConfig(
         kind="TrippaBRAR", gamma_schedule=_GAMMA_INFO, eta_schedule=(eta, eta)
     )
-    common = dict(tau=tau, stratum_label=stratum_label, name=name)
+    common = dict(stages=_STAGES, tau=tau, stratum_label=stratum_label, name=name)
 
     if name == "fixed_equal":
-        return TrialDesign(
-            stages=_stages(None, False),
-            rule=RuleConfig(kind="FixedEqual"),
-            **common,
-        )
+        return TrialDesign(rule=RuleConfig(kind="FixedEqual"), **common)
     if name == "unrestricted":
         return TrialDesign(
-            stages=_stages(None, False),
-            rule=RuleConfig(kind="TSBRAR", gamma_schedule=(1.0, 1.0)),
-            **common,
+            rule=RuleConfig(kind="TSBRAR", gamma_schedule=(1.0, 1.0)), **common
         )
     if name == "control_protected":
-        return TrialDesign(
-            stages=_stages(None, False),
-            rule=trippa,
-            **common,
-        )
+        return TrialDesign(rule=trippa, **common)
     if name == "baseline":
         return TrialDesign(
-            stages=_stages(None, True),
             rule=trippa,
             stage1_balanced_block=True,
             tau_dropping=True,
@@ -84,14 +67,12 @@ def preset_design(
         )
     if name == "permuted_block":
         return TrialDesign(
-            stages=_stages(2, False),
             rule=RuleConfig(kind="FixedEqual"),
             mapping=MappingConfig(variant="PermutedBlock"),
             **common,
         )
     if name == "mapped_alpha":
         return TrialDesign(
-            stages=_stages(2, True),
             rule=trippa,
             mapping=MappingConfig(
                 variant="MappedAlpha", thresholds=ThresholdSet.alpha_defaults(tau)
@@ -100,7 +81,6 @@ def preset_design(
         )
     if name == "mapped_beta":
         return TrialDesign(
-            stages=_stages(2, True),
             rule=trippa,
             mapping=MappingConfig(
                 variant="MappedBeta", thresholds=ThresholdSet.beta_defaults(tau)

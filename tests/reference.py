@@ -342,7 +342,6 @@ def _decide(
     posteriors = _posteriors(design, tallies)
     pi = _rule_pi(design, upcoming_stage, posteriors, tuple(n for _, _, n in tallies))
     stage1_missing, stage2_missing = missing
-    plan = design.stages[upcoming_stage - 1]
     overrides: list[str] = []
     categories = applied = None
     options: tuple[RatioVector, ...] = ()
@@ -381,11 +380,7 @@ def _decide(
             overrides.append(
                 "stage-1 outcomes missing: stage-2 randomisation held at 1/K"
             )
-        if (
-            upcoming_stage == design.n_stages
-            and design.tau_dropping
-            and plan.arm_dropping_allowed
-        ):
+        if upcoming_stage == design.n_stages and design.tau_dropping:
             if policy.no_drop_on_stage2_missing and stage2_missing:
                 overrides.append(
                     "stage-2 outcomes missing: tau-based arm dropping suppressed"

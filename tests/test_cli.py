@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import radapt
 from radapt import cli, engine, preset_design, save_design
 from radapt.cli import main
+from test_core import OLD_FILES
 
 ACCRUED_HEADER = "patient_id,stage,arm_label,delta_y\n"
 STAGE1_ROWS = (
@@ -600,6 +602,61 @@ class TestGenlist:
     )
     def test_readme_examples(self, flags, tmp_path):
         assert main(["genlist", *flags, "--out", str(tmp_path / "list.csv")]) == 0
+
+
+class TestOldDesignFiles:
+    def test_readme_old_file_runs_as_the_preset(self, tmp_path, capsys):
+        design = tmp_path / "it.json"
+        design.write_text(OLD_FILES["mapped_alpha"], encoding="utf-8")
+        data = tmp_path / "accrued.csv"
+        stage2 = (
+            "7,2,C,0.2\n8,2,C,0.6\n9,2,T1,NA\n10,2,T1,0.3\n11,2,T2,0.7\n"
+            "12,2,T2,0.1\n"
+        )
+        data.write_text(ACCRUED_HEADER + STAGE1_ROWS + stage2, encoding="utf-8")
+        outputs = []
+        for spec in (str(design), "mapped_alpha"):
+            out = tmp_path / f"list{len(outputs)}.csv"
+            assert main([
+                "genlist", "--design", spec, "--ratio", "2:2:2", "--out", str(out),
+            ]) == 0
+            assert main([
+                "interim", "--design", spec, "--data", str(data), "--next-stage", "3",
+            ]) == 0
+            # the interim audit, after genlist's line naming its file
+            audit = capsys.readouterr().out.split("\n", 1)[1]
+            outputs.append((out.read_bytes(), audit))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "name,edit,key",
+        [
+            ("permuted_block", ("mapping", "control_fix", 3), "mapping.control_fix"),
+            (
+                "mapped_alpha",
+                ("stages", 2, "arm_dropping_allowed", False),
+                "stages[3].arm_dropping_allowed",
+            ),
+            ("fixed_equal", ("stages", 0, "control_fix", 5), "stages[1].control_fix"),
+            ("mapped_alpha", ("planned_n", 21), "planned_n"),
+        ],
+        ids=["mapping_controls", "stage3_dropping", "stage1_controls", "planned_n"],
+    )
+    def test_contradicting_value_exits_2(self, name, edit, key, tmp_path, capsys):
+        payload = json.loads(OLD_FILES[name])
+        *path, leaf, value = edit
+        node = payload
+        for part in path:
+            node = node[part]
+        node[leaf] = value
+        design = tmp_path / "it.json"
+        design.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "list.csv"
+        code = main(["genlist", "--design", str(design), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {design}: {key} is {json.dumps(value)}, ")
+        assert not out.exists()
 
 
 class TestReport:

@@ -26,6 +26,243 @@ def _reference():
     return preset_design("mapped_alpha")
 
 
+# Design files as radapt wrote them before the stage control count, the
+# stage arm-dropping flag, the mapping control count and planned_n were
+# derived from the rest of the design (mapped_alpha is the example README.md
+# gave then).
+OLD_FILES = {
+    "mapped_alpha": """\
+{
+  "name": "mapped_alpha",
+  "stratum_label": "A",
+  "arms": [
+    {"index": 0, "role": "Control", "label": "C"},
+    {"index": 1, "role": "Active", "label": "T1"},
+    {"index": 2, "role": "Active", "label": "T2"}
+  ],
+  "stages": [
+    {"stage_index": 1, "size": 6, "control_fix": 2, "arm_dropping_allowed": false},
+    {"stage_index": 2, "size": 6, "control_fix": 2, "arm_dropping_allowed": false},
+    {"stage_index": 3, "size": 8, "control_fix": 2, "arm_dropping_allowed": true}
+  ],
+  "rule": {
+    "kind": "TrippaBRAR",
+    "gamma_schedule": [0.3, 0.6],
+    "eta_schedule": [0.322, 0.322],
+    "control_exponent_form": "ProductForm"
+  },
+  "mapping": {
+    "variant": "MappedAlpha",
+    "control_fix": 2,
+    "thresholds": {"stage2": [0.45], "stage3": [0.1, 0.45, 0.55]}
+  },
+  "prior_alpha": [1.0, 1.0, 1.0],
+  "prior_beta": [1.0, 1.0, 1.0],
+  "delta": 0.3,
+  "tau": 0.1,
+  "alpha_level": 0.1,
+  "planned_n": null,
+  "stage1_balanced_block": false,
+  "tau_dropping": false
+}
+""",
+    "baseline": """\
+{
+  "name": "baseline",
+  "stratum_label": "A",
+  "arms": [
+    {"index": 0, "role": "Control", "label": "C"},
+    {"index": 1, "role": "Active", "label": "T1"},
+    {"index": 2, "role": "Active", "label": "T2"}
+  ],
+  "stages": [
+    {"stage_index": 1, "size": 6, "control_fix": null, "arm_dropping_allowed": false},
+    {"stage_index": 2, "size": 6, "control_fix": null, "arm_dropping_allowed": false},
+    {"stage_index": 3, "size": 8, "control_fix": null, "arm_dropping_allowed": true}
+  ],
+  "rule": {
+    "kind": "TrippaBRAR",
+    "gamma_schedule": [0.3, 0.6],
+    "eta_schedule": [0.322, 0.322],
+    "control_exponent_form": "ProductForm"
+  },
+  "mapping": null,
+  "prior_alpha": [1.0, 1.0, 1.0],
+  "prior_beta": [1.0, 1.0, 1.0],
+  "delta": 0.3,
+  "tau": 0.1,
+  "alpha_level": 0.1,
+  "planned_n": null,
+  "stage1_balanced_block": true,
+  "tau_dropping": true
+}
+""",
+    "permuted_block": """\
+{
+  "name": "permuted_block",
+  "stratum_label": "A",
+  "arms": [
+    {"index": 0, "role": "Control", "label": "C"},
+    {"index": 1, "role": "Active", "label": "T1"},
+    {"index": 2, "role": "Active", "label": "T2"}
+  ],
+  "stages": [
+    {"stage_index": 1, "size": 6, "control_fix": 2, "arm_dropping_allowed": false},
+    {"stage_index": 2, "size": 6, "control_fix": 2, "arm_dropping_allowed": false},
+    {"stage_index": 3, "size": 8, "control_fix": 2, "arm_dropping_allowed": false}
+  ],
+  "rule": {
+    "kind": "FixedEqual",
+    "gamma_schedule": [],
+    "eta_schedule": [],
+    "control_exponent_form": "ProductForm"
+  },
+  "mapping": {
+    "variant": "PermutedBlock",
+    "control_fix": 2,
+    "thresholds": null
+  },
+  "prior_alpha": [1.0, 1.0, 1.0],
+  "prior_beta": [1.0, 1.0, 1.0],
+  "delta": 0.3,
+  "tau": 0.1,
+  "alpha_level": 0.1,
+  "planned_n": null,
+  "stage1_balanced_block": false,
+  "tau_dropping": false
+}
+""",
+    "fixed_equal": """\
+{
+  "name": "fixed_equal",
+  "stratum_label": "A",
+  "arms": [
+    {"index": 0, "role": "Control", "label": "C"},
+    {"index": 1, "role": "Active", "label": "T1"},
+    {"index": 2, "role": "Active", "label": "T2"}
+  ],
+  "stages": [
+    {"stage_index": 1, "size": 6, "control_fix": null, "arm_dropping_allowed": false},
+    {"stage_index": 2, "size": 6, "control_fix": null, "arm_dropping_allowed": false},
+    {"stage_index": 3, "size": 8, "control_fix": null, "arm_dropping_allowed": false}
+  ],
+  "rule": {
+    "kind": "FixedEqual",
+    "gamma_schedule": [],
+    "eta_schedule": [],
+    "control_exponent_form": "ProductForm"
+  },
+  "mapping": null,
+  "prior_alpha": [1.0, 1.0, 1.0],
+  "prior_beta": [1.0, 1.0, 1.0],
+  "delta": 0.3,
+  "tau": 0.1,
+  "alpha_level": 0.1,
+  "planned_n": null,
+  "stage1_balanced_block": false,
+  "tau_dropping": false
+}
+""",
+    "unrestricted": """\
+{
+  "name": "unrestricted",
+  "stratum_label": "A",
+  "arms": [
+    {"index": 0, "role": "Control", "label": "C"},
+    {"index": 1, "role": "Active", "label": "T1"},
+    {"index": 2, "role": "Active", "label": "T2"}
+  ],
+  "stages": [
+    {"stage_index": 1, "size": 6, "control_fix": null, "arm_dropping_allowed": false},
+    {"stage_index": 2, "size": 6, "control_fix": null, "arm_dropping_allowed": false},
+    {"stage_index": 3, "size": 8, "control_fix": null, "arm_dropping_allowed": false}
+  ],
+  "rule": {
+    "kind": "TSBRAR",
+    "gamma_schedule": [1.0, 1.0],
+    "eta_schedule": [],
+    "control_exponent_form": "ProductForm"
+  },
+  "mapping": null,
+  "prior_alpha": [1.0, 1.0, 1.0],
+  "prior_beta": [1.0, 1.0, 1.0],
+  "delta": 0.3,
+  "tau": 0.1,
+  "alpha_level": 0.1,
+  "planned_n": null,
+  "stage1_balanced_block": false,
+  "tau_dropping": false
+}
+""",
+    "control_protected": """\
+{
+  "name": "control_protected",
+  "stratum_label": "A",
+  "arms": [
+    {"index": 0, "role": "Control", "label": "C"},
+    {"index": 1, "role": "Active", "label": "T1"},
+    {"index": 2, "role": "Active", "label": "T2"}
+  ],
+  "stages": [
+    {"stage_index": 1, "size": 6, "control_fix": null, "arm_dropping_allowed": false},
+    {"stage_index": 2, "size": 6, "control_fix": null, "arm_dropping_allowed": false},
+    {"stage_index": 3, "size": 8, "control_fix": null, "arm_dropping_allowed": false}
+  ],
+  "rule": {
+    "kind": "TrippaBRAR",
+    "gamma_schedule": [0.3, 0.6],
+    "eta_schedule": [0.322, 0.322],
+    "control_exponent_form": "ProductForm"
+  },
+  "mapping": null,
+  "prior_alpha": [1.0, 1.0, 1.0],
+  "prior_beta": [1.0, 1.0, 1.0],
+  "delta": 0.3,
+  "tau": 0.1,
+  "alpha_level": 0.1,
+  "planned_n": null,
+  "stage1_balanced_block": false,
+  "tau_dropping": false
+}
+""",
+    "mapped_beta": """\
+{
+  "name": "mapped_beta",
+  "stratum_label": "A",
+  "arms": [
+    {"index": 0, "role": "Control", "label": "C"},
+    {"index": 1, "role": "Active", "label": "T1"},
+    {"index": 2, "role": "Active", "label": "T2"}
+  ],
+  "stages": [
+    {"stage_index": 1, "size": 6, "control_fix": 2, "arm_dropping_allowed": false},
+    {"stage_index": 2, "size": 6, "control_fix": 2, "arm_dropping_allowed": false},
+    {"stage_index": 3, "size": 8, "control_fix": 2, "arm_dropping_allowed": true}
+  ],
+  "rule": {
+    "kind": "TrippaBRAR",
+    "gamma_schedule": [0.3, 0.6],
+    "eta_schedule": [0.322, 0.322],
+    "control_exponent_form": "ProductForm"
+  },
+  "mapping": {
+    "variant": "MappedBeta",
+    "control_fix": 2,
+    "thresholds": {"stage2": [0.3333333333333333, 0.45], "stage3": [0.1, 0.3333333333333333, 0.45, 0.55]}
+  },
+  "prior_alpha": [1.0, 1.0, 1.0],
+  "prior_beta": [1.0, 1.0, 1.0],
+  "delta": 0.3,
+  "tau": 0.1,
+  "alpha_level": 0.1,
+  "planned_n": null,
+  "stage1_balanced_block": false,
+  "tau_dropping": false
+}
+""",
+}
+
+
 class TestValidateDesign:
     def test_reference_design_is_valid(self):
         assert validate_design(_reference()) == []
@@ -46,31 +283,10 @@ class TestValidateDesign:
         bad = _reference().with_tau(0.5)
         assert any("tau" in msg and "0.5" in msg for msg in validate_design(bad))
 
-    def test_planned_n_mismatch(self):
-        bad = dataclasses.replace(_reference(), planned_n=21)
-        violations = validate_design(bad)
-        assert len(violations) == 1
-        assert "21" in violations[0] and "20" in violations[0]
-
-    def test_planned_n_match_ok(self):
-        ok = dataclasses.replace(_reference(), planned_n=20)
-        assert validate_design(ok) == []
-
-    def test_stage1_arm_dropping_rejected(self):
-        ref = _reference()
-        stages = (dataclasses.replace(ref.stages[0], arm_dropping_allowed=True),) + ref.stages[1:]
-        bad = dataclasses.replace(ref, stages=stages)
-        assert any("stage 1" in msg for msg in validate_design(bad))
-
     def test_stage_size_below_k_without_control_fix(self):
         stages = (StagePlan(1, 2), StagePlan(2, 6), StagePlan(3, 8))
         bad = TrialDesign(stages=stages, rule=RuleConfig("FixedEqual"))
         assert any("smaller than K" in msg for msg in validate_design(bad))
-
-    def test_control_fix_above_stage_size(self):
-        stages = (StagePlan(1, 6, control_fix=7), StagePlan(2, 6), StagePlan(3, 8))
-        bad = TrialDesign(stages=stages, rule=RuleConfig("FixedEqual"))
-        assert any("control_fix" in msg for msg in validate_design(bad))
 
     def test_balanced_stage1_needs_divisible_size(self):
         stages = (StagePlan(1, 7), StagePlan(2, 6), StagePlan(3, 8))
@@ -157,7 +373,7 @@ class TestJsonRoundTrip:
         assert validate_design(loaded) == validate_design(design) == []
 
     def test_round_trip_preserves_violations(self):
-        bad = dataclasses.replace(_reference(), planned_n=21)
+        bad = _reference().with_tau(0.5)
         again = design_from_dict(design_to_dict(bad))
         assert validate_design(again) == validate_design(bad)
 
@@ -212,6 +428,70 @@ class TestJsonRoundTrip:
         again = design_from_dict(design_to_dict(design))
         assert again == design
         assert validate_design(again) == validate_design(design)
+
+
+class TestOldDesignFiles:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_old_file_loads_as_its_preset(self, name, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text(OLD_FILES[name], encoding="utf-8")
+        assert load_design(path) == preset_design(name)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("mapped_alpha", 20), ("mapped_alpha", None), ("fixed_equal", 20)],
+    )
+    def test_planned_n_of_the_stage_sum_loads(self, name, value):
+        payload = json.loads(OLD_FILES[name])
+        payload["planned_n"] = value
+        assert design_from_dict(payload) == preset_design(name)
+
+    def test_null_old_keys_load(self):
+        payload = json.loads(OLD_FILES["mapped_alpha"])
+        payload["mapping"]["control_fix"] = None
+        for stage in payload["stages"]:
+            stage["control_fix"] = stage["arm_dropping_allowed"] = None
+        assert design_from_dict(payload) == preset_design("mapped_alpha")
+
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("permuted_block", "mapping.control_fix", 3),
+            ("mapped_alpha", "mapping.control_fix", 1),
+            ("mapped_alpha", "stages[3].arm_dropping_allowed", False),
+            ("mapped_alpha", "stages[1].arm_dropping_allowed", True),
+            ("baseline", "stages[3].arm_dropping_allowed", False),
+            ("fixed_equal", "stages[3].arm_dropping_allowed", True),
+            ("permuted_block", "stages[3].arm_dropping_allowed", True),
+            ("mapped_alpha", "stages[3].arm_dropping_allowed", 1),
+            ("fixed_equal", "stages[1].control_fix", 5),
+            ("fixed_equal", "stages[1].control_fix", 7),
+            ("baseline", "stages[1].control_fix", 2),
+            ("mapped_alpha", "stages[2].control_fix", 3),
+            ("mapped_alpha", "planned_n", 21),
+            ("fixed_equal", "planned_n", 19),
+        ],
+    )
+    def test_contradicting_value_refused(self, name, key, value):
+        # radapt runs one value of each key; a file that states another is
+        # refused, naming the key, rather than run as if it were honoured
+        payload = json.loads(OLD_FILES[name])
+        *parents, leaf = key.replace("[", ".").replace("]", "").split(".")
+        node = payload
+        for part in parents:
+            node = node[int(part) - 1] if part.isdigit() else node[part]
+        node[leaf] = value
+        with pytest.raises(ValueError) as info:
+            design_from_dict(payload)
+        assert str(info.value).startswith(f"{key} is {json.dumps(value)}, ")
+
+    def test_new_files_write_none_of_the_old_keys(self):
+        for name in PRESET_NAMES:
+            payload = design_to_dict(preset_design(name))
+            assert "planned_n" not in payload
+            assert all(set(s) == {"stage_index", "size"} for s in payload["stages"])
+            if payload["mapping"] is not None:
+                assert "control_fix" not in payload["mapping"]
 
 
 class TestDefaults:

@@ -207,11 +207,7 @@ def _reference_interim(design, records, stage, policy, rng):
             overrides.append(
                 "stage-1 outcomes missing: stage-2 randomisation held at 1/K"
             )
-        if (
-            stage == design.n_stages
-            and design.tau_dropping
-            and design.stages[stage - 1].arm_dropping_allowed
-        ):
+        if stage == design.n_stages and design.tau_dropping:
             if keep_arms:
                 overrides.append(
                     "stage-2 outcomes missing: tau-based arm dropping suppressed"
@@ -943,6 +939,76 @@ class TestInterimRecommendation:
         records = self._records(reference_design, tmp_path)
         with pytest.raises(ValueError, match="stage"):
             interim_recommendation(reference_design, records, 3)
+
+    # (stage, arm index) of each patient, ids 1, 2, ... in order
+    BLOCK1 = [(1, 0), (1, 0), (1, 1), (1, 1), (1, 2), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "name,spec,stage,message",
+        [
+            # a 4:1:1 stage 1 plus a stage-2 patient: decided, it would
+            # count the stage-2 patient into T1's posterior
+            (
+                "mapped_alpha",
+                [(1, 0)] * 4 + [(1, 1), (1, 2), (2, 1)],
+                2,
+                "patient 7: a stage-2 patient, but the interim before stage 2 "
+                "may use only stages before it",
+            ),
+            (
+                "mapped_alpha",
+                [(1, 0)] * 4 + [(1, 1), (1, 2)],
+                2,
+                "patient 1: stage 1 splits the arms 4:1:1, the design's "
+                "stage-1 block is 2:2:2",
+            ),
+            (
+                "control_protected",
+                BLOCK1[:5],
+                2,
+                "patient 1: stage 1 has 5 patients, the design plans 6",
+            ),
+            (
+                "mapped_beta",
+                BLOCK1 + [(2, 0), (2, 0), (2, 0), (2, 1), (2, 2), (2, 2)],
+                3,
+                "patient 7: stage 2 has 3 control patients, the design fixes 2",
+            ),
+            (
+                "permuted_block",
+                BLOCK1 + [(2, 0), (2, 0), (2, 1), (2, 2), (2, 2), (2, 2)],
+                3,
+                "patient 7: stage 2 splits the arms 2:1:3, the design's "
+                "stage-2 block is 2:2:2",
+            ),
+            (
+                "baseline",
+                BLOCK1,
+                3,
+                "accrued data has no patients in stage(s) 2",
+            ),
+            (
+                "unrestricted",
+                BLOCK1 + [(0, 1)],
+                2,
+                "patient 7: stage 0 outside 1..3",
+            ),
+        ],
+        ids=[
+            "later_stage", "split", "size", "controls", "planned_block",
+            "absent_stage", "stage_0",
+        ],
+    )
+    def test_refuses_what_read_accrued_refuses(self, name, spec, stage, message):
+        design = preset_design(name)
+        arms = design.arms
+        records = [
+            PatientRecord(pid, t, arms[a], 0.5)
+            for pid, (t, a) in enumerate(spec, start=1)
+        ]
+        with pytest.raises(ValueError) as info:
+            interim_recommendation(design, records, stage)
+        assert str(info.value) == message
 
 
 class TestInterimThroughBlockPath:
