@@ -29,7 +29,7 @@ def control_alloc_at(eta: float, reps: int, seed: int) -> float:
     report = replicate(
         design,
         model,
-        case=MissingCase.from_id(0),
+        case=MissingCase(0),
         policy=MissingPolicy(),
         n_reps=reps,
         master_seed=seed,

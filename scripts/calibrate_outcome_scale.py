@@ -26,7 +26,7 @@ def power_at(sigma: float, reps: int, seed: int) -> float:
     report = replicate(
         design,
         model,
-        case=MissingCase.from_id(0),
+        case=MissingCase(0),
         policy=MissingPolicy(),
         n_reps=reps,
         master_seed=seed,

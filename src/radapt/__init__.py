@@ -18,7 +18,6 @@ from .core import (
     ArmId,
     MappingConfig,
     RuleConfig,
-    StagePlan,
     ThresholdSet,
     TrialDesign,
     default_arms,

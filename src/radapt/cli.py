@@ -178,7 +178,7 @@ def _print_summary(reports: list[OCReport]) -> None:
 def _cmd_simulate(args) -> int:
     design = _resolve_design(args.design)
     policy = _policy_from(args)
-    case = MissingCase.from_id(args.case)
+    case = MissingCase(args.case)
     seed = _resolve_seed(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,7 +236,7 @@ def _cmd_calibrate(args) -> int:
         n_reps=args.reps,
         master_seed=seed,
         h1_effects=h1_effects,
-        case=MissingCase.from_id(args.case),
+        case=MissingCase(args.case),
         policy=_policy_from(args),
         workers=args.workers,
         criterion=args.criterion,

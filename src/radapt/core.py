@@ -18,7 +18,6 @@ from .analysis import EXACT_CELL_GUARD, table_cells
 
 __all__ = [
     "ArmId",
-    "StagePlan",
     "RuleConfig",
     "ThresholdSet",
     "MappingConfig",
@@ -54,9 +53,9 @@ DEFAULT_ETA = 0.322
 
 @dataclass(frozen=True)
 class ArmId:
-    """One treatment arm: positional index, role, and display label."""
+    """One treatment arm: role and display label. An arm's index is its
+    position in the design's arms."""
 
-    index: int
     role: str
     label: str
 
@@ -73,23 +72,9 @@ def default_arms(k: int = 3) -> tuple[ArmId, ...]:
     """Arm set with arm 0 as control, labelled C, T1, T2, ..."""
     if k < 2:
         raise ValueError("need at least two arms")
-    arms = [ArmId(0, CONTROL, "C")]
-    arms += [ArmId(i, ACTIVE, f"T{i}") for i in range(1, k)]
+    arms = [ArmId(CONTROL, "C")]
+    arms += [ArmId(ACTIVE, f"T{i}") for i in range(1, k)]
     return tuple(arms)
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    """One accrual stage: its 1-based number and its size in patients.
-
-    What a stage's block fixes follows from the rest of the design: mapped
-    designs run mapping.MAPPED_CONTROLS controls in every stage, and the last
-    stage may leave an active arm without patients where the design drops
-    arms there (a MappedAlpha or MappedBeta Drop category, or tau_dropping).
-    """
-
-    stage_index: int
-    size: int
 
 
 @dataclass(frozen=True)
@@ -148,9 +133,16 @@ class MappingConfig:
 
 @dataclass(frozen=True)
 class TrialDesign:
-    """Complete static specification of a one-stratum design."""
+    """Complete static specification of a one-stratum design.
 
-    stages: tuple[StagePlan, ...]
+    `stage_sizes[t - 1]` is the number of patients stage t accrues. What a
+    stage's block fixes follows from the rest of the design: mapped designs
+    run mapping.MAPPED_CONTROLS controls in every stage, and the last stage
+    may leave an active arm without patients where the design drops arms
+    there (a MappedAlpha or MappedBeta Drop category, or tau_dropping).
+    """
+
+    stage_sizes: tuple[int, ...]
     rule: RuleConfig
     mapping: MappingConfig | None = None
     arms: tuple[ArmId, ...] = field(default_factory=default_arms)
@@ -173,20 +165,20 @@ class TrialDesign:
 
     @property
     def n_total(self) -> int:
-        return sum(s.size for s in self.stages)
+        return sum(self.stage_sizes)
 
     @property
     def n_stages(self) -> int:
-        return len(self.stages)
+        return len(self.stage_sizes)
 
     def control_index(self) -> int:
-        for arm in self.arms:
+        for i, arm in enumerate(self.arms):
             if arm.is_control:
-                return arm.index
+                return i
         raise ValueError("design has no control arm")
 
     def active_indices(self) -> tuple[int, ...]:
-        return tuple(a.index for a in self.arms if not a.is_control)
+        return tuple(i for i, a in enumerate(self.arms) if not a.is_control)
 
     def with_tau(self, tau: float) -> "TrialDesign":
         """Copy with a new drop threshold, keeping thresholds consistent."""
@@ -216,20 +208,16 @@ def validate_design(design: TrialDesign) -> list[str]:
     labels = [a.label for a in design.arms]
     if len(set(labels)) != len(labels):
         v.append(f"arm labels not unique: {labels}")
-    if tuple(a.index for a in design.arms) != tuple(range(k)):
-        v.append("arm indices must be 0..K-1 in order")
 
-    if not design.stages:
+    if not design.stage_sizes:
         v.append("design has no stages")
-    for i, plan in enumerate(design.stages, start=1):
-        if plan.stage_index != i:
-            v.append(f"stage {i} has stage_index {plan.stage_index}")
-        if plan.size <= 0:
-            v.append(f"stage {i} size must be positive, got {plan.size}")
-        if plan.size < k:
-            v.append(f"stage {i} size {plan.size} smaller than K={k}")
-    if design.stage1_balanced_block and design.stages and k:
-        size = design.stages[0].size
+    for i, size in enumerate(design.stage_sizes, start=1):
+        if size <= 0:
+            v.append(f"stage {i} size must be positive, got {size}")
+        if size < k:
+            v.append(f"stage {i} size {size} smaller than K={k}")
+    if design.stage1_balanced_block and design.stage_sizes and k:
+        size = design.stage_sizes[0]
         if size % k:
             v.append(
                 f"balanced stage-1 block needs a stage-1 size divisible by "
@@ -309,9 +297,10 @@ def _validate_mapping(design: TrialDesign) -> list[str]:
         v.append(f"mapping requires K=3 (one control, two actives), got K={design.k}")
     # Every variant's ratios (2:2:2, 2:2:2, then 2:3:3 or a mapped stage-3
     # ratio) fill stages of sizes (6, 6, 8).
-    sizes = tuple(s.size for s in design.stages)
-    if sizes != (6, 6, 8):
-        v.append(f"mapped designs require stage sizes (6, 6, 8), got {sizes}")
+    if design.stage_sizes != (6, 6, 8):
+        v.append(
+            f"mapped designs require stage sizes (6, 6, 8), got {design.stage_sizes}"
+        )
     if mapping.variant == "PermutedBlock":
         return v
 
@@ -344,13 +333,8 @@ def design_to_dict(design: TrialDesign) -> dict:
     d: dict = {
         "name": design.name,
         "stratum_label": design.stratum_label,
-        "arms": [
-            {"index": a.index, "role": a.role, "label": a.label}
-            for a in design.arms
-        ],
-        "stages": [
-            {"stage_index": s.stage_index, "size": s.size} for s in design.stages
-        ],
+        "arms": [{"role": a.role, "label": a.label} for a in design.arms],
+        "stages": [{"size": size} for size in design.stage_sizes],
         "rule": {
             "kind": design.rule.kind,
             "gamma_schedule": list(design.rule.gamma_schedule),
@@ -379,13 +363,7 @@ def design_to_dict(design: TrialDesign) -> dict:
 
 def design_from_dict(d: dict) -> TrialDesign:
     try:
-        arms = tuple(
-            ArmId(a["index"], a["role"], a["label"]) for a in d["arms"]
-        )
-        stages = tuple(
-            StagePlan(stage_index=s["stage_index"], size=s["size"])
-            for s in d["stages"]
-        )
+        arms = tuple(ArmId(a["role"], a["label"]) for a in d["arms"])
         r = d["rule"]
         rule = RuleConfig(
             kind=r["kind"],
@@ -404,7 +382,7 @@ def design_from_dict(d: dict) -> TrialDesign:
                 )
             mapping = MappingConfig(variant=m["variant"], thresholds=thresholds)
         design = TrialDesign(
-            stages=stages,
+            stage_sizes=tuple(s["size"] for s in d["stages"]),
             rule=rule,
             mapping=mapping,
             arms=arms,
@@ -427,8 +405,10 @@ def design_from_dict(d: dict) -> TrialDesign:
 def _check_old_keys(d: dict, design: TrialDesign) -> None:
     """Refuse a key of older files that the design now implies where it
     states another value than the one radapt runs; null or absent is fine.
-    Mapped designs run mapping.MAPPED_CONTROLS controls in every stage, and
-    only the last stage of a design that drops arms there may drop one."""
+    An arm's index is its position, counted from 0, and a stage's
+    stage_index its position, counted from 1. Mapped designs run
+    mapping.MAPPED_CONTROLS controls in every stage, and only the last stage
+    of a design that drops arms there may drop one."""
     from .mapping import MAPPED_CONTROLS
 
     mapped = design.mapping is not None
@@ -442,8 +422,11 @@ def _check_old_keys(d: dict, design: TrialDesign) -> None:
         checks.append(
             ("mapping.control_fix", d["mapping"].get("control_fix"), MAPPED_CONTROLS)
         )
+    for i, a in enumerate(d["arms"]):
+        checks.append((f"arms[{i}].index", a.get("index"), i))
     controls = MAPPED_CONTROLS if mapped else None
     for t, s in enumerate(d["stages"], start=1):
+        checks.append((f"stages[{t}].stage_index", s.get("stage_index"), t))
         checks.append((f"stages[{t}].control_fix", s.get("control_fix"), controls))
         checks.append((
             f"stages[{t}].arm_dropping_allowed",

@@ -496,14 +496,14 @@ def _draw(
 
 
 def _stage_columns(design: TrialDesign) -> list[slice]:
-    ends = np.cumsum([0] + [plan.size for plan in design.stages]).tolist()
+    ends = np.cumsum((0,) + design.stage_sizes).tolist()
     return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-def _missing_count(case: MissingCase, plan) -> int:
-    drop = case.count_for_stage(plan.stage_index)
-    if drop > plan.size:
-        raise ValueError(f"cannot drop {drop} of {plan.size} records")
+def _missing_count(case: MissingCase, stage: int, size: int) -> int:
+    drop = case.count_for_stage(stage)
+    if drop > size:
+        raise ValueError(f"cannot drop {drop} of {size} records")
     return drop
 
 
@@ -688,8 +688,8 @@ def _conduct_block(
     stage_of = np.empty(0, dtype=np.int64)
     ratios, decisions, which = [], [], []
 
-    for plan, cols in zip(design.stages, _stage_columns(design)):
-        t = plan.stage_index
+    stages = zip(design.stage_sizes, _stage_columns(design))
+    for t, (size, cols) in enumerate(stages, start=1):
         keys = draws.key[:, cols]
         if t == 1:
             planned = planned_ratio(design, 1)
@@ -721,8 +721,8 @@ def _conduct_block(
             cum = np.cumsum(row_pi, axis=1)
             scaled = (keys * cum[:, -1:])[:, :, None]
             stage_arm = (cum[:, None, :-1] <= scaled).sum(axis=2)
-        stage_missing = np.zeros((n_rows, plan.size), dtype=bool)
-        drop = _missing_count(case, plan)
+        stage_missing = np.zeros((n_rows, size), dtype=bool)
+        drop = _missing_count(case, t, size)
         if drop:
             order = np.argsort(draws.miss[:, cols], axis=1, kind="stable")
             np.put_along_axis(stage_missing, order[:, :drop], True, axis=1)
@@ -730,7 +730,7 @@ def _conduct_block(
         arm = np.hstack([arm, stage_arm])
         y = np.hstack([y, outcomes_from_raw(model, stage_arm, draws.raw[:, cols])])
         missing = np.hstack([missing, stage_missing])
-        stage_of = np.concatenate([stage_of, np.full(plan.size, t)])
+        stage_of = np.concatenate([stage_of, np.full(size, t)])
         ratios.append(row_ratios)
 
     y, observed, failures = _analysis_view(design, policy, arm, y, missing, stage_of)
@@ -1072,7 +1072,7 @@ def replicate(
     _require_valid(design)
     _require_arity(design, model)
     if case is None:
-        case = MissingCase.from_id(0)
+        case = MissingCase(0)
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
 
@@ -1123,7 +1123,7 @@ def replicate_pooled(
     from Philox keyed by SeedSequence([master_seed, b, s]).
     """
     if case is None:
-        case = MissingCase.from_id(0)
+        case = MissingCase(0)
     design_a = replace(design, stratum_label="A")
     design_b = replace(design, stratum_label="B")
     _require_valid(design_a)
@@ -1252,10 +1252,11 @@ def _accrued_problem(
 ) -> tuple[int | None, str] | None:
     """Why the interim before `upcoming_stage` must not decide on these
     records, or None, with the position of the record the refusal names:
-    the first record of that stage or a later one (or of a stage before 1);
-    no record, where a stage before it has none; or the stage's first
-    record, where a stage before it has an arm split _split_problem refuses.
-    read_accrued and interim_recommendation refuse alike by it."""
+    the first record of that stage or a later one (or of a stage before 1),
+    or whose arm is not one of the design's arms; no record, where a stage
+    before it has none; or the stage's first record, where a stage before
+    it has an arm split _split_problem refuses. read_accrued and
+    interim_recommendation refuse alike by it."""
     counts = [[0] * design.k for _ in range(upcoming_stage)]
     first: dict[int, int] = {}
     for i, r in enumerate(records):
@@ -1266,7 +1267,12 @@ def _accrued_problem(
                 f"a stage-{r.stage} patient, but the interim before stage "
                 f"{upcoming_stage} may use only stages before it"
             )
-        counts[r.stage][r.arm.index] += 1
+        if r.arm not in design.arms:
+            return i, (
+                f"arm {r.arm.label!r} ({r.arm.role}) is not one of the "
+                f"design's arms {', '.join(a.label for a in design.arms)}"
+            )
+        counts[r.stage][design.arms.index(r.arm)] += 1
         first.setdefault(r.stage, i)
     absent = [str(t) for t in range(1, upcoming_stage) if t not in first]
     if absent:
@@ -1284,7 +1290,7 @@ def _split_problem(design: TrialDesign, stage: int, counts) -> str | None:
     stage's planned_ratio, or for mapped designs a control count other than
     MAPPED_CONTROLS. read_accrued and genlist check with it alike."""
     planned = planned_ratio(design, stage)
-    size = design.stages[stage - 1].size
+    size = design.stage_sizes[stage - 1]
     if sum(counts) != size:
         return f"has {sum(counts)} patients, the design plans {size}"
     if planned is not None and counts != planned.counts:
@@ -1307,9 +1313,10 @@ def _accrued_decision(
 ) -> InterimRecord:
     """The interim decision on accrued records, taken as a block of one row
     whose columns are the patients in patient-id order. The coin between two
-    options is drawn from `rng`."""
+    options is drawn from `rng`. Every record's arm is one of the design's
+    (_accrued_problem); its column holds the arm's position."""
     records = sorted(records, key=lambda r: r.patient_id)
-    arm = np.array([[r.arm.index for r in records]])
+    arm = np.array([[design.arms.index(r.arm) for r in records]])
     y = np.array([[0.0 if r.missing else r.delta_y for r in records]])
     missing = np.array([[r.missing for r in records]])
     stage_of = np.array([r.stage for r in records])
@@ -1366,7 +1373,7 @@ def interim_recommendation(
     audit.append(
         "randomisation probabilities: "
         + ", ".join(
-            f"{arm.label} {rec.pi[arm.index]:.6f}" for arm in design.arms
+            f"{arm.label} {p:.6f}" for arm, p in zip(design.arms, rec.pi.probs)
         )
     )
     if rec.categories is not None:

@@ -222,7 +222,7 @@ def planned_ratio(design: TrialDesign, stage: int) -> RatioVector | None:
     if not 1 <= stage <= design.n_stages:
         raise ValueError(f"stage {stage} outside 1..{design.n_stages}")
     if stage == 1 and (design.mapping is not None or design.stage1_balanced_block):
-        return RatioVector((design.stages[0].size // design.k,) * design.k)
+        return RatioVector((design.stage_sizes[0] // design.k,) * design.k)
     if design.mapping is not None and design.mapping.variant == "PermutedBlock":
         return BALANCED[stage]
     return None

@@ -96,10 +96,10 @@ class PatientRecord:
 
 @dataclass(frozen=True)
 class MissingCase:
-    """Per-stage missing-data counts (m1, m2, m3); m3 is always 0."""
+    """One of six missing-data patterns: per-stage missing counts
+    (m1, m2, m3), fixed by the case id; m3 is always 0."""
 
     case_id: int
-    missing_per_stage: tuple[int, int, int]
 
     _CASES = {
         0: (0, 0, 0),
@@ -111,23 +111,13 @@ class MissingCase:
     }
 
     def __post_init__(self) -> None:
-        expected = self._CASES.get(self.case_id)
-        if expected is None or self.missing_per_stage != expected:
-            raise ValueError(
-                f"case {self.case_id} with counts {self.missing_per_stage} is not "
-                f"one of the six supported patterns"
-            )
-
-    @classmethod
-    def from_id(cls, case_id: int) -> "MissingCase":
-        if case_id not in cls._CASES:
-            raise ValueError(f"case id must be 0..5, got {case_id}")
-        return cls(case_id, cls._CASES[case_id])
+        if self.case_id not in self._CASES:
+            raise ValueError(f"case id must be 0..5, got {self.case_id}")
 
     def count_for_stage(self, stage: int) -> int:
         if not 1 <= stage <= 3:
             return 0
-        return self.missing_per_stage[stage - 1]
+        return self._CASES[self.case_id][stage - 1]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from .core import (
     DEFAULT_TAU,
     MappingConfig,
     RuleConfig,
-    StagePlan,
     ThresholdSet,
     TrialDesign,
 )
@@ -35,7 +34,7 @@ PRESET_NAMES = (
 # adaptive stage, (6/20, 12/20) for the reference stages.
 _GAMMA_INFO = (0.3, 0.6)
 
-_STAGES = (StagePlan(1, 6), StagePlan(2, 6), StagePlan(3, 8))
+_STAGES = (6, 6, 8)
 
 
 def preset_design(
@@ -48,7 +47,7 @@ def preset_design(
     trippa = RuleConfig(
         kind="TrippaBRAR", gamma_schedule=_GAMMA_INFO, eta_schedule=(eta, eta)
     )
-    common = dict(stages=_STAGES, tau=tau, stratum_label=stratum_label, name=name)
+    common = dict(stage_sizes=_STAGES, tau=tau, stratum_label=stratum_label, name=name)
 
     if name == "fixed_equal":
         return TrialDesign(rule=RuleConfig(kind="FixedEqual"), **common)

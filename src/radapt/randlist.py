@@ -30,11 +30,9 @@ class RandomisationBlock:
     assignments: tuple[ArmId, ...]
     seed_tag: str = ""
 
-    def counts(self, k: int) -> tuple[int, ...]:
-        tally = [0] * k
-        for arm in self.assignments:
-            tally[arm.index] += 1
-        return tuple(tally)
+    def counts(self, arms: tuple[ArmId, ...]) -> tuple[int, ...]:
+        """Patients the block assigns to each of `arms`, in their order."""
+        return tuple(self.assignments.count(arm) for arm in arms)
 
 
 def generate_block(

@@ -57,13 +57,13 @@ from radapt.rules import ProbVector, fixed_equal
 # Outcomes and imputation
 
 
-def draw_outcome(model: OutcomeModel, arm: ArmId, rng: np.random.Generator) -> float:
-    """One delta_y draw for the given arm."""
+def draw_outcome(model: OutcomeModel, arm: int, rng: np.random.Generator) -> float:
+    """One delta_y draw for the arm at position `arm`."""
     if model.kind == "bootstrap":
         raw = rng.integers(len(model.pilot), size=1)
     else:
         raw = rng.lognormal(0.0, model.shape, 1)
-    return float(outcomes_from_raw(model, np.array([arm.index]), raw)[0])
+    return float(outcomes_from_raw(model, np.array([arm]), raw)[0])
 
 
 def impute_stage2_mean(records: list[PatientRecord]) -> list[PatientRecord]:
@@ -81,7 +81,7 @@ def impute_stage2_mean(records: list[PatientRecord]) -> list[PatientRecord]:
             donors = [
                 r.delta_y
                 for r in ordered
-                if r.arm.index == rec.arm.index
+                if r.arm == rec.arm
                 and r.patient_id < rec.patient_id
                 and r.delta_y is not None
                 and not r.imputed
@@ -131,19 +131,15 @@ class TestResult:
         return f"{self.treatment.label} vs {self.control.label}"
 
 
-def arm_values(records: list[PatientRecord], arm_index: int) -> list[float]:
+def arm_values(records: list[PatientRecord], arm: ArmId) -> list[float]:
     """Continuous outcomes available for testing: observed plus imputed."""
-    return [
-        r.delta_y
-        for r in records
-        if r.arm.index == arm_index and r.delta_y is not None
-    ]
+    return [r.delta_y for r in records if r.arm == arm and r.delta_y is not None]
 
 
 def _final_posterior(
     records: list[PatientRecord], design: TrialDesign, arm_index: int
 ) -> BetaPosterior:
-    values = arm_values(records, arm_index)
+    values = arm_values(records, design.arms[arm_index])
     successes = sum(1 for v in values if dichotomise(v, design.delta))
     prior = BetaPosterior(design.prior_alpha[arm_index], design.prior_beta[arm_index])
     return update(prior, SuccessCount(successes, len(values) - successes))
@@ -183,19 +179,14 @@ def stratum_decision(
     endpoint, then to the lower arm index. An arm with no testable data gets
     a skipped (never rejected) result.
     """
-    control_idx = design.control_index()
-    control_arm = design.arms[control_idx]
-    control_values = arm_values(records, control_idx)
-
-    assigned = {a.index: 0 for a in design.arms}
-    for rec in records:
-        assigned[rec.arm.index] += 1
+    control_arm = design.arms[design.control_index()]
+    control_values = arm_values(records, control_arm)
 
     results = []
     for idx in design.active_indices():
         results.append(
             _test_pair(
-                arm_values(records, idx),
+                arm_values(records, design.arms[idx]),
                 control_values,
                 design.arms[idx],
                 control_arm,
@@ -205,7 +196,8 @@ def stratum_decision(
 
     best, best_key = None, None
     for idx in design.active_indices():
-        key = (assigned[idx], _final_posterior(records, design, idx).mean, -idx)
+        assigned = sum(rec.arm == design.arms[idx] for rec in records)
+        key = (assigned, _final_posterior(records, design, idx).mean, -idx)
         if best_key is None or key > best_key:
             best, best_key = idx, key
     return results, design.arms[best]
@@ -229,21 +221,17 @@ def pooled_analysis(
                 f"the design's arms"
             )
 
-    control_idx = design.control_index()
-    control_arm = design.arms[control_idx]
-    pooled_control = arm_values(records_a, control_idx) + arm_values(
-        records_b, control_idx
+    control_arm = design.arms[design.control_index()]
+    pooled_control = arm_values(records_a, control_arm) + arm_values(
+        records_b, control_arm
     )
     results = []
     for idx in design.active_indices():
-        pooled_treat = arm_values(records_a, idx) + arm_values(records_b, idx)
+        arm = design.arms[idx]
+        pooled_treat = arm_values(records_a, arm) + arm_values(records_b, arm)
         results.append(
             _test_pair(
-                pooled_treat,
-                pooled_control,
-                design.arms[idx],
-                control_arm,
-                design.alpha_level,
+                pooled_treat, pooled_control, arm, control_arm, design.alpha_level
             )
         )
     return results
@@ -416,8 +404,8 @@ def _decision(design, records, upcoming_stage, policy) -> InterimRecord:
     (design, policy, upcoming_stage), as a block row takes it."""
     records, _ = analysis_records(records, policy)
     tallies = []
-    for i in range(design.k):
-        arm = [r for r in records if r.arm.index == i]
+    for a in design.arms:
+        arm = [r for r in records if r.arm == a]
         values = [r.delta_y for r in arm if not r.missing]
         wins = sum(dichotomise(v, design.delta) for v in values)
         tallies.append((wins, len(values) - wins, len(arm)))
@@ -501,7 +489,7 @@ def run_trial(
     engine._require_valid(design)
     engine._require_arity(design, model)
     if case is None:
-        case = MissingCase.from_id(0)
+        case = MissingCase(0)
     if rng is None:
         rng = np.random.default_rng()
     draws = engine._draw(rng, design, model, 1)[0]
@@ -522,8 +510,8 @@ def _conduct_trial(
     stages: list[StageRecord] = []
     interims: list[InterimRecord] = []
 
-    for plan, cols in zip(design.stages, engine._stage_columns(design)):
-        t = plan.stage_index
+    stage_sizes = zip(design.stage_sizes, engine._stage_columns(design))
+    for t, (size, cols) in enumerate(stage_sizes, start=1):
         if t == 1:
             planned = planned_ratio(design, 1)
             options = () if planned is None else (planned,)
@@ -550,7 +538,7 @@ def _conduct_trial(
 
         y = outcomes_from_raw(model, assigned, draws.raw[cols]).tolist()
         order = np.argsort(draws.miss[cols], kind="stable")
-        gone = set(order[: engine._missing_count(case, plan)].tolist())
+        gone = set(order[: engine._missing_count(case, t, size)].tolist())
         stage_records = [
             PatientRecord(
                 cols.start + j + 1, t, design.arms[a], None if j in gone else y[j]

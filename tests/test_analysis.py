@@ -390,7 +390,7 @@ class TestPooledAnalysis:
         records = _trial_records(per_arm)
         pooled = pooled_analysis(records, records, reference_design)
         for result in pooled:
-            idx = result.treatment.index
+            idx = reference_design.arms.index(result.treatment)
             direct = wilcoxon_one_sided(per_arm[idx] * 2, per_arm[0] * 2)
             assert result.p_value == pytest.approx(direct, abs=1e-12)
             assert result.n_treat == 14
@@ -399,7 +399,7 @@ class TestPooledAnalysis:
     def test_foreign_arm_rejected(self, reference_design):
         full = _trial_records({0: [0.0] * 6, 1: [0.1] * 7, 2: [0.2] * 7})
         foreign = [
-            dataclasses.replace(r, arm=ArmId(2, "Active", "T9")) if r.arm.index == 2
+            dataclasses.replace(r, arm=ArmId("Active", "T9")) if r.arm == ARMS[2]
             else r
             for r in full
         ]

@@ -639,8 +639,13 @@ class TestOldDesignFiles:
             ),
             ("fixed_equal", ("stages", 0, "control_fix", 5), "stages[1].control_fix"),
             ("mapped_alpha", ("planned_n", 21), "planned_n"),
+            ("mapped_alpha", ("arms", 1, "index", 2), "arms[1].index"),
+            ("mapped_alpha", ("stages", 1, "stage_index", 3), "stages[2].stage_index"),
         ],
-        ids=["mapping_controls", "stage3_dropping", "stage1_controls", "planned_n"],
+        ids=[
+            "mapping_controls", "stage3_dropping", "stage1_controls", "planned_n",
+            "arm_index", "stage_index",
+        ],
     )
     def test_contradicting_value_exits_2(self, name, edit, key, tmp_path, capsys):
         payload = json.loads(OLD_FILES[name])

@@ -9,7 +9,6 @@ from radapt.core import (
     ArmId,
     MappingConfig,
     RuleConfig,
-    StagePlan,
     ThresholdSet,
     TrialDesign,
     default_arms,
@@ -27,9 +26,9 @@ def _reference():
 
 
 # Design files as radapt wrote them before the stage control count, the
-# stage arm-dropping flag, the mapping control count and planned_n were
-# derived from the rest of the design (mapped_alpha is the example README.md
-# gave then).
+# stage arm-dropping flag, the mapping control count, planned_n, the arm
+# indices and the stage numbers were derived from the rest of the design
+# (mapped_alpha is the example README.md gave then).
 OLD_FILES = {
     "mapped_alpha": """\
 {
@@ -284,13 +283,11 @@ class TestValidateDesign:
         assert any("tau" in msg and "0.5" in msg for msg in validate_design(bad))
 
     def test_stage_size_below_k_without_control_fix(self):
-        stages = (StagePlan(1, 2), StagePlan(2, 6), StagePlan(3, 8))
-        bad = TrialDesign(stages=stages, rule=RuleConfig("FixedEqual"))
+        bad = TrialDesign(stage_sizes=(2, 6, 8), rule=RuleConfig("FixedEqual"))
         assert any("smaller than K" in msg for msg in validate_design(bad))
 
     def test_balanced_stage1_needs_divisible_size(self):
-        stages = (StagePlan(1, 7), StagePlan(2, 6), StagePlan(3, 8))
-        bad = dataclasses.replace(preset_design("baseline"), stages=stages)
+        bad = dataclasses.replace(preset_design("baseline"), stage_sizes=(7, 6, 8))
         assert any(
             "balanced stage-1 block" in msg and "divisible by K=3" in msg
             for msg in validate_design(bad)
@@ -302,8 +299,9 @@ class TestValidateDesign:
     def test_stratum_size_bounded_by_the_exact_table(self, n):
         # two pooled strata of 184 (368 values) fit the exact rank-sum
         # table's 50M cells; two of 185 would not
-        stages = (StagePlan(1, 6), StagePlan(2, 6), StagePlan(3, n - 12))
-        design = dataclasses.replace(preset_design("fixed_equal"), stages=stages)
+        design = dataclasses.replace(
+            preset_design("fixed_equal"), stage_sizes=(6, 6, n - 12)
+        )
         violations = validate_design(design)
         if n == 184:
             assert violations == []
@@ -312,8 +310,9 @@ class TestValidateDesign:
             assert "185 patients" in violations[0] and "at most 184" in violations[0]
 
     def test_permuted_block_stage_sizes(self):
-        stages = tuple(StagePlan(i, 9) for i in (1, 2, 3))
-        bad = dataclasses.replace(preset_design("permuted_block"), stages=stages)
+        bad = dataclasses.replace(
+            preset_design("permuted_block"), stage_sizes=(9, 9, 9)
+        )
         assert any("stage sizes (6, 6, 8)" in msg for msg in validate_design(bad))
 
     def test_mapping_requires_three_arms(self):
@@ -327,18 +326,18 @@ class TestValidateDesign:
         assert any("K=3" in msg for msg in validate_design(bad))
 
     def test_two_controls_rejected(self):
-        arms = (ArmId(0, "Control", "C"), ArmId(1, "Control", "C2"), ArmId(2, "Active", "T2"))
+        arms = (ArmId("Control", "C"), ArmId("Control", "C2"), ArmId("Active", "T2"))
         bad = dataclasses.replace(_reference(), arms=arms)
         assert any("control" in msg.lower() for msg in validate_design(bad))
 
     def test_duplicate_labels_rejected(self):
-        arms = (ArmId(0, "Control", "C"), ArmId(1, "Active", "T"), ArmId(2, "Active", "T"))
+        arms = (ArmId("Control", "C"), ArmId("Active", "T"), ArmId("Active", "T"))
         bad = dataclasses.replace(_reference(), arms=arms)
         assert any("unique" in msg for msg in validate_design(bad))
 
     def test_missing_gamma_schedule(self):
         bad = TrialDesign(
-            stages=(StagePlan(1, 6), StagePlan(2, 6), StagePlan(3, 8)),
+            stage_sizes=(6, 6, 8),
             rule=RuleConfig("TSBRAR", gamma_schedule=(1.0,)),
         )
         assert any("gamma_schedule" in msg for msg in validate_design(bad))
@@ -417,9 +416,8 @@ class TestJsonRoundTrip:
     )
     @settings(max_examples=50, deadline=None)
     def test_round_trip_any_unmapped_design(self, tau, delta, alpha, sizes, kind):
-        stages = tuple(StagePlan(i + 1, s) for i, s in enumerate(sizes))
         design = TrialDesign(
-            stages=stages,
+            stage_sizes=sizes,
             rule=RuleConfig(kind, gamma_schedule=(0.3, 0.6), eta_schedule=(0.1, 0.1)),
             delta=delta,
             tau=tau,
@@ -485,11 +483,31 @@ class TestOldDesignFiles:
             design_from_dict(payload)
         assert str(info.value).startswith(f"{key} is {json.dumps(value)}, ")
 
-    def test_new_files_write_none_of_the_old_keys(self):
+    @pytest.mark.parametrize(
+        "items,key,positions,refused",
+        [
+            ("arms", "index", (0, 2, 1), "arms[1].index is 2, "),
+            ("stages", "stage_index", (1, 3, 2), "stages[2].stage_index is 3, "),
+        ],
+    )
+    def test_reordered_positions_refused(self, items, key, positions, refused):
+        # an arm's index and a stage's number are its position in the file;
+        # a file that numbers them otherwise is refused, naming the key
+        payload = json.loads(OLD_FILES["mapped_alpha"])
+        for item, position in zip(payload[items], positions):
+            item[key] = position
+        with pytest.raises(ValueError) as info:
+            design_from_dict(payload)
+        assert str(info.value).startswith(refused)
+
+    def test_new_files_write_none_of_the_old_keys(self, tmp_path):
+        path = tmp_path / "design.json"
         for name in PRESET_NAMES:
-            payload = design_to_dict(preset_design(name))
+            save_design(preset_design(name), path)
+            payload = json.loads(path.read_text(encoding="utf-8"))
             assert "planned_n" not in payload
-            assert all(set(s) == {"stage_index", "size"} for s in payload["stages"])
+            assert all(set(a) == {"role", "label"} for a in payload["arms"])
+            assert all(set(s) == {"size"} for s in payload["stages"])
             if payload["mapping"] is not None:
                 assert "control_fix" not in payload["mapping"]
 
@@ -502,7 +520,7 @@ class TestDefaults:
 
     def test_reference_structure(self):
         design = _reference()
-        assert tuple(s.size for s in design.stages) == (6, 6, 8)
+        assert design.stage_sizes == (6, 6, 8)
         assert design.n_total == 20
         assert design.prior_alpha == (1.0, 1.0, 1.0)
         assert design.prior_beta == (1.0, 1.0, 1.0)
@@ -515,4 +533,4 @@ class TestDefaults:
 
     def test_unknown_role_raises(self):
         with pytest.raises(ValueError, match="role"):
-            ArmId(0, "Observer", "X")
+            ArmId("Observer", "X")

@@ -14,7 +14,7 @@ from radapt.calibration import (
     calibrate_threshold,
     write_tradeoff_csv,
 )
-from radapt.core import RuleConfig, StagePlan, TrialDesign, default_arms
+from radapt.core import ArmId, RuleConfig, TrialDesign, default_arms
 from radapt.engine import (
     InterimRecord,
     MissingPolicy,
@@ -86,7 +86,7 @@ class TestRunTrialStructure:
         traj = _run("mapped_beta", 7)
         for stage in traj.stages:
             assert stage.block is not None
-            assert stage.block.counts(3) == stage.ratio.counts
+            assert stage.block.counts(traj.design.arms) == stage.ratio.counts
             assert stage.counts == stage.ratio.counts
 
     def test_iid_design_has_no_blocks(self):
@@ -103,7 +103,7 @@ class TestRunTrialStructure:
         assert _run("mapped_alpha", 11) != _run("mapped_alpha", 12)
 
     def test_invalid_design_rejected(self):
-        broken = TrialDesign(stages=(), rule=RuleConfig(kind="FixedEqual"))
+        broken = TrialDesign(stage_sizes=(), rule=RuleConfig(kind="FixedEqual"))
         with pytest.raises(ValueError, match="invalid design"):
             run_trial(broken, NULL, rng=np.random.default_rng(0))
 
@@ -113,7 +113,7 @@ class TestMissingPolicies:
     def test_stage2_held_balanced(self, case_id):
         # any stage-1 missingness freezes the stage-2 block at 2:2:2
         for seed in range(40):
-            traj = _run("mapped_alpha", seed, case=MissingCase.from_id(case_id))
+            traj = _run("mapped_alpha", seed, case=MissingCase(case_id))
             interim = traj.interim_before(2)
             assert interim.ratio.counts == (2, 2, 2)
             assert any("balanced" in o for o in interim.overrides)
@@ -121,20 +121,20 @@ class TestMissingPolicies:
     @pytest.mark.parametrize("case_id", [3, 4, 5])
     def test_stage3_dropping_suppressed(self, case_id):
         for seed in range(60):
-            traj = _run("mapped_alpha", seed, case=MissingCase.from_id(case_id))
+            traj = _run("mapped_alpha", seed, case=MissingCase(case_id))
             interim = traj.interim_before(3)
             assert interim.ratio.counts not in {(2, 0, 6), (2, 6, 0)}
             assert not {C.DROP, C.KEEP} & set(interim.applied_categories)
 
     def test_case0_no_overrides(self):
-        traj = _run("mapped_alpha", 5, case=MissingCase.from_id(0))
+        traj = _run("mapped_alpha", 5, case=MissingCase(0))
         assert all(not i.overrides for i in traj.interims)
         assert not any(r.missing for r in traj.records)
 
     def test_imputation_fills_stage2(self):
         policy = MissingPolicy(impute_stage2=True)
         for seed in range(30):
-            traj = _run("mapped_alpha", seed, case=MissingCase.from_id(4), policy=policy)
+            traj = _run("mapped_alpha", seed, case=MissingCase(4), policy=policy)
             stage2 = [r for r in traj.records if r.stage == 2]
             imputed = sum(r.imputed for r in stage2)
             still_missing = sum(r.missing for r in stage2)
@@ -143,7 +143,7 @@ class TestMissingPolicies:
 
     def test_imputation_leaves_stage1_missing(self):
         policy = MissingPolicy(impute_stage2=True)
-        traj = _run("mapped_alpha", 9, case=MissingCase.from_id(5), policy=policy)
+        traj = _run("mapped_alpha", 9, case=MissingCase(5), policy=policy)
         stage1 = [r for r in traj.records if r.stage == 1]
         assert sum(r.missing for r in stage1) == 1
         assert not any(r.imputed for r in stage1)
@@ -157,13 +157,13 @@ def _reference_interim(design, records, stage, policy, rng):
             warnings.simplefilter("ignore")
             records = impute_stage2_mean(list(records))
     posteriors = []
-    for i in range(design.k):
-        values = [r.delta_y for r in records if r.arm.index == i and not r.missing]
+    for i, arm in enumerate(design.arms):
+        values = [r.delta_y for r in records if r.arm == arm and not r.missing]
         wins = sum(v >= design.delta for v in values)
         prior = BetaPosterior(design.prior_alpha[i], design.prior_beta[i])
         posteriors.append(update(prior, SuccessCount(wins, len(values) - wins)))
     posteriors = tuple(posteriors)
-    assigned = tuple(sum(r.arm.index == i for r in records) for i in range(design.k))
+    assigned = tuple(sum(r.arm == arm for r in records) for arm in design.arms)
     rule = design.rule
     if rule.kind == "FixedEqual":
         pi = fixed_equal(design.k)
@@ -247,7 +247,7 @@ class TestInterimDecisionMemo:
         design = preset_design(name)
         states = []
         for case_id in range(6):
-            case = MissingCase.from_id(case_id)
+            case = MissingCase(case_id)
             for policy in self.POLICIES:
                 for seed in range(6):
                     traj = run_trial(
@@ -299,7 +299,7 @@ class TestDecisionTableOracle:
         design = preset_design(name)
         tables = {}
         for case_id in range(6):
-            case = MissingCase.from_id(case_id)
+            case = MissingCase(case_id)
             (draws,) = engine._block_draws(
                 design, self.MODEL, case_id, 0, engine._BLOCK_REPS
             )
@@ -334,7 +334,7 @@ class TestDecisionTableOracle:
         monkeypatch.setattr(engine, "_DECISION_MEMO", 40)
         engine._decision_cache.clear()
         design = preset_design("unrestricted")
-        case = MissingCase.from_id(0)
+        case = MissingCase(0)
         blocks = []
         for draws in engine._block_draws(design, self.MODEL, 3, 0, 3 * engine._BLOCK_REPS):
             blocks.append(
@@ -356,7 +356,7 @@ def _bits(values):
 def _assert_row_is_trial(block, r, traj):
     """Row r of a conducted block against the scalar trial on the row's draws."""
     cells = [rec for stage in traj.stages for rec in stage.records]
-    assert block.arm[r].tolist() == [rec.arm.index for rec in cells]
+    assert block.arm[r].tolist() == [traj.design.arms.index(rec.arm) for rec in cells]
     assert block.missing[r].tolist() == [rec.missing for rec in cells]
     drawn = [j for j, rec in enumerate(cells) if not rec.missing]
     assert _bits(block.y[r, drawn]) == _bits([cells[j].delta_y for j in drawn])
@@ -378,7 +378,7 @@ def _assert_row_is_trial(block, r, traj):
     assert _bits(block.p_value[r]) == _bits([res.p_value for res in traj.results])
     assert block.reject[r].tolist() == [res.reject for res in traj.results]
     assert block.skipped[r].tolist() == [res.skipped for res in traj.results]
-    assert block.recommended[r] == traj.recommended.index
+    assert block.recommended[r] == traj.design.arms.index(traj.recommended)
     assert block.impute_failures[r] == traj.imputation_failures
 
 
@@ -424,9 +424,10 @@ def _reference_tally(trajs, effects):
             c["alloc_sum"][i] += n
             c["alloc_sumsq"][i] += n * n
         c["impute_fail"] += traj.imputation_failures > 0
-        result = {res.treatment.index: res for res in traj.results}
-        c["recommend"][traj.recommended.index] += 1
-        c["rec_reject"] += result[traj.recommended.index].reject
+        result = {design.arms.index(res.treatment): res for res in traj.results}
+        recommended = design.arms.index(traj.recommended)
+        c["recommend"][recommended] += 1
+        c["rec_reject"] += result[recommended].reject
         rejected = [i for i in actives if result[i].reject]
         for i in actives:
             c["skip"][i] += result[i].skipped
@@ -486,7 +487,7 @@ class TestBlockConduct:
     def test_rows_equal_scalar_trials(self, name):
         design = preset_design(name)
         for case_id in range(6):
-            case = MissingCase.from_id(case_id)
+            case = MissingCase(case_id)
             for p, policy in enumerate(self.POLICIES):
                 for model in self.MODELS:
                     for stream in (None, 0, 1):
@@ -498,7 +499,7 @@ class TestBlockConduct:
     @pytest.mark.parametrize("size", [1, 255, 256, 257])
     def test_block_sizes(self, size):
         _block_and_trials(
-            preset_design("mapped_beta"), self.MODELS[0], MissingCase.from_id(5),
+            preset_design("mapped_beta"), self.MODELS[0], MissingCase(5),
             MissingPolicy(impute_stage2=True), 99, range(1000, 1000 + size),
         )
 
@@ -507,7 +508,7 @@ class TestBlockConduct:
         design = preset_design(name)
         model = self.MODELS[0]
         for case_id in range(6):
-            case = MissingCase.from_id(case_id)
+            case = MissingCase(case_id)
             for p, policy in enumerate(self.POLICIES):
                 block, trajs = _block_and_trials(
                     design, model, case, policy, 100 + case_id, range(3 * p, 3 * p + 12)
@@ -537,7 +538,7 @@ class TestBlockConduct:
     ):
         design = preset_design(name)
         effects = SCENARIOS[scenario]
-        case = MissingCase.from_id(case_id)
+        case = MissingCase(case_id)
         policy = MissingPolicy(impute_stage2=True)
         strata = [
             _block_and_trials(
@@ -666,7 +667,7 @@ class TestArrayImputer:
 
     def test_replaced_imputer_takes_the_record_path(self, monkeypatch):
         kwargs = dict(
-            case=MissingCase.from_id(4), policy=IMPUTE, n_reps=60, master_seed=3
+            case=MissingCase(4), policy=IMPUTE, n_reps=60, master_seed=3
         )
         design = preset_design("mapped_beta")
         default = replicate(design, ALT, **kwargs)
@@ -736,7 +737,7 @@ class TestReplicate:
     def test_missing_stages_report_na(self, sizes, tmp_path):
         design = dataclasses.replace(
             preset_design("control_protected"),
-            stages=tuple(StagePlan(t, n) for t, n in enumerate(sizes, start=1)),
+            stage_sizes=sizes,
         )
         report = replicate(design, ALT, n_reps=50, master_seed=0)
         absent = [
@@ -993,17 +994,40 @@ class TestInterimRecommendation:
                 2,
                 "patient 7: stage 0 outside 1..3",
             ),
+            # decided, an active arm foreign to the design would count as T1
+            (
+                "mapped_alpha",
+                BLOCK1[:2] + [(1, ArmId("Active", "X"))] * 2 + BLOCK1[4:],
+                2,
+                "patient 3: arm 'X' (Active) is not one of the design's arms "
+                "C, T1, T2",
+            ),
+            (
+                "mapped_alpha",
+                BLOCK1[:4] + [(1, ArmId("Active", "T5"))] + BLOCK1[5:],
+                2,
+                "patient 5: arm 'T5' (Active) is not one of the design's arms "
+                "C, T1, T2",
+            ),
+            (
+                "mapped_alpha",
+                BLOCK1[:2] + [(1, ArmId("Control", "T1"))] + BLOCK1[3:],
+                2,
+                "patient 3: arm 'T1' (Control) is not one of the design's arms "
+                "C, T1, T2",
+            ),
         ],
         ids=[
             "later_stage", "split", "size", "controls", "planned_block",
-            "absent_stage", "stage_0",
+            "absent_stage", "stage_0", "foreign_label", "beyond_k", "foreign_role",
         ],
     )
     def test_refuses_what_read_accrued_refuses(self, name, spec, stage, message):
+        # a spec entry's arm is a position in the design's arms or an ArmId
         design = preset_design(name)
         arms = design.arms
         records = [
-            PatientRecord(pid, t, arms[a], 0.5)
+            PatientRecord(pid, t, a if isinstance(a, ArmId) else arms[a], 0.5)
             for pid, (t, a) in enumerate(spec, start=1)
         ]
         with pytest.raises(ValueError) as info:
@@ -1036,7 +1060,7 @@ class TestInterimThroughBlockPath:
     def test_equals_reference_on_conducted_trials(self, name):
         design = preset_design(name)
         for case_id in range(6):
-            case = MissingCase.from_id(case_id)
+            case = MissingCase(case_id)
             for p, policy in enumerate(self.POLICIES):
                 for seed in range(4):
                     traj = run_trial(
@@ -1060,7 +1084,7 @@ class TestInterimThroughBlockPath:
         path = tmp_path / "accrued.csv"
         for seed in range(30):
             traj = run_trial(
-                design, ALT, case=MissingCase.from_id(5), policy=IMPUTE,
+                design, ALT, case=MissingCase(5), policy=IMPUTE,
                 rng=np.random.default_rng(seed),
             )
             cells = [r for s in traj.stages[:2] for r in s.records]
@@ -1089,7 +1113,7 @@ class TestInterimThroughBlockPath:
         assert sum(donors) / 10 < 0.3 <= np.mean(donors)
         design = dataclasses.replace(
             preset_design("fixed_equal"),
-            stages=(StagePlan(1, 16), StagePlan(2, 6), StagePlan(3, 8)),
+            stage_sizes=(16, 6, 8),
         )
         arms = default_arms(3)
         spec = [(1, 0, v) for v in donors] + [(1, 1, 0.5)] * 3 + [(1, 2, 0.1)] * 3

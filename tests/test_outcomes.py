@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radapt import preset_design
-from radapt.core import StagePlan, default_arms
+from radapt.core import default_arms
 from radapt.engine import _missing_count
 from radapt.outcomes import (
     CALIBRATED_SIGMA,
@@ -48,19 +48,19 @@ class TestOutcomeModel:
 class TestDrawOutcome:
     def test_single_atom_bootstrap_is_pure_shift(self, rng):
         model = OutcomeModel.bootstrap((0.0,), (0.0, 0.0, 0.3))
-        draws = {draw_outcome(model, ARMS[2], rng) for _ in range(20)}
+        draws = {draw_outcome(model, 2, rng) for _ in range(20)}
         assert draws == {0.3}
 
     def test_bootstrap_support(self, rng):
         model = OutcomeModel.bootstrap((0.1, 0.5), (0.0, 0.2, 0.0))
         for _ in range(50):
-            value = draw_outcome(model, ARMS[1], rng)
+            value = draw_outcome(model, 1, rng)
             assert min(abs(value - 0.3), abs(value - 0.7)) < 1e-12
 
     def test_parametric_null_mean(self):
         rng = np.random.default_rng(101)
         model = OutcomeModel.parametric((0.0, 0.0, 0.0))
-        draws = np.array([draw_outcome(model, ARMS[0], rng) for _ in range(100_000)])
+        draws = np.array([draw_outcome(model, 0, rng) for _ in range(100_000)])
         se = model.scale / np.sqrt(draws.size)
         assert abs(draws.mean()) < 3 * se
 
@@ -68,15 +68,15 @@ class TestDrawOutcome:
         # noise is exactly unit-variance, so the sample sd estimates scale
         rng = np.random.default_rng(202)
         model = OutcomeModel.parametric(SCENARIOS["S2"].effects_a)
-        draws = np.array([draw_outcome(model, ARMS[2], rng) for _ in range(100_000)])
+        draws = np.array([draw_outcome(model, 2, rng) for _ in range(100_000)])
         se = model.scale / np.sqrt(draws.size)
         assert abs(draws.mean() - 0.3) < 3 * se
         assert abs(draws.std() - model.scale) < 0.01
 
     def test_deterministic_given_seed(self):
         model = OutcomeModel.parametric((0.0, 0.0, 0.0))
-        a = draw_outcome(model, ARMS[1], np.random.default_rng(9))
-        b = draw_outcome(model, ARMS[1], np.random.default_rng(9))
+        a = draw_outcome(model, 1, np.random.default_rng(9))
+        b = draw_outcome(model, 1, np.random.default_rng(9))
         assert a == b
 
 
@@ -110,17 +110,18 @@ class TestMissingCase:
         ],
     )
     def test_patterns(self, case_id, counts):
-        case = MissingCase.from_id(case_id)
-        assert case.missing_per_stage == counts
+        case = MissingCase(case_id)
+        assert tuple(case.count_for_stage(t) for t in (1, 2, 3)) == counts
         assert case.count_for_stage(3) == 0
 
     @pytest.mark.parametrize("bad", [-1, 6, 99])
     def test_unknown_id(self, bad):
         with pytest.raises(ValueError, match="0..5"):
-            MissingCase.from_id(bad)
+            MissingCase(bad)
 
     def test_mismatched_counts(self):
-        with pytest.raises(ValueError, match="patterns"):
+        # the case id fixes the counts; they cannot be given besides it
+        with pytest.raises(TypeError):
             MissingCase(2, (1, 0, 0))
 
 
@@ -131,7 +132,7 @@ class TestApplyMissingness:
     def _cells(self, case_id, seed=0):
         traj = run_trial(
             preset_design("permuted_block"), OutcomeModel.parametric((0.0, 0.0, 0.3)),
-            case=MissingCase.from_id(case_id), rng=np.random.default_rng(seed),
+            case=MissingCase(case_id), rng=np.random.default_rng(seed),
         )
         return [r for stage in traj.stages for r in stage.records]
 
@@ -160,7 +161,7 @@ class TestApplyMissingness:
 
     def test_count_exceeding_stage_size(self):
         with pytest.raises(ValueError, match="cannot drop"):
-            _missing_count(MissingCase.from_id(2), StagePlan(1, 1))
+            _missing_count(MissingCase(2), 1, 1)
 
 
 class TestImputeStage2Mean:

@@ -43,7 +43,7 @@ def _uniform_over(counts: Counter, categories: int) -> float:
 
 class TestDrawLaws:
     def test_stage1_orderings_of_2_2_2_are_uniform(self):
-        blocks = _conducted(preset_design("mapped_alpha"), ALT, MissingCase.from_id(0))
+        blocks = _conducted(preset_design("mapped_alpha"), ALT, MissingCase(0))
         orders = Counter(
             tuple(row) for b in blocks for row in b.arm[:, :6].tolist()
         )
@@ -57,7 +57,7 @@ class TestDrawLaws:
     )
     def test_missing_positions_are_uniform(self, case_id, stage_cols):
         blocks = _conducted(
-            preset_design("mapped_alpha"), ALT, MissingCase.from_id(case_id)
+            preset_design("mapped_alpha"), ALT, MissingCase(case_id)
         )
         pairs = Counter(
             tuple(np.flatnonzero(row).tolist())
@@ -71,7 +71,7 @@ class TestDrawLaws:
         assert sum(b.missing.sum() for b in blocks) == 2 * LAW_ROWS
 
     def test_coin_is_fair(self):
-        blocks = _conducted(preset_design("mapped_alpha"), ALT, MissingCase.from_id(0))
+        blocks = _conducted(preset_design("mapped_alpha"), ALT, MissingCase(0))
         first = two = 0
         for b in blocks:
             for r, d in enumerate(b.which[-1].tolist()):
@@ -86,7 +86,7 @@ class TestDrawLaws:
         # unrestricted randomises stage 2 i.i.d. at each row's own pi: arm
         # i's stage-2 count has mean 6 pi_i and variance 6 pi_i (1 - pi_i)
         design = preset_design("unrestricted")
-        blocks = _conducted(design, ALT, MissingCase.from_id(0))
+        blocks = _conducted(design, ALT, MissingCase(0))
         assert all(b.ratios[1] is None for b in blocks)
         for i in range(design.k):
             excess = var = 0.0
@@ -130,7 +130,7 @@ class TestDrawLaws:
 
     def test_run_trial_takes_one_row_from_its_generator(self):
         design = preset_design("mapped_beta")
-        case, policy = MissingCase.from_id(5), MissingPolicy(impute_stage2=True)
+        case, policy = MissingCase(5), MissingPolicy(impute_stage2=True)
         got = run_trial(
             design, ALT, case=case, policy=policy, rng=np.random.default_rng(4)
         )
