@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .core import TrialDesign, validate_design
 from .engine import MissingPolicy, _fmt, replicate
-from .outcomes import CALIBRATED_SIGMA, DEFAULT_SHAPE, MissingCase, OutcomeModel
+from .outcomes import MissingCase, OutcomeModel
 
 __all__ = [
     "CalibrationRow",
@@ -82,21 +82,18 @@ def calibrate_threshold(
     grid,
     n_reps: int = 1000,
     master_seed: int = 0,
-    h0_effects: tuple[float, ...] = (0.0, 0.0, 0.0),
     h1_effects: tuple[float, ...] = (0.0, 0.0, 0.3),
     case: MissingCase | None = None,
     policy: MissingPolicy = MissingPolicy(),
     workers: int = 1,
     criterion: str = "corner",
-    scale: float = CALIBRATED_SIGMA,
-    shape: float = DEFAULT_SHAPE,
 ) -> CalibrationResult:
     """Sweep the stage's top adaptation threshold over a grid.
 
     The target metric is the stage-2 adaptation rate for stage 2 and the
     rate of some active arm receiving zero stage-3 patients for stage 3,
-    evaluated under the null effects (false adaptation) and under the
-    alternative effects (useful adaptation). All grid points share the same
+    evaluated under the null, every effect 0 (false adaptation), and under
+    h1_effects (useful adaptation). All grid points share the same
     replicate seeds, so differences between rows are never seed noise.
 
     criterion "corner" selects the threshold minimising the Euclidean
@@ -114,8 +111,8 @@ def calibrate_threshold(
     if not grid:
         raise ValueError("empty threshold grid")
 
-    model_h0 = OutcomeModel.parametric(h0_effects, scale=scale, shape=shape)
-    model_h1 = OutcomeModel.parametric(h1_effects, scale=scale, shape=shape)
+    model_h0 = OutcomeModel.parametric((0.0,) * design.k)
+    model_h1 = OutcomeModel.parametric(h1_effects)
 
     metric = "stage2_adapt" if stage == 2 else "stage3_zero"
     rows = []

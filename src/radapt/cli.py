@@ -13,6 +13,7 @@ unexpected internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -63,9 +64,9 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _resolve_design(spec: str, tau: float | None = None) -> TrialDesign:
+def _resolve_design(spec: str) -> TrialDesign:
     if spec in PRESET_NAMES:
-        design = preset_design(spec) if tau is None else preset_design(spec, tau=tau)
+        design = preset_design(spec)
     else:
         path = Path(spec)
         if not path.exists():
@@ -74,8 +75,6 @@ def _resolve_design(spec: str, tau: float | None = None) -> TrialDesign:
                 f"nor an existing file: {path}"
             )
         design = load_design(path)
-        if tau is not None:
-            design = design.with_tau(tau)
     problems = validate_design(design)
     if problems:
         raise ValueError(f"invalid design {spec!r}: " + "; ".join(problems))
@@ -183,17 +182,16 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    scale = args.scale if args.scale is not None else CALIBRATED_SIGMA
     if args.effects:
         effects = _parse_effects(args.effects, design.k)
         if args.pilot:
             model = OutcomeModel.bootstrap(load_pilot(args.pilot), effects)
         else:
-            model = OutcomeModel.parametric(effects, scale=scale)
+            model = OutcomeModel.parametric(effects, scale=args.scale)
         reports = [
             replicate(
                 design, model, case=case, policy=policy, n_reps=args.reps,
-                master_seed=seed, workers=args.workers, scenario_label="custom",
+                master_seed=seed, workers=args.workers,
             )
         ]
     else:
@@ -208,7 +206,7 @@ def _cmd_simulate(args) -> int:
         reports = list(
             replicate_pooled(
                 design, scenario, case=case, policy=policy, n_reps=args.reps,
-                master_seed=seed, workers=args.workers, scale=scale,
+                master_seed=seed, workers=args.workers, scale=args.scale,
             )
         )
 
@@ -322,6 +320,7 @@ def _cmd_genlist(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # every input is read and checked before anything is written
     fieldnames: list[str] = []
     rows: list[dict] = []
     for spec in args.inputs:
@@ -329,31 +328,37 @@ def _cmd_report(args) -> int:
         if not path.exists():
             raise ValueError(f"report file not found: {path}")
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ValueError(f"{path}: empty report file")
-            for name in reader.fieldnames:
+            for name in header:
                 if name not in fieldnames:
                     fieldnames.append(name)
-            rows.extend(reader)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: {len(row)} cells under a "
+                        f"{len(header)}-column header"
+                    )
+                rows.append(dict(zip(header, row)))
     if not rows:
         raise ValueError("no report rows in the input files")
 
-    if args.out:
-        target = Path(args.out)
-        with target.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=fieldnames, restval="NA", lineterminator="\n"
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"wrote {target}: {len(rows)} rows")
-    else:
+    target = Path(args.out) if args.out else None
+    with (
+        target.open("w", newline="", encoding="utf-8") if target
+        else contextlib.nullcontext(sys.stdout)
+    ) as fh:
         writer = csv.DictWriter(
-            sys.stdout, fieldnames=fieldnames, restval="NA", lineterminator="\n"
+            fh, fieldnames=fieldnames, restval="NA", lineterminator="\n"
         )
         writer.writeheader()
         writer.writerows(rows)
+    if target:
+        print(f"wrote {target}: {len(rows)} rows")
     return 0
 
 
@@ -380,8 +385,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=1000, help="replicates (default 1000)")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--scale", type=float, default=None,
-                   help="override the calibrated outcome noise scale")
+    p.add_argument("--scale", type=float, default=CALIBRATED_SIGMA,
+                   help="outcome noise scale (default: the calibrated "
+                   f"{CALIBRATED_SIGMA})")
     p.add_argument("--pilot", default=None,
                    help="pilot-sample CSV for the resampling outcome model "
                    "(only with --effects)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import EXACT_CELL_GUARD, table_cells
@@ -115,12 +115,14 @@ class ThresholdSet:
     stage3: tuple[float, ...]
 
     @staticmethod
-    def alpha_defaults(tau: float = DEFAULT_TAU) -> "ThresholdSet":
-        return ThresholdSet(stage2=(0.45,), stage3=(tau, 0.45, 0.55))
+    def alpha_defaults() -> "ThresholdSet":
+        return ThresholdSet(stage2=(0.45,), stage3=(DEFAULT_TAU, 0.45, 0.55))
 
     @staticmethod
-    def beta_defaults(tau: float = DEFAULT_TAU) -> "ThresholdSet":
-        return ThresholdSet(stage2=(1 / 3, 0.45), stage3=(tau, 1 / 3, 0.45, 0.55))
+    def beta_defaults() -> "ThresholdSet":
+        return ThresholdSet(
+            stage2=(1 / 3, 0.45), stage3=(DEFAULT_TAU, 1 / 3, 0.45, 0.55)
+        )
 
 
 @dataclass(frozen=True)
@@ -179,16 +181,6 @@ class TrialDesign:
 
     def active_indices(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.arms) if not a.is_control)
-
-    def with_tau(self, tau: float) -> "TrialDesign":
-        """Copy with a new drop threshold, keeping thresholds consistent."""
-        mapping = self.mapping
-        if mapping is not None and mapping.thresholds is not None:
-            th = mapping.thresholds
-            mapping = replace(
-                mapping, thresholds=replace(th, stage3=(tau,) + th.stage3[1:])
-            )
-        return replace(self, tau=tau, mapping=mapping)
 
 
 def validate_design(design: TrialDesign) -> list[str]:

@@ -485,13 +485,13 @@ def _draw(
     rng: np.random.Generator, design: TrialDesign, model: OutcomeModel, rows: int
 ) -> _Draws:
     """Fixed-shape draws for `rows` trials: one uniform call, then one
-    outcome call (log-normal as exp(shape * Z), or pilot indices)."""
+    outcome call (log-normal as exp(DEFAULT_SHAPE * Z), or pilot indices)."""
     n, stages = design.n_total, design.n_stages
     u = rng.random((rows, 2 * n + stages))
     if model.kind == "bootstrap":
         raw = rng.integers(len(model.pilot), size=(rows, n))
     else:
-        raw = np.exp(model.shape * rng.standard_normal((rows, n)))
+        raw = np.exp(DEFAULT_SHAPE * rng.standard_normal((rows, n)))
     return _Draws(u[:, :n], raw, u[:, n : 2 * n], u[:, 2 * n :])
 
 
@@ -1060,9 +1060,9 @@ def replicate(
     n_reps: int = 1000,
     master_seed: int = 0,
     workers: int = 1,
-    scenario_label: str = "custom",
 ) -> OCReport:
-    """Operating characteristics of one design stratum over `n_reps` trials.
+    """Operating characteristics of one design stratum over `n_reps` trials,
+    reported under the scenario label "custom".
 
     The result is identical for any `workers` value: each block of
     replicates draws from its own keyed generator, workers take whole
@@ -1081,9 +1081,7 @@ def replicate(
         for lo, hi in _chunks(n_reps, workers)
     ]
     counts = _merge(_pool_map(_replicate_chunk, jobs, workers))
-    return _report(
-        counts, design, model.effects, case, policy, scenario_label, master_seed
-    )
+    return _report(counts, design, model.effects, case, policy, "custom", master_seed)
 
 
 def _pooled_chunk(args) -> tuple[Counts, Counts, Counts]:
@@ -1114,7 +1112,6 @@ def replicate_pooled(
     master_seed: int = 0,
     workers: int = 1,
     scale: float = CALIBRATED_SIGMA,
-    shape: float = DEFAULT_SHAPE,
 ) -> tuple[OCReport, OCReport, OCReport]:
     """Run the same design independently in two strata and pool the tests.
 
@@ -1127,8 +1124,8 @@ def replicate_pooled(
     design_a = replace(design, stratum_label="A")
     design_b = replace(design, stratum_label="B")
     _require_valid(design_a)
-    model_a = OutcomeModel.parametric(scenario.effects_a, scale=scale, shape=shape)
-    model_b = OutcomeModel.parametric(scenario.effects_b, scale=scale, shape=shape)
+    model_a = OutcomeModel.parametric(scenario.effects_a, scale=scale)
+    model_b = OutcomeModel.parametric(scenario.effects_b, scale=scale)
     _require_arity(design_a, model_a)
     _require_arity(design_b, model_b)
     if n_reps < 1:

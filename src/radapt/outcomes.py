@@ -51,7 +51,6 @@ class OutcomeModel:
     kind: str  # "parametric" | "bootstrap"
     effects: tuple[float, ...]
     scale: float = CALIBRATED_SIGMA
-    shape: float = DEFAULT_SHAPE
     pilot: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -59,18 +58,19 @@ class OutcomeModel:
             raise ValueError(f"unknown outcome model kind {self.kind!r}")
         if self.kind == "bootstrap" and not self.pilot:
             raise ValueError("bootstrap model needs a non-empty pilot sample")
-        if self.kind == "parametric" and self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if any(not math.isfinite(e) for e in self.effects):
             raise ValueError(f"effects must be finite: {self.effects}")
+        bad = [v for v in self.pilot if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"pilot values must be finite, got {bad[0]}")
 
     @staticmethod
     def parametric(
-        effects: tuple[float, ...],
-        scale: float = CALIBRATED_SIGMA,
-        shape: float = DEFAULT_SHAPE,
+        effects: tuple[float, ...], scale: float = CALIBRATED_SIGMA
     ) -> "OutcomeModel":
-        return OutcomeModel(kind="parametric", effects=effects, scale=scale, shape=shape)
+        return OutcomeModel(kind="parametric", effects=effects, scale=scale)
 
     @staticmethod
     def bootstrap(
@@ -149,14 +149,15 @@ def outcomes_from_raw(
     model: OutcomeModel, arms: np.ndarray, raw: np.ndarray
 ) -> np.ndarray:
     """delta_y for raw draws: a pilot index for the bootstrap model, a
-    LogNormal(0, shape) value for the parametric one. raw[i] belongs to a
-    patient on arm index arms[i] (any array shape, the same for both)."""
+    LogNormal(0, DEFAULT_SHAPE) value for the parametric one. raw[i] belongs
+    to a patient on arm index arms[i] (any array shape, the same for both)."""
     shift = np.asarray(model.effects, dtype=float)[arms]
     if model.kind == "bootstrap":
         return np.asarray(model.pilot, dtype=float)[raw] + shift
-    # L ~ LogNormal(0, shape) shifted and scaled to mean 0, variance 1.
-    mean = math.exp(model.shape**2 / 2)
-    sd = math.sqrt((math.exp(model.shape**2) - 1.0) * math.exp(model.shape**2))
+    # L ~ LogNormal(0, DEFAULT_SHAPE) shifted and scaled to mean 0, variance 1.
+    s2 = DEFAULT_SHAPE**2
+    mean = math.exp(s2 / 2)
+    sd = math.sqrt((math.exp(s2) - 1.0) * math.exp(s2))
     return shift + model.scale * ((raw - mean) / sd)
 
 
@@ -183,9 +184,12 @@ def load_pilot(path: str | Path) -> tuple[float, ...]:
                 if not row:
                     continue
                 try:
-                    values.append(float(row[0]))
+                    value = float(row[0])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: not a number: {row[0]!r}") from exc
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: delta_y must be finite: {row[0]!r}")
+                values.append(value)
     except OSError as exc:
         raise OSError(f"cannot read pilot data from {path}: {exc}") from exc
     if not values:

@@ -81,50 +81,18 @@ def _prob_greater_int(aa: int, ab: int, ba: int, bb: int) -> float:
     return min(1.0, math.fsum(terms))
 
 
-def _pg_quad_oriented(a: BetaPosterior, b: BetaPosterior) -> float:
-    # P(X > Y) = int_0^1 S_X(y) f_Y(y) dy with S_X the survival function of
-    # X.  Shape parameters below 1 make f_Y singular at an endpoint, and no
-    # float64 quadrature node can resolve mass closer to 1 than ~1e-16, so:
-    # split at 1/2, rewrite the upper half in u = 1 - y via the reflection
-    # S_X(1-u) = I_u(a.beta, a.alpha) so nothing is evaluated near 1, then
-    # remove each algebraic singularity exactly with the power substitution
-    # y = w**(1/shape) (y**(shape-1) dy = dw / shape).  Both integrands are
-    # then bounded on their intervals and tanh-sinh quadrature resolves the
-    # remaining endpoint derivative cusps to well below the 1e-9 budget.
-    from scipy.integrate import tanhsinh
-    from scipy.special import betainc, betaincc, betaln
-
-    aa, ab, ba, bb = a.alpha, a.beta, b.alpha, b.beta
-    lb = betaln(ba, bb)
-
-    def lower(w: np.ndarray) -> np.ndarray:
-        y = np.power(w, 1.0 / ba)
-        return betaincc(aa, ab, y) * np.exp((bb - 1.0) * np.log1p(-y) - lb) / ba
-
-    def upper(w: np.ndarray) -> np.ndarray:
-        u = np.power(w, 1.0 / bb)
-        return betainc(ab, aa, u) * np.exp((ba - 1.0) * np.log1p(-u) - lb) / bb
-
-    total = 0.0
-    for integrand, shape in ((lower, ba), (upper, bb)):
-        top = 0.5**shape
-        if top > 0.0:
-            res = tanhsinh(integrand, 0.0, top, atol=5e-13, rtol=0.0)
-            total += float(res.integral)
-    return total
-
-
 def _prob_greater_quad(a: BetaPosterior, b: BetaPosterior) -> float:
-    # Canonical orientation: both orderings of a pair are answered from the
-    # same quadrature value, so the complement identity holds to one ulp no
-    # matter what the quadrature error is.
+    # For two arms P(best) is P(X > Y). Canonical orientation: both orderings
+    # of a pair are answered from the same quadrature value, so the
+    # complement identity holds to one ulp no matter what the quadrature
+    # error is.
     ka = (a.alpha, a.beta)
     kb = (b.alpha, b.beta)
     if ka == kb:
         return 0.5
-    if kb < ka:
-        return min(1.0, max(0.0, 1.0 - _pg_quad_oriented(b, a)))
-    return min(1.0, max(0.0, _pg_quad_oriented(a, b)))
+    lo, hi = sorted((ka, kb))
+    v = _prob_best_quad(((*lo, 1), (*hi, 1)))[0]
+    return min(1.0, max(0.0, v if ka < kb else 1.0 - v))
 
 
 def prob_greater(a: BetaPosterior, b: BetaPosterior) -> float:
@@ -177,10 +145,15 @@ def _prob_best_int(arms: tuple[tuple[int, int, int], ...]) -> tuple[float, ...]:
 
 @lru_cache(maxsize=4096)
 def _prob_best_quad(arms: tuple[tuple[float, float, int], ...]) -> tuple[float, ...]:
-    # The same integrals for non-integer shapes, made endpoint-safe as in
-    # _pg_quad_oriented: split at 1/2, evaluate the upper half in u = 1 - x
-    # via F_e(1 - u) = 1 - I_u(b_e, a_e), and remove f_d's algebraic
-    # singularity at each end with the power substitution.
+    # The same integrals for non-integer shapes. Shapes below 1 make f_d
+    # singular at an endpoint, and no float64 quadrature node can resolve
+    # mass closer to 1 than ~1e-16, so: split at 1/2, evaluate the upper
+    # half in u = 1 - x via F_e(1 - u) = 1 - I_u(b_e, a_e) so nothing is
+    # evaluated near 1, then remove f_d's algebraic singularity at each end
+    # exactly with the power substitution x = w**(1/shape)
+    # (x**(shape-1) dx = dw / shape). Both integrands are then bounded on
+    # their intervals and tanh-sinh quadrature resolves the remaining
+    # endpoint derivative cusps to well below the 1e-9 budget.
     from scipy.integrate import tanhsinh
     from scipy.special import betainc, betaincc, betaln
 

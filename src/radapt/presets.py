@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .core import (
     DEFAULT_ETA,
-    DEFAULT_TAU,
     MappingConfig,
     RuleConfig,
     ThresholdSet,
@@ -37,17 +36,12 @@ _GAMMA_INFO = (0.3, 0.6)
 _STAGES = (6, 6, 8)
 
 
-def preset_design(
-    name: str,
-    tau: float = DEFAULT_TAU,
-    eta: float = DEFAULT_ETA,
-    stratum_label: str = "A",
-) -> TrialDesign:
+def preset_design(name: str, eta: float = DEFAULT_ETA) -> TrialDesign:
     """Build one of the named designs; raises ValueError for unknown names."""
     trippa = RuleConfig(
         kind="TrippaBRAR", gamma_schedule=_GAMMA_INFO, eta_schedule=(eta, eta)
     )
-    common = dict(stage_sizes=_STAGES, tau=tau, stratum_label=stratum_label, name=name)
+    common = dict(stage_sizes=_STAGES, name=name)
 
     if name == "fixed_equal":
         return TrialDesign(rule=RuleConfig(kind="FixedEqual"), **common)
@@ -74,7 +68,7 @@ def preset_design(
         return TrialDesign(
             rule=trippa,
             mapping=MappingConfig(
-                variant="MappedAlpha", thresholds=ThresholdSet.alpha_defaults(tau)
+                variant="MappedAlpha", thresholds=ThresholdSet.alpha_defaults()
             ),
             **common,
         )
@@ -82,7 +76,7 @@ def preset_design(
         return TrialDesign(
             rule=trippa,
             mapping=MappingConfig(
-                variant="MappedBeta", thresholds=ThresholdSet.beta_defaults(tau)
+                variant="MappedBeta", thresholds=ThresholdSet.beta_defaults()
             ),
             **common,
         )

@@ -37,6 +37,7 @@ from radapt.mapping import (
     planned_ratio,
 )
 from radapt.outcomes import (
+    DEFAULT_SHAPE,
     MissingCase,
     OutcomeModel,
     PatientRecord,
@@ -62,7 +63,7 @@ def draw_outcome(model: OutcomeModel, arm: int, rng: np.random.Generator) -> flo
     if model.kind == "bootstrap":
         raw = rng.integers(len(model.pilot), size=1)
     else:
-        raw = rng.lognormal(0.0, model.shape, 1)
+        raw = rng.lognormal(0.0, DEFAULT_SHAPE, 1)
     return float(outcomes_from_raw(model, np.array([arm]), raw)[0])
 
 

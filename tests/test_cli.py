@@ -12,6 +12,8 @@ import pytest
 import radapt
 from radapt import cli, engine, preset_design, save_design
 from radapt.cli import main
+from radapt.engine import replicate, replicate_pooled, write_oc_csv
+from radapt.outcomes import SCENARIOS, OutcomeModel, load_pilot
 from test_core import OLD_FILES
 
 ACCRUED_HEADER = "patient_id,stage,arm_label,delta_y\n"
@@ -162,6 +164,81 @@ class TestSimulate:
         ])
         assert code == 2
         assert "RADAPT_SEED" in capsys.readouterr().err
+
+
+PILOT = "delta_y\n0.12\n-0.30\n0.45\n0.05\n0.61\n-0.08\n0.27\n0.33\n"
+
+
+class TestOutcomeFlags:
+    def test_scale_run_matches_replicate_pooled(self, tmp_path):
+        args = ["simulate", "--design", "mapped_alpha", "--scenario", "S4",
+                "--reps", "300", "--seed", "5"]
+        scaled, default = tmp_path / "scaled", tmp_path / "default"
+        assert main(args + ["--scale", "0.2", "--out", str(scaled)]) == 0
+        assert main(args + ["--out", str(default)]) == 0
+        reports = replicate_pooled(
+            preset_design("mapped_alpha"), SCENARIOS["S4"], n_reps=300,
+            master_seed=5, scale=0.2,
+        )
+        write_oc_csv(list(reports), tmp_path / "api.csv")
+        got = (scaled / "oc_report.csv").read_bytes()
+        assert got == (tmp_path / "api.csv").read_bytes()
+        assert got != (default / "oc_report.csv").read_bytes()
+
+    def test_pilot_run_matches_replicate(self, tmp_path):
+        pilot = tmp_path / "p.csv"
+        pilot.write_text(PILOT, encoding="utf-8")
+        assert main([
+            "simulate", "--design", "mapped_beta", "--effects", "0,0.1,0.3",
+            "--pilot", str(pilot), "--reps", "200", "--seed", "9",
+            "--out", str(tmp_path / "cli"),
+        ]) == 0
+        model = OutcomeModel.bootstrap(load_pilot(pilot), (0.0, 0.1, 0.3))
+        report = replicate(
+            preset_design("mapped_beta"), model, n_reps=200, master_seed=9
+        )
+        write_oc_csv([report], tmp_path / "api.csv")
+        got = (tmp_path / "cli" / "oc_report.csv").read_bytes()
+        assert got == (tmp_path / "api.csv").read_bytes()
+
+    def test_pilot_without_effects_refused(self, tmp_path, capsys):
+        pilot = tmp_path / "p.csv"
+        pilot.write_text(PILOT, encoding="utf-8")
+        code = main([
+            "simulate", "--design", "mapped_alpha", "--pilot", str(pilot),
+            "--reps", "10", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "--pilot applies only to --effects runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--design", "mapped_alpha", "--effects", "0,0,0.3"],
+        ["--design", "fixed_equal", "--effects", "0,0,0.3"],
+        ["--design", "mapped_beta", "--scenario", "S4"],
+    ])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_refused(self, flags, scale, tmp_path, capsys):
+        code = main(["simulate", *flags, f"--scale={scale}", "--reps", "50",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert f"scale must be finite and positive, got {scale}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "oc_report.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_pilot_refused(self, bad, tmp_path, capsys):
+        pilot = tmp_path / "p.csv"
+        pilot.write_text(f"delta_y\n0.1\n{bad}\n0.2\n", encoding="utf-8")
+        code = main([
+            "simulate", "--design", "mapped_alpha", "--effects", "0,0,0.3",
+            "--pilot", str(pilot), "--reps", "50", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{pilot}:3: delta_y must be finite: '{bad}'" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "oc_report.csv").exists()
 
 
 # First 16 hex digits of the SHA-256 of oc_report.csv and adaptability.csv.
@@ -699,6 +776,24 @@ class TestReport:
         code = main(["report", str(tmp_path / "gone.csv")])
         assert code == 2
         assert "gone.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, cells", [("1,2,3", 3), ("1", 1)])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_ragged_row_refused(self, row, cells, to_file, tmp_path, capsys):
+        ok = tmp_path / "ok.csv"
+        ok.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(f"a,b\n5,6\n{row}\n", encoding="utf-8")
+        merged = tmp_path / "merged.csv"
+        out = ["--out", str(merged)] if to_file else []
+        code = main(["report", str(ok), str(ragged), *out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {ragged}:3: {cells} cells under a 2-column header\n"
+        )
+        assert captured.out == ""
+        assert not merged.exists()
 
 
 class TestParser:

@@ -25,6 +25,17 @@ def _reference():
     return preset_design("mapped_alpha")
 
 
+def _reference_with_tau(tau):
+    # the reference design whose drop threshold and first stage-3 cut read tau
+    design = _reference()
+    th = design.mapping.thresholds
+    mapping = dataclasses.replace(
+        design.mapping,
+        thresholds=dataclasses.replace(th, stage3=(tau,) + th.stage3[1:]),
+    )
+    return dataclasses.replace(design, tau=tau, mapping=mapping)
+
+
 # Design files as radapt wrote them before the stage control count, the
 # stage arm-dropping flag, the mapping control count, planned_n, the arm
 # indices and the stage numbers were derived from the rest of the design
@@ -271,7 +282,7 @@ class TestValidateDesign:
         assert validate_design(preset_design(name)) == []
 
     def test_tau_outside_range_is_one_violation(self):
-        bad = preset_design("fixed_equal").with_tau(0.5)
+        bad = dataclasses.replace(preset_design("fixed_equal"), tau=0.5)
         violations = validate_design(bad)
         assert len(violations) == 1
         assert "tau" in violations[0] and "0.5" in violations[0]
@@ -279,7 +290,7 @@ class TestValidateDesign:
     def test_tau_outside_range_mapped(self):
         # on a mapped design the bad tau also breaks threshold ordering;
         # the range violation is still reported
-        bad = _reference().with_tau(0.5)
+        bad = _reference_with_tau(0.5)
         assert any("tau" in msg and "0.5" in msg for msg in validate_design(bad))
 
     def test_stage_size_below_k_without_control_fix(self):
@@ -372,7 +383,7 @@ class TestJsonRoundTrip:
         assert validate_design(loaded) == validate_design(design) == []
 
     def test_round_trip_preserves_violations(self):
-        bad = _reference().with_tau(0.5)
+        bad = _reference_with_tau(0.5)
         again = design_from_dict(design_to_dict(bad))
         assert validate_design(again) == validate_design(bad)
 

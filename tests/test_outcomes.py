@@ -44,6 +44,16 @@ class TestOutcomeModel:
         with pytest.raises(ValueError, match="kind"):
             OutcomeModel("gaussian", (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_scale_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=f"scale must be finite.*{bad}"):
+            OutcomeModel.parametric((0.0, 0.0, 0.3), scale=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_pilot_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=f"pilot values must be finite.*{bad}"):
+            OutcomeModel.bootstrap((0.1, bad, 0.2), (0.0, 0.0, 0.3))
+
 
 class TestDrawOutcome:
     def test_single_atom_bootstrap_is_pure_shift(self, rng):
@@ -229,6 +239,13 @@ class TestLoadPilot:
         path = tmp_path / "pilot.csv"
         path.write_text("delta_y\n0.1\noops\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":3"):
+            load_pilot(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_row_reports_line(self, tmp_path, bad):
+        path = tmp_path / "pilot.csv"
+        path.write_text(f"delta_y\n0.1\n0.2\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"pilot.csv:4: .*finite.*{bad}"):
             load_pilot(path)
 
     def test_empty_dataset(self, tmp_path):

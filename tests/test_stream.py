@@ -14,7 +14,7 @@ from scipy import stats
 from radapt import engine, preset_design
 from radapt.engine import MissingPolicy, replicate
 from radapt.mapping import planned_ratio
-from radapt.outcomes import MissingCase, OutcomeModel
+from radapt.outcomes import DEFAULT_SHAPE, MissingCase, OutcomeModel
 from radapt.presets import PRESET_NAMES
 from reference import _conduct_trial, run_trial
 
@@ -143,13 +143,13 @@ def _success_probability(model: OutcomeModel, i: int, delta: float) -> float:
     """P(delta_y >= delta) on arm i, in closed form. delta_y is the arm's
     effect plus scale * (L - E L) / SD(L) with L ~ LogNormal(0, shape), so
     it reaches delta exactly when L >= c, and P(L >= c) is a normal tail."""
-    s2 = model.shape**2
+    s2 = DEFAULT_SHAPE**2
     c = math.exp(s2 / 2) + math.sqrt((math.exp(s2) - 1.0) * math.exp(s2)) * (
         delta - model.effects[i]
     ) / model.scale
     if c <= 0.0:
         return 1.0
-    return 0.5 * math.erfc(math.log(c) / (model.shape * math.sqrt(2.0)))
+    return 0.5 * math.erfc(math.log(c) / (DEFAULT_SHAPE * math.sqrt(2.0)))
 
 
 def exact_stage2_law(design, model):
@@ -181,9 +181,9 @@ class TestExactStage2Law:
         # a quantile of delta_y maps back to its tail probability
         model = ALT
         z = 0.7
-        s2 = model.shape**2
+        s2 = DEFAULT_SHAPE**2
         y = model.effects[2] + model.scale * (
-            math.exp(model.shape * z) - math.exp(s2 / 2)
+            math.exp(DEFAULT_SHAPE * z) - math.exp(s2 / 2)
         ) / math.sqrt((math.exp(s2) - 1.0) * math.exp(s2))
         assert _success_probability(model, 2, y) == pytest.approx(
             stats.norm.sf(z), rel=1e-12
