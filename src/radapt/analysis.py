@@ -8,16 +8,19 @@ i + j. The null distribution of the treatment's doubled rank sum comes from
 subset-sum counting tables, which match enumerating every labeling but take
 polynomial time; a p-value is a count over C(n, n1).
 
-One tie-free table per sample size (n, n1) counts the k-subsets, k <= n1, of
-the ranks 1..n by sum; doubling a sum gives the doubled rank sum, so the
-table needs no odd columns. A tie-free sample reads its row n1. A tied
-sample derives its row n1 from the same table: it takes each tied position's
-rank back out by exact deconvolution, spreads what is left onto the doubled
-grid, and adds each tie group at its doubled midrank with binomial weights.
-Counts are float64, exact only while every count stays below 2**53: the
-derivation runs only while C(n, min(n1, n // 2)) < 2**53 (up to 56 values
-for any split) and while it is cheaper than a direct table over the tied
-ranks, which every other sample builds. Each sample's survival is cached on
+One tie-free table per sample size n counts the k-subsets of the ranks
+1..n by sum, for every k; it is the table of n - 1 plus itself shifted by n
+one row down, so each size costs one array add. Doubling a sum gives the
+doubled rank sum, so the table needs no odd columns. A tie-free sample reads
+its row n1. A tied sample derives its row from the same table: it takes each
+tied position's rank back out of the smaller side's rows by exact
+deconvolution, spreads what is left onto the doubled grid, and adds each tie
+group at its doubled midrank with binomial weights; a smaller control side
+is derived and read backwards from the doubled total n(n + 1). Counts are
+float64, exact only while every count stays below 2**53, so the tables exist
+only up to 56 values (C(56, 28) < 2**53); the derivation runs only there
+and while it is cheaper than a direct table over the tied ranks, and every
+other sample builds that direct table. Each sample's survival is cached on
 its sorted tie pattern, so all routes give the same p-values bit for bit. A
 table may hold at most EXACT_CELL_GUARD cells on the doubled grid;
 validate_design bounds a stratum so that two strata pooled always fit
@@ -35,7 +38,9 @@ import numpy as np
 __all__ = ["wilcoxon_one_sided", "rank_sum_rows"]
 
 EXACT_CELL_GUARD = 50_000_000
-_EXACT_COUNT = 2**53  # float64 holds every integer count below this exactly
+# the largest n whose tie-free table is exact in float64, which holds every
+# integer count below 2**53: C(56, 28) < 2**53 < C(57, 28)
+_CHAIN_MAX = 56
 _BAND = 32  # rows per update of a direct table; bounds numpy's operand copy
 
 
@@ -74,12 +79,28 @@ def _subset_counts(ranks, n1: int) -> np.ndarray:
     return counts
 
 
-@lru_cache(maxsize=128)
-def _tie_free_counts(n: int, n1: int) -> np.ndarray:
-    """The shared table: counts of the k-subsets (k <= n1) of 1..n by sum."""
-    counts = _subset_counts(range(1, n + 1), n1)
+@lru_cache(maxsize=_CHAIN_MAX)
+def _tie_free_table(n: int) -> np.ndarray:
+    """Counts of the k-subsets (every k) of the ranks 1..n by sum.
+
+    Built from the table of n - 1: row k gains row k - 1 of that table
+    shifted by n. Exact for n <= _CHAIN_MAX.
+    """
+    counts = np.zeros((n + 1, n * (n + 1) // 2 + 1))
+    if n == 0:
+        counts[0, 0] = 1.0
+    else:
+        smaller = _tie_free_table(n - 1)
+        counts[:n, : smaller.shape[1]] = smaller
+        counts[1:, n:] += smaller
     counts.flags.writeable = False
     return counts
+
+
+def _tie_free_counts(n: int, n1: int) -> np.ndarray:
+    """The shared table: counts of the k-subsets (k <= n1) of 1..n by sum,
+    a view of _tie_free_table(n)."""
+    return _tie_free_table(n)[: n1 + 1, : n1 * (2 * n - n1 + 1) // 2 + 1]
 
 
 def _tie_groups(ranks: list[int]) -> list[tuple[int, int]]:
@@ -97,7 +118,16 @@ def _tie_groups(ranks: list[int]) -> list[tuple[int, int]]:
 def _derived_row(n: int, n1: int, groups: list[tuple[int, int]]) -> np.ndarray:
     """Row n1 of the doubled-grid count table of a tied sample, derived
     from the shared tie-free table; exact while every count is below 2**53.
+
+    The smaller side is derived: with fewer control values, the control's
+    row read backwards from the doubled total n(n + 1), which every split of
+    the doubled midranks sums to.
     """
+    if n - n1 < n1:
+        row = _derived_row(n, n - n1, groups)
+        mirrored = np.zeros(n * (n + 1) + 1)
+        mirrored[mirrored.size - row.size :] = row[::-1]
+        return mirrored
     table = np.array(_tie_free_counts(n, n1))
     width = table.shape[1]
     for first, size in groups:
@@ -132,12 +162,13 @@ def _derived_row(n: int, n1: int, groups: list[tuple[int, int]]) -> np.ndarray:
 def _derivation_pays(n: int, n1: int, groups, cells: int) -> bool:
     """Whether the derivation costs less than a direct table of `cells`.
 
-    The derivation makes about n1 row updates per tied position, the direct
+    The derivation makes about min(n1, n - n1) row updates per tied
+    position (it derives the smaller side), the direct
     build n updates of about half its table each; one numpy call costs
     about as much as 5,000 cells of that arithmetic (2-CPU Xeon, numpy 2.4).
     """
     tied = sum(size for _, size in groups)
-    return tied * n1 <= n * (1 + cells / 5000)
+    return tied * min(n1, n - n1) <= n * (1 + cells / 5000)
 
 
 @lru_cache(maxsize=4096)
@@ -155,15 +186,15 @@ def _null_survival(scaled_ranks: tuple[int, ...], n1: int) -> np.ndarray:
             f"rank-sum samples of {n1} and {n - n1} values need a null "
             f"table past {EXACT_CELL_GUARD} cells"
         )
-    exact = math.comb(n, min(n1, n // 2)) < _EXACT_COUNT
+    chained = n <= _CHAIN_MAX
     groups = _tie_groups(ranks)
     if not groups:
-        # past the exact bound no tied sample reads the table: build, not keep
+        # past the exact chain the table is built for this sample, not kept
         free = range(1, n + 1)
-        counts = _tie_free_counts(n, n1) if exact else _subset_counts(free, n1)
+        counts = _tie_free_counts(n, n1) if chained else _subset_counts(free, n1)
         row = np.zeros(smax + 1)
         row[::2] = counts[n1]
-    elif exact and _derivation_pays(n, n1, groups, cells):
+    elif chained and _derivation_pays(n, n1, groups, cells):
         row = _derived_row(n, n1, groups)[: smax + 1]
     else:
         row = _subset_counts(ranks, n1)[n1]

@@ -35,7 +35,14 @@ from .engine import (
     write_oc_csv,
 )
 from .mapping import RatioVector, planned_ratio
-from .outcomes import CALIBRATED_SIGMA, SCENARIOS, MissingCase, OutcomeModel, load_pilot
+from .outcomes import (
+    CALIBRATED_SIGMA,
+    SCENARIOS,
+    MissingCase,
+    OutcomeModel,
+    _check_scale,
+    load_pilot,
+)
 from .presets import PRESET_NAMES, preset_design
 from .randlist import export_list, generate_block
 
@@ -174,11 +181,23 @@ def _print_summary(reports: list[OCReport]) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+def _outcome_scale(args) -> float:
+    """--scale, or the calibrated scale; refused with --pilot, whose model
+    resamples the pilot values and reads no scale."""
+    if args.scale is None:
+        return CALIBRATED_SIGMA
+    if args.pilot:
+        raise ValueError("--scale does not apply to --pilot runs, which resample the pilot")
+    _check_scale(args.scale, "--scale")
+    return args.scale
+
+
 def _cmd_simulate(args) -> int:
     design = _resolve_design(args.design)
     policy = _policy_from(args)
     case = MissingCase(args.case)
     seed = _resolve_seed(args)
+    scale = _outcome_scale(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -187,7 +206,7 @@ def _cmd_simulate(args) -> int:
         if args.pilot:
             model = OutcomeModel.bootstrap(load_pilot(args.pilot), effects)
         else:
-            model = OutcomeModel.parametric(effects, scale=args.scale)
+            model = OutcomeModel.parametric(effects, scale=scale)
         reports = [
             replicate(
                 design, model, case=case, policy=policy, n_reps=args.reps,
@@ -206,7 +225,7 @@ def _cmd_simulate(args) -> int:
         reports = list(
             replicate_pooled(
                 design, scenario, case=case, policy=policy, n_reps=args.reps,
-                master_seed=seed, workers=args.workers, scale=args.scale,
+                master_seed=seed, workers=args.workers, scale=scale,
             )
         )
 
@@ -385,9 +404,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=1000, help="replicates (default 1000)")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--scale", type=float, default=CALIBRATED_SIGMA,
-                   help="outcome noise scale (default: the calibrated "
-                   f"{CALIBRATED_SIGMA})")
+    p.add_argument("--scale", type=float, default=None,
+                   help="outcome noise scale of the parametric model (default: "
+                   f"the calibrated {CALIBRATED_SIGMA}; not with --pilot)")
     p.add_argument("--pilot", default=None,
                    help="pilot-sample CSV for the resampling outcome model "
                    "(only with --effects)")

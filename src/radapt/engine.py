@@ -272,22 +272,22 @@ class _DecisionTable:
 
     def _rule_pi(self, params, assigned) -> np.ndarray:
         """The rule's pi for every key, from each arm's [alpha, beta] and
-        assigned count: P(beats control) or P(best) once per distinct set
-        of parameters, through the exact scalar functions and their memos,
-        then the rules' arithmetic on plain floats."""
+        assigned count: P(beats control) once per distinct pair through the
+        exact scalar function and its memo, or P(best) of every distinct set
+        of parameters in one batched call, then the rules' arithmetic on
+        plain floats."""
         design, k = self.design, self.design.k
         kind = design.rule.kind
         if kind == "FixedEqual" or (kind == "TSBRAR" and self.gamma == 0):
             return np.tile(_equal_probs(k), (len(params), 1))
         if kind == "TSBRAR":
-            best: dict[tuple[tuple[float, float], ...], tuple[float, ...]] = {}
-            out = []
-            for arms in params:
-                arms = tuple(map(tuple, arms))
-                if arms not in best:
-                    best[arms] = _ts_probs(_prob_best_of(list(arms)), self.gamma)
-                out.append(best[arms])
-            return np.array(out)
+            rows = [tuple(map(tuple, arms)) for arms in params]
+            distinct = list(dict.fromkeys(rows))
+            best = {
+                arms: _ts_probs(values, self.gamma)
+                for arms, values in zip(distinct, _prob_best_of(distinct))
+            }
+            return np.array([best[arms] for arms in rows])
         form = design.rule.control_exponent_form
         beats: dict[tuple[float, ...], float] = {}
         out = []

@@ -39,6 +39,21 @@ CALIBRATED_SIGMA = 0.398
 # Log-normal sigma of the underlying normal for the skewed noise shape.
 DEFAULT_SHAPE = 0.6
 
+# The largest outcome noise scale. A standardised noise draw stays below 10**4
+# in size (numpy's normals stay below 14), so outcomes, and sums of a trial's
+# outcomes, stay finite up to this scale; past it they can overflow.
+MAX_SCALE = 1e300
+
+
+def _check_scale(scale: float, name: str = "scale") -> None:
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"{name} must be finite and positive, got {scale}")
+    if scale > MAX_SCALE:
+        raise ValueError(
+            f"{name} must be at most {MAX_SCALE:g}, or outcomes can overflow; "
+            f"got {scale:g}"
+        )
+
 
 @dataclass(frozen=True)
 class OutcomeModel:
@@ -58,8 +73,7 @@ class OutcomeModel:
             raise ValueError(f"unknown outcome model kind {self.kind!r}")
         if self.kind == "bootstrap" and not self.pilot:
             raise ValueError("bootstrap model needs a non-empty pilot sample")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be finite and positive, got {self.scale}")
+        _check_scale(self.scale)
         if any(not math.isfinite(e) for e in self.effects):
             raise ValueError(f"effects must be finite: {self.effects}")
         bad = [v for v in self.pilot if not math.isfinite(v)]

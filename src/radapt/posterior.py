@@ -8,7 +8,6 @@ computed deterministically, as pure functions over immutable inputs.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,25 +121,53 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=65536)
-def _prob_best_int(arms: tuple[tuple[int, int, int], ...]) -> tuple[float, ...]:
-    # arms holds (a, b, m) per distinct posterior, m arms sharing it. An arm
-    # of type d is best with probability int_0^1 f_d F_d^(m_d - 1)
+# P(best) of every integer key set evaluated so far: (a, b, m) per distinct
+# posterior, sorted, to one value per distinct posterior. Emptied when a call
+# would take it past _PROB_BEST_MEMO key sets.
+_PROB_BEST_MEMO = 65536
+_prob_best_cache: dict[tuple[tuple[int, int, int], ...], tuple[float, ...]] = {}
+
+
+def _prob_best_int(
+    key_sets: list[tuple[tuple[int, int, int], ...]],
+) -> list[tuple[float, ...]]:
+    # Each key set holds (a, b, m) per distinct posterior, m arms sharing it.
+    # An arm of type d is best with probability int_0^1 f_d F_d^(m_d - 1)
     # prod_{e != d} F_e^(m_e) dx. With integer parameters the integrand is a
     # polynomial of degree sum(a + b) - K - 1 over all K arms, so
     # ceil((degree + 1) / 2) Gauss-Legendre nodes integrate it exactly up to
-    # rounding.
+    # rounding. The key sets missing from the memo are evaluated together,
+    # one array pass per (distinct posteriors, node count): element for
+    # element the arithmetic of a lone key set, so batching moves no bit.
     from scipy.special import betainc, betaln, xlog1py, xlogy
 
-    a, b, m = (np.array(col, dtype=np.float64)[:, None] for col in zip(*arms))
-    degree = int(np.sum(m * (a + b - 1.0))) - 1
-    x, w = _gauss_legendre(degree // 2 + 1)
-    cdf = betainc(a, b, x)
-    pdf = np.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - betaln(a, b))
-    # a zero exponent gives a factor of exactly 1 even where F_e underflows
-    powers = m.T - np.eye(len(arms))
-    others = np.prod(cdf[None, :, :] ** powers[:, :, None], axis=1)
-    return tuple(float(v) for v in (pdf * others) @ w)
+    groups: dict[tuple[int, int], list] = {}
+    for arms in dict.fromkeys(key_sets):
+        if arms not in _prob_best_cache:
+            degree = sum(m * (a + b - 1) for a, b, m in arms) - 1
+            groups.setdefault((len(arms), degree // 2 + 1), []).append(arms)
+    new = {}
+    for (d, nodes), group in groups.items():
+        abm = np.array(group, dtype=np.float64)[..., None]
+        a, b, m = abm[:, :, 0], abm[:, :, 1], abm[:, :, 2]
+        x, w = _gauss_legendre(nodes)
+        cdf = betainc(a, b, x)
+        pdf = np.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - betaln(a, b))
+        # a zero exponent gives a factor of exactly 1 even where F_e underflows
+        powers = m.transpose(0, 2, 1) - np.eye(d)
+        if d == 1:
+            # a lone key set of one posterior has a scalar power, which numpy
+            # squares exactly; over a batch the power varies, and it would not
+            others = np.stack([c ** p for c, p in zip(cdf, powers[:, 0, 0])])
+        else:
+            others = np.prod(cdf[:, None, :, :] ** powers[:, :, :, None], axis=2)
+        for arms, values in zip(group, ((pdf * others) @ w).tolist()):
+            new[arms] = tuple(values)
+    values = [_prob_best_cache.get(arms) or new[arms] for arms in key_sets]
+    if len(_prob_best_cache) + len(new) > _PROB_BEST_MEMO:
+        _prob_best_cache.clear()
+    _prob_best_cache.update(new)
+    return values
 
 
 @lru_cache(maxsize=4096)
@@ -198,19 +225,33 @@ def prob_best(
     <= 1e-9. Each distinct (alpha, beta) is evaluated once on the canonically
     sorted multiset, so permuting the input permutes the output bit for bit
     and arms with equal posteriors get equal values. The values are not
-    renormalised.
+    renormalised. Integer multisets are memoised; the decision tables
+    evaluate the ones a block lacks in one batch through the same function,
+    which gives each multiset the values it gets here, bit for bit.
     """
     if len(posteriors) < 2:
         raise ValueError("need at least two posteriors")
-    return _prob_best_of([(p.alpha, p.beta) for p in posteriors])
+    return _prob_best_of([tuple((p.alpha, p.beta) for p in posteriors)])[0]
 
 
-def _prob_best_of(keys: list[tuple[float, float]]) -> tuple[float, ...]:
-    # prob_best on each arm's (alpha, beta)
-    arms = tuple((a, b, m) for (a, b), m in sorted(Counter(keys).items()))
-    if all(_is_integral(a) and _is_integral(b) for a, b, _ in arms):
-        values = _prob_best_int(tuple((int(a), int(b), m) for a, b, m in arms))
-    else:
-        values = _prob_best_quad(arms)
-    by_key = {(a, b): v for (a, b, _), v in zip(arms, values)}
-    return tuple(by_key[key] for key in keys)
+def _prob_best_of(
+    rows: list[tuple[tuple[float, float], ...]],
+) -> list[tuple[float, ...]]:
+    # prob_best on each row of per-arm (alpha, beta); the integer rows go to
+    # _prob_best_int in one batch
+    canonical = [
+        tuple((a, b, keys.count((a, b))) for a, b in sorted(set(keys))) for keys in rows
+    ]
+    integral = [
+        all(_is_integral(a) and _is_integral(b) for a, b, _ in arms) for arms in canonical
+    ]
+    exact = iter(_prob_best_int([
+        tuple((int(a), int(b), m) for a, b, m in arms)
+        for arms, whole in zip(canonical, integral) if whole
+    ]))
+    out = []
+    for keys, arms, whole in zip(rows, canonical, integral):
+        values = next(exact) if whole else _prob_best_quad(arms)
+        by_key = {(a, b): v for (a, b, _), v in zip(arms, values)}
+        out.append(tuple(by_key[key] for key in keys))
+    return out

@@ -7,17 +7,19 @@ of the same draws and through the same decision tables
 (engine._decision_table), with the record-level imputer and final analysis
 written out once more. It keeps the interim decision as radapt took it
 before the tables, one count key at a time (_decide), with the rules'
-arithmetic written out once more: the oracle the tables' decisions are
-checked against. It also keeps the seeded Monte Carlo estimators that the
-exact posterior probabilities are checked against, and the direct
-subset-sum table that the rank-sum null tables radapt derives are checked
-against.
+arithmetic and exact P(best) of one set of posteriors at a time
+(prob_best_int) written out once more: the oracle the tables' decisions
+and radapt's batched P(best) are checked against. It also keeps the seeded
+Monte Carlo estimators that the exact posterior probabilities are checked
+against, and the direct subset-sum table (subset_count_table) that the
+rank-sum tables radapt chains and derives are checked against.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -279,7 +281,7 @@ def _rule_pi(
     if rule.kind == "TSBRAR":
         if gamma == 0:
             return fixed_equal(design.k)
-        return _normalised([p**gamma for p in prob_best(posteriors)])
+        return _normalised([p**gamma for p in _prob_best(posteriors)])
     eta = rule.eta_for_stage(upcoming_stage)
     control = posteriors[0]
     raw_active = [prob_greater(p, control) ** gamma for p in posteriors[1:]]
@@ -291,6 +293,18 @@ def _rule_pi(
     else:
         g = math.exp(math.copysign(abs(dn) ** eta, dn)) if dn != 0 else 1.0
     return _normalised([(1.0 / 3.0) * g] + raw_active)
+
+
+def _prob_best(posteriors: tuple[BetaPosterior, ...]) -> list[float]:
+    # integer posteriors through the per-key formula, so a fault in radapt's
+    # batched P(best) shows here; others through radapt's quadrature
+    keys = [(p.alpha, p.beta) for p in posteriors]
+    if not all(float(v).is_integer() for key in keys for v in key):
+        return list(prob_best(posteriors))
+    shared = sorted(Counter(keys).items())
+    values = prob_best_int(tuple((int(a), int(b), m) for (a, b), m in shared))
+    by_key = {key: v for (key, _), v in zip(shared, values)}
+    return [by_key[key] for key in keys]
 
 
 _DEMOTED = {
@@ -582,16 +596,45 @@ def null_survival(scaled_ranks: tuple[int, ...], n1: int) -> np.ndarray:
     size and sum over the doubled grid and is built from the ranks
     themselves, with no shared table and no derivation.
     """
-    ranks = sorted(scaled_ranks)
-    smax = sum(ranks[-n1:])
+    counts = subset_count_table(scaled_ranks, n1)
+    total = counts[n1].sum()
+    return np.cumsum(counts[n1][::-1])[::-1] / total
+
+
+def subset_count_table(ranks, n1: int) -> np.ndarray:
+    """Counts of the k-subsets (k <= n1) of the integer `ranks` by sum: row
+    k, column s, for s up to the sum of the n1 largest ranks."""
+    ranks = sorted(ranks)
+    smax = sum(ranks[-n1:]) if n1 else 0
     counts = np.zeros((n1 + 1, smax + 1))
     counts[0, 0] = 1.0
     for r in ranks:
         # every subset size at once; numpy reads the overlapping right side
         # before it writes
         counts[1:, r:] += counts[:-1, : smax + 1 - r]
-    total = counts[n1].sum()
-    return np.cumsum(counts[n1][::-1])[::-1] / total
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# Exact P(best) of one integer key set at a time
+
+
+def prob_best_int(arms: tuple[tuple[int, int, int], ...]) -> tuple[float, ...]:
+    """P(best) per distinct posterior of one canonical key set, (a, b, m)
+    per distinct integer Beta(a, b) shared by m arms, sorted: the
+    Gauss-Legendre formula of posterior._prob_best_int on this key set
+    alone, with no batch and no memo."""
+    from scipy.special import betainc, betaln, xlog1py, xlogy
+
+    a, b, m = (np.array(col, dtype=np.float64)[:, None] for col in zip(*arms))
+    degree = int(np.sum(m * (a + b - 1.0))) - 1
+    x, w = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    cdf = betainc(a, b, x)
+    pdf = np.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - betaln(a, b))
+    powers = m.T - np.eye(len(arms))
+    others = np.prod(cdf[None, :, :] ** powers[:, :, None], axis=1)
+    return tuple(float(v) for v in (pdf * others) @ w)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ from radapt.analysis import (
 )
 from radapt.core import ArmId, default_arms
 from radapt.outcomes import PatientRecord
-from reference import null_survival, pooled_analysis, stratum_decision
+from reference import (
+    null_survival,
+    pooled_analysis,
+    stratum_decision,
+    subset_count_table,
+)
 
 ARMS = default_arms()
 
@@ -267,6 +272,54 @@ class TestDerivedNullTables:
             assert wilcoxon_one_sided(treatment, control) == _rankdata_p(
                 treatment, control
             )
+
+    def test_either_side_derived_equals_the_direct_one(self, monkeypatch):
+        # a smaller control side is derived and mirrored; every split of one
+        # tie pattern reads the direct table
+        sizes = [2, 1, 1, 3, 1, 1, 1, 2, 1, 4, 1, 1, 2, 1, 1, 1, 5, 1, 1, 2]
+        n = sum(sizes)
+        derived = []
+        original = analysis._derived_row
+
+        def spy(n, n1, groups):
+            derived.append(n1)
+            return original(n, n1, groups)
+
+        monkeypatch.setattr(analysis, "_derived_row", spy)
+        for n1 in range(1, n):
+            derived.clear()
+            want = null_survival(_midranks(sizes), n1)
+            assert np.array_equal(_derived_survival(sizes, n1, want.size), want), n1
+            assert derived[-1] == min(n1, n - n1)
+
+
+class TestTieFreeTables:
+    """One tie-free table per sample size, each built from the one before;
+    the reference builds every (n, n1) table directly."""
+
+    def test_every_exact_size_equals_the_direct_table(self):
+        for n in range(analysis._CHAIN_MAX + 1):
+            for n1 in range(n + 1):
+                want = subset_count_table(range(1, n + 1), n1)
+                assert np.array_equal(analysis._tie_free_counts(n, n1), want), (n, n1)
+
+    def test_the_chain_ends_at_the_exact_bound(self):
+        n = analysis._CHAIN_MAX
+        assert math.comb(n, n // 2) < 2**53 < math.comb(n + 1, (n + 1) // 2)
+
+    @pytest.mark.parametrize("n2, tied", [(184, False), (364, True)])
+    def test_samples_past_the_bound_keep_no_chain_table(self, n2, tied):
+        # 4 values against 184 tie-free, and 368 values with ties, as two
+        # pooled strata of 184 can give: each builds its own direct table
+        rng = np.random.default_rng(n2)
+        values = rng.permutation(n2 + 4).astype(float)
+        if tied:
+            values = np.floor(values / 3)
+        treatment, control = values[:4].tolist(), values[4:].tolist()
+        analysis._tie_free_table.cache_clear()
+        _null_survival.cache_clear()
+        assert wilcoxon_one_sided(treatment, control) == _rankdata_p(treatment, control)
+        assert analysis._tie_free_table.cache_info().currsize == 0
 
 
 @st.composite

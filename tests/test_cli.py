@@ -226,6 +226,30 @@ class TestOutcomeFlags:
         )
         assert not (tmp_path / "oc_report.csv").exists()
 
+    @pytest.mark.parametrize("design", ["fixed_equal", "mapped_alpha"])
+    def test_overflowing_scale_refused(self, design, tmp_path, capsys):
+        # at 1e308 fixed_equal's outcomes overflowed into an IndexError and
+        # mapped_alpha wrote reports built from infinite outcomes
+        code = main(["simulate", "--design", design, "--effects", "0,0,0.3",
+                     "--reps", "50", "--scale", "1e308", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--scale must be at most 1e+300" in capsys.readouterr().err
+        assert not (tmp_path / "oc_report.csv").exists()
+
+    @pytest.mark.parametrize("scale", ["0.05", "nan"])
+    def test_scale_with_pilot_refused(self, scale, tmp_path, capsys):
+        # the resampling model reads no scale, so a scale would be ignored
+        pilot = tmp_path / "p.csv"
+        pilot.write_text(PILOT, encoding="utf-8")
+        code = main([
+            "simulate", "--design", "mapped_alpha", "--effects", "0,0,0.3",
+            "--pilot", str(pilot), f"--scale={scale}", "--reps", "50",
+            "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "--scale does not apply to --pilot runs" in capsys.readouterr().err
+        assert not (tmp_path / "oc_report.csv").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_pilot_refused(self, bad, tmp_path, capsys):
         pilot = tmp_path / "p.csv"

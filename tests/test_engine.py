@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radapt import engine, preset_design
+from radapt import engine, posterior, preset_design
 from radapt.calibration import (
     CalibrationResult,
     calibrate_threshold,
@@ -42,6 +43,7 @@ from radapt.outcomes import (
 from radapt.posterior import BetaPosterior, SuccessCount, update
 from radapt.presets import PRESET_NAMES
 from radapt.rules import ArmCounts, ProbVector, fixed_equal, trippa_brar, ts_brar
+import reference
 from reference import (
     _conduct_trial,
     _decide,
@@ -277,37 +279,47 @@ class TestInterimDecisionMemo:
         assert sum(t.hits for t in tables) > 0 and sum(t.misses for t in tables) > 0
 
 
+REACHING_POLICIES = (
+    MissingPolicy(),
+    MissingPolicy(impute_stage2=True),
+    MissingPolicy(no_adapt_on_stage1_missing=False, no_drop_on_stage2_missing=False),
+    MissingPolicy(
+        no_adapt_on_stage1_missing=False, no_drop_on_stage2_missing=False,
+        impute_stage2=True,
+    ),
+)
+REACHING_MODEL = OutcomeModel.parametric((0.0, 0.3, 0.6))
+
+
+def _reached_tables(design):
+    """The decision tables of one block of `design` per case 0-5 under the
+    default policy and with both policies off, each with and without
+    stage-2 imputation."""
+    tables = {}
+    for case_id in range(6):
+        case = MissingCase(case_id)
+        (draws,) = engine._block_draws(
+            design, REACHING_MODEL, case_id, 0, engine._BLOCK_REPS
+        )
+        for policy in REACHING_POLICIES:
+            block = engine._conduct_block(design, REACHING_MODEL, case, policy, draws)
+            tables.update((id(table), table) for table in block.decisions)
+    return list(tables.values())
+
+
 class TestDecisionTableOracle:
     """Every count key that one block of every preset reaches, cases 0-5,
     under the default policy and with both policies off, each with and
     without stage-2 imputation: the decision table's InterimRecord equals
     the oracle's (reference._decide) field by field, pi by its bits."""
 
-    POLICIES = (
-        MissingPolicy(),
-        MissingPolicy(impute_stage2=True),
-        MissingPolicy(no_adapt_on_stage1_missing=False, no_drop_on_stage2_missing=False),
-        MissingPolicy(
-            no_adapt_on_stage1_missing=False, no_drop_on_stage2_missing=False,
-            impute_stage2=True,
-        ),
-    )
-    MODEL = OutcomeModel.parametric((0.0, 0.3, 0.6))
+    MODEL = REACHING_MODEL
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_reached_key_equals_the_oracle(self, name):
         design = preset_design(name)
-        tables = {}
-        for case_id in range(6):
-            case = MissingCase(case_id)
-            (draws,) = engine._block_draws(
-                design, self.MODEL, case_id, 0, engine._BLOCK_REPS
-            )
-            for policy in self.POLICIES:
-                block = engine._conduct_block(design, self.MODEL, case, policy, draws)
-                tables.update((id(table), table) for table in block.decisions)
         checked = set()
-        for table in tables.values():
+        for table in _reached_tables(design):
             for row, key in enumerate(table.count_keys.tolist()):
                 tallies = tuple(tuple(key[3 * i : 3 * i + 3]) for i in range(design.k))
                 want = _decide(
@@ -347,6 +359,57 @@ class TestDecisionTableOracle:
         for block in blocks:
             for table, rows in zip(block.decisions, block.which):
                 assert rows.max() < len(table)
+
+
+class TestBatchedProbBest:
+    """P(best) of the key sets a decision table lacks is evaluated in one
+    batched call; each value equals the per-key formula
+    (reference.prob_best_int) bit for bit."""
+
+    def test_every_reached_key_set_equals_the_per_key_formula(self):
+        # the posteriors of every count key one block of each preset reaches
+        # at stages 2 and 3, whatever rule the preset runs, in one batch
+        key_sets = set()
+        for name in PRESET_NAMES:
+            design = preset_design(name)
+            priors = list(zip(design.prior_alpha, design.prior_beta))
+            for table in _reached_tables(design):
+                for key in table.count_keys.tolist():
+                    arms = Counter(
+                        (int(a) + key[3 * i], int(b) + key[3 * i + 1])
+                        for i, (a, b) in enumerate(priors)
+                    )
+                    key_sets.add(tuple((a, b, m) for (a, b), m in sorted(arms.items())))
+        key_sets = sorted(key_sets)
+        assert {len(arms) for arms in key_sets} == {1, 2, 3}
+        assert len(key_sets) > 500
+        posterior._prob_best_cache.clear()
+        got = posterior._prob_best_int(key_sets)
+        for arms, values in zip(key_sets, got):
+            assert _bits(values) == _bits(reference.prob_best_int(arms)), arms
+
+    def test_a_block_decides_its_new_keys_in_one_call(self, monkeypatch):
+        batches = []
+        original = posterior._prob_best_int
+
+        def spy(key_sets):
+            batches.append(len(key_sets))
+            return original(key_sets)
+
+        monkeypatch.setattr(posterior, "_prob_best_int", spy)
+        engine._decision_cache.clear()
+        posterior._prob_best_cache.clear()
+        design = preset_design("unrestricted")
+        (draws,) = engine._block_draws(design, ALT, 4, 0, engine._BLOCK_REPS)
+        block = engine._conduct_block(design, ALT, MissingCase(0), MissingPolicy(), draws)
+        # one call per interim (stages 2 and 3), with every distinct set of
+        # per-arm successes and failures its table decided
+        want = []
+        for table in block.decisions:
+            counts = table.count_keys[:, :-2].reshape(len(table), 3, 3)
+            want.append(len({row[:, :2].tobytes() for row in counts}))
+        assert batches == want
+        assert min(batches) > 1
 
 
 def _bits(values):

@@ -6,12 +6,15 @@ from radapt.core import default_arms
 from radapt.engine import _missing_count
 from radapt.outcomes import (
     CALIBRATED_SIGMA,
+    DEFAULT_SHAPE,
+    MAX_SCALE,
     SCENARIOS,
     MissingCase,
     OutcomeModel,
     PatientRecord,
     dichotomise,
     load_pilot,
+    outcomes_from_raw,
 )
 from reference import draw_outcome, impute_stage2_mean, run_trial
 
@@ -48,6 +51,19 @@ class TestOutcomeModel:
     def test_scale_must_be_finite(self, bad):
         with pytest.raises(ValueError, match=f"scale must be finite.*{bad}"):
             OutcomeModel.parametric((0.0, 0.0, 0.3), scale=bad)
+
+    def test_scale_past_the_overflow_bound_refused(self):
+        message = r"scale must be at most 1e\+300.*1e\+308"
+        with pytest.raises(ValueError, match=message):
+            OutcomeModel.parametric((0.0, 0.0, 0.3), scale=1e308)
+
+    def test_largest_scale_keeps_outcomes_finite(self):
+        # numpy's standard normals stay below 14 in size; a pooled test's
+        # sum of 368 such outcomes stays finite too
+        model = OutcomeModel.parametric((0.0, 0.0, 0.3), scale=MAX_SCALE)
+        raw = np.exp(DEFAULT_SHAPE * np.array([-14.0, 0.0, 14.0]))
+        y = outcomes_from_raw(model, np.array([0, 1, 2]), raw)
+        assert np.isfinite(368 * np.abs(y).max())
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_pilot_values_must_be_finite(self, bad):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from radapt import posterior
 from radapt.posterior import (
     BetaPosterior,
     SuccessCount,
@@ -314,3 +316,67 @@ class TestProbBest:
     def test_single_posterior_rejected(self):
         with pytest.raises(ValueError):
             prob_best([BetaPosterior(1, 1)])
+
+
+@st.composite
+def key_set(draw):
+    """A canonical integer key set: D = 1, 2 or 3 distinct posteriors
+    (a, b), sorted, each shared by m of at most five arms."""
+    d = draw(st.integers(1, 3))
+    params = draw(
+        st.lists(
+            st.tuples(st.integers(1, 30), st.integers(1, 30)),
+            min_size=d, max_size=d, unique=True,
+        )
+    )
+    shares = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    if d == 1:
+        shares = [max(shares[0], 2)]
+    return tuple((a, b, m) for (a, b), m in zip(sorted(params), shares))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestBatchedProbBest:
+    """_prob_best_int evaluates the key sets it lacks together, one array
+    pass per (distinct posteriors, node count); each value equals the
+    per-key formula (reference.prob_best_int) bit for bit."""
+
+    @given(key_sets=st.lists(key_set(), min_size=1, max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_the_per_key_formula(self, key_sets):
+        posterior._prob_best_cache.clear()
+        got = posterior._prob_best_int(key_sets)
+        assert len(got) == len(key_sets)
+        for arms, values in zip(key_sets, got):
+            assert _bits(values) == _bits(reference.prob_best_int(arms)), arms
+        # a second call reads the memo
+        assert posterior._prob_best_int(key_sets) == got
+
+    def test_one_posterior_shared_by_every_arm(self):
+        # one posterior shared by three arms, many key sets per node count:
+        # numpy squares a lone set's scalar power exactly but not a batch's
+        # varying one, which moves some of these values by an ulp
+        key_sets = [((a, n - a, 3),) for n in (6, 20, 30) for a in range(1, n)]
+        posterior._prob_best_cache.clear()
+        got = posterior._prob_best_int(key_sets)
+        for arms, values in zip(key_sets, got):
+            assert _bits(values) == _bits(reference.prob_best_int(arms)), arms
+
+    def test_prob_best_reads_the_batched_values(self):
+        posts = [BetaPosterior(3, 5), BetaPosterior(6, 2), BetaPosterior(3, 5)]
+        posterior._prob_best_cache.clear()
+        low, high = reference.prob_best_int(((3, 5, 2), (6, 2, 1)))
+        assert _bits(prob_best(posts)) == _bits((low, high, low))
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(posterior, "_PROB_BEST_MEMO", 5)
+        posterior._prob_best_cache.clear()
+        for a in range(1, 13):
+            posterior._prob_best_int([((1, a, 1), (2, a, 2))])
+            assert len(posterior._prob_best_cache) <= 5
+        # a call passes the bound by at most its own new key sets
+        posterior._prob_best_int([((a, 3, 3),) for a in range(1, 9)])
+        assert len(posterior._prob_best_cache) == 8
