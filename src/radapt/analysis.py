@@ -240,26 +240,32 @@ def rank_sum_rows(
 
     Row r tests values[r][treat[r]] against values[r][control[r]] and gets
     the p-value wilcoxon_one_sided gives that pair, bit for bit; a row with
-    an empty sample gets 1, the p-value of a skipped test. One sort of the
-    block puts each row's sample values first (they are finite, the other
-    cells become +inf); equal values share a midrank, so the sort need not
-    be stable. A tie-free row's doubled midranks are 2, 4, ..., 2n, so the
-    tie-free rows of one size read the cached null table together, under
-    the key the scalar test uses; the rows with ties take their midranks
-    from _sorted_midranks and go to _tied_p_values.
+    an empty sample gets 1, the p-value of a skipped test. Sorting the rows
+    puts each row's sample values first (they are finite, the other cells
+    become +inf), and the argsort carries the treatment flags along; equal
+    values share a midrank, so neither sort need be stable, nor agree with
+    the other among equal values. A tie-free row's doubled midranks are 2,
+    4, ..., 2n, so the tie-free rows of one size read the cached null table
+    together, under the key the scalar test uses; the rows with ties take
+    their midranks from _sorted_midranks and go to _tied_p_values.
     """
     n1s, n2s = treat.sum(axis=1), control.sum(axis=1)
     ns, width = n1s + n2s, values.shape[1]
     p = np.ones(len(values))
     sample = np.where(treat | control, values, np.inf)
-    by_value = np.argsort(sample, axis=1)
-    ordered = np.take_along_axis(sample, by_value, axis=1)
+    treated = np.take_along_axis(treat, np.argsort(sample, axis=1), axis=1)
+    # sorted in place, and doubled midranks (at most 2 * width) in 32 bits:
+    # a conduct passes up to 1,024 rows, and these (rows, width) arrays set
+    # its peak memory
+    sample.sort(axis=1)
+    ordered = sample
     # equal neighbours inside the row's sample, whose n values sort first
     inside = np.arange(1, width) < ns[:, None]
     tied = ((ordered[:, 1:] == ordered[:, :-1]) & inside).any(axis=1)
-    doubled = np.tile(np.arange(2, 2 * width + 1, 2), (len(values), 1))
+    ranks = np.arange(2, 2 * width + 1, 2, dtype=np.int32)
+    doubled = np.tile(ranks, (len(values), 1))
     doubled[tied] = _sorted_midranks(ordered[tied])
-    w2 = np.where(np.take_along_axis(treat, by_value, axis=1), doubled, 0).sum(axis=1)
+    w2 = np.where(treated, doubled, 0).sum(axis=1)
     tested = (n1s > 0) & (n2s > 0)
     free = tested & ~tied
     for n1, n in set(zip(n1s[free].tolist(), ns[free].tolist())):

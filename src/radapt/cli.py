@@ -40,6 +40,7 @@ from .outcomes import (
     SCENARIOS,
     MissingCase,
     OutcomeModel,
+    _check_effects,
     _check_scale,
     load_pilot,
 )
@@ -88,15 +89,14 @@ def _resolve_design(spec: str) -> TrialDesign:
     return design
 
 
-def _parse_effects(text: str, k: int) -> tuple[float, ...]:
+def _parse_effects(text: str, k: int, flag: str) -> tuple[float, ...]:
     try:
         effects = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"effects must be comma-separated numbers: {text!r}") from exc
     if len(effects) != k:
         raise ValueError(f"expected {k} effects, got {len(effects)}: {text!r}")
-    if any(not np.isfinite(e) for e in effects):
-        raise ValueError(f"effects must be finite: {text!r}")
+    _check_effects(effects, flag)
     return effects
 
 
@@ -202,7 +202,7 @@ def _cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.effects:
-        effects = _parse_effects(args.effects, design.k)
+        effects = _parse_effects(args.effects, design.k, "--effects")
         if args.pilot:
             model = OutcomeModel.bootstrap(load_pilot(args.pilot), effects)
         else:
@@ -242,7 +242,7 @@ def _cmd_calibrate(args) -> int:
     design = _resolve_design(args.design)
     seed = _resolve_seed(args)
     grid = _parse_grid(args.grid)
-    h1_effects = _parse_effects(args.h1_effects, design.k)
+    h1_effects = _parse_effects(args.h1_effects, design.k, "--h1-effects")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

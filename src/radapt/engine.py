@@ -11,19 +11,23 @@ replicates from one counter-based generator, Philox keyed by
 in two whole-block calls of fixed shape: uniforms and outcome normals for a
 full block of rows (_draw). Row i of block b is replicate 256 b + i, so a
 replicate's numbers depend only on (m, i) and the stage sizes, not on the
-rule, the mapping, the run length or the interim decisions: runs of two
-designs at one seed use common random numbers, and any replicate can be
-replayed from (m, i). The continuous rules
+rule, the mapping, the run length, the interim decisions or which blocks are
+conducted together: runs of two designs at one seed use common random
+numbers, and any replicate can be replayed from (m, i). The continuous rules
 draw nothing: each one, P(best) included, is computed exactly from the
 posterior state and the assigned counts, so memoised values cannot depend on
 evaluation order or on how replicates are split across worker processes.
-Each block of replicates reduces to integer counters keyed by metric name,
-and blocks, worker chunks and strata merge by summing them (_merge). Every
-reported rate is derived once from the merged integers by one column spec
-(_COLUMNS), which also lays out both report CSVs, so reports are
-byte-identical for any worker count and across repeated runs.
+Each conducted group of replicates reduces to integer counters keyed by
+metric name, and groups, worker chunks and strata merge by summing them
+(_merge). Every reported rate is derived once from the merged integers by
+one column spec (_COLUMNS), which also lays out both report CSVs, so reports
+are byte-identical for any worker count and across repeated runs.
 
-Replicates are conducted in blocks, all rows one stage at a time, over
+Replicates are conducted in groups of up to _CONDUCT_BLOCKS consecutive
+blocks of a worker's range (1,024 rows), each block's rows drawn from its
+own generator into the group's arrays. Every row is its own trial, so the
+grouping moves no number: it only shares numpy's per-call cost over more
+rows. A group is conducted all rows one stage at a time, over
 (replicates x patients) arrays of arms, outcomes and missing cells. Per stage
 a row's uniform keys order its ratio's arm list (or, for i.i.d. assignment,
 fall through pi's cumulative sum), its outcomes come from its normals, the
@@ -37,7 +41,7 @@ Interim decisions are pure functions of a few integer counts per row, its
 count key (per arm successes, failures and assigned patients, plus whether
 any stage-1 and any stage-2 outcome is missing). Each (design, policy,
 stage) has one decision table (_DecisionTable, kept in _decision_cache) with
-a row per key seen so far; a block looks its rows' keys up there and decides
+a row per key seen so far; a conduct looks its rows' keys up there and decides
 the keys the table lacks together, as arrays and through the rules' shared
 arithmetic. An InterimRecord is built from a table row only where something
 prints or inspects it: the interim audit and the tests.
@@ -435,9 +439,10 @@ class _DecisionTable:
         )
 
 
-# Count keys the decision tables keep, all tables together; one block's
-# lookup can pass it by at most a block of keys. Emptied whenever the tables
-# hold this many at the start of a lookup.
+# Count keys the decision tables keep, all tables together. Emptied whenever
+# the tables hold this many at the start of a lookup, so one lookup can pass
+# it by at most one key per row it looks up: a conduct's rows, up to
+# _CONDUCT_BLOCKS blocks.
 _DECISION_MEMO = 4096
 
 # One _DecisionTable per (design, policy, stage), keyed by the design's id:
@@ -481,17 +486,25 @@ class _Draws:
         )
 
 
-def _draw(
-    rng: np.random.Generator, design: TrialDesign, model: OutcomeModel, rows: int
-) -> _Draws:
-    """Fixed-shape draws for `rows` trials: one uniform call, then one
-    outcome call (log-normal as exp(DEFAULT_SHAPE * Z), or pilot indices)."""
-    n, stages = design.n_total, design.n_stages
-    u = rng.random((rows, 2 * n + stages))
-    if model.kind == "bootstrap":
-        raw = rng.integers(len(model.pilot), size=(rows, n))
-    else:
-        raw = np.exp(DEFAULT_SHAPE * rng.standard_normal((rows, n)))
+def _draw(rngs, design: TrialDesign, model: OutcomeModel, rows: int) -> _Draws:
+    """Fixed-shape draws for `rows` trials from each generator in turn,
+    stacked in one set of arrays: per generator one uniform call, then one
+    outcome call (log-normal as exp(DEFAULT_SHAPE * Z), or pilot indices),
+    each filling that generator's rows in place."""
+    n, stages, total = design.n_total, design.n_stages, len(rngs) * rows
+    u = np.empty((total, 2 * n + stages))
+    bootstrap = model.kind == "bootstrap"
+    raw = np.empty((total, n), dtype=np.int64 if bootstrap else float)
+    for j, rng in enumerate(rngs):
+        part = slice(j * rows, (j + 1) * rows)
+        rng.random(out=u[part])
+        if bootstrap:
+            raw[part] = rng.integers(len(model.pilot), size=(rows, n))
+        else:
+            rng.standard_normal(out=raw[part])
+    if not bootstrap:
+        raw *= DEFAULT_SHAPE
+        np.exp(raw, out=raw)
     return _Draws(u[:, :n], raw, u[:, n : 2 * n], u[:, 2 * n :])
 
 
@@ -521,12 +534,21 @@ def _require_arity(design: TrialDesign, model: OutcomeModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Replicates conducted in blocks, stage by stage
+# Replicates conducted in groups of blocks, stage by stage
 
-# Replicates conducted together: numpy's per-call cost is shared by this many
-# rows, and a block's arrays stay small whatever the replicate count. Blocks
-# key the random stream, so this is fixed whatever the worker count.
+# Replicates per block, the unit that keys the random stream: block b draws
+# from its own generator (_block_draws), so this is fixed whatever the worker
+# count or the grouping below.
 _BLOCK_REPS = 256
+
+# Consecutive blocks of a worker's range conducted together, as one set of
+# draws through one _conduct_block and one _block_counts: numpy's per-call
+# cost and the decision lookup's are paid once per group (up to 1,024 rows)
+# rather than once per block. It is a cap, not the whole range, because
+# memory grows with the rows conducted at once: a 20,000-replicate pooled,
+# imputed mapped_beta run conducted in one group peaked at 129 MB RSS,
+# against 44 MB one block at a time and 49 MB four blocks at a time.
+_CONDUCT_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -571,7 +593,8 @@ def _tallies(design: TrialDesign, arm, y, observed) -> np.ndarray:
     rows, k = len(arm), design.k
     # each cell counts in slot 3 arm + 0 (success), 1 (failure) or 2
     # (missing) of its row; the missing slot then takes the row's sum
-    cell = arm * 3 + np.arange(2, 3 * k * rows, 3 * k)[:, None]
+    cell = arm * 3
+    cell += np.arange(2, 3 * k * rows, 3 * k)[:, None]
     cell -= observed
     cell -= observed & (y >= design.delta)
     counts = np.bincount(cell.ravel(), minlength=rows * k * 3)
@@ -668,19 +691,12 @@ def _recommended(design: TrialDesign, arm, y, observed) -> np.ndarray:
     return best
 
 
-def _conduct_block(
-    design: TrialDesign,
-    model: OutcomeModel,
-    case: MissingCase,
-    policy: MissingPolicy,
-    draws: _Draws,
-) -> _Block:
-    """One trial for every row of `draws`, all rows a stage at a time.
-
-    Between the stages' decisions everything is array arithmetic over the
-    rows. Row r is the trial tests/reference.py conducts as records on
-    draws[r].
-    """
+def _conduct_stages(design, model, case, policy, draws: _Draws):
+    """Every stage of one trial for every row of `draws`, all rows a stage
+    at a time: arm, y and missing as _Block holds them before the final
+    analysis, stage_of, and per stage the ratios, decision tables and each
+    row's row in them. Between the stages' decisions everything is array
+    arithmetic over the rows."""
     k, n_rows = design.k, len(draws.coin)
     arm = np.empty((n_rows, 0), dtype=np.int64)
     y = np.empty((n_rows, 0))
@@ -732,9 +748,25 @@ def _conduct_block(
         missing = np.hstack([missing, stage_missing])
         stage_of = np.concatenate([stage_of, np.full(size, t)])
         ratios.append(row_ratios)
+    return arm, y, missing, stage_of, tuple(ratios), tuple(decisions), tuple(which)
 
+
+def _conduct_block(
+    design: TrialDesign,
+    model: OutcomeModel,
+    case: MissingCase,
+    policy: MissingPolicy,
+    draws: _Draws,
+) -> _Block:
+    """One trial for every row of `draws`: the stages, then the final
+    analysis. Row r is the trial tests/reference.py conducts as records on
+    draws[r]. The stages' working arrays are freed before the final tests,
+    which set the peak memory of a conduct."""
+    arm, y, missing, stage_of, ratios, decisions, which = _conduct_stages(
+        design, model, case, policy, draws
+    )
     y, observed, failures = _analysis_view(design, policy, arm, y, missing, stage_of)
-    onehot = _onehot(arm, k)
+    onehot = _onehot(arm, design.k)
     p_value, reject, skipped = _final_tests(design, onehot, y, observed)
     return _Block(
         arm=arm,
@@ -742,9 +774,9 @@ def _conduct_block(
         missing=missing,
         observed=observed,
         stage_of=stage_of,
-        ratios=tuple(ratios),
-        decisions=tuple(decisions),
-        which=tuple(which),
+        ratios=ratios,
+        decisions=decisions,
+        which=which,
         impute_failures=failures,
         p_value=p_value,
         reject=reject,
@@ -1023,14 +1055,22 @@ def _chunks(n: int, parts: int) -> list[tuple[int, int]]:
 
 
 def _block_draws(design, model, master_seed: int, lo: int, hi: int, stream=None):
-    """Each block's draws for replicates lo..hi (lo on a block boundary):
-    a full block from the block's keyed generator, cut to the run's end."""
-    for start in range(lo, hi, _BLOCK_REPS):
-        keys = [master_seed, start // _BLOCK_REPS]
-        if stream is not None:
-            keys.append(stream)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(keys)))
-        yield _draw(rng, design, model, _BLOCK_REPS)[: hi - start]
+    """The draws of replicates lo..hi (lo on a block boundary), up to
+    _CONDUCT_BLOCKS blocks at a time: each block's full _BLOCK_REPS rows
+    from the block's keyed generator, stacked, then cut to the run's end. A
+    cut block still draws every row, since its normals' place in the stream
+    follows all of its uniforms."""
+    group = _CONDUCT_BLOCKS * _BLOCK_REPS
+    for start in range(lo, hi, group):
+        stop = min(start + group, hi)
+        rngs = []
+        for first in range(start, stop, _BLOCK_REPS):
+            keys = [master_seed, first // _BLOCK_REPS]
+            if stream is not None:
+                keys.append(stream)
+            seeds = np.random.SeedSequence(keys)
+            rngs.append(np.random.Generator(np.random.Philox(seeds)))
+        yield _draw(rngs, design, model, _BLOCK_REPS)[: stop - start]
 
 
 def _replicate_chunk(args) -> Counts:

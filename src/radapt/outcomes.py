@@ -45,6 +45,29 @@ DEFAULT_SHAPE = 0.6
 MAX_SCALE = 1e300
 
 
+# The largest effect, and the largest pilot value, in size. An outcome is
+# its arm's effect plus a pilot value or at most MAX_SCALE times a
+# standardised draw below 10**4, so outcomes stay below 2e304 in size and
+# sums over a trial's or a pooled sample's outcomes (the imputed means, the
+# final tests) stay finite; past it they can overflow. It also keeps every
+# outcome below the +inf that rank_sum_rows pads with.
+MAX_EFFECT = 1e300
+
+
+def _check_effects(values, name: str = "effects") -> None:
+    """Refuse effects (or pilot values) that are not finite or are above
+    MAX_EFFECT in size, naming the first."""
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+    big = [v for v in values if abs(v) > MAX_EFFECT]
+    if big:
+        raise ValueError(
+            f"{name} must be at most {MAX_EFFECT:g} in size, or outcomes can "
+            f"overflow; got {big[0]:g}"
+        )
+
+
 def _check_scale(scale: float, name: str = "scale") -> None:
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"{name} must be finite and positive, got {scale}")
@@ -74,11 +97,8 @@ class OutcomeModel:
         if self.kind == "bootstrap" and not self.pilot:
             raise ValueError("bootstrap model needs a non-empty pilot sample")
         _check_scale(self.scale)
-        if any(not math.isfinite(e) for e in self.effects):
-            raise ValueError(f"effects must be finite: {self.effects}")
-        bad = [v for v in self.pilot if not math.isfinite(v)]
-        if bad:
-            raise ValueError(f"pilot values must be finite, got {bad[0]}")
+        _check_effects(self.effects)
+        _check_effects(self.pilot, "pilot values")
 
     @staticmethod
     def parametric(
@@ -203,6 +223,11 @@ def load_pilot(path: str | Path) -> tuple[float, ...]:
                     raise ValueError(f"{path}:{lineno}: not a number: {row[0]!r}") from exc
                 if not math.isfinite(value):
                     raise ValueError(f"{path}:{lineno}: delta_y must be finite: {row[0]!r}")
+                if abs(value) > MAX_EFFECT:
+                    raise ValueError(
+                        f"{path}:{lineno}: delta_y must be at most {MAX_EFFECT:g} "
+                        f"in size, or outcomes can overflow: {row[0]!r}"
+                    )
                 values.append(value)
     except OSError as exc:
         raise OSError(f"cannot read pilot data from {path}: {exc}") from exc

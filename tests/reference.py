@@ -507,7 +507,7 @@ def run_trial(
         case = MissingCase(0)
     if rng is None:
         rng = np.random.default_rng()
-    draws = engine._draw(rng, design, model, 1)[0]
+    draws = engine._draw([rng], design, model, 1)[0]
     return _conduct_trial(design, model, case, policy, draws, seed_tag)
 
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -340,8 +340,20 @@ def rank_sum_blocks(draw):
     return np.array(values).reshape(rows, width), group == 0, group == 1
 
 
+def _wide_block():
+    # rows of 90, 90 and 80 sampled values, the second tied: doubled
+    # midranks up to 180, past what 8 bits hold
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(3, 90))
+    values[1] = np.floor(values[1] * 4)
+    group = rng.integers(0, 2, size=(3, 90))
+    group[2, rng.choice(90, size=10, replace=False)] = 2
+    return values, group == 0, group == 1
+
+
 class TestRankSumRows:
     @given(block=rank_sum_blocks())
+    @example(block=_wide_block())
     @settings(max_examples=300, deadline=None)
     def test_rows_equal_scalar_test(self, block):
         values, treat, control = block

@@ -236,6 +236,18 @@ class TestOutcomeFlags:
         assert "--scale must be at most 1e+300" in capsys.readouterr().err
         assert not (tmp_path / "oc_report.csv").exists()
 
+    @pytest.mark.parametrize("design", ["fixed_equal", "mapped_alpha"])
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_overflowing_effect_refused(self, design, seed, tmp_path, capsys):
+        # at 1.7e308 fixed_equal's imputed means overflowed: seed 0 into an
+        # IndexError, seed 3 into reports built from infinite means
+        code = main(["simulate", "--design", design, "--effects", "0,0,1.7e308",
+                     "--case", "4", "--impute-stage2", "--reps", "50",
+                     "--seed", seed, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--effects must be at most 1e+300 in size" in capsys.readouterr().err
+        assert not (tmp_path / "oc_report.csv").exists()
+
     @pytest.mark.parametrize("scale", ["0.05", "nan"])
     def test_scale_with_pilot_refused(self, scale, tmp_path, capsys):
         # the resampling model reads no scale, so a scale would be ignored
@@ -248,6 +260,21 @@ class TestOutcomeFlags:
         ])
         assert code == 2
         assert "--scale does not apply to --pilot runs" in capsys.readouterr().err
+        assert not (tmp_path / "oc_report.csv").exists()
+
+    def test_overflowing_pilot_refused(self, tmp_path, capsys):
+        # pilot values this large overflowed the imputed means as effects did
+        pilot = tmp_path / "p.csv"
+        pilot.write_text("delta_y\n0.1\n-1.7e308\n0.2\n", encoding="utf-8")
+        code = main([
+            "simulate", "--design", "fixed_equal", "--effects", "0,0,0.3",
+            "--pilot", str(pilot), "--case", "4", "--impute-stage2",
+            "--reps", "50", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{pilot}:3: delta_y must be at most 1e+300 in size" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "oc_report.csv").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import math
 import warnings
 from collections import Counter
@@ -341,19 +342,20 @@ class TestDecisionTableOracle:
 
     def test_tables_are_bounded(self, monkeypatch):
         # the tables start afresh once they hold _DECISION_MEMO keys between
-        # them; a lookup adds at most one block of keys first, and a block
-        # reads its rows from the tables it was conducted with
+        # them; a lookup first adds at most one key per row of its conduct,
+        # and a conduct reads its rows from the tables it was conducted with
         monkeypatch.setattr(engine, "_DECISION_MEMO", 40)
         engine._decision_cache.clear()
         design = preset_design("unrestricted")
         case = MissingCase(0)
+        group = engine._CONDUCT_BLOCKS * engine._BLOCK_REPS
         blocks = []
-        for draws in engine._block_draws(design, self.MODEL, 3, 0, 3 * engine._BLOCK_REPS):
+        for draws in engine._block_draws(design, self.MODEL, 3, 0, 3 * group):
             blocks.append(
                 engine._conduct_block(design, self.MODEL, case, MissingPolicy(), draws)
             )
             held = sum(map(len, engine._decision_cache.values()))
-            assert held <= 40 + engine._BLOCK_REPS
+            assert held < 40 + len(draws.coin)
         tables = {id(t): t for b in blocks for t in b.decisions}
         assert len(tables) == 6
         for block in blocks:
@@ -820,13 +822,94 @@ class TestReplicate:
                 assert value == "NA", name
 
     def test_block_boundaries_do_not_change_reports(self):
-        # one process conducts blocks 0-255, 256-511 and 512; three conduct
-        # 0-171, 171-342 and 342-513, split into blocks differently
+        # one process conducts blocks 0-255, 256-511 and 512 together; three
+        # conduct one block each
         kwargs = dict(n_reps=513, master_seed=21)
         design = preset_design("mapped_alpha")
         assert replicate(design, ALT, workers=1, **kwargs) == replicate(
             design, ALT, workers=3, **kwargs
         )
+
+
+GROUPING_MASTER = 31
+# (design, model, case, policy) of the single-stratum runs, and the pooled run
+GROUPED_RUNS = {
+    "unrestricted": ("unrestricted", ALT, MissingCase(0), MissingPolicy()),
+    "mapped_alpha": ("mapped_alpha", ALT, MissingCase(4), IMPUTE),
+}
+POOLED_RUN = ("mapped_beta", SCENARIOS["S4"], MissingCase(4), IMPUTE)
+
+
+@functools.lru_cache(maxsize=None)
+def _blockwise_reports(run: str, n: int):
+    """The reports of an n-replicate run with every block of _BLOCK_REPS
+    rows conducted and counted alone, then merged."""
+    size, master = engine._BLOCK_REPS, GROUPING_MASTER
+    if run != "pooled":
+        name, model, case, policy = GROUPED_RUNS[run]
+        design = preset_design(name)
+        parts = []
+        for lo in range(0, n, size):
+            (draws,) = engine._block_draws(design, model, master, lo, min(lo + size, n))
+            block = engine._conduct_block(design, model, case, policy, draws)
+            parts.append(engine._block_counts(block, design, model.effects))
+        counts = engine._merge(parts)
+        report = engine._report(
+            counts, design, model.effects, case, policy, "custom", master
+        )
+        return (report,)
+    name, scenario, case, policy = POOLED_RUN
+    design = preset_design(name)
+    strata = [
+        (dataclasses.replace(design, stratum_label=label), OutcomeModel.parametric(e))
+        for label, e in (("A", scenario.effects_a), ("B", scenario.effects_b))
+    ]
+    sums = tuple(a + b for a, b in zip(scenario.effects_a, scenario.effects_b))
+    parts = []
+    for lo in range(0, n, size):
+        blocks = []
+        for s, (d, model) in enumerate(strata):
+            (draws,) = engine._block_draws(d, model, master, lo, min(lo + size, n), s)
+            blocks.append(engine._conduct_block(d, model, case, policy, draws))
+        _, reject, skipped = engine._pooled_tests(*blocks, strata[0][0])
+        parts.append([
+            *(
+                engine._block_counts(b, d, m.effects)
+                for b, (d, m) in zip(blocks, strata)
+            ),
+            engine._test_counts(reject, skipped, strata[0][0], sums),
+        ])
+    rows = [(d, m.effects) for d, m in strata]
+    rows.append((dataclasses.replace(design, stratum_label="pooled"), sums))
+    return tuple(
+        engine._report(
+            engine._merge(column), d, effects, case, policy,
+            scenario.scenario_id, master,
+        )
+        for column, (d, effects) in zip(zip(*parts), rows)
+    )
+
+
+class TestGroupedConduct:
+    """A worker conducts up to _CONDUCT_BLOCKS blocks as one set of arrays;
+    runs whose length cuts a group report exactly what every block
+    conducted alone reports."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 255, 257, 1023, 1025, 2100])
+    @pytest.mark.parametrize("run", [*GROUPED_RUNS, "pooled"])
+    def test_grouping_moves_no_count(self, run, n, workers):
+        kwargs = dict(n_reps=n, master_seed=GROUPING_MASTER, workers=workers)
+        if run == "pooled":
+            name, scenario, case, policy = POOLED_RUN
+            got = replicate_pooled(
+                preset_design(name), scenario, case=case, policy=policy, **kwargs
+            )
+        else:
+            name, model, case, policy = GROUPED_RUNS[run]
+            design = preset_design(name)
+            got = (replicate(design, model, case=case, policy=policy, **kwargs),)
+        assert got == _blockwise_reports(run, n)
 
 
 def _allocation_law(pi, n, reps, seed=0):

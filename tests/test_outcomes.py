@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from radapt import preset_design
 from radapt.core import default_arms
-from radapt.engine import _missing_count
+from radapt.engine import MissingPolicy, _missing_count, replicate
 from radapt.outcomes import (
     CALIBRATED_SIGMA,
     DEFAULT_SHAPE,
+    MAX_EFFECT,
     MAX_SCALE,
     SCENARIOS,
     MissingCase,
@@ -64,6 +67,46 @@ class TestOutcomeModel:
         raw = np.exp(DEFAULT_SHAPE * np.array([-14.0, 0.0, 14.0]))
         y = outcomes_from_raw(model, np.array([0, 1, 2]), raw)
         assert np.isfinite(368 * np.abs(y).max())
+
+    @pytest.mark.parametrize("bad", [1.7e308, -1e301])
+    def test_effect_past_the_overflow_bound_refused(self, bad):
+        message = r"effects must be at most 1e\+300 in size.*got "
+        message += re.escape(f"{bad:g}")
+        with pytest.raises(ValueError, match=message):
+            OutcomeModel.parametric((0.0, 0.0, bad))
+        with pytest.raises(ValueError, match=message):
+            OutcomeModel.bootstrap((0.1, 0.2), (0.0, bad, 0.0))
+        with pytest.raises(ValueError, match="pilot values must be at most 1e"):
+            OutcomeModel.bootstrap((0.1, bad), (0.0, 0.3, 0.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_effects_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="effects must be finite"):
+            OutcomeModel.parametric((0.0, bad, 0.3))
+
+    def test_largest_effects_keep_outcomes_finite(self):
+        # the largest effects of either sign at the largest scale: outcomes
+        # and a pooled test's sum of 368 of them stay finite
+        effects = (-MAX_EFFECT, 0.0, MAX_EFFECT)
+        model = OutcomeModel.parametric(effects, scale=MAX_SCALE)
+        raw = np.exp(DEFAULT_SHAPE * np.array([[-14.0], [14.0]]))
+        y = outcomes_from_raw(model, np.array([[0, 1, 2]] * 2), raw)
+        assert np.isfinite(368 * np.abs(y).max())
+
+    @pytest.mark.parametrize("name", ["fixed_equal", "mapped_alpha"])
+    def test_largest_effects_run_without_overflow(self, name):
+        # the seeds at which 1.7e308 failed with an IndexError (0) and wrote
+        # infinite imputed means (3), at the bounds instead
+        model = OutcomeModel.parametric(
+            (-MAX_EFFECT, 0.0, MAX_EFFECT), scale=MAX_SCALE
+        )
+        for seed in (0, 3):
+            with np.errstate(over="raise", invalid="raise"):
+                report = replicate(
+                    preset_design(name), model, MissingCase(4),
+                    MissingPolicy(impute_stage2=True), n_reps=50, master_seed=seed,
+                )
+            assert report.n_reps == 50
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_pilot_values_must_be_finite(self, bad):

@@ -22,6 +22,7 @@ MASTER = 20240817
 REPS = 10_000
 NULL = OutcomeModel.parametric((0.0, 0.0, 0.0))
 ALT = OutcomeModel.parametric((0.0, 0.3, 0.4))
+BOOT = OutcomeModel.bootstrap((-0.4, -0.1, 0.0, 0.2, 0.3, 0.45, 0.7), (0.0, 0.3, 0.4))
 # 40 blocks of 256 rows for the draw-law checks
 LAW_ROWS = 40 * engine._BLOCK_REPS
 
@@ -98,13 +99,14 @@ class TestDrawLaws:
             assert abs(excess) <= 4 * math.sqrt(var), i
 
     def test_replicate_draws_depend_only_on_seed_and_index(self):
-        # the same rows whatever the design, the run length or the start of
-        # the worker's range; stratum B and another seed draw other numbers
+        # the same rows whatever the design, the run length, the start of
+        # the worker's range or which blocks are drawn together, for either
+        # outcome model; stratum B and another seed draw other numbers
         # (SeedSequence pads its key with zero words, so stratum A's key
         # [m, b, 0] gives a one-stratum run's numbers)
-        def rows(name, lo, hi, stream=None, master=MASTER):
+        def rows(name, lo, hi, stream=None, master=MASTER, model=ALT):
             design = preset_design(name)
-            draws = list(engine._block_draws(design, ALT, master, lo, hi, stream))
+            draws = list(engine._block_draws(design, model, master, lo, hi, stream))
             return tuple(
                 np.concatenate([getattr(d, field) for d in draws])
                 for field in ("key", "raw")
@@ -116,6 +118,20 @@ class TestDrawLaws:
             assert (other_key[:300] == key).all() and (other_raw[:300] == raw).all()
         tail_key, _ = rows("fixed_equal", 256, 300)
         assert (tail_key == key[256:]).all()
+        # ranges across a group of blocks drawn together, against each
+        # block drawn alone
+        block = engine._BLOCK_REPS
+        for model in (ALT, BOOT):
+            alone = [
+                rows("mapped_alpha", lo, lo + block, model=model)
+                for lo in range(0, 1300, block)
+            ]
+            alone_key, alone_raw = (np.concatenate(field) for field in zip(*alone))
+            assert (alone_key[:300] == key).all()
+            for lo, hi in [(0, 1100), (1024, 1300)]:
+                part_key, part_raw = rows("mapped_beta", lo, hi, model=model)
+                assert (part_key == alone_key[lo:hi]).all()
+                assert (part_raw == alone_raw[lo:hi]).all()
         assert not (rows("mapped_alpha", 0, 300, stream=1)[0] == key).any()
         assert not (rows("mapped_alpha", 0, 300, master=MASTER + 1)[0] == key).any()
 
@@ -134,7 +150,7 @@ class TestDrawLaws:
         got = run_trial(
             design, ALT, case=case, policy=policy, rng=np.random.default_rng(4)
         )
-        draws = engine._draw(np.random.default_rng(4), design, ALT, 1)
+        draws = engine._draw([np.random.default_rng(4)], design, ALT, 1)
         want = _conduct_trial(design, ALT, case, policy, draws[0])
         assert got == want
 
