@@ -15,7 +15,6 @@ from .core import (
     DEFAULT_DELTA,
     DEFAULT_ETA,
     DEFAULT_TAU,
-    ArmId,
     MappingConfig,
     RuleConfig,
     ThresholdSet,

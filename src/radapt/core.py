@@ -17,7 +17,6 @@ from pathlib import Path
 from .analysis import EXACT_CELL_GUARD, table_cells
 
 __all__ = [
-    "ArmId",
     "RuleConfig",
     "ThresholdSet",
     "MappingConfig",
@@ -34,9 +33,6 @@ __all__ = [
     "DEFAULT_ETA",
 ]
 
-CONTROL = "Control"
-ACTIVE = "Active"
-
 RULE_KINDS = ("FixedEqual", "TSBRAR", "TrippaBRAR")
 EXPONENT_FORMS = ("ProductForm", "PowerForm")
 MAPPING_VARIANTS = ("MappedAlpha", "MappedBeta", "PermutedBlock")
@@ -51,30 +47,11 @@ DEFAULT_ALPHA_LEVEL = 0.1
 DEFAULT_ETA = 0.322
 
 
-@dataclass(frozen=True)
-class ArmId:
-    """One treatment arm: role and display label. An arm's index is its
-    position in the design's arms."""
-
-    role: str
-    label: str
-
-    def __post_init__(self) -> None:
-        if self.role not in (CONTROL, ACTIVE):
-            raise ValueError(f"unknown arm role {self.role!r}")
-
-    @property
-    def is_control(self) -> bool:
-        return self.role == CONTROL
-
-
-def default_arms(k: int = 3) -> tuple[ArmId, ...]:
-    """Arm set with arm 0 as control, labelled C, T1, T2, ..."""
+def default_arms(k: int = 3) -> tuple[str, ...]:
+    """Arm labels C, T1, T2, ...: arm 0 is the control."""
     if k < 2:
         raise ValueError("need at least two arms")
-    arms = [ArmId(CONTROL, "C")]
-    arms += [ArmId(ACTIVE, f"T{i}") for i in range(1, k)]
-    return tuple(arms)
+    return ("C", *(f"T{i}" for i in range(1, k)))
 
 
 @dataclass(frozen=True)
@@ -137,17 +114,19 @@ class MappingConfig:
 class TrialDesign:
     """Complete static specification of a one-stratum design.
 
-    `stage_sizes[t - 1]` is the number of patients stage t accrues. What a
-    stage's block fixes follows from the rest of the design: mapped designs
-    run mapping.MAPPED_CONTROLS controls in every stage, and the last stage
-    may leave an active arm without patients where the design drops arms
-    there (a MappedAlpha or MappedBeta Drop category, or tau_dropping).
+    `arms` holds the arms' labels in position order: arm 0 is the control,
+    arms 1..K-1 the actives. `stage_sizes[t - 1]` is the number of patients
+    stage t accrues. What a stage's block fixes follows from the rest of the
+    design: mapped designs run mapping.MAPPED_CONTROLS controls in every
+    stage, and the last stage may leave an active arm without patients where
+    the design drops arms there (a MappedAlpha or MappedBeta Drop category,
+    or tau_dropping).
     """
 
     stage_sizes: tuple[int, ...]
     rule: RuleConfig
     mapping: MappingConfig | None = None
-    arms: tuple[ArmId, ...] = field(default_factory=default_arms)
+    arms: tuple[str, ...] = field(default_factory=default_arms)
     prior_alpha: tuple[float, ...] = (1.0, 1.0, 1.0)
     prior_beta: tuple[float, ...] = (1.0, 1.0, 1.0)
     delta: float = DEFAULT_DELTA
@@ -173,15 +152,6 @@ class TrialDesign:
     def n_stages(self) -> int:
         return len(self.stage_sizes)
 
-    def control_index(self) -> int:
-        for i, arm in enumerate(self.arms):
-            if arm.is_control:
-                return i
-        raise ValueError("design has no control arm")
-
-    def active_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.arms) if not a.is_control)
-
 
 def validate_design(design: TrialDesign) -> list[str]:
     """Collect every invariant violation; an empty list means valid.
@@ -194,12 +164,8 @@ def validate_design(design: TrialDesign) -> list[str]:
 
     if k < 2:
         v.append(f"need at least 2 arms, got {k}")
-    controls = [a for a in design.arms if a.is_control]
-    if len(controls) != 1:
-        v.append(f"exactly one control arm required, got {len(controls)}")
-    labels = [a.label for a in design.arms]
-    if len(set(labels)) != len(labels):
-        v.append(f"arm labels not unique: {labels}")
+    if len(set(design.arms)) != k:
+        v.append(f"arm labels not unique: {list(design.arms)}")
 
     if not design.stage_sizes:
         v.append("design has no stages")
@@ -268,6 +234,11 @@ def _validate_rule(design: TrialDesign) -> list[str]:
         if any(g < 0 for g in rule.gamma_schedule):
             v.append("gamma_schedule entries must be >= 0")
     if rule.kind == "TrippaBRAR":
+        if design.k != 3:
+            v.append(
+                f"TrippaBRAR requires K=3 (one control, two actives), "
+                f"got K={design.k}"
+            )
         if len(rule.eta_schedule) < n_adaptive:
             v.append(
                 f"eta_schedule covers {len(rule.eta_schedule)} stages, "
@@ -325,7 +296,7 @@ def design_to_dict(design: TrialDesign) -> dict:
     d: dict = {
         "name": design.name,
         "stratum_label": design.stratum_label,
-        "arms": [{"role": a.role, "label": a.label} for a in design.arms],
+        "arms": [{"label": label} for label in design.arms],
         "stages": [{"size": size} for size in design.stage_sizes],
         "rule": {
             "kind": design.rule.kind,
@@ -355,7 +326,7 @@ def design_to_dict(design: TrialDesign) -> dict:
 
 def design_from_dict(d: dict) -> TrialDesign:
     try:
-        arms = tuple(ArmId(a["role"], a["label"]) for a in d["arms"])
+        arms = tuple(a["label"] for a in d["arms"])
         r = d["rule"]
         rule = RuleConfig(
             kind=r["kind"],
@@ -397,10 +368,11 @@ def design_from_dict(d: dict) -> TrialDesign:
 def _check_old_keys(d: dict, design: TrialDesign) -> None:
     """Refuse a key of older files that the design now implies where it
     states another value than the one radapt runs; null or absent is fine.
-    An arm's index is its position, counted from 0, and a stage's
-    stage_index its position, counted from 1. Mapped designs run
-    mapping.MAPPED_CONTROLS controls in every stage, and only the last stage
-    of a design that drops arms there may drop one."""
+    An arm's index is its position, counted from 0, its role Control at
+    position 0 and Active elsewhere, and a stage's stage_index its position,
+    counted from 1. Mapped designs run mapping.MAPPED_CONTROLS controls in
+    every stage, and only the last stage of a design that drops arms there
+    may drop one."""
     from .mapping import MAPPED_CONTROLS
 
     mapped = design.mapping is not None
@@ -416,6 +388,8 @@ def _check_old_keys(d: dict, design: TrialDesign) -> None:
         )
     for i, a in enumerate(d["arms"]):
         checks.append((f"arms[{i}].index", a.get("index"), i))
+        role = "Active" if i else "Control"
+        checks.append((f"arms[{i}].role", a.get("role"), role))
     controls = MAPPED_CONTROLS if mapped else None
     for t, s in enumerate(d["stages"], start=1):
         checks.append((f"stages[{t}].stage_index", s.get("stage_index"), t))

@@ -92,7 +92,6 @@ from .outcomes import (
 from .posterior import BetaPosterior, _prob_best_of, _prob_greater_of
 from .rules import (
     ProbVector,
-    _check_trippa,
     _equal_probs,
     _normalised,
     _trippa_probs,
@@ -225,7 +224,6 @@ class _DecisionTable:
         )
         if rule.kind == "TrippaBRAR":
             self.gamma, self.eta = rule.gamma_for_stage(stage), rule.eta_for_stage(stage)
-            _check_trippa(k, k, self.gamma, self.eta)
         elif rule.kind == "TSBRAR":
             self.gamma = rule.gamma_for_stage(stage)
         self._priors = list(zip(design.prior_alpha, design.prior_beta))
@@ -235,8 +233,6 @@ class _DecisionTable:
         self._reads_kept = policy.no_drop_on_stage2_missing and (
             self.categorised and stage == 3 or self.tau_stage
         )
-        # the actives that active shares and categories pair with arms 1, 2
-        self._actives = list(design.active_indices()[:2])
         self.rows: dict[bytes, int] = {}
         self.hits = self.misses = 0
         # the ratio options by slot, and each slot's first and last option
@@ -340,11 +336,11 @@ class _DecisionTable:
             if self.tau_stage:
                 drops = active_share_rows(pi) < design.tau
                 n_drops = drops.sum(axis=1)
-                apply = (n_drops > 0) & (n_drops < len(design.active_indices()))
+                apply = (n_drops > 0) & (n_drops < k - 1)
                 if kept is not None:
                     apply &= ~kept
                 dropped = np.zeros((m, k), dtype=bool)
-                dropped[:, self._actives] = drops & apply[:, None]
+                dropped[:, 1:] = drops & apply[:, None]
                 for r in np.flatnonzero(apply).tolist():
                     pi[r] = _normalised(np.where(dropped[r], 0.0, pi[r]).tolist())
                 self.dropped = _stacked(self.dropped, dropped)
@@ -370,7 +366,7 @@ class _DecisionTable:
         k, pi = self.design.k, self.pi[done:]
         marks = np.zeros((len(pi), 4, k), dtype=bool)
         if self.categorised:
-            marks[:, :, self._actives] = _PAIR_MARKS[self.slot[done:]]
+            marks[:, :, 1:] = _PAIR_MARKS[self.slot[done:]]
             return marks
         # favour or disfavour by pi, unless the row drops an arm: then drop
         # it and keep the others
@@ -382,7 +378,7 @@ class _DecisionTable:
             marks[any_drop] = False
             marks[:, 0] = dropped
             marks[:, 1] = ~dropped & any_drop[:, None]
-        marks[:, :, self.design.control_index()] = False
+        marks[:, :, 0] = False
         return marks
 
     def _add_option(self, slot: int, options: tuple[RatioVector, ...]) -> None:
@@ -424,7 +420,7 @@ class _DecisionTable:
                     "stage-2 outcomes missing: tau-based arm dropping suppressed"
                 )
             elif dropped:
-                labels = ", ".join(design.arms[i].label for i in dropped)
+                labels = ", ".join(design.arms[i] for i in dropped)
                 overrides.append(f"active share below tau, dropped: {labels}")
         return InterimRecord(
             upcoming_stage=stage,
@@ -609,31 +605,32 @@ def _mean_imputed(arm, y, missing, stage_of, k: int):
 
     A missing stage-2 cell's donors are the observed cells of its arm in
     earlier columns; cells imputed here are missing in `missing`, so they
-    donate nothing. Stage-1 and stage-3 cells are never imputed. Prefix sums
-    and counts over the columns give each cell its donors' sum and count.
-    The sums run left to right, which is how np.mean sums fewer than 8
-    values, so those means match it bit for bit; np.mean sums 8 or more
-    pairwise, so such cells take np.mean of their donors. A cell with no
-    donor stays missing and is a failure.
+    donate nothing. Stage-1 and stage-3 cells are never imputed. Per arm,
+    prefix sums and counts over the columns give each of its cells its
+    donors' sum and count. The sums run left to right, which is how np.mean
+    sums fewer than 8 values, so those means match it bit for bit; np.mean
+    sums 8 or more pairwise, so such cells take np.mean of their donors. A
+    cell with no donor stays missing and is a failure.
     """
     target = missing & (stage_of == 2)
     if not target.any():
         return y, ~missing, np.zeros(len(arm), dtype=np.int64)
-    donor = _onehot(arm, k) & ~missing[:, :, None]
-    values = np.where(donor, y[:, :, None], 0.0)
-    # a target cell donates nothing, so its inclusive prefix sum and count
-    # are its donors'; its own +0.0 turns a -0.0 sum into the +0.0 that
-    # np.mean's sum from 0.0 gives
-    sums = np.cumsum(values, axis=1)
-    counts = np.cumsum(donor, axis=1)
-    own = arm[:, :, None]
-    total = np.take_along_axis(sums, own, axis=2)[:, :, 0]
-    n = np.take_along_axis(counts, own, axis=2)[:, :, 0]
+    total = np.zeros_like(y)
+    n = np.zeros(y.shape, dtype=np.int64)
+    for a in range(k):
+        own = arm == a
+        donor = own & ~missing
+        # a target cell donates nothing, so its inclusive prefix sum and
+        # count are its donors'; its own +0.0 turns a -0.0 sum into the +0.0
+        # that np.mean's sum from 0.0 gives
+        np.copyto(total, np.cumsum(np.where(donor, y, 0.0), axis=1), where=own)
+        np.copyto(n, np.cumsum(donor, axis=1), where=own)
     filled = target & (n > 0)
     view = y.copy()
     view[filled] = total[filled] / n[filled]
     for r, j in np.argwhere(filled & (n >= 8)).tolist():
-        view[r, j] = np.mean(y[r, :j][donor[r, :j, arm[r, j]]])
+        donors = (arm[r, :j] == arm[r, j]) & ~missing[r, :j]
+        view[r, j] = np.mean(y[r, :j][donors])
     return view, ~missing | filled, (target & (n == 0)).sum(axis=1)
 
 
@@ -660,13 +657,13 @@ def _final_tests(design: TrialDesign, onehot, y, observed):
     """The final rank-sum tests of every row, each active arm's available
     values against the control's: p-values, rejections and skips, one column
     per active arm. A test with an empty sample is skipped with p 1."""
-    control = onehot[:, :, design.control_index()] & observed
-    actives = design.active_indices()
-    p = np.column_stack(
-        [rank_sum_rows(y, onehot[:, :, i] & observed, control) for i in actives]
-    )
+    control = onehot[:, :, 0] & observed
+    p = np.column_stack([
+        rank_sum_rows(y, onehot[:, :, i] & observed, control)
+        for i in range(1, design.k)
+    ])
     seen = (onehot & observed[:, :, None]).sum(axis=1)
-    skipped = (seen[:, actives] == 0) | (seen[:, [design.control_index()]] == 0)
+    skipped = (seen[:, 1:] == 0) | (seen[:, :1] == 0)
     return p, p < design.alpha_level, skipped
 
 
@@ -679,10 +676,9 @@ def _recommended(design: TrialDesign, arm, y, observed) -> np.ndarray:
     alpha = np.asarray(design.prior_alpha) + wins
     beta = np.asarray(design.prior_beta) + losses
     mean = alpha / (alpha + beta)
-    actives = design.active_indices()
     rows = np.arange(len(y))
-    best = np.full(len(y), actives[0])
-    for i in actives[1:]:
+    best = np.ones(len(y), dtype=np.intp)
+    for i in range(2, design.k):
         held, held_mean = assigned[rows, best], mean[rows, best]
         ahead = (assigned[:, i] > held) | (
             (assigned[:, i] == held) & (mean[:, i] > held_mean)
@@ -822,12 +818,11 @@ def _test_counts(reject, skipped, design: TrialDesign, effects) -> Counts:
     best arm's rejection (only when the best effect is positive) and with a
     null arm's rejection; `reject` and `skipped` have one column per active
     arm."""
-    actives = list(design.active_indices())
-    active_effects = np.array([effects[i] for i in actives])
+    active_effects = np.array(effects[1:])
     top = active_effects.max()
     per_arm = np.zeros((2, design.k), dtype=np.int64)
-    per_arm[0, actives] = reject.sum(axis=0)
-    per_arm[1, actives] = skipped.sum(axis=0)
+    per_arm[0, 1:] = reject.sum(axis=0)
+    per_arm[1, 1:] = skipped.sum(axis=0)
     best = (top > 0) & (active_effects == top)
     return {
         "n": np.int64(len(reject)),
@@ -845,7 +840,7 @@ def _stage2_counts(block: _Block, design: TrialDesign) -> Counts:
     stage has one, from pi otherwise. No counters without a stage 2."""
     if design.n_stages < 2:
         return {}
-    k, actives = design.k, list(design.active_indices())
+    k = design.k
     fav, dis = np.zeros((2, k), dtype=np.int64)
     ratio = block.ratios[1]
     if ratio is not None:
@@ -855,8 +850,8 @@ def _stage2_counts(block: _Block, design: TrialDesign) -> Counts:
         pi, centre = block.decisions[0].pi[block.which[0]], 1.0 / k
         moved = _off_centre(pi, centre)
         up, down = pi > centre + _SHARE_TOL, pi < centre - _SHARE_TOL
-    fav[actives] = up[:, actives].sum(axis=0)
-    dis[actives] = down[:, actives].sum(axis=0)
+    fav[1:] = up[:, 1:].sum(axis=0)
+    dis[1:] = down[:, 1:].sum(axis=0)
     return {"adapt2": moved.any(axis=1).sum(), "fav2": fav, "dis2": dis}
 
 
@@ -866,7 +861,7 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
     counters without a stage 3."""
     if design.n_stages < 3:
         return {}
-    k, actives = design.k, list(design.active_indices())
+    k = design.k
     last = block.stage_of == design.n_stages
     last_counts = _onehot(block.arm[:, last], k).sum(axis=1)
     table, rows = block.decisions[-1], block.which[-1]
@@ -878,7 +873,7 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
     drop, keep, fav, dis = table.marks[rows].sum(axis=0)
     return {
         "adapt3": moved.any(axis=1).sum(),
-        "zero3": (last_counts[:, actives] == 0).any(axis=1).sum(),
+        "zero3": (last_counts[:, 1:] == 0).any(axis=1).sum(),
         "drop3": drop, "keep3": keep, "fav3": fav, "dis3": dis,
     }
 
@@ -886,16 +881,13 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
 def _block_counts(block: _Block, design: TrialDesign, effects) -> Counts:
     """Every counter of one stratum's block."""
     k, rows = design.k, len(block.arm)
-    actives = design.active_indices()
     alloc = _onehot(block.arm, k).sum(axis=1)
-    column = np.zeros(k, dtype=np.intp)
-    column[list(actives)] = np.arange(len(actives))
     return {
         **_test_counts(block.reject, block.skipped, design, effects),
         "alloc_sum": alloc.sum(axis=0),
         "alloc_sumsq": (alloc * alloc).sum(axis=0),
         "recommend": np.bincount(block.recommended, minlength=k),
-        "rec_reject": block.reject[np.arange(rows), column[block.recommended]].sum(),
+        "rec_reject": block.reject[np.arange(rows), block.recommended - 1].sum(),
         "impute_fail": np.int64(np.count_nonzero(block.impute_failures)),
         **_stage2_counts(block, design),
         **_stage3_counts(block, design),
@@ -925,7 +917,6 @@ class OCReport:
     n_reps: int
     master_seed: int
     arm_labels: tuple[str, ...]
-    active_labels: tuple[str, ...]
     effects: tuple[float, ...]
     rates: dict[str, float | tuple[float | None, ...] | None]
 
@@ -1009,20 +1000,18 @@ def _report(
     master_seed: int,
 ) -> OCReport:
     n = int(counts["n"])
-    actives = design.active_indices()
-    active_effects = [effects[i] for i in actives]
     rates = {}
     for _, stem, numerator, domain, applies in _COLUMNS:
         if numerator is None:
             continue
         value = None
-        if applies is None or applies(active_effects):
+        if applies is None or applies(effects[1:]):
             value = _rate(numerator, counts, n, design.n_total)
         if value is None or domain == _SCALAR:
             rates[stem] = None if value is None else float(value)
         else:
             rates[stem] = tuple(
-                float(value[i]) if domain == _ARM or i in actives else None
+                float(value[i]) if domain == _ARM or i > 0 else None
                 for i in range(design.k)
             )
     return OCReport(
@@ -1033,8 +1022,7 @@ def _report(
         impute=policy.impute_stage2,
         n_reps=n,
         master_seed=master_seed,
-        arm_labels=tuple(a.label for a in design.arms),
-        active_labels=tuple(design.arms[i].label for i in actives),
+        arm_labels=design.arms,
         effects=tuple(effects),
         rates=rates,
     )
@@ -1213,7 +1201,6 @@ def read_accrued(
     if upcoming_stage is not None:
         _check_upcoming(design, upcoming_stage)
     path = Path(path)
-    by_label = {a.label: a for a in design.arms}
     records: list[PatientRecord] = []
     lines: list[int] = []
     seen: set[int] = set()
@@ -1245,11 +1232,10 @@ def read_accrued(
                 raise ValueError(
                     f"{path}:{lineno}: stage {stage} outside 1..{design.n_stages}"
                 )
-            arm = by_label.get(label)
-            if arm is None:
+            if label not in design.arms:
                 raise ValueError(
                     f"{path}:{lineno}: unknown arm label {label!r} "
-                    f"(expected one of {sorted(by_label)})"
+                    f"(expected one of {sorted(design.arms)})"
                 )
             if delta_s == "NA":
                 delta = None
@@ -1263,7 +1249,7 @@ def read_accrued(
                     ) from exc
                 if not math.isfinite(delta):
                     raise ValueError(f"{path}:{lineno}: delta_y must be finite")
-            records.append(PatientRecord(pid, stage, arm, delta))
+            records.append(PatientRecord(pid, stage, label, delta))
             lines.append(lineno)
     if not records:
         raise ValueError(f"{path}: no patient rows")
@@ -1306,8 +1292,8 @@ def _accrued_problem(
             )
         if r.arm not in design.arms:
             return i, (
-                f"arm {r.arm.label!r} ({r.arm.role}) is not one of the "
-                f"design's arms {', '.join(a.label for a in design.arms)}"
+                f"arm {r.arm!r} is not one of the design's arms "
+                f"{', '.join(design.arms)}"
             )
         counts[r.stage][design.arms.index(r.arm)] += 1
         first.setdefault(r.stage, i)
@@ -1335,9 +1321,8 @@ def _split_problem(design: TrialDesign, stage: int, counts) -> str | None:
             f"splits the arms {':'.join(map(str, counts))}, the design's "
             f"stage-{stage} block is {planned.label()}"
         )
-    control = counts[design.control_index()]
-    if design.mapping is not None and control != MAPPED_CONTROLS:
-        return f"has {control} control patients, the design fixes {MAPPED_CONTROLS}"
+    if design.mapping is not None and counts[0] != MAPPED_CONTROLS:
+        return f"has {counts[0]} control patients, the design fixes {MAPPED_CONTROLS}"
     return None
 
 
@@ -1402,39 +1387,37 @@ def interim_recommendation(
     rec = _accrued_decision(design, records, upcoming_stage, policy, rng)
 
     audit = []
-    for arm, post in zip(design.arms, rec.posteriors):
+    for label, post in zip(design.arms, rec.posteriors):
         audit.append(
-            f"posterior {arm.label}: Beta({post.alpha:g}, {post.beta:g}), "
+            f"posterior {label}: Beta({post.alpha:g}, {post.beta:g}), "
             f"mean {post.mean:.6f}"
         )
     audit.append(
         "randomisation probabilities: "
         + ", ".join(
-            f"{arm.label} {p:.6f}" for arm, p in zip(design.arms, rec.pi.probs)
+            f"{label} {p:.6f}" for label, p in zip(design.arms, rec.pi.probs)
         )
     )
     if rec.categories is not None:
-        shares = active_shares(rec.pi)
-        actives = design.active_indices()
+        actives = design.arms[1:]
         audit.append(
             "active shares: "
             + ", ".join(
-                f"{design.arms[i].label} {s:.6f}" for i, s in zip(actives, shares)
+                f"{label} {s:.6f}" for label, s in zip(actives, active_shares(rec.pi))
             )
         )
         audit.append(
             "categories: "
             + ", ".join(
-                f"{design.arms[i].label} {c.value}"
-                for i, c in zip(actives, rec.categories)
+                f"{label} {c.value}" for label, c in zip(actives, rec.categories)
             )
         )
         if rec.applied_categories != rec.categories:
             audit.append(
                 "applied categories: "
                 + ", ".join(
-                    f"{design.arms[i].label} {c.value}"
-                    for i, c in zip(actives, rec.applied_categories)
+                    f"{label} {c.value}"
+                    for label, c in zip(actives, rec.applied_categories)
                 )
             )
     for line in rec.overrides:
@@ -1442,7 +1425,7 @@ def interim_recommendation(
     if rec.dropped:
         audit.append(
             "dropped arms: "
-            + ", ".join(design.arms[i].label for i in rec.dropped)
+            + ", ".join(design.arms[i] for i in rec.dropped)
         )
     if rec.ratio is not None:
         audit.append(f"stage-{upcoming_stage} ratio: {rec.ratio.label()}")
@@ -1486,14 +1469,10 @@ def _write_report_csv(reports: list[OCReport], path: str | Path, file: str) -> N
     a per-arm stem gets one column per arm of its domain."""
     if not reports:
         raise ValueError("no reports to write")
-    labels, active_labels = reports[0].arm_labels, reports[0].active_labels
-    if any((r.arm_labels, r.active_labels) != (labels, active_labels) for r in reports):
+    labels = reports[0].arm_labels
+    if any(r.arm_labels != labels for r in reports):
         raise ValueError("reports in one CSV must share their arm labels")
-    arms = {
-        _ARM: range(len(labels)),
-        _ACTIVE: [labels.index(L) for L in active_labels],
-        _SCALAR: None,
-    }
+    arms = {_ARM: range(len(labels)), _ACTIVE: range(1, len(labels)), _SCALAR: None}
     columns = [(stem, arms[domain]) for f, stem, _, domain, _ in _COLUMNS if f == file]
     header = [name for name, _ in _IDENTITY]
     for stem, index in columns:

@@ -195,8 +195,8 @@ def allocation_options(
     raise ValueError(f"mapped stages are 2 and 3, got {stage}")
 
 
-def active_shares(pi: ProbVector) -> tuple[float, float]:
-    """Active-arm probability shares renormalised to sum to 1.
+def active_shares(pi: ProbVector) -> tuple[float, ...]:
+    """The K - 1 active arms' probability shares, renormalised to sum to 1.
 
     The control-protected rule builds its active weights on this scale before
     the control term joins, so renormalising the final vector recovers the raw
@@ -208,10 +208,13 @@ def active_shares(pi: ProbVector) -> tuple[float, float]:
 
 def active_share_rows(pi: np.ndarray) -> np.ndarray:
     """active_shares of each row of a (rows, K) array of probabilities, as
-    (rows, 2): arms 1 and 2 over their sum, or 1/2 each where it is 0."""
-    total = pi[:, 1:2] + pi[:, 2:3]
+    (rows, K - 1): arms 1..K-1 over their sum, or 1/(K - 1) each where it
+    is 0."""
+    active = pi[:, 1:]
+    total = active.sum(axis=1, keepdims=True)
     positive = total > 0
-    return np.where(positive, pi[:, 1:3], 0.5) / np.where(positive, total, 1.0)
+    even = 1 / active.shape[1]
+    return np.where(positive, active, even) / np.where(positive, total, 1.0)
 
 
 def planned_ratio(design: TrialDesign, stage: int) -> RatioVector | None:

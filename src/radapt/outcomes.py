@@ -16,8 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ArmId
-
 __all__ = [
     "OutcomeModel",
     "PatientRecord",
@@ -115,11 +113,12 @@ class OutcomeModel:
 
 @dataclass(frozen=True)
 class PatientRecord:
-    """One patient: stage, arm, outcome (None while missing), imputed flag."""
+    """One patient: stage, arm label, outcome (None while missing), imputed
+    flag."""
 
     patient_id: int
     stage: int
-    arm: ArmId
+    arm: str
     delta_y: float | None
     imputed: bool = False
 

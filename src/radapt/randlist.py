@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ArmId, default_arms
+from .core import default_arms
 from .mapping import RatioVector
 
 __all__ = ["RandomisationBlock", "generate_block", "export_list", "import_list"]
@@ -24,13 +24,13 @@ CSV_HEADER = ["position", "stage", "arm_label", "block_id", "seed_tag"]
 
 @dataclass(frozen=True)
 class RandomisationBlock:
-    """One stage's concrete assignment sequence."""
+    """One stage's concrete assignment sequence, as arm labels."""
 
     stage_index: int
-    assignments: tuple[ArmId, ...]
+    assignments: tuple[str, ...]
     seed_tag: str = ""
 
-    def counts(self, arms: tuple[ArmId, ...]) -> tuple[int, ...]:
+    def counts(self, arms: tuple[str, ...]) -> tuple[int, ...]:
         """Patients the block assigns to each of `arms`, in their order."""
         return tuple(self.assignments.count(arm) for arm in arms)
 
@@ -38,7 +38,7 @@ class RandomisationBlock:
 def generate_block(
     ratio: RatioVector,
     rng: np.random.Generator,
-    arms: tuple[ArmId, ...] | None = None,
+    arms: tuple[str, ...] | None = None,
     stage_index: int = 1,
     seed_tag: str = "",
 ) -> RandomisationBlock:
@@ -73,17 +73,17 @@ def export_list(blocks: list[RandomisationBlock], path: str | Path) -> None:
             writer.writerow(CSV_HEADER)
             position = 0
             for block_id, block in enumerate(blocks, start=1):
-                for arm in block.assignments:
+                for label in block.assignments:
                     position += 1
                     writer.writerow(
-                        [position, block.stage_index, arm.label, block_id, block.seed_tag]
+                        [position, block.stage_index, label, block_id, block.seed_tag]
                     )
     except OSError as exc:
         raise OSError(f"cannot write randomisation list to {path}: {exc}") from exc
 
 
 def import_list(
-    path: str | Path, arms: tuple[ArmId, ...] | None = None
+    path: str | Path, arms: tuple[str, ...] | None = None
 ) -> list[RandomisationBlock]:
     """Read a randomisation list written by export_list.
 
@@ -94,7 +94,6 @@ def import_list(
     path = Path(path)
     if arms is None:
         arms = default_arms()
-    by_label = {arm.label: arm for arm in arms}
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -106,14 +105,14 @@ def import_list(
         raise OSError(f"cannot read randomisation list from {path}: {exc}") from exc
 
     blocks: list[RandomisationBlock] = []
-    current: list[ArmId] = []
+    current: list[str] = []
     current_meta: tuple[int, str] | None = None
     current_id: int | None = None
     for lineno, row in enumerate(rows, start=2):
         if len(row) != 5:
             raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
         position, stage, arm_label, block_id, seed_tag = row
-        if arm_label not in by_label:
+        if arm_label not in arms:
             raise ValueError(f"{path}:{lineno}: unknown arm label {arm_label!r}")
         try:
             bid, stage_index = int(block_id), int(stage)
@@ -143,7 +142,7 @@ def import_list(
             )
         current_id = bid
         current_meta = (stage_index, seed_tag)
-        current.append(by_label[arm_label])
+        current.append(arm_label)
     if current:
         blocks.append(
             RandomisationBlock(current_meta[0], tuple(current), current_meta[1])

@@ -27,7 +27,7 @@ import numpy as np
 
 from radapt import engine
 from radapt.analysis import wilcoxon_one_sided
-from radapt.core import ArmId, TrialDesign
+from radapt.core import TrialDesign
 from radapt.engine import InterimRecord, MissingPolicy
 from radapt.mapping import (
     BALANCED,
@@ -93,7 +93,7 @@ def impute_stage2_mean(records: list[PatientRecord]) -> list[PatientRecord]:
                 out.append(replace(rec, delta_y=float(np.mean(donors)), imputed=True))
             else:
                 warnings.warn(
-                    f"no observed values in arm {rec.arm.label} before patient "
+                    f"no observed values in arm {rec.arm} before patient "
                     f"{rec.patient_id}; record left missing",
                     stacklevel=2,
                 )
@@ -120,10 +120,10 @@ def analysis_records(records, policy: MissingPolicy) -> tuple[list[PatientRecord
 
 @dataclass(frozen=True)
 class TestResult:
-    """One active-vs-control comparison."""
+    """One active-vs-control comparison, the arms by label."""
 
-    treatment: ArmId
-    control: ArmId
+    treatment: str
+    control: str
     p_value: float
     reject: bool
     n_treat: int
@@ -131,10 +131,10 @@ class TestResult:
     skipped: bool = False
 
     def label(self) -> str:
-        return f"{self.treatment.label} vs {self.control.label}"
+        return f"{self.treatment} vs {self.control}"
 
 
-def arm_values(records: list[PatientRecord], arm: ArmId) -> list[float]:
+def arm_values(records: list[PatientRecord], arm: str) -> list[float]:
     """Continuous outcomes available for testing: observed plus imputed."""
     return [r.delta_y for r in records if r.arm == arm and r.delta_y is not None]
 
@@ -174,7 +174,7 @@ def _test_pair(
 
 def stratum_decision(
     records: list[PatientRecord], design: TrialDesign
-) -> tuple[list[TestResult], ArmId]:
+) -> tuple[list[TestResult], str]:
     """Per-arm tests plus the recommended arm for one completed stratum.
 
     The recommended arm is the active arm with the largest final assigned
@@ -182,11 +182,11 @@ def stratum_decision(
     endpoint, then to the lower arm index. An arm with no testable data gets
     a skipped (never rejected) result.
     """
-    control_arm = design.arms[design.control_index()]
+    control_arm = design.arms[0]
     control_values = arm_values(records, control_arm)
 
     results = []
-    for idx in design.active_indices():
+    for idx in range(1, design.k):
         results.append(
             _test_pair(
                 arm_values(records, design.arms[idx]),
@@ -198,7 +198,7 @@ def stratum_decision(
         )
 
     best, best_key = None, None
-    for idx in design.active_indices():
+    for idx in range(1, design.k):
         assigned = sum(rec.arm == design.arms[idx] for rec in records)
         key = (assigned, _final_posterior(records, design, idx).mean, -idx)
         if best_key is None or key > best_key:
@@ -220,17 +220,16 @@ def pooled_analysis(
     for r in (*records_a, *records_b):
         if r.arm not in design.arms:
             raise ValueError(
-                f"patient {r.patient_id}: arm {r.arm.label!r} is not one of "
+                f"patient {r.patient_id}: arm {r.arm!r} is not one of "
                 f"the design's arms"
             )
 
-    control_arm = design.arms[design.control_index()]
+    control_arm = design.arms[0]
     pooled_control = arm_values(records_a, control_arm) + arm_values(
         records_b, control_arm
     )
     results = []
-    for idx in design.active_indices():
-        arm = design.arms[idx]
+    for arm in design.arms[1:]:
         pooled_treat = arm_values(records_a, arm) + arm_values(records_b, arm)
         results.append(
             _test_pair(
@@ -314,10 +313,13 @@ _DEMOTED = {
 
 
 def _tau_dropped_pi(pi: ProbVector, design: TrialDesign) -> tuple[ProbVector, tuple[int, ...]]:
-    shares = active_shares(pi)
-    actives = design.active_indices()
-    drops = tuple(i for i, s in zip(actives, shares) if s < design.tau)
-    if not drops or len(drops) == len(actives):
+    # each active's share of the actives' total, or 1/(K - 1) where it is 0,
+    # written out once more rather than through mapping.active_shares
+    active = pi.probs[1:]
+    total = sum(active)
+    shares = [p / total if total > 0 else 1 / len(active) for p in active]
+    drops = tuple(i for i, s in enumerate(shares, 1) if s < design.tau)
+    if not drops or len(drops) == design.k - 1:
         return pi, ()
     weights = list(pi.probs)
     for i in drops:
@@ -391,7 +393,7 @@ def _decide(
             else:
                 pi, dropped = _tau_dropped_pi(pi, design)
                 if dropped:
-                    labels = ", ".join(design.arms[i].label for i in dropped)
+                    labels = ", ".join(design.arms[i] for i in dropped)
                     overrides.append(f"active share below tau, dropped: {labels}")
 
     return InterimRecord(
@@ -471,7 +473,7 @@ class TrialTrajectory:
     interims: tuple[InterimRecord, ...]
     records: tuple[PatientRecord, ...]
     results: tuple[TestResult, ...]
-    recommended: ArmId
+    recommended: str
     imputation_failures: int = 0
 
     def allocation_counts(self) -> tuple[int, ...]:

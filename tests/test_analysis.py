@@ -15,7 +15,7 @@ from radapt.analysis import (
     rank_sum_rows,
     wilcoxon_one_sided,
 )
-from radapt.core import ArmId, default_arms
+from radapt.core import default_arms
 from radapt.outcomes import PatientRecord
 from reference import (
     null_survival,
@@ -376,7 +376,7 @@ class TestStratumDecision:
             }
         )
         results, recommended = stratum_decision(records, reference_design)
-        assert recommended.label == "T1"
+        assert recommended == "T1"
         assert len(results) == 2
 
     def test_allocation_tie_breaks_on_posterior_mean(self, reference_design):
@@ -388,7 +388,7 @@ class TestStratumDecision:
             }
         )
         _, recommended = stratum_decision(records, reference_design)
-        assert recommended.label == "T2"
+        assert recommended == "T2"
 
     def test_full_tie_prefers_lower_index(self, reference_design):
         records = _trial_records(
@@ -399,7 +399,7 @@ class TestStratumDecision:
             }
         )
         _, recommended = stratum_decision(records, reference_design)
-        assert recommended.label == "T1"
+        assert recommended == "T1"
 
     def test_dropped_arm_tested_on_early_data(self, reference_design):
         # T1 dropped at stage 3: its test still runs on stages 1-2
@@ -411,7 +411,7 @@ class TestStratumDecision:
             }
         )
         results, _ = stratum_decision(records, reference_design)
-        t1 = next(r for r in results if r.treatment.label == "T1")
+        t1 = next(r for r in results if r.treatment == "T1")
         assert not t1.skipped
         assert t1.n_treat == 4
 
@@ -423,11 +423,11 @@ class TestStratumDecision:
             }
         )
         results, recommended = stratum_decision(records, reference_design)
-        t1 = next(r for r in results if r.treatment.label == "T1")
+        t1 = next(r for r in results if r.treatment == "T1")
         assert t1.skipped
         assert not t1.reject
         assert t1.p_value == 1.0
-        assert recommended.label == "T2"
+        assert recommended == "T2"
 
     def test_reject_iff_p_below_alpha(self, reference_design):
         rng = np.random.default_rng(5)
@@ -464,7 +464,7 @@ class TestPooledAnalysis:
     def test_foreign_arm_rejected(self, reference_design):
         full = _trial_records({0: [0.0] * 6, 1: [0.1] * 7, 2: [0.2] * 7})
         foreign = [
-            dataclasses.replace(r, arm=ArmId("Active", "T9")) if r.arm == ARMS[2]
+            dataclasses.replace(r, arm="T9") if r.arm == ARMS[2]
             else r
             for r in full
         ]
@@ -475,7 +475,7 @@ class TestPooledAnalysis:
         # i.i.d. assignment can leave a stratum without T2 patients
         full = _trial_records({0: [0.0, 0.3, 0.5], 1: [0.1, 0.4], 2: [0.2, 0.6]})
         partial = _trial_records({0: [0.05, 0.7], 1: [0.9, 0.15, 0.35]})
-        pooled = {r.treatment.label: r for r in pooled_analysis(
+        pooled = {r.treatment: r for r in pooled_analysis(
             full, partial, reference_design
         )}
         control = [0.0, 0.3, 0.5, 0.05, 0.7]
@@ -491,6 +491,6 @@ class TestPooledAnalysis:
         records = _trial_records({0: control, 1: treat, 2: rng.normal(size=7).tolist()})
         single, _ = stratum_decision(records, reference_design)
         pooled = pooled_analysis(records, records, reference_design)
-        p_single = next(r for r in single if r.treatment.label == "T1").p_value
-        p_pooled = next(r for r in pooled if r.treatment.label == "T1").p_value
+        p_single = next(r for r in single if r.treatment == "T1").p_value
+        p_pooled = next(r for r in pooled if r.treatment == "T1").p_value
         assert p_pooled < p_single

@@ -791,6 +791,27 @@ class TestOldDesignFiles:
         assert err.startswith(f"error: {design}: {key} is {json.dumps(value)}, ")
         assert not out.exists()
 
+    def test_control_listed_second_exits_2(self, tmp_path, capsys):
+        # the control is arm 0, so a file whose first arm states another
+        # role is refused before any replicate runs
+        payload = json.loads(OLD_FILES["mapped_alpha"])
+        payload["arms"] = [
+            {"role": "Active", "label": "T1"},
+            {"role": "Control", "label": "C"},
+            {"role": "Active", "label": "T2"},
+        ]
+        design = tmp_path / "ctrl2.json"
+        design.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "sim"
+        code = main([
+            "simulate", "--design", str(design), "--effects", "0.3,0,0",
+            "--reps", "20", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f'error: {design}: arms[0].role is "Active", ')
+        assert not out.exists()
+
 
 class TestReport:
     def _oc(self, tmp_path, name, design):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radapt.core import (
-    ArmId,
     MappingConfig,
     RuleConfig,
     ThresholdSet,
@@ -337,12 +336,26 @@ class TestValidateDesign:
         assert any("K=3" in msg for msg in validate_design(bad))
 
     def test_two_controls_rejected(self):
-        arms = (ArmId("Control", "C"), ArmId("Control", "C2"), ArmId("Active", "T2"))
-        bad = dataclasses.replace(_reference(), arms=arms)
-        assert any("control" in msg.lower() for msg in validate_design(bad))
+        # the control is arm 0, so a file can state a second control only
+        # by an old role key, which is refused
+        payload = design_to_dict(_reference())
+        payload["arms"][1]["role"] = "Control"
+        with pytest.raises(ValueError, match=r"^arms\[1\]\.role is \"Control\", "):
+            design_from_dict(payload)
+
+    def test_trippa_needs_three_arms(self):
+        bad = dataclasses.replace(
+            preset_design("control_protected"),
+            arms=default_arms(4),
+            prior_alpha=(1.0,) * 4,
+            prior_beta=(1.0,) * 4,
+        )
+        assert validate_design(bad) == [
+            "TrippaBRAR requires K=3 (one control, two actives), got K=4"
+        ]
 
     def test_duplicate_labels_rejected(self):
-        arms = (ArmId("Control", "C"), ArmId("Active", "T"), ArmId("Active", "T"))
+        arms = ("C", "T", "T")
         bad = dataclasses.replace(_reference(), arms=arms)
         assert any("unique" in msg for msg in validate_design(bad))
 
@@ -511,13 +524,46 @@ class TestOldDesignFiles:
             design_from_dict(payload)
         assert str(info.value).startswith(refused)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_roles_at_their_positions_load(self, name):
+        # the format radapt wrote before the control was arm 0 by position:
+        # each arm also stated its role
+        payload = design_to_dict(preset_design(name))
+        for i, arm in enumerate(payload["arms"]):
+            arm["role"] = "Active" if i else "Control"
+        assert design_from_dict(payload) == preset_design(name)
+
+    @pytest.mark.parametrize(
+        "arms,refused",
+        [
+            (
+                (("Active", "T1"), ("Control", "C"), ("Active", "T2")),
+                'arms[0].role is "Active", ',
+            ),
+            (
+                (("Control", "C"), ("Active", "T1"), ("Observer", "T2")),
+                'arms[2].role is "Observer", ',
+            ),
+        ],
+    )
+    def test_role_off_its_position_refused(self, arms, refused, tmp_path):
+        # the control is arm 0: a role its position contradicts is refused,
+        # naming the first such arm
+        payload = design_to_dict(_reference())
+        payload["arms"] = [{"role": role, "label": label} for role, label in arms]
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_design(path)
+        assert str(info.value).startswith(f"{path}: {refused}")
+
     def test_new_files_write_none_of_the_old_keys(self, tmp_path):
         path = tmp_path / "design.json"
         for name in PRESET_NAMES:
             save_design(preset_design(name), path)
             payload = json.loads(path.read_text(encoding="utf-8"))
             assert "planned_n" not in payload
-            assert all(set(a) == {"role", "label"} for a in payload["arms"])
+            assert all(set(a) == {"label"} for a in payload["arms"])
             assert all(set(s) == {"size"} for s in payload["stages"])
             if payload["mapping"] is not None:
                 assert "control_fix" not in payload["mapping"]
@@ -525,9 +571,8 @@ class TestOldDesignFiles:
 
 class TestDefaults:
     def test_default_arms_layout(self):
-        arms = default_arms(3)
-        assert [a.label for a in arms] == ["C", "T1", "T2"]
-        assert arms[0].is_control and not arms[1].is_control
+        assert default_arms(3) == ("C", "T1", "T2")
+        assert default_arms(2) == ("C", "T1")
 
     def test_reference_structure(self):
         design = _reference()
@@ -542,6 +587,3 @@ class TestDefaults:
         with pytest.raises(ValueError, match="unknown"):
             preset_design("nope")
 
-    def test_unknown_role_raises(self):
-        with pytest.raises(ValueError, match="role"):
-            ArmId("Observer", "X")

@@ -16,7 +16,7 @@ from radapt.calibration import (
     calibrate_threshold,
     write_tradeoff_csv,
 )
-from radapt.core import ArmId, RuleConfig, TrialDesign, default_arms
+from radapt.core import RuleConfig, TrialDesign, default_arms
 from radapt.engine import (
     InterimRecord,
     MissingPolicy,
@@ -81,7 +81,7 @@ class TestRunTrialStructure:
         assert traj.stages[0].ratio.counts == (2, 2, 2)
         assert len(traj.records) == 20
         assert len(traj.results) == 2
-        assert traj.recommended.label in {"T1", "T2"}
+        assert traj.recommended in {"T1", "T2"}
         assert sum(traj.allocation_counts()) == 20
         assert [i.upcoming_stage for i in traj.interims] == [2, 3]
 
@@ -216,15 +216,14 @@ def _reference_interim(design, records, stage, policy, rng):
                     "stage-2 outcomes missing: tau-based arm dropping suppressed"
                 )
             else:
-                actives = design.active_indices()
                 shares = active_shares(pi)
-                drops = tuple(i for i, x in zip(actives, shares) if x < design.tau)
-                if drops and len(drops) < len(actives):
+                drops = tuple(i for i, x in enumerate(shares, 1) if x < design.tau)
+                if drops and len(drops) < design.k - 1:
                     weights = [0.0 if i in drops else p for i, p in enumerate(pi.probs)]
                     total = math.fsum(weights)
                     pi = ProbVector(tuple(w / total for w in weights))
                     dropped = drops
-                    labels = ", ".join(design.arms[i].label for i in drops)
+                    labels = ", ".join(design.arms[i] for i in drops)
                     overrides.append(f"active share below tau, dropped: {labels}")
     ratio = None
     if options:
@@ -476,7 +475,7 @@ def _reference_tally(trajs, effects):
     scalar trials: realised ratios and applied categories for mapped
     designs, pi and tau drops otherwise."""
     design = trajs[0].design
-    k, actives = design.k, design.active_indices()
+    k, actives = design.k, range(1, design.k)
     centre, tol = 1.0 / k, engine._SHARE_TOL
     per_arm = ("alloc_sum", "alloc_sumsq", "reject", "skip", "recommend",
                "fav2", "dis2", "fav3", "dis3", "drop3", "keep3")
@@ -786,6 +785,22 @@ class TestReplicate:
         with pytest.raises(ValueError):
             replicate(preset_design("fixed_equal"), NULL, n_reps=0, master_seed=0)
 
+    def test_two_arm_tau_dropping_never_drops(self):
+        # the one active arm holds every active share, 1 >= tau, so the last
+        # interim drops and keeps nothing
+        design = dataclasses.replace(
+            preset_design("unrestricted"),
+            arms=default_arms(2),
+            prior_alpha=(1.0, 1.0),
+            prior_beta=(1.0, 1.0),
+            stage_sizes=(8, 8, 8),
+            tau_dropping=True,
+        )
+        model = OutcomeModel.parametric((0.0, 0.3))
+        report = replicate(design, model, n_reps=300, master_seed=1)
+        assert report.rates["drop3"] == (None, 0.0)
+        assert report.rates["keep3"] == (None, 0.0)
+
     @pytest.mark.parametrize("n_reps", [0, -3])
     def test_pooled_bad_rep_count_before_any_worker(self, n_reps, monkeypatch):
         def no_workers(*args):
@@ -1045,6 +1060,34 @@ class TestInterimRecommendation:
         )
         return read_accrued(path, reference_design)
 
+    def test_tau_drops_the_third_of_three_actives(self):
+        # stages 1 and 2 each give C, T1 and T2 a success and T3 a failure:
+        # Beta(3, 1) three times and Beta(1, 3). T3 is best with probability
+        # int 3 (1 - x)^2 x^9 dx = 3 B(10, 3) = 1/220, the others 73/220
+        # each, so at gamma 1 T3's share of the actives is 1/147 < tau and
+        # it alone is dropped, leaving 1/3 to each other arm
+        design = dataclasses.replace(
+            preset_design("unrestricted"),
+            arms=default_arms(4),
+            prior_alpha=(1.0,) * 4,
+            prior_beta=(1.0,) * 4,
+            stage_sizes=(4, 4, 4),
+            tau_dropping=True,
+        )
+        outcomes = {"C": 0.5, "T1": 0.5, "T2": 0.5, "T3": 0.0}
+        records = [
+            PatientRecord(4 * (t - 1) + i + 1, t, label, dy)
+            for t in (1, 2)
+            for i, (label, dy) in enumerate(outcomes.items())
+        ]
+        rec = interim_recommendation(design, records, 3).record
+        posteriors = [(p.alpha, p.beta) for p in rec.posteriors]
+        assert posteriors == [(3.0, 1.0), (3.0, 1.0), (3.0, 1.0), (1.0, 3.0)]
+        assert rec.dropped == (3,)
+        assert rec.pi.probs[3] == 0.0
+        assert rec.pi.probs[:3] == pytest.approx((1 / 3,) * 3, abs=1e-12)
+        assert rec.overrides == ("active share below tau, dropped: T3",)
+
     def test_pinned_end_to_end_oracle(self, reference_design, tmp_path):
         records = self._records(reference_design, tmp_path)
         result = interim_recommendation(reference_design, records, 2, seed=0)
@@ -1143,37 +1186,28 @@ class TestInterimRecommendation:
             # decided, an active arm foreign to the design would count as T1
             (
                 "mapped_alpha",
-                BLOCK1[:2] + [(1, ArmId("Active", "X"))] * 2 + BLOCK1[4:],
+                BLOCK1[:2] + [(1, "X")] * 2 + BLOCK1[4:],
                 2,
-                "patient 3: arm 'X' (Active) is not one of the design's arms "
-                "C, T1, T2",
+                "patient 3: arm 'X' is not one of the design's arms C, T1, T2",
             ),
             (
                 "mapped_alpha",
-                BLOCK1[:4] + [(1, ArmId("Active", "T5"))] + BLOCK1[5:],
+                BLOCK1[:4] + [(1, "T5")] + BLOCK1[5:],
                 2,
-                "patient 5: arm 'T5' (Active) is not one of the design's arms "
-                "C, T1, T2",
-            ),
-            (
-                "mapped_alpha",
-                BLOCK1[:2] + [(1, ArmId("Control", "T1"))] + BLOCK1[3:],
-                2,
-                "patient 3: arm 'T1' (Control) is not one of the design's arms "
-                "C, T1, T2",
+                "patient 5: arm 'T5' is not one of the design's arms C, T1, T2",
             ),
         ],
         ids=[
             "later_stage", "split", "size", "controls", "planned_block",
-            "absent_stage", "stage_0", "foreign_label", "beyond_k", "foreign_role",
+            "absent_stage", "stage_0", "foreign_label", "beyond_k",
         ],
     )
     def test_refuses_what_read_accrued_refuses(self, name, spec, stage, message):
-        # a spec entry's arm is a position in the design's arms or an ArmId
+        # a spec entry's arm is a position in the design's arms or a label
         design = preset_design(name)
         arms = design.arms
         records = [
-            PatientRecord(pid, t, a if isinstance(a, ArmId) else arms[a], 0.5)
+            PatientRecord(pid, t, a if isinstance(a, str) else arms[a], 0.5)
             for pid, (t, a) in enumerate(spec, start=1)
         ]
         with pytest.raises(ValueError) as info:
@@ -1237,7 +1271,7 @@ class TestInterimThroughBlockPath:
             ids = (np.random.default_rng(seed).permutation(len(cells)) + 1).tolist()
             path.write_text(
                 "patient_id,stage,arm_label,delta_y\n" + "".join(
-                    f"{pid},{r.stage},{r.arm.label},"
+                    f"{pid},{r.stage},{r.arm},"
                     f"{'NA' if r.missing else repr(r.delta_y)}\n"
                     for pid, r in zip(ids, cells)
                 ),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radapt import ProbVector, preset_design
-from radapt.core import MappingConfig, ThresholdSet, default_arms
+from radapt.core import MappingConfig, ThresholdSet
 from radapt.engine import MissingPolicy
 from radapt.mapping import (
     BALANCED,
@@ -23,13 +23,10 @@ from reference import interim_decision
 
 C = AdaptationCategory
 
-ARMS = {arm.label: arm for arm in default_arms()}
-
-
 def _accrued(*rows):
     # rows: (stage, arm label, delta_y)
     return [
-        PatientRecord(i + 1, stage, ARMS[label], y)
+        PatientRecord(i + 1, stage, label, y)
         for i, (stage, label, y) in enumerate(rows)
     ]
 
@@ -234,6 +231,13 @@ class TestActiveShares:
 
     def test_degenerate_control_mass(self):
         assert active_shares(ProbVector((1.0, 0.0, 0.0))) == (0.5, 0.5)
+
+    def test_every_active_shares(self):
+        # K - 1 shares, over the total of every active arm
+        x1, x2, x3 = active_shares(ProbVector((0.1, 0.2, 0.3, 0.4)))
+        assert (x1, x2, x3) == pytest.approx((2 / 9, 3 / 9, 4 / 9))
+        assert active_shares(ProbVector((1.0, 0.0, 0.0, 0.0))) == (1 / 3,) * 3
+        assert active_shares(ProbVector((0.7, 0.3))) == (1.0,)
 
 
 def _options(design, stage, pi):
