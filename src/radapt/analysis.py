@@ -8,23 +8,27 @@ i + j. The null distribution of the treatment's doubled rank sum comes from
 subset-sum counting tables, which match enumerating every labeling but take
 polynomial time; a p-value is a count over C(n, n1).
 
-One tie-free table per sample size n counts the k-subsets of the ranks
-1..n by sum, for every k; it is the table of n - 1 plus itself shifted by n
-one row down, so each size costs one array add. Doubling a sum gives the
-doubled rank sum, so the table needs no odd columns. A tie-free sample reads
-its row n1. A tied sample derives its row from the same table: it takes each
-tied position's rank back out of the smaller side's rows by exact
-deconvolution, spreads what is left onto the doubled grid, and adds each tie
-group at its doubled midrank with binomial weights; a smaller control side
-is derived and read backwards from the doubled total n(n + 1). Counts are
-float64, exact only while every count stays below 2**53, so the tables exist
-only up to 56 values (C(56, 28) < 2**53); the derivation runs only there
-and while it is cheaper than a direct table over the tied ranks, and every
-other sample builds that direct table. Each sample's survival is cached on
-its sorted tie pattern, so all routes give the same p-values bit for bit. A
-table may hold at most EXACT_CELL_GUARD cells on the doubled grid;
-validate_design bounds a stratum so that two strata pooled always fit
-(table_cells).
+One tail table per sample size n counts the k-subsets of the ranks 1..n
+with sum at least s, for every k; it is the table of n - 1 plus itself
+shifted by n one row down, where every (k - 1)-subset reaches the sums
+below n, so each size costs two array adds. A tie-free sample of n1
+treated values with doubled rank sum 2w has p-value tail(n1, w) /
+tail(n1, 0), and rank_sum_rows reads the tie-free rows of each n in one
+gather. The counts by sum are differences of neighbouring tails. A tied
+sample derives its row from them: it takes each tied position's rank
+back out of the smaller side's rows by exact deconvolution, spreads what
+is left onto the doubled grid, and adds each tie group at its doubled
+midrank with binomial weights; a smaller control side is derived and
+read backwards from the doubled total n(n + 1). Counts are float64,
+exact only while every count and partial sum stays below 2**53, so the
+tables exist only up to 56 values (C(56, 28) < 2**53); the derivation
+runs only there and while it is cheaper than a direct table over the
+tied ranks, and every other sample builds that direct table. Outside the
+tail gather, each sample's survival is cached on its sorted tie pattern.
+Every route is a quotient of the same exact integers, so all give the
+same p-values bit for bit. A table may hold at most EXACT_CELL_GUARD
+cells on the doubled grid; validate_design bounds a stratum so that two
+strata pooled always fit (table_cells).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 __all__ = ["wilcoxon_one_sided", "rank_sum_rows"]
 
 EXACT_CELL_GUARD = 50_000_000
-# the largest n whose tie-free table is exact in float64, which holds every
+# the largest n whose tail table is exact in float64, which holds every
 # integer count below 2**53: C(56, 28) < 2**53 < C(57, 28)
 _CHAIN_MAX = 56
 _BAND = 32  # rows per update of a direct table; bounds numpy's operand copy
@@ -80,27 +84,35 @@ def _subset_counts(ranks, n1: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CHAIN_MAX)
-def _tie_free_table(n: int) -> np.ndarray:
-    """Counts of the k-subsets (every k) of the ranks 1..n by sum.
+def _tail_table(n: int) -> np.ndarray:
+    """Counts of the k-subsets (every k) of the ranks 1..n with sum >= s,
+    row k, column s.
 
-    Built from the table of n - 1: row k gains row k - 1 of that table
-    shifted by n. Exact for n <= _CHAIN_MAX.
+    Built from the table of n - 1: a subset without n counts there, and one
+    with n counts in row k - 1 at s - n, which below n is every
+    (k - 1)-subset. Exact for n <= _CHAIN_MAX.
     """
-    counts = np.zeros((n + 1, n * (n + 1) // 2 + 1))
+    tails = np.zeros((n + 1, n * (n + 1) // 2 + 1))
     if n == 0:
-        counts[0, 0] = 1.0
+        tails[0, 0] = 1.0
     else:
-        smaller = _tie_free_table(n - 1)
-        counts[:n, : smaller.shape[1]] = smaller
-        counts[1:, n:] += smaller
-    counts.flags.writeable = False
-    return counts
+        smaller = _tail_table(n - 1)
+        tails[:n, : smaller.shape[1]] = smaller
+        tails[1:, :n] += smaller[:, :1]
+        tails[1:, n:] += smaller
+    tails.flags.writeable = False
+    return tails
 
 
 def _tie_free_counts(n: int, n1: int) -> np.ndarray:
-    """The shared table: counts of the k-subsets (k <= n1) of 1..n by sum,
-    a view of _tie_free_table(n)."""
-    return _tie_free_table(n)[: n1 + 1, : n1 * (2 * n - n1 + 1) // 2 + 1]
+    """Counts of the k-subsets (k <= n1) of 1..n by sum, from the shared
+    tail table: count(s) = tail(s) - tail(s + 1), exact below 2**53."""
+    width = n1 * (2 * n - n1 + 1) // 2 + 1
+    tails = _tail_table(n)[: n1 + 1]
+    # no k-subset, k <= n1, reaches sum `width`, so the last column is its tail
+    counts = np.array(tails[:, :width])
+    counts[:, :-1] -= tails[:, 1:width]
+    return counts
 
 
 def _tie_groups(ranks: list[int]) -> list[tuple[int, int]]:
@@ -117,7 +129,8 @@ def _tie_groups(ranks: list[int]) -> list[tuple[int, int]]:
 
 def _derived_row(n: int, n1: int, groups: list[tuple[int, int]]) -> np.ndarray:
     """Row n1 of the doubled-grid count table of a tied sample, derived
-    from the shared tie-free table; exact while every count is below 2**53.
+    from the tie-free counts of the shared tail table; exact while every
+    count is below 2**53.
 
     The smaller side is derived: with fewer control values, the control's
     row read backwards from the doubled total n(n + 1), which every split of
@@ -128,7 +141,7 @@ def _derived_row(n: int, n1: int, groups: list[tuple[int, int]]) -> np.ndarray:
         mirrored = np.zeros(n * (n + 1) + 1)
         mirrored[mirrored.size - row.size :] = row[::-1]
         return mirrored
-    table = np.array(_tie_free_counts(n, n1))
+    table = _tie_free_counts(n, n1)
     width = table.shape[1]
     for first, size in groups:
         # take rank r out of every row: T'[k] = T[k] - T'[k - 1] shifted by r
@@ -233,71 +246,89 @@ def wilcoxon_one_sided(treatment, control) -> float:
     return float(_null_survival(tuple(sorted(doubled)), n1)[sum(doubled[:n1])])
 
 
-def rank_sum_rows(
-    values: np.ndarray, treat: np.ndarray, control: np.ndarray
-) -> np.ndarray:
-    """Exact one-sided p-value of every row's rank-sum test at once.
+def rank_sum_rows(values: np.ndarray, sample: np.ndarray, k: int) -> np.ndarray:
+    """Exact one-sided p-value of every row's k - 1 rank-sum tests at once.
 
-    Row r tests values[r][treat[r]] against values[r][control[r]] and gets
-    the p-value wilcoxon_one_sided gives that pair, bit for bit; a row with
-    an empty sample gets 1, the p-value of a skipped test. Sorting the rows
-    puts each row's sample values first (they are finite, the other cells
-    become +inf), and the argsort carries the treatment flags along; equal
-    values share a midrank, so neither sort need be stable, nor agree with
-    the other among equal values. A tie-free row's doubled midranks are 2,
-    4, ..., 2n, so the tie-free rows of one size read the cached null table
-    together, under the key the scalar test uses; the rows with ties take
-    their midranks from _sorted_midranks and go to _tied_p_values.
+    sample[r, c] names the sample that cell c of row r of `values` belongs
+    to: 0 the control, 1..k-1 a treatment, -1 none. Row r, column j - 1 of
+    the result tests treatment j against the control and gets the p-value
+    wilcoxon_one_sided gives that pair, bit for bit; a test with an empty
+    sample gets 1, the p-value of a skipped test.
+
+    One sort of each row serves every test. The row's sampled values sort
+    first (they are finite, the other cells become +inf), and the argsort
+    carries the sample names along. A test's sample is the control's and
+    the treatment's positions; a cumulative count of them gives each
+    position's rank in the sample, and a run of equal values at sample
+    ranks f..l shares the doubled midrank f + l, so no sort need be stable.
+    A tie-free sample of n <= _CHAIN_MAX values reads its p-value from the
+    tail table of n, one gather for the rows of each n; every other sample
+    reads the null table cached for its sorted doubled midranks, as the
+    scalar test does.
     """
-    n1s, n2s = treat.sum(axis=1), control.sum(axis=1)
-    ns, width = n1s + n2s, values.shape[1]
-    p = np.ones(len(values))
-    sample = np.where(treat | control, values, np.inf)
-    treated = np.take_along_axis(treat, np.argsort(sample, axis=1), axis=1)
-    # sorted in place, and doubled midranks (at most 2 * width) in 32 bits:
-    # a conduct passes up to 1,024 rows, and these (rows, width) arrays set
-    # its peak memory
-    sample.sort(axis=1)
-    ordered = sample
-    # equal neighbours inside the row's sample, whose n values sort first
-    inside = np.arange(1, width) < ns[:, None]
-    tied = ((ordered[:, 1:] == ordered[:, :-1]) & inside).any(axis=1)
-    ranks = np.arange(2, 2 * width + 1, 2, dtype=np.int32)
-    doubled = np.tile(ranks, (len(values), 1))
-    doubled[tied] = _sorted_midranks(ordered[tied])
-    w2 = np.where(treated, doubled, 0).sum(axis=1)
-    tested = (n1s > 0) & (n2s > 0)
-    free = tested & ~tied
-    for n1, n in set(zip(n1s[free].tolist(), ns[free].tolist())):
-        rows = np.flatnonzero(free & (n1s == n1) & (ns == n))
-        p[rows] = _null_survival(tuple(range(2, 2 * n + 1, 2)), n1)[w2[rows]]
-    rows = np.flatnonzero(tested & tied)
-    p[rows] = _tied_p_values(doubled[rows], ns[rows], n1s[rows], w2[rows])
+    rows, width = values.shape
+    sampled = np.where(sample >= 0, values, np.inf)
+    member = np.take_along_axis(sample, np.argsort(sampled, axis=1), axis=1)
+    # sorted in place, and freed once the runs of the rows where a sampled
+    # value repeats, the only rows that can tie, are known: a conduct passes
+    # up to 1,024 rows, and these (rows, width) arrays set its peak memory
+    sampled.sort(axis=1)
+    repeats = (sampled[:, 1:] == sampled[:, :-1]) & (sampled[:, 1:] < np.inf)
+    multi = np.flatnonzero(repeats.any(axis=1))
+    first, last = _runs(sampled[multi])
+    del sampled, repeats
+    control = member == 0
+    p = np.ones((rows, k - 1))
+    for j in range(1, k):
+        treat = member == j
+        inside = treat | control
+        # each position's rank in the test's sample, doubled
+        through = np.cumsum(inside, axis=1, dtype=np.int32)
+        doubled = 2 * through
+        tied = np.zeros(rows, dtype=bool)
+        if len(multi):
+            # sample values before each run, and up to its end
+            below = np.take_along_axis((through - inside)[multi], first, axis=1)
+            upto = np.take_along_axis(through[multi], last, axis=1)
+            doubled[multi] = below + upto + 1
+            tied[multi] = (inside[multi] & (upto - below > 1)).any(axis=1)
+        n1s, ns = np.count_nonzero(treat, axis=1), through[:, -1]
+        w2 = (doubled * treat).sum(axis=1)
+        tested = (n1s > 0) & (ns > n1s)
+        chained = tested & ~tied & (ns <= _CHAIN_MAX)
+        for n in set(ns[chained].tolist()):
+            at = np.flatnonzero(chained & (ns == n))
+            tails, n1 = _tail_table(n), n1s[at]
+            p[at, j - 1] = tails[n1, w2[at] // 2] / tails[n1, 0]
+        at = np.flatnonzero(tested & ~chained)
+        if len(at):
+            # each row's sample midranks first, in sorted order
+            keys = np.sort(np.where(inside[at], doubled[at], 2 * width + 1), axis=1)
+            p[at, j - 1] = _keyed_p_values(keys, ns[at], n1s[at], w2[at])
     return p
 
 
-def _sorted_midranks(ordered: np.ndarray) -> np.ndarray:
-    """The doubled midrank of each position of rows sorted by value: a run
-    of equal values at 0-based positions f..l gets f + l + 2, as
-    _doubled_midranks gives it."""
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last position of the run of equal values that
+    holds each position of rows sorted by value."""
     width = ordered.shape[1]
-    position = np.broadcast_to(np.arange(width), ordered.shape)
+    position = np.broadcast_to(np.arange(width, dtype=np.int32), ordered.shape)
     starts = np.ones(ordered.shape, dtype=bool)
     starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     ends = np.ones(ordered.shape, dtype=bool)
     ends[:, :-1] = starts[:, 1:]
     first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
     last = np.minimum.accumulate(np.where(ends, position, width)[:, ::-1], axis=1)
-    return first + last[:, ::-1] + 2
+    return first, last[:, ::-1]
 
 
-def _tied_p_values(doubled, ns, n1s, w2) -> np.ndarray:
-    """wilcoxon_one_sided on tied rows of rank_sum_rows, bit for bit: row i
-    has n1s[i] treatment values among ns[i], whose sorted doubled midranks
-    (the first ns[i] of `doubled`) key the cached null table, and the
-    treatment's doubled rank sum w2[i]."""
-    p = np.empty(len(doubled))
-    rows = zip(doubled.tolist(), ns.tolist(), n1s.tolist(), w2.tolist())
+def _keyed_p_values(keys, ns, n1s, w2) -> np.ndarray:
+    """wilcoxon_one_sided on rows of rank_sum_rows, bit for bit: row i has
+    n1s[i] treatment values among ns[i], whose sorted doubled midranks (the
+    first ns[i] of `keys`) key the cached null table, and the treatment's
+    doubled rank sum w2[i]."""
+    p = np.empty(len(keys))
+    rows = zip(keys.tolist(), ns.tolist(), n1s.tolist(), w2.tolist())
     for i, (ranks, n, n1, w) in enumerate(rows):
         p[i] = _null_survival(tuple(ranks[:n]), n1)[w]
     return p

@@ -206,6 +206,11 @@ def validate_design(design: TrialDesign) -> list[str]:
     v.extend(_validate_rule(design))
     if design.mapping is not None:
         v.extend(_validate_mapping(design))
+        if design.tau_dropping:
+            v.append(
+                "tau_dropping applies to designs without a mapping; a mapped "
+                "design drops arms through its Drop category"
+            )
     return v
 
 
@@ -403,10 +408,15 @@ def _check_old_keys(d: dict, design: TrialDesign) -> None:
         if value is not None and (
             value != implied or isinstance(value, bool) != isinstance(implied, bool)
         ):
+            advice = (
+                "an arm's position sets it, so list the arms in position "
+                "order, control first"
+                if key.startswith("arms[")
+                else "radapt no longer reads the key, so omit it"
+            )
             raise ValueError(
                 f"{key} is {json.dumps(value)}, but the design implies "
-                f"{json.dumps(implied)}; radapt no longer reads the key, so "
-                f"omit it"
+                f"{json.dumps(implied)}; {advice}"
             )
 
 

@@ -89,7 +89,13 @@ from .outcomes import (
     Scenario,
     outcomes_from_raw,
 )
-from .posterior import BetaPosterior, _prob_best_of, _prob_greater_of
+from .posterior import (
+    BetaPosterior,
+    _is_integral,
+    _prob_best_rows,
+    _prob_greater_of,
+    prob_best,
+)
 from .rules import (
     ProbVector,
     _equal_probs,
@@ -227,6 +233,11 @@ class _DecisionTable:
         elif rule.kind == "TSBRAR":
             self.gamma = rule.gamma_for_stage(stage)
         self._priors = list(zip(design.prior_alpha, design.prior_beta))
+        # with integer priors every key's Beta parameters are integers, and
+        # P(best) takes them as one array
+        self._int_priors = None
+        if all(map(_is_integral, design.prior_alpha + design.prior_beta)):
+            self._int_priors = np.array(self._priors, dtype=np.int64)
         self._reads_held = (
             stage == 2 and planned is None and policy.no_adapt_on_stage1_missing
         )
@@ -270,24 +281,30 @@ class _DecisionTable:
             found = [get(key) for key in raw]
         return np.array(found, dtype=np.intp)
 
-    def _rule_pi(self, params, assigned) -> np.ndarray:
-        """The rule's pi for every key, from each arm's [alpha, beta] and
-        assigned count: P(beats control) once per distinct pair through the
-        exact scalar function and its memo, or P(best) of every distinct set
-        of parameters in one batched call, then the rules' arithmetic on
-        plain floats."""
+    def _rule_pi(self, counts: np.ndarray) -> np.ndarray:
+        """The rule's pi for every key, from each arm's successes, failures
+        and assigned count, (keys, K, 3): P(beats control) once per distinct
+        pair through the exact scalar function and its memo, or P(best) of
+        every key in one array call (row by row where the priors are not
+        integers), then the rules' arithmetic on plain floats, once per
+        distinct row of P(best) values."""
         design, k = self.design, self.design.k
         kind = design.rule.kind
         if kind == "FixedEqual" or (kind == "TSBRAR" and self.gamma == 0):
-            return np.tile(_equal_probs(k), (len(params), 1))
+            return np.tile(_equal_probs(k), (len(counts), 1))
         if kind == "TSBRAR":
-            rows = [tuple(map(tuple, arms)) for arms in params]
-            distinct = list(dict.fromkeys(rows))
-            best = {
-                arms: _ts_probs(values, self.gamma)
-                for arms, values in zip(distinct, _prob_best_of(distinct))
-            }
-            return np.array([best[arms] for arms in rows])
+            if self._int_priors is not None:
+                rows = _prob_best_rows(counts[:, :, :2] + self._int_priors).tolist()
+            else:
+                params = (counts[:, :, :2] + self._priors).tolist()
+                rows = [
+                    prob_best([BetaPosterior(*arm) for arm in arms]) for arms in params
+                ]
+            best = list(map(tuple, rows))
+            pi = {row: _ts_probs(row, self.gamma) for row in dict.fromkeys(best)}
+            return np.array([pi[row] for row in best])
+        params = (counts[:, :, :2] + self._priors).tolist()
+        assigned = counts[:, :, 2].tolist()
         form = design.rule.control_exponent_form
         beats: dict[tuple[float, ...], float] = {}
         out = []
@@ -307,9 +324,7 @@ class _DecisionTable:
         # a held stage-2 allocation and kept arms, where the stage reads them
         held = key[:, -2] == 1 if self._reads_held else None
         kept = key[:, -1] == 1 if self._reads_kept else None
-        pi = self._rule_pi(
-            (counts[:, :, :2] + self._priors).tolist(), counts[:, :, 2].tolist()
-        )
+        pi = self._rule_pi(counts)
         slot = None
 
         if self.categorised:
@@ -653,16 +668,14 @@ def _block_decisions(design, policy, stage, arm, y, observed, stage_of):
     return table, table.lookup(np.concatenate([tallies, flags], axis=1))
 
 
-def _final_tests(design: TrialDesign, onehot, y, observed):
+def _final_tests(design: TrialDesign, arm, y, observed):
     """The final rank-sum tests of every row, each active arm's available
     values against the control's: p-values, rejections and skips, one column
     per active arm. A test with an empty sample is skipped with p 1."""
-    control = onehot[:, :, 0] & observed
-    p = np.column_stack([
-        rank_sum_rows(y, onehot[:, :, i] & observed, control)
-        for i in range(1, design.k)
-    ])
-    seen = (onehot & observed[:, :, None]).sum(axis=1)
+    # 16 bits hold every arm: a stratum has at most 184 patients
+    sample = np.where(observed, arm.astype(np.int16), np.int16(-1))
+    p = rank_sum_rows(y, sample, design.k)
+    seen = np.stack([np.count_nonzero(sample == i, axis=1) for i in range(design.k)], 1)
     skipped = (seen[:, 1:] == 0) | (seen[:, :1] == 0)
     return p, p < design.alpha_level, skipped
 
@@ -762,8 +775,7 @@ def _conduct_block(
         design, model, case, policy, draws
     )
     y, observed, failures = _analysis_view(design, policy, arm, y, missing, stage_of)
-    onehot = _onehot(arm, design.k)
-    p_value, reject, skipped = _final_tests(design, onehot, y, observed)
+    p_value, reject, skipped = _final_tests(design, arm, y, observed)
     return _Block(
         arm=arm,
         y=y,
@@ -789,7 +801,7 @@ def _pooled_tests(block_a: _Block, block_b: _Block, design: TrialDesign):
     arm = np.hstack([block_a.arm, block_b.arm])
     y = np.hstack([block_a.y, block_b.y])
     observed = np.hstack([block_a.observed, block_b.observed])
-    return _final_tests(design, _onehot(arm, design.k), y, observed)
+    return _final_tests(design, arm, y, observed)
 
 
 def _off_centre(pi: np.ndarray, centre: float) -> np.ndarray:

@@ -121,53 +121,67 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-# P(best) of every integer key set evaluated so far: (a, b, m) per distinct
-# posterior, sorted, to one value per distinct posterior. Emptied when a call
-# would take it past _PROB_BEST_MEMO key sets.
-_PROB_BEST_MEMO = 65536
-_prob_best_cache: dict[tuple[tuple[int, int, int], ...], tuple[float, ...]] = {}
+def _prob_best_rows(params: np.ndarray) -> np.ndarray:
+    """P(best) of every row of integer Beta parameters, (rows, K, 2) as
+    [alpha, beta] per arm, as (rows, K) in arm order.
 
-
-def _prob_best_int(
-    key_sets: list[tuple[tuple[int, int, int], ...]],
-) -> list[tuple[float, ...]]:
-    # Each key set holds (a, b, m) per distinct posterior, m arms sharing it.
-    # An arm of type d is best with probability int_0^1 f_d F_d^(m_d - 1)
-    # prod_{e != d} F_e^(m_e) dx. With integer parameters the integrand is a
-    # polynomial of degree sum(a + b) - K - 1 over all K arms, so
-    # ceil((degree + 1) / 2) Gauss-Legendre nodes integrate it exactly up to
-    # rounding. The key sets missing from the memo are evaluated together,
-    # one array pass per (distinct posteriors, node count): element for
-    # element the arithmetic of a lone key set, so batching moves no bit.
+    Each row is sorted to its canonical key set, (a, b, m) per distinct
+    posterior shared by m arms, and every distinct key set is evaluated
+    once. An arm of type d is best with probability int_0^1 f_d
+    F_d^(m_d - 1) prod_{e != d} F_e^(m_e) dx. With integer parameters the
+    integrand is a polynomial of degree sum(a + b) - K - 1 over all K arms,
+    so ceil((degree + 1) / 2) Gauss-Legendre nodes integrate it exactly up
+    to rounding. The key sets are evaluated in one array pass per (distinct
+    posteriors, node count): element for element the arithmetic of a lone
+    key set, so neither the batch nor the arm order moves a bit.
+    """
     from scipy.special import betainc, betaln, xlog1py, xlogy
 
-    groups: dict[tuple[int, int], list] = {}
-    for arms in dict.fromkeys(key_sets):
-        if arms not in _prob_best_cache:
-            degree = sum(m * (a + b - 1) for a, b, m in arms) - 1
-            groups.setdefault((len(arms), degree // 2 + 1), []).append(arms)
-    new = {}
-    for (d, nodes), group in groups.items():
-        abm = np.array(group, dtype=np.float64)[..., None]
+    rows, k = params.shape[:2]
+    each = np.arange(rows)[:, None]
+    order = np.lexsort((params[:, :, 1], params[:, :, 0]))
+    ranked = params[each, order]
+    # equal sorted rows hold the same key set; they are found by their
+    # bytes, as the decision tables find keys (np.unique over rows costs
+    # ~70 us even for one row on a 2-CPU Xeon, which interim would pay)
+    row_bytes = np.dtype((np.void, ranked.itemsize * 2 * k))
+    raw = ranked.reshape(rows, -1).view(row_bytes)[:, 0].tolist()
+    last = dict(zip(raw, range(rows)))
+    ids = dict(zip(last, range(len(last))))
+    inverse = np.array([ids[key] for key in raw])
+    sets = ranked[list(last.values())]
+    new = np.ones(sets.shape[:2], dtype=bool)
+    new[:, 1:] = (sets[:, 1:] != sets[:, :-1]).any(axis=2)
+    # the sorted position's distinct posterior, counted from 0 in its set
+    kind = np.cumsum(new, axis=1) - 1
+    # per set the (a, b, m) of each distinct posterior, zero-padded to K
+    key_sets = np.zeros((len(sets), k, 3), dtype=np.int64)
+    at = np.nonzero(new)
+    key_sets[at[0], kind[at], :2] = sets[at]
+    key_sets[:, :, 2] = (kind[:, :, None] == np.arange(k)).sum(axis=1)
+    d = kind[:, -1] + 1
+    # the degree is sum(a + b) - K - 1 over all K arms
+    nodes = (sets.sum(axis=(1, 2)) - k - 1) // 2 + 1
+    values = np.zeros((len(key_sets), k))
+    for d_g, nodes_g in set(zip(d.tolist(), nodes.tolist())):
+        group = np.flatnonzero((d == d_g) & (nodes == nodes_g))
+        abm = key_sets[group, :d_g].astype(np.float64)[..., None]
         a, b, m = abm[:, :, 0], abm[:, :, 1], abm[:, :, 2]
-        x, w = _gauss_legendre(nodes)
+        x, w = _gauss_legendre(nodes_g)
         cdf = betainc(a, b, x)
         pdf = np.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - betaln(a, b))
         # a zero exponent gives a factor of exactly 1 even where F_e underflows
-        powers = m.transpose(0, 2, 1) - np.eye(d)
-        if d == 1:
+        powers = m.transpose(0, 2, 1) - np.eye(d_g)
+        if d_g == 1:
             # a lone key set of one posterior has a scalar power, which numpy
             # squares exactly; over a batch the power varies, and it would not
             others = np.stack([c ** p for c, p in zip(cdf, powers[:, 0, 0])])
         else:
             others = np.prod(cdf[:, None, :, :] ** powers[:, :, :, None], axis=2)
-        for arms, values in zip(group, ((pdf * others) @ w).tolist()):
-            new[arms] = tuple(values)
-    values = [_prob_best_cache.get(arms) or new[arms] for arms in key_sets]
-    if len(_prob_best_cache) + len(new) > _PROB_BEST_MEMO:
-        _prob_best_cache.clear()
-    _prob_best_cache.update(new)
-    return values
+        values[group, :d_g] = (pdf * others) @ w
+    out = np.empty((rows, k))
+    out[each, order] = values[inverse[:, None], kind[inverse]]
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -225,33 +239,16 @@ def prob_best(
     <= 1e-9. Each distinct (alpha, beta) is evaluated once on the canonically
     sorted multiset, so permuting the input permutes the output bit for bit
     and arms with equal posteriors get equal values. The values are not
-    renormalised. Integer multisets are memoised; the decision tables
-    evaluate the ones a block lacks in one batch through the same function,
-    which gives each multiset the values it gets here, bit for bit.
+    renormalised. The decision tables evaluate integer parameters through
+    the same array function, a block's keys at once, which gives each
+    multiset the values it gets here, bit for bit.
     """
     if len(posteriors) < 2:
         raise ValueError("need at least two posteriors")
-    return _prob_best_of([tuple((p.alpha, p.beta) for p in posteriors)])[0]
-
-
-def _prob_best_of(
-    rows: list[tuple[tuple[float, float], ...]],
-) -> list[tuple[float, ...]]:
-    # prob_best on each row of per-arm (alpha, beta); the integer rows go to
-    # _prob_best_int in one batch
-    canonical = [
-        tuple((a, b, keys.count((a, b))) for a, b in sorted(set(keys))) for keys in rows
-    ]
-    integral = [
-        all(_is_integral(a) and _is_integral(b) for a, b, _ in arms) for arms in canonical
-    ]
-    exact = iter(_prob_best_int([
-        tuple((int(a), int(b), m) for a, b, m in arms)
-        for arms, whole in zip(canonical, integral) if whole
-    ]))
-    out = []
-    for keys, arms, whole in zip(rows, canonical, integral):
-        values = next(exact) if whole else _prob_best_quad(arms)
-        by_key = {(a, b): v for (a, b, _), v in zip(arms, values)}
-        out.append(tuple(by_key[key] for key in keys))
-    return out
+    keys = [(p.alpha, p.beta) for p in posteriors]
+    if all(_is_integral(x) for key in keys for x in key):
+        params = np.array([[[int(a), int(b)] for a, b in keys]], dtype=np.int64)
+        return tuple(_prob_best_rows(params)[0].tolist())
+    arms = tuple((a, b, keys.count((a, b))) for a, b in sorted(set(keys)))
+    by_key = {(a, b): v for (a, b, _), v in zip(arms, _prob_best_quad(arms))}
+    return tuple(by_key[key] for key in keys)

@@ -229,7 +229,7 @@ class TestDerivedNullTables:
         assert wilcoxon_one_sided(treatment, control) == want
         values = np.array([treatment + control])
         treat = np.arange(values.shape[1]) < len(treatment)
-        got = rank_sum_rows(values, treat[None], ~treat[None])[0]
+        got = rank_sum_rows(values, treat[None].astype(int), 2)[0, 0]
         assert got == want
 
     @given(pattern=tie_patterns())
@@ -316,17 +316,19 @@ class TestTieFreeTables:
         if tied:
             values = np.floor(values / 3)
         treatment, control = values[:4].tolist(), values[4:].tolist()
-        analysis._tie_free_table.cache_clear()
+        analysis._tail_table.cache_clear()
         _null_survival.cache_clear()
         assert wilcoxon_one_sided(treatment, control) == _rankdata_p(treatment, control)
-        assert analysis._tie_free_table.cache_info().currsize == 0
+        assert analysis._tail_table.cache_info().currsize == 0
 
 
 @st.composite
 def rank_sum_blocks(draw):
-    # rows of one width, each cell treatment (0), control (1) or neither (2);
-    # few distinct values so most rows tie, and several rows share sizes
+    # rows of one width, each cell in the control (0), one of one to three
+    # treatments (1..k-1) or none (-1); few distinct values so most rows
+    # tie, and several rows share sizes
     rows, width = draw(st.integers(1, 8)), draw(st.integers(2, 24))
+    k = draw(st.integers(2, 4))
     levels = draw(st.integers(0, 6))
     value = st.one_of(
         st.integers(0, levels).map(float),
@@ -335,9 +337,8 @@ def rank_sum_blocks(draw):
     )
     cells = rows * width
     values = draw(st.lists(value, min_size=cells, max_size=cells))
-    group = draw(st.lists(st.integers(0, 2), min_size=cells, max_size=cells))
-    group = np.array(group).reshape(rows, width)
-    return np.array(values).reshape(rows, width), group == 0, group == 1
+    sample = draw(st.lists(st.integers(-1, k - 1), min_size=cells, max_size=cells))
+    return np.array(values).reshape(rows, width), np.array(sample).reshape(rows, width), k
 
 
 def _wide_block():
@@ -346,9 +347,14 @@ def _wide_block():
     rng = np.random.default_rng(3)
     values = rng.normal(size=(3, 90))
     values[1] = np.floor(values[1] * 4)
-    group = rng.integers(0, 2, size=(3, 90))
-    group[2, rng.choice(90, size=10, replace=False)] = 2
-    return values, group == 0, group == 1
+    sample = rng.integers(0, 2, size=(3, 90))
+    sample[2, rng.choice(90, size=10, replace=False)] = -1
+    return values, sample, 2
+
+
+def _scalar_p(values, sample, r, j):
+    t, c = values[r][sample[r] == j], values[r][sample[r] == 0]
+    return wilcoxon_one_sided(t, c) if t.size and c.size else 1.0
 
 
 class TestRankSumRows:
@@ -356,12 +362,25 @@ class TestRankSumRows:
     @example(block=_wide_block())
     @settings(max_examples=300, deadline=None)
     def test_rows_equal_scalar_test(self, block):
-        values, treat, control = block
-        p = rank_sum_rows(values, treat, control)
-        for r, got in enumerate(p.tolist()):
-            t, c = values[r][treat[r]], values[r][control[r]]
-            want = wilcoxon_one_sided(t, c) if t.size and c.size else 1.0
-            assert got == want, r
+        # every treatment sample of a row, read from the row's one sort
+        values, sample, k = block
+        p = rank_sum_rows(values, sample, k)
+        assert p.shape == (len(values), k - 1)
+        for (r, j), got in np.ndenumerate(p):
+            assert got == _scalar_p(values, sample, r, j + 1), (r, j)
+
+    def test_every_tie_free_size_reads_its_tail_table(self):
+        # every (n, n1) up to 57 values, tie-free, treatment first: n <= 56
+        # reads the tail table, 57 the cached null table
+        for n in range(2, analysis._CHAIN_MAX + 2):
+            rng = np.random.default_rng(n)
+            rows = [np.arange(n), np.arange(n)[::-1]]
+            block = np.array(rows + [rng.permutation(n) for _ in range(4)]) + 0.5
+            for n1 in range(1, n):
+                sample = np.tile(np.arange(n) < n1, (len(block), 1)).astype(int)
+                p = rank_sum_rows(block, sample, 2)[:, 0]
+                for r, got in enumerate(p.tolist()):
+                    assert got == _scalar_p(block, sample, r, 1), (n, n1, r)
 
 
 class TestStratumDecision:

@@ -319,6 +319,14 @@ class TestValidateDesign:
             assert len(violations) == 1
             assert "185 patients" in violations[0] and "at most 184" in violations[0]
 
+    @pytest.mark.parametrize("name", ["mapped_alpha", "mapped_beta", "permuted_block"])
+    def test_tau_dropping_on_a_mapped_design_refused(self, name):
+        # the conduct never reads tau_dropping on a mapped design
+        bad = dataclasses.replace(preset_design(name), tau_dropping=True)
+        violations = validate_design(bad)
+        assert len(violations) == 1
+        assert "tau_dropping applies to designs without a mapping" in violations[0]
+
     def test_permuted_block_stage_sizes(self):
         bad = dataclasses.replace(
             preset_design("permuted_block"), stage_sizes=(9, 9, 9)
@@ -523,6 +531,11 @@ class TestOldDesignFiles:
         with pytest.raises(ValueError) as info:
             design_from_dict(payload)
         assert str(info.value).startswith(refused)
+        advice = {
+            "arms": "list the arms in position order, control first",
+            "stages": "radapt no longer reads the key, so omit it",
+        }[items]
+        assert str(info.value).endswith(advice)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_roles_at_their_positions_load(self, name):
@@ -556,6 +569,11 @@ class TestOldDesignFiles:
         with pytest.raises(ValueError) as info:
             load_design(path)
         assert str(info.value).startswith(f"{path}: {refused}")
+        # a misplaced control is mended by reordering, not by omitting role
+        assert str(info.value).endswith(
+            "an arm's position sets it, so list the arms in position order, "
+            "control first"
+        )
 
     def test_new_files_write_none_of_the_old_keys(self, tmp_path):
         path = tmp_path / "design.json"

@@ -363,54 +363,69 @@ class TestDecisionTableOracle:
 
 
 class TestBatchedProbBest:
-    """P(best) of the key sets a decision table lacks is evaluated in one
-    batched call; each value equals the per-key formula
-    (reference.prob_best_int) bit for bit."""
+    """P(best) of the keys a decision table lacks is evaluated in one array
+    call; each arm's value equals the per-key formula
+    (reference.prob_best_int) of its posterior bit for bit."""
 
     def test_every_reached_key_set_equals_the_per_key_formula(self):
         # the posteriors of every count key one block of each preset reaches
         # at stages 2 and 3, whatever rule the preset runs, in one batch
-        key_sets = set()
+        rows = set()
         for name in PRESET_NAMES:
             design = preset_design(name)
-            priors = list(zip(design.prior_alpha, design.prior_beta))
+            priors = np.array([design.prior_alpha, design.prior_beta], dtype=np.int64).T
             for table in _reached_tables(design):
-                for key in table.count_keys.tolist():
-                    arms = Counter(
-                        (int(a) + key[3 * i], int(b) + key[3 * i + 1])
-                        for i, (a, b) in enumerate(priors)
-                    )
-                    key_sets.add(tuple((a, b, m) for (a, b), m in sorted(arms.items())))
-        key_sets = sorted(key_sets)
+                counts = table.count_keys[:, :-2].reshape(len(table), 3, 3)
+                rows.update(map(tuple, (counts[:, :, :2] + priors).reshape(-1, 6).tolist()))
+        params = np.array(sorted(rows)).reshape(-1, 3, 2)
+        key_sets = [
+            tuple((a, b, m) for (a, b), m in sorted(Counter(map(tuple, arms)).items()))
+            for arms in params.tolist()
+        ]
         assert {len(arms) for arms in key_sets} == {1, 2, 3}
-        assert len(key_sets) > 500
-        posterior._prob_best_cache.clear()
-        got = posterior._prob_best_int(key_sets)
-        for arms, values in zip(key_sets, got):
-            assert _bits(values) == _bits(reference.prob_best_int(arms)), arms
+        assert len(set(key_sets)) > 500
+        got = posterior._prob_best_rows(params)
+        for arms, keys, values in zip(key_sets, params.tolist(), got):
+            want = dict(zip((arm[:2] for arm in arms), reference.prob_best_int(arms)))
+            assert _bits(values) == _bits([want[tuple(key)] for key in keys]), arms
 
     def test_a_block_decides_its_new_keys_in_one_call(self, monkeypatch):
         batches = []
-        original = posterior._prob_best_int
+        original = engine._prob_best_rows
 
-        def spy(key_sets):
-            batches.append(len(key_sets))
-            return original(key_sets)
+        def spy(params):
+            batches.append(len(params))
+            return original(params)
 
-        monkeypatch.setattr(posterior, "_prob_best_int", spy)
+        monkeypatch.setattr(engine, "_prob_best_rows", spy)
         engine._decision_cache.clear()
-        posterior._prob_best_cache.clear()
         design = preset_design("unrestricted")
         (draws,) = engine._block_draws(design, ALT, 4, 0, engine._BLOCK_REPS)
         block = engine._conduct_block(design, ALT, MissingCase(0), MissingPolicy(), draws)
-        # one call per interim (stages 2 and 3), with every distinct set of
-        # per-arm successes and failures its table decided
-        want = []
-        for table in block.decisions:
-            counts = table.count_keys[:, :-2].reshape(len(table), 3, 3)
-            want.append(len({row[:, :2].tobytes() for row in counts}))
-        assert batches == want
+        # one call per interim (stages 2 and 3), with every key its table
+        # decided
+        assert batches == [len(table) for table in block.decisions]
         assert min(batches) > 1
+
+    @pytest.mark.parametrize("prior", [1.0, 0.5])
+    def test_pi_equals_the_public_rule(self, prior):
+        # TSBRAR at gamma 0.5 then 1.7: every key a block decides, through
+        # the array P(best) (integer priors) or quadrature, gives the pi
+        # rules.ts_brar gives its posteriors, bit for bit
+        design = dataclasses.replace(
+            preset_design("unrestricted"),
+            rule=RuleConfig(kind="TSBRAR", gamma_schedule=(0.5, 1.7)),
+            prior_alpha=(prior,) * 3,
+        )
+        rows = engine._BLOCK_REPS if prior == 1.0 else 24
+        (draws,) = engine._block_draws(design, ALT, 4, 0, rows)
+        engine._decision_cache.clear()
+        block = engine._conduct_block(design, ALT, MissingCase(3), MissingPolicy(), draws)
+        for table, gamma in zip(block.decisions, (0.5, 1.7)):
+            assert table.gamma == gamma
+            for row in range(len(table)):
+                want = ts_brar(table[row].posteriors, gamma).probs
+                assert _bits(table.pi[row]) == _bits(want), (gamma, row)
 
 
 def _bits(values):

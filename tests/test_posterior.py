@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -339,44 +340,59 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def _arm_rows(key_sets, seed=0):
+    """Each key set's posteriors arm by arm, (rows, K, 2), in a shuffled arm
+    order, and per row each arm's position in its key set; every key set
+    has K arms."""
+    rng = np.random.default_rng(seed)
+    rows, kinds = [], []
+    for arms in key_sets:
+        kind = rng.permutation([d for d, (_, _, m) in enumerate(arms) for _ in range(m)])
+        rows.append([arms[d][:2] for d in kind])
+        kinds.append(kind)
+    return np.array(rows, dtype=np.int64), kinds
+
+
 class TestBatchedProbBest:
-    """_prob_best_int evaluates the key sets it lacks together, one array
-    pass per (distinct posteriors, node count); each value equals the
-    per-key formula (reference.prob_best_int) bit for bit."""
+    """_prob_best_rows evaluates the key sets of all its rows together, one
+    array pass per (distinct posteriors, node count); each arm's value
+    equals the per-key formula (reference.prob_best_int) of its posterior
+    bit for bit, whatever the batch and the arm order."""
 
     @given(key_sets=st.lists(key_set(), min_size=1, max_size=24))
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_the_per_key_formula(self, key_sets):
-        posterior._prob_best_cache.clear()
-        got = posterior._prob_best_int(key_sets)
-        assert len(got) == len(key_sets)
-        for arms, values in zip(key_sets, got):
-            assert _bits(values) == _bits(reference.prob_best_int(arms)), arms
-        # a second call reads the memo
-        assert posterior._prob_best_int(key_sets) == got
+        # rows of one arm count per call; a key set may repeat
+        for k in {sum(m for _, _, m in arms) for arms in key_sets}:
+            same = [arms for arms in key_sets if sum(m for _, _, m in arms) == k]
+            params, kinds = _arm_rows(same + same[:1])
+            got = posterior._prob_best_rows(params)
+            assert got.shape == params.shape[:2]
+            for arms, kind, values in zip(same + same[:1], kinds, got):
+                want = reference.prob_best_int(arms)
+                assert _bits(values) == _bits([want[d] for d in kind]), arms
 
     def test_one_posterior_shared_by_every_arm(self):
         # one posterior shared by three arms, many key sets per node count:
         # numpy squares a lone set's scalar power exactly but not a batch's
         # varying one, which moves some of these values by an ulp
         key_sets = [((a, n - a, 3),) for n in (6, 20, 30) for a in range(1, n)]
-        posterior._prob_best_cache.clear()
-        got = posterior._prob_best_int(key_sets)
+        params, _ = _arm_rows(key_sets)
+        got = posterior._prob_best_rows(params)
         for arms, values in zip(key_sets, got):
-            assert _bits(values) == _bits(reference.prob_best_int(arms)), arms
+            assert _bits(values) == _bits(reference.prob_best_int(arms) * 3), arms
 
     def test_prob_best_reads_the_batched_values(self):
         posts = [BetaPosterior(3, 5), BetaPosterior(6, 2), BetaPosterior(3, 5)]
-        posterior._prob_best_cache.clear()
         low, high = reference.prob_best_int(((3, 5, 2), (6, 2, 1)))
         assert _bits(prob_best(posts)) == _bits((low, high, low))
 
-    def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(posterior, "_PROB_BEST_MEMO", 5)
-        posterior._prob_best_cache.clear()
-        for a in range(1, 13):
-            posterior._prob_best_int([((1, a, 1), (2, a, 2))])
-            assert len(posterior._prob_best_cache) <= 5
-        # a call passes the bound by at most its own new key sets
-        posterior._prob_best_int([((a, 3, 3),) for a in range(1, 9)])
-        assert len(posterior._prob_best_cache) == 8
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_permuting_the_arms_permutes_the_values(self, k):
+        # every arm order of rows with shared and distinct posteriors
+        rng = np.random.default_rng(k)
+        params = rng.integers(1, 6, size=(400, k, 2))
+        got = posterior._prob_best_rows(params)
+        for perm in itertools.permutations(range(k)):
+            moved = posterior._prob_best_rows(params[:, perm])
+            assert _bits(moved) == _bits(got[:, perm]), perm
