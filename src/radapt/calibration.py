@@ -34,8 +34,7 @@ class CalibrationRow:
 @dataclass(frozen=True)
 class CalibrationResult:
     stage: int
-    criterion: str
-    selected: float | None
+    selected: float
     rows: tuple[CalibrationRow, ...]
 
 
@@ -86,7 +85,6 @@ def calibrate_threshold(
     case: MissingCase | None = None,
     policy: MissingPolicy = MissingPolicy(),
     workers: int = 1,
-    criterion: str = "corner",
 ) -> CalibrationResult:
     """Sweep the stage's top adaptation threshold over a grid.
 
@@ -96,17 +94,15 @@ def calibrate_threshold(
     h1_effects (useful adaptation). All grid points share the same
     replicate seeds, so differences between rows are never seed noise.
 
-    criterion "corner" selects the threshold minimising the Euclidean
-    distance to the ideal point (metric 0 under the null, metric 1 under the
-    alternative), ties to the smaller threshold; "pareto" only flags the
-    non-dominated rows and selects nothing.
+    `selected` is the threshold minimising the Euclidean distance to the
+    ideal point (metric 0 under the null, metric 1 under the alternative),
+    ties to the smaller threshold; each row's `pareto` flags whether no
+    other row is at least as good on both metrics and better on one.
     """
     if design.mapping is None or design.mapping.thresholds is None:
         raise ValueError("threshold calibration needs a mapped design")
     if stage not in (2, 3):
         raise ValueError(f"calibration stage must be 2 or 3, got {stage}")
-    if criterion not in ("corner", "pareto"):
-        raise ValueError(f"unknown criterion {criterion!r}")
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ValueError("empty threshold grid")
@@ -132,16 +128,11 @@ def calibrate_threshold(
         CalibrationRow(g, m0, m1, flag)
         for (g, m0, m1), flag in zip(rows, flags)
     )
-    selected = None
-    if criterion == "corner":
-        best = min(
-            out_rows,
-            key=lambda r: (math.hypot(r.metric_h0, 1.0 - r.metric_h1), r.threshold),
-        )
-        selected = best.threshold
-    return CalibrationResult(
-        stage=stage, criterion=criterion, selected=selected, rows=out_rows
+    best = min(
+        out_rows,
+        key=lambda r: (math.hypot(r.metric_h0, 1.0 - r.metric_h1), r.threshold),
     )
+    return CalibrationResult(stage=stage, selected=best.threshold, rows=out_rows)
 
 
 def write_tradeoff_csv(result: CalibrationResult, path: str | Path) -> None:

@@ -256,7 +256,6 @@ def _cmd_calibrate(args) -> int:
         case=MissingCase(args.case),
         policy=_policy_from(args),
         workers=args.workers,
-        criterion=args.criterion,
     )
     path = out_dir / "tradeoff.csv"
     write_tradeoff_csv(result, path)
@@ -268,8 +267,7 @@ def _cmd_calibrate(args) -> int:
             f"{row.threshold:>10.4f} {row.metric_h0:>10.4f} "
             f"{row.metric_h1:>10.4f}  {mark}"
         )
-    if result.selected is not None:
-        print(f"selected threshold: {result.selected:g}")
+    print(f"selected threshold: {result.selected:g}")
     print(f"wrote {path}")
     return 0
 
@@ -304,6 +302,9 @@ def _parse_ratio(text: str, k: int) -> RatioVector:
 
 
 def _cmd_genlist(args) -> int:
+    if args.stage is not None and not args.ratio:
+        raise ValueError("--stage names the stage of the first --ratio block; "
+                         "pass --ratio with it")
     design = _resolve_design(args.design)
     seed = _resolve_seed(args)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -311,7 +312,8 @@ def _cmd_genlist(args) -> int:
 
     if args.ratio:
         entries = []
-        for stage, text in enumerate(args.ratio, start=args.stage):
+        first = 1 if args.stage is None else args.stage
+        for stage, text in enumerate(args.ratio, start=first):
             ratio = _parse_ratio(text, design.k)
             # the checks interim applies to accrued stages
             problem = _split_problem(design, stage, ratio.counts)
@@ -402,7 +404,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--case", type=int, default=0, choices=range(6),
                    help="missing-data case id 0..5 (default 0)")
     p.add_argument("--reps", type=int, default=1000, help="replicates (default 1000)")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (>= 1)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--scale", type=float, default=None,
                    help="outcome noise scale of the parametric model (default: "
@@ -419,13 +421,11 @@ def _build_parser() -> _Parser:
                    help="which stage's top threshold to sweep")
     p.add_argument("--grid", required=True,
                    help="comma-separated values or lo:hi:count")
-    p.add_argument("--criterion", default="corner", choices=("corner", "pareto"),
-                   help="selection rule (default corner)")
     p.add_argument("--h1-effects", default="0,0,0.3",
                    help="alternative-scenario effects (default 0,0,0.3)")
     p.add_argument("--case", type=int, default=0, choices=range(6))
     p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="worker processes (>= 1)")
     p.add_argument("--out", default=".", help="output directory")
     _add_policy_flags(p)
     p.set_defaults(func=_cmd_calibrate)
@@ -446,8 +446,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--ratio", action="append", default=None,
                    help="C:T1:T2 block ratio; repeat for consecutive stages "
                    "(default: the design's pre-determined blocks)")
-    p.add_argument("--stage", type=int, default=1,
-                   help="stage of the first --ratio block (default 1)")
+    p.add_argument("--stage", type=int, default=None,
+                   help="stage of the first --ratio block (default 1; only "
+                   "with --ratio)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_genlist)
 

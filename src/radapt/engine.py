@@ -23,6 +23,10 @@ metric name, and groups, worker chunks and strata merge by summing them
 one column spec (_COLUMNS), which also lays out both report CSVs, so reports
 are byte-identical for any worker count and across repeated runs.
 
+replicate and replicate_pooled run one path (_run, _run_chunk): one stratum
+per outcome model, all conducted with the one design, plus the pooled tests'
+counters where there are two strata.
+
 Replicates are conducted in groups of up to _CONDUCT_BLOCKS consecutive
 blocks of a worker's range (1,024 rows), each block's rows drawn from its
 own generator into the group's arrays. Every row is its own trial, so the
@@ -41,10 +45,11 @@ Interim decisions are pure functions of a few integer counts per row, its
 count key (per arm successes, failures and assigned patients, plus whether
 any stage-1 and any stage-2 outcome is missing). Each (design, policy,
 stage) has one decision table (_DecisionTable, kept in _decision_cache) with
-a row per key seen so far; a conduct looks its rows' keys up there and decides
-the keys the table lacks together, as arrays and through the rules' shared
-arithmetic. An InterimRecord is built from a table row only where something
-prints or inspects it: the interim audit and the tests.
+a row per key seen so far, shared by both strata of a pooled run; a conduct
+looks its rows' keys up there and decides the keys the table lacks together,
+as arrays and through the rules' shared arithmetic. An InterimRecord is
+built from a table row only where something prints or inspects it: the
+interim audit and the tests.
 
 The ratios a stage may take come from one place. Stage 1 takes
 mapping.planned_ratio, or i.i.d. assignment where it is None; every later
@@ -594,10 +599,6 @@ class _Block:
     recommended: np.ndarray
 
 
-def _onehot(arm: np.ndarray, k: int) -> np.ndarray:
-    return arm[:, :, None] == np.arange(k)
-
-
 def _tallies(design: TrialDesign, arm, y, observed) -> np.ndarray:
     """Per row, for each arm in turn: dichotomised successes and failures
     among the outcomes available, and patients assigned, as (rows, 3k)."""
@@ -875,7 +876,9 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
         return {}
     k = design.k
     last = block.stage_of == design.n_stages
-    last_counts = _onehot(block.arm[:, last], k).sum(axis=1)
+    last_counts = _tallies(
+        design, block.arm[:, last], block.y[:, last], block.observed[:, last]
+    )[:, 2::3]
     table, rows = block.decisions[-1], block.which[-1]
     ratio = block.ratios[-1]
     if ratio is not None:
@@ -893,7 +896,7 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
 def _block_counts(block: _Block, design: TrialDesign, effects) -> Counts:
     """Every counter of one stratum's block."""
     k, rows = design.k, len(block.arm)
-    alloc = _onehot(block.arm, k).sum(axis=1)
+    alloc = _tallies(design, block.arm, block.y, block.observed)[:, 2::3]
     return {
         **_test_counts(block.reject, block.skipped, design, effects),
         "alloc_sum": alloc.sum(axis=0),
@@ -1009,6 +1012,7 @@ def _report(
     case: MissingCase,
     policy: MissingPolicy,
     scenario_label: str,
+    stratum: str,
     master_seed: int,
 ) -> OCReport:
     n = int(counts["n"])
@@ -1029,7 +1033,7 @@ def _report(
     return OCReport(
         design_name=design.name,
         scenario=scenario_label,
-        stratum=design.stratum_label,
+        stratum=stratum,
         case_id=case.case_id,
         impute=policy.impute_stage2,
         n_reps=n,
@@ -1044,7 +1048,7 @@ def _chunks(n: int, parts: int) -> list[tuple[int, int]]:
     """Up to `parts` contiguous replicate ranges covering 0..n, split only
     at block boundaries so that every worker conducts whole blocks."""
     blocks = -(-n // _BLOCK_REPS)
-    parts = max(1, min(parts, blocks))
+    parts = min(parts, blocks)
     size, extra = divmod(blocks, parts)
     out, lo = [], 0
     for j in range(parts):
@@ -1073,23 +1077,64 @@ def _block_draws(design, model, master_seed: int, lo: int, hi: int, stream=None)
         yield _draw(rngs, design, model, _BLOCK_REPS)[: stop - start]
 
 
-def _replicate_chunk(args) -> Counts:
-    design, model, case, policy, master_seed, lo, hi = args
-    return _merge(
-        _block_counts(
-            _conduct_block(design, model, case, policy, draws), design, model.effects
-        )
-        for draws in _block_draws(design, model, master_seed, lo, hi)
-    )
+def _run_chunk(args) -> tuple[Counts, ...]:
+    """The counters of replicates lo..hi: one map per outcome model's
+    stratum, each drawn from its block stream (stratum s of two from
+    [m, b, s]), then, for two strata, the pooled tests'."""
+    design, models, case, policy, master_seed, lo, hi = args
+    streams = (None,) if len(models) == 1 else range(len(models))
+    parts = []
+    for draws in zip(*(
+        _block_draws(design, model, master_seed, lo, hi, stream)
+        for model, stream in zip(models, streams)
+    )):
+        blocks = [
+            _conduct_block(design, model, case, policy, d)
+            for model, d in zip(models, draws)
+        ]
+        counts = [
+            _block_counts(block, design, model.effects)
+            for block, model in zip(blocks, models)
+        ]
+        if len(blocks) == 2:
+            _, reject, skipped = _pooled_tests(*blocks, design)
+            counts.append(_test_counts(reject, skipped, design, _summed(models)))
+        parts.append(counts)
+    return tuple(_merge(column) for column in zip(*parts))
 
 
-def _pool_map(worker, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
-        return [worker(j) for j in jobs]
+def _summed(models) -> tuple[float, ...]:
+    """The effects of two strata's pooled tests: the strata's sums."""
+    a, b = models
+    return tuple(x + y for x, y in zip(a.effects, b.effects))
+
+
+def _pool_map(worker, jobs):
+    if len(jobs) == 1:
+        return [worker(jobs[0])]
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     with ctx.Pool(processes=len(jobs)) as pool:
         return pool.map(worker, jobs)
+
+
+def _run(design, models, case, policy, n_reps: int, master_seed: int, workers: int):
+    """The merged counters of `n_reps` trials of `design`, as _run_chunk
+    returns them, split over up to `workers` processes. Every argument is
+    checked before any worker starts."""
+    _require_valid(design)
+    for model in models:
+        _require_arity(design, model)
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = [
+        (design, models, case, policy, master_seed, lo, hi)
+        for lo, hi in _chunks(n_reps, workers)
+    ]
+    parts = _pool_map(_run_chunk, jobs)
+    return tuple(_merge(column) for column in zip(*parts))
 
 
 def replicate(
@@ -1104,43 +1149,18 @@ def replicate(
     """Operating characteristics of one design stratum over `n_reps` trials,
     reported under the scenario label "custom".
 
-    The result is identical for any `workers` value: each block of
-    replicates draws from its own keyed generator, workers take whole
+    The result is identical for any `workers` value (at least 1): each block
+    of replicates draws from its own keyed generator, workers take whole
     blocks, and counts are integers, so the split into processes cannot
     change a single reported digit.
     """
-    _require_valid(design)
-    _require_arity(design, model)
     if case is None:
         case = MissingCase(0)
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-
-    jobs = [
-        (design, model, case, policy, master_seed, lo, hi)
-        for lo, hi in _chunks(n_reps, workers)
-    ]
-    counts = _merge(_pool_map(_replicate_chunk, jobs, workers))
-    return _report(counts, design, model.effects, case, policy, "custom", master_seed)
-
-
-def _pooled_chunk(args) -> tuple[Counts, Counts, Counts]:
-    (design_a, design_b, model_a, model_b, effect_sums, case, policy,
-     master_seed, lo, hi) = args
-    parts = []
-    for draws_a, draws_b in zip(
-        _block_draws(design_a, model_a, master_seed, lo, hi, 0),
-        _block_draws(design_b, model_b, master_seed, lo, hi, 1),
-    ):
-        block_a = _conduct_block(design_a, model_a, case, policy, draws_a)
-        block_b = _conduct_block(design_b, model_b, case, policy, draws_b)
-        _, reject, skipped = _pooled_tests(block_a, block_b, design_a)
-        parts.append((
-            _block_counts(block_a, design_a, model_a.effects),
-            _block_counts(block_b, design_b, model_b.effects),
-            _test_counts(reject, skipped, design_a, effect_sums),
-        ))
-    return tuple(_merge(column) for column in zip(*parts))
+    (counts,) = _run(design, (model,), case, policy, n_reps, master_seed, workers)
+    return _report(
+        counts, design, model.effects, case, policy, "custom",
+        design.stratum_label, master_seed,
+    )
 
 
 def replicate_pooled(
@@ -1155,40 +1175,22 @@ def replicate_pooled(
 ) -> tuple[OCReport, OCReport, OCReport]:
     """Run the same design independently in two strata and pool the tests.
 
-    Returns the stratum-A report, the stratum-B report, and the pooled-test
-    report, whose effects are the strata's sums. Stratum s of block b draws
-    from Philox keyed by SeedSequence([master_seed, b, s]).
+    Returns the reports of strata "A" and "B" and of the pooled tests
+    ("pooled"), whose effects are the strata's sums. Stratum s of block b
+    draws from Philox keyed by SeedSequence([master_seed, b, s]); both
+    strata conduct with `design` itself and share its decision tables.
     """
     if case is None:
         case = MissingCase(0)
-    design_a = replace(design, stratum_label="A")
-    design_b = replace(design, stratum_label="B")
-    _require_valid(design_a)
-    model_a = OutcomeModel.parametric(scenario.effects_a, scale=scale)
-    model_b = OutcomeModel.parametric(scenario.effects_b, scale=scale)
-    _require_arity(design_a, model_a)
-    _require_arity(design_b, model_b)
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    effect_sums = tuple(a + b for a, b in zip(scenario.effects_a, scenario.effects_b))
-
-    jobs = [
-        (design_a, design_b, model_a, model_b, effect_sums, case, policy,
-         master_seed, lo, hi)
-        for lo, hi in _chunks(n_reps, workers)
-    ]
-    parts = _pool_map(_pooled_chunk, jobs, workers)
-    strata = (
-        (design_a, scenario.effects_a),
-        (design_b, scenario.effects_b),
-        (replace(design, stratum_label="pooled"), effect_sums),
+    models = (
+        OutcomeModel.parametric(scenario.effects_a, scale=scale),
+        OutcomeModel.parametric(scenario.effects_b, scale=scale),
     )
+    counts = _run(design, models, case, policy, n_reps, master_seed, workers)
+    effects = (scenario.effects_a, scenario.effects_b, _summed(models))
     return tuple(
-        _report(
-            _merge(column), d, effects, case, policy, scenario.scenario_id,
-            master_seed,
-        )
-        for column, (d, effects) in zip(zip(*parts), strata)
+        _report(c, design, e, case, policy, scenario.scenario_id, label, master_seed)
+        for c, label, e in zip(counts, ("A", "B", "pooled"), effects)
     )
 
 

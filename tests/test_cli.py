@@ -129,6 +129,21 @@ class TestSimulate:
         assert code == 2
         assert "n_reps must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "calibrate"])
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_bad_worker_count_rejected(self, command, workers, tmp_path, capsys):
+        flags = {
+            "simulate": ["--effects", "0,0,0.3"],
+            "calibrate": ["--stage", "2", "--grid", "0.5"],
+        }[command]
+        code = main([
+            command, "--design", "mapped_alpha", *flags, "--reps", "20",
+            "--workers", workers, "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_default_fixed_equal_run(self, tmp_path, capsys, monkeypatch):
         # scenario S1, 1000 replicates, seed 0: some replicates leave one
         # stratum without patients on an arm, which the pooled tests absorb
@@ -679,6 +694,14 @@ class TestGenlist:
         ])
         assert code == 2
         assert "--ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("design", ["permuted_block", "mapped_alpha"])
+    def test_stage_without_ratio_refused(self, design, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["genlist", "--design", design, "--stage", "3", "--out", str(out)])
+        assert code == 2
+        assert "--stage" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_ratio(self, tmp_path, capsys):
         code = main([

@@ -828,6 +828,49 @@ class TestReplicate:
                 workers=2,
             )
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    @pytest.mark.parametrize(
+        "run", ["replicate", "replicate_pooled", "calibrate_threshold"]
+    )
+    def test_bad_worker_count_before_any_worker(self, run, workers, monkeypatch):
+        def no_workers(*args):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(engine, "_pool_map", no_workers)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            if run == "replicate":
+                replicate(preset_design("mapped_beta"), NULL, workers=workers)
+            elif run == "replicate_pooled":
+                replicate_pooled(
+                    preset_design("mapped_beta"), SCENARIOS["S4"], workers=workers
+                )
+            else:
+                calibrate_threshold(
+                    preset_design("mapped_alpha"), 2, [0.5], workers=workers
+                )
+
+    def test_pooled_strata_share_the_design_tables(self, monkeypatch):
+        # both strata conduct with the one design: one decision table per
+        # adaptive stage, and both strata's blocks read the same tables
+        blocks = []
+        conduct = engine._conduct_block
+
+        def spy(*args):
+            blocks.append(conduct(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(engine, "_conduct_block", spy)
+        engine._decision_cache.clear()
+        replicate_pooled(
+            preset_design("mapped_beta"), SCENARIOS["S4"], case=MissingCase(4),
+            policy=IMPUTE, n_reps=500, master_seed=2,
+        )
+        tables = sorted(engine._decision_cache.values(), key=lambda t: t.stage)
+        assert [t.stage for t in tables] == [2, 3]
+        assert len(blocks) == 2
+        for block in blocks:
+            assert list(map(id, block.decisions)) == list(map(id, tables))
+
     @pytest.mark.parametrize("sizes", [(10, 10), (20,)])
     def test_missing_stages_report_na(self, sizes, tmp_path):
         design = dataclasses.replace(
@@ -885,11 +928,14 @@ def _blockwise_reports(run: str, n: int):
             parts.append(engine._block_counts(block, design, model.effects))
         counts = engine._merge(parts)
         report = engine._report(
-            counts, design, model.effects, case, policy, "custom", master
+            counts, design, model.effects, case, policy, "custom",
+            design.stratum_label, master,
         )
         return (report,)
     name, scenario, case, policy = POOLED_RUN
     design = preset_design(name)
+    # each stratum conducts with its own copy of the design, so with its own
+    # decision tables, where the engine's strata share one set
     strata = [
         (dataclasses.replace(design, stratum_label=label), OutcomeModel.parametric(e))
         for label, e in (("A", scenario.effects_a), ("B", scenario.effects_b))
@@ -914,7 +960,7 @@ def _blockwise_reports(run: str, n: int):
     return tuple(
         engine._report(
             engine._merge(column), d, effects, case, policy,
-            scenario.scenario_id, master,
+            scenario.scenario_id, d.stratum_label, master,
         )
         for column, (d, effects) in zip(zip(*parts), rows)
     )
@@ -992,12 +1038,6 @@ class TestCalibrateThreshold:
     def test_bad_stage(self, stage):
         with pytest.raises(ValueError, match="stage"):
             calibrate_threshold(preset_design("mapped_alpha"), stage, [0.5])
-
-    def test_unknown_criterion(self):
-        with pytest.raises(ValueError, match="criterion"):
-            calibrate_threshold(
-                preset_design("mapped_alpha"), 2, [0.5], criterion="magic"
-            )
 
     def test_tradeoff_csv(self, tmp_path):
         result = calibrate_threshold(
