@@ -11,10 +11,34 @@ polynomial time; a p-value is a count over C(n, n1).
 One tail table per sample size n counts the k-subsets of the ranks 1..n
 with sum at least s, for every k; it is the table of n - 1 plus itself
 shifted by n one row down, where every (k - 1)-subset reaches the sums
-below n, so each size costs two array adds. A tie-free sample of n1
-treated values with doubled rank sum 2w has p-value tail(n1, w) /
-tail(n1, 0), and rank_sum_rows reads the tie-free rows of each n in one
-gather. The counts by sum are differences of neighbouring tails. A tied
+below n, so each size costs two array adds. Read tail(k, s) = C(n, k) for
+s <= 0 and 0 past the largest sum. A tie-free sample of n1 treated values
+with doubled rank sum 2w has p-value tail(n1, w) / tail(n1, 0).
+
+A sample whose only tie is one pair, at sorted positions a and a + 1
+(doubled midrank 2a + 1), reads the same table. A subset holding both or
+neither of the pair sums as over the tie-free ranks. One holding one of
+them and n1 - 1 other ranks summing to S has doubled sum 2S + 2a + 1,
+where the tie-free ranks give two subsets, 2S + 2a and 2S + 2a + 2. Where
+the tie-free count tail(n1, ceil(w2 / 2)) counts one of those two, the
+tied sample counts both, at S = (w2 - 1) / 2 - a for odd w2, or neither,
+at S = w2 / 2 - a - 1 for even w2. So the count of n1-subsets reaching the
+doubled sum w2 is
+    tail(n1, (w2 + 1) / 2) + M(n1 - 1, (w2 - 1) / 2 - a)   for odd w2,
+    tail(n1, w2 / 2) - M(n1 - 1, w2 / 2 - a - 1)           for even w2,
+where M(k, u) counts the k-subsets of 1..n without a and a + 1 that sum to
+u. It is the tie-free counts' generating function, the product of
+(1 + x^r y) over r = 1..n, divided by (1 + x^a y)(1 + x^(a+1) y), that is
+multiplied by the sum over l of (-y)^l (x^(la) + ... + x^(l(a+1))); the
+counts over each such run of sums are a difference of two tails, so
+    M(k, u) = sum over l = 0..k of (-1)^l [tail(k - l, u - l(a + 1))
+                                           - tail(k - l, u - l a + 1)].
+Every term is below 2**53 and there are at most 2 n1 of them, so their
+int64 sum is exact: the count is the integer the sample's own table holds,
+and the p-value the same correctly rounded quotient. rank_sum_rows reads
+these samples and the tie-free ones, of every n, in one gather.
+
+The counts by sum are differences of neighbouring tails. Any other tied
 sample derives its row from them: it takes each tied position's rank
 back out of the smaller side's rows by exact deconvolution, spreads what
 is left onto the doubled grid, and adds each tie group at its doubled
@@ -24,7 +48,8 @@ exact only while every count and partial sum stays below 2**53, so the
 tables exist only up to 56 values (C(56, 28) < 2**53); the derivation
 runs only there and while it is cheaper than a direct table over the
 tied ranks, and every other sample builds that direct table. Outside the
-tail gather, each sample's survival is cached on its sorted tie pattern.
+tail gather, each sample's survival is cached on its sorted tie pattern;
+wilcoxon_one_sided always reads that cache.
 Every route is a quotient of the same exact integers, so all give the
 same p-values bit for bit. A table may hold at most EXACT_CELL_GUARD
 cells on the doubled grid; validate_design bounds a stratum so that two
@@ -83,32 +108,78 @@ def _subset_counts(ranks, n1: int) -> np.ndarray:
     return counts
 
 
-@lru_cache(maxsize=_CHAIN_MAX)
-def _tail_table(n: int) -> np.ndarray:
-    """Counts of the k-subsets (every k) of the ranks 1..n with sum >= s,
-    row k, column s.
+class _TailChain:
+    """The tail tables of n = 0.._CHAIN_MAX in one flat array, so that one
+    gather reads rows of any n: row k of n's table starts at
+    start[n] + k * width[n]. Column s counts the k-subsets of the ranks 1..n
+    with sum >= s, for s up to the largest sum n(n + 1) / 2, and one more
+    column, past it, holds 0.
 
-    Built from the table of n - 1: a subset without n counts there, and one
-    with n counts in row k - 1 at s - n, which below n is every
-    (k - 1)-subset. Exact for n <= _CHAIN_MAX.
+    Table n is built from the table of n - 1: a subset without n counts
+    there, and one with n counts in row k - 1 at s - n, which below n is
+    every (k - 1)-subset. Tables are built in order of n, as samples first
+    need them. The array spans every n up to _CHAIN_MAX, but its memory is
+    an anonymous mapping whose pages the process takes only as tables are
+    built; a larger n, which only tests of the bound ask for, builds every
+    table again in a larger array. Exact for n <= _CHAIN_MAX.
     """
-    tails = np.zeros((n + 1, n * (n + 1) // 2 + 1))
-    if n == 0:
-        tails[0, 0] = 1.0
-    else:
-        smaller = _tail_table(n - 1)
-        tails[:n, : smaller.shape[1]] = smaller
-        tails[1:, :n] += smaller[:, :1]
-        tails[1:, n:] += smaller
-    tails.flags.writeable = False
-    return tails
+
+    def __init__(self):
+        self._allocate(_CHAIN_MAX)
+
+    def _allocate(self, top: int) -> None:
+        n = np.arange(top + 1)
+        self.width = n * (n + 1) // 2 + 2
+        self.start = np.zeros(top + 2, dtype=np.int64)
+        np.cumsum((n + 1) * self.width, out=self.start[1:])
+        # a mapping of its own, not malloc's: glibc raises its mmap threshold
+        # when a block this large (10 MB) is freed, after which the heap keeps
+        # freed temporaries, 1-2 MB more peak memory on pooled runs;
+        # copy-on-write, so a forked worker's tables stay its own
+        import mmap
+
+        space = mmap.mmap(-1, 8 * int(self.start[-1]), access=mmap.ACCESS_COPY)
+        self.flat = np.frombuffer(space, dtype=np.float64)
+        self.built = 0  # tables 0..built - 1 hold their counts
+
+    def _table(self, n: int) -> np.ndarray:
+        return self.flat[self.start[n] : self.start[n + 1]].reshape(n + 1, -1)
+
+    def through(self, top: int) -> np.ndarray:
+        """The flat array, with every table up to n = top built."""
+        if top >= len(self.width):
+            self._allocate(top)
+        for n in range(self.built, top + 1):
+            tails = self._table(n)
+            tails[...] = 0.0
+            if n == 0:
+                tails[0, 0] = 1.0
+            else:
+                smaller = self._table(n - 1)
+                tails[:n, : smaller.shape[1]] = smaller
+                tails[1:, :n] += smaller[:, :1]
+                tails[1:, n:] += smaller
+        self.built = max(self.built, top + 1)
+        return self.flat
+
+    def table(self, n: int) -> np.ndarray:
+        """n's table, row k, column s, without the column of 0."""
+        self.through(n)
+        tails = self._table(n)[:, :-1]
+        tails.flags.writeable = False
+        return tails
+
+
+@lru_cache(maxsize=1)
+def _tail_chain() -> _TailChain:
+    return _TailChain()
 
 
 def _tie_free_counts(n: int, n1: int) -> np.ndarray:
     """Counts of the k-subsets (k <= n1) of 1..n by sum, from the shared
     tail table: count(s) = tail(s) - tail(s + 1), exact below 2**53."""
     width = n1 * (2 * n - n1 + 1) // 2 + 1
-    tails = _tail_table(n)[: n1 + 1]
+    tails = _tail_chain().table(n)[: n1 + 1]
     # no k-subset, k <= n1, reaches sum `width`, so the last column is its tail
     counts = np.array(tails[:, :width])
     counts[:, :-1] -= tails[:, 1:width]
@@ -261,10 +332,10 @@ def rank_sum_rows(values: np.ndarray, sample: np.ndarray, k: int) -> np.ndarray:
     the treatment's positions; a cumulative count of them gives each
     position's rank in the sample, and a run of equal values at sample
     ranks f..l shares the doubled midrank f + l, so no sort need be stable.
-    A tie-free sample of n <= _CHAIN_MAX values reads its p-value from the
-    tail table of n, one gather for the rows of each n; every other sample
-    reads the null table cached for its sorted doubled midranks, as the
-    scalar test does.
+    A sample of n <= _CHAIN_MAX values that is tie-free or tied only in one
+    pair reads its p-value from the tail tables (_tail_p_values), one
+    gather for the rows of every n; every other sample reads the null table
+    cached for its sorted doubled midranks, as the scalar test does.
     """
     rows, width = values.shape
     sampled = np.where(sample >= 0, values, np.inf)
@@ -285,21 +356,29 @@ def rank_sum_rows(values: np.ndarray, sample: np.ndarray, k: int) -> np.ndarray:
         # each position's rank in the test's sample, doubled
         through = np.cumsum(inside, axis=1, dtype=np.int32)
         doubled = 2 * through
-        tied = np.zeros(rows, dtype=bool)
+        # tie-free, or tied only in one pair at sample ranks a and a + 1;
+        # `pair` holds a, 0 for a tie-free sample
+        simple = np.ones(rows, dtype=bool)
+        pair = None
         if len(multi):
             # sample values before each run, and up to its end
             below = np.take_along_axis((through - inside)[multi], first, axis=1)
             upto = np.take_along_axis(through[multi], last, axis=1)
             doubled[multi] = below + upto + 1
-            tied[multi] = (inside[multi] & (upto - below > 1)).any(axis=1)
+            in_tie = inside[multi] & (upto - below > 1)
+            # two tied values are one pair, after a - 1 sample values
+            ties = np.count_nonzero(in_tie, axis=1)
+            simple[multi] = ties <= 2
+            pair = np.zeros(rows, dtype=np.int64)
+            pair[multi] = np.where(ties == 2, (below * in_tie).max(axis=1) + 1, 0)
         n1s, ns = np.count_nonzero(treat, axis=1), through[:, -1]
         w2 = (doubled * treat).sum(axis=1)
         tested = (n1s > 0) & (ns > n1s)
-        chained = tested & ~tied & (ns <= _CHAIN_MAX)
-        for n in set(ns[chained].tolist()):
-            at = np.flatnonzero(chained & (ns == n))
-            tails, n1 = _tail_table(n), n1s[at]
-            p[at, j - 1] = tails[n1, w2[at] // 2] / tails[n1, 0]
+        chained = tested & simple & (ns <= _CHAIN_MAX)
+        at = np.flatnonzero(chained)
+        if len(at):
+            a = None if pair is None else pair[at]
+            p[at, j - 1] = _tail_p_values(ns[at], n1s[at], w2[at], a)
         at = np.flatnonzero(tested & ~chained)
         if len(at):
             # each row's sample midranks first, in sorted order
@@ -320,6 +399,49 @@ def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
     last = np.minimum.accumulate(np.where(ends, position, width)[:, ::-1], axis=1)
     return first, last[:, ::-1]
+
+
+def _tail_p_values(ns, n1s, w2, pairs) -> np.ndarray:
+    """wilcoxon_one_sided on rows of rank_sum_rows, bit for bit, from the
+    tail tables alone: row i has n1s[i] treatment values among
+    ns[i] <= _CHAIN_MAX and the treatment's doubled rank sum w2[i], and its
+    sample is tie-free or, where pairs[i] = a > 0, ties only the values at
+    sample ranks a and a + 1; pairs None marks every sample tie-free.
+    """
+    chain = _tail_chain()
+    flat = chain.through(int(ns.max()))
+    # where row n1 of each sample's table starts
+    row = chain.start[ns] + n1s * chain.width[ns]
+    count = flat[row + (w2 + 1) // 2]
+    at = np.flatnonzero(pairs) if pairs is not None else ()
+    if len(at):
+        count[at] += _pair_counts(chain, ns[at], n1s[at], w2[at], pairs[at])
+    return count / flat[row]
+
+
+def _pair_counts(chain: _TailChain, n, n1, w2, a) -> np.ndarray:
+    """What a tied pair at sample ranks a and a + 1 adds to the tie-free
+    count tail(n1, ceil(w2 / 2)), as int64: M(n1 - 1, u), u =
+    floor((w2 - 1) / 2) - a, for odd w2 and -M for even w2, with M from
+    chain's built tables as the module docstring derives it."""
+    k, u = n1 - 1, (w2 - 1) // 2 - a
+    # column l holds term l of M(k, u): (-1)^l [tail(k - l, u - l(a + 1))
+    # - tail(k - l, u - l a + 1)], and 0 past l = k
+    l = np.arange(k.max() + 1)
+    rest = k[:, None] - l
+    width = chain.width[n][:, None]
+    start = chain.start[n][:, None] + np.maximum(rest, 0) * width
+    # a sum at or below 0 reads column 0, every subset, and one past the
+    # largest sum the column of 0
+    last = width - 1
+    high = np.clip(u[:, None] - l * (a + 1)[:, None], 0, last)
+    low = np.clip(u[:, None] - l * a[:, None] + 1, 0, last)
+    terms = chain.flat[start + high].astype(np.int64)
+    terms -= chain.flat[start + low].astype(np.int64)
+    terms[:, 1::2] *= -1
+    terms[rest < 0] = 0
+    m = terms.sum(axis=1)
+    return np.where(w2 % 2 == 1, m, -m)
 
 
 def _keyed_p_values(keys, ns, n1s, w2) -> np.ndarray:

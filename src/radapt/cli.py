@@ -198,8 +198,6 @@ def _cmd_simulate(args) -> int:
     case = MissingCase(args.case)
     seed = _resolve_seed(args)
     scale = _outcome_scale(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.effects:
         effects = _parse_effects(args.effects, design.k, "--effects")
@@ -229,6 +227,9 @@ def _cmd_simulate(args) -> int:
             )
         )
 
+    # made only now, so that a refused run leaves no directory behind
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     oc_path = out_dir / "oc_report.csv"
     adapt_path = out_dir / "adaptability.csv"
     write_oc_csv(reports, oc_path)
@@ -243,9 +244,6 @@ def _cmd_calibrate(args) -> int:
     seed = _resolve_seed(args)
     grid = _parse_grid(args.grid)
     h1_effects = _parse_effects(args.h1_effects, design.k, "--h1-effects")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     result = calibrate_threshold(
         design,
         stage=args.stage,
@@ -257,6 +255,8 @@ def _cmd_calibrate(args) -> int:
         policy=_policy_from(args),
         workers=args.workers,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "tradeoff.csv"
     write_tradeoff_csv(result, path)
 

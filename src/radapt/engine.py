@@ -96,8 +96,9 @@ from .outcomes import (
 )
 from .posterior import (
     BetaPosterior,
+    _in_arm_order,
     _is_integral,
-    _prob_best_rows,
+    _prob_best_sets,
     _prob_greater_of,
     prob_best,
 )
@@ -289,25 +290,27 @@ class _DecisionTable:
     def _rule_pi(self, counts: np.ndarray) -> np.ndarray:
         """The rule's pi for every key, from each arm's successes, failures
         and assigned count, (keys, K, 3): P(beats control) once per distinct
-        pair through the exact scalar function and its memo, or P(best) of
-        every key in one array call (row by row where the priors are not
-        integers), then the rules' arithmetic on plain floats, once per
-        distinct row of P(best) values."""
+        pair through the exact scalar function and its memo, then the rule's
+        arithmetic on plain floats per key; or P(best) of every key in one
+        array call, then the rule's arithmetic once per distinct key set,
+        scattered to each key's arm order (row by row where the priors are
+        not integers). Each weight is a power of its own arm's value, their
+        sum is exact (fsum) and each division element-wise, so permuting the
+        arms permutes pi bit for bit."""
         design, k = self.design, self.design.k
         kind = design.rule.kind
         if kind == "FixedEqual" or (kind == "TSBRAR" and self.gamma == 0):
             return np.tile(_equal_probs(k), (len(counts), 1))
         if kind == "TSBRAR":
-            if self._int_priors is not None:
-                rows = _prob_best_rows(counts[:, :, :2] + self._int_priors).tolist()
-            else:
+            if self._int_priors is None:
                 params = (counts[:, :, :2] + self._priors).tolist()
-                rows = [
-                    prob_best([BetaPosterior(*arm) for arm in arms]) for arms in params
-                ]
-            best = list(map(tuple, rows))
-            pi = {row: _ts_probs(row, self.gamma) for row in dict.fromkeys(best)}
-            return np.array([pi[row] for row in best])
+                return np.array([
+                    _ts_probs(prob_best([BetaPosterior(*arm) for arm in arms]), self.gamma)
+                    for arms in params
+                ])
+            best, inverse, order = _prob_best_sets(counts[:, :, :2] + self._int_priors)
+            pi = [_ts_probs(tuple(row), self.gamma) for row in best.tolist()]
+            return _in_arm_order(np.array(pi), inverse, order)
         params = (counts[:, :, :2] + self._priors).tolist()
         assigned = counts[:, :, 2].tolist()
         form = design.rule.control_exponent_form
@@ -581,7 +584,8 @@ class _Block:
     table `decisions[t - 2]`, and `decisions[t - 2][which[t - 2][r]]` builds
     it as an InterimRecord; a ratio the stage-3 coin chose is in `ratios`
     only. `p_value`, `reject` and `skipped` hold the final tests, one column
-    per active arm, and `recommended` the recommended arm's index.
+    per active arm, `assigned` the patients assigned to each arm, (rows, k),
+    and `recommended` the recommended arm's index.
     """
 
     arm: np.ndarray
@@ -596,6 +600,7 @@ class _Block:
     p_value: np.ndarray
     reject: np.ndarray
     skipped: np.ndarray
+    assigned: np.ndarray
     recommended: np.ndarray
 
 
@@ -681,17 +686,16 @@ def _final_tests(design: TrialDesign, arm, y, observed):
     return p, p < design.alpha_level, skipped
 
 
-def _recommended(design: TrialDesign, arm, y, observed) -> np.ndarray:
-    """Every row's recommended arm: the active arm with the most patients
-    assigned, then the larger final posterior mean of the adaptation
-    endpoint, then the lower index."""
-    tallies = _tallies(design, arm, y, observed)
+def _recommended(design: TrialDesign, tallies: np.ndarray) -> np.ndarray:
+    """Every row's recommended arm, from its final _tallies: the active arm
+    with the most patients assigned, then the larger final posterior mean
+    of the adaptation endpoint, then the lower index."""
     wins, losses, assigned = (tallies[:, j::3] for j in range(3))
     alpha = np.asarray(design.prior_alpha) + wins
     beta = np.asarray(design.prior_beta) + losses
     mean = alpha / (alpha + beta)
-    rows = np.arange(len(y))
-    best = np.ones(len(y), dtype=np.intp)
+    rows = np.arange(len(tallies))
+    best = np.ones(len(tallies), dtype=np.intp)
     for i in range(2, design.k):
         held, held_mean = assigned[rows, best], mean[rows, best]
         ahead = (assigned[:, i] > held) | (
@@ -777,6 +781,7 @@ def _conduct_block(
     )
     y, observed, failures = _analysis_view(design, policy, arm, y, missing, stage_of)
     p_value, reject, skipped = _final_tests(design, arm, y, observed)
+    tallies = _tallies(design, arm, y, observed)
     return _Block(
         arm=arm,
         y=y,
@@ -790,7 +795,8 @@ def _conduct_block(
         p_value=p_value,
         reject=reject,
         skipped=skipped,
-        recommended=_recommended(design, arm, y, observed),
+        assigned=tallies[:, 2::3],
+        recommended=_recommended(design, tallies),
     )
 
 
@@ -895,8 +901,7 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
 
 def _block_counts(block: _Block, design: TrialDesign, effects) -> Counts:
     """Every counter of one stratum's block."""
-    k, rows = design.k, len(block.arm)
-    alloc = _tallies(design, block.arm, block.y, block.observed)[:, 2::3]
+    k, rows, alloc = design.k, len(block.arm), block.assigned
     return {
         **_test_counts(block.reject, block.skipped, design, effects),
         "alloc_sum": alloc.sum(axis=0),

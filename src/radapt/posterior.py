@@ -123,7 +123,25 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _prob_best_rows(params: np.ndarray) -> np.ndarray:
     """P(best) of every row of integer Beta parameters, (rows, K, 2) as
-    [alpha, beta] per arm, as (rows, K) in arm order.
+    [alpha, beta] per arm, as (rows, K) in arm order."""
+    return _in_arm_order(*_prob_best_sets(params))
+
+
+def _in_arm_order(values, inverse, order) -> np.ndarray:
+    """Values per key set and sorted position, (sets, K), as (rows, K) in
+    each row's arm order, with inverse and order as _prob_best_sets gives
+    them."""
+    out = np.empty(order.shape)
+    out[np.arange(len(order))[:, None], order] = values[inverse]
+    return out
+
+
+def _prob_best_sets(params: np.ndarray):
+    """P(best) of the distinct key sets of rows of integer Beta parameters,
+    (rows, K, 2) as [alpha, beta] per arm: (best, inverse, order), where row
+    r's key set is inverse[r], its arm order[r, j] holds the j-th smallest
+    [alpha, beta] of the row, and best[s, j] is the P(best) of the arm at
+    sorted position j of key set s, (sets, K).
 
     Each row is sorted to its canonical key set, (a, b, m) per distinct
     posterior shared by m arms, and every distinct key set is evaluated
@@ -179,9 +197,7 @@ def _prob_best_rows(params: np.ndarray) -> np.ndarray:
         else:
             others = np.prod(cdf[:, None, :, :] ** powers[:, :, :, None], axis=2)
         values[group, :d_g] = (pdf * others) @ w
-    out = np.empty((rows, k))
-    out[each, order] = values[inverse[:, None], kind[inverse]]
-    return out
+    return values[np.arange(len(sets))[:, None], kind], inverse, order
 
 
 @lru_cache(maxsize=4096)

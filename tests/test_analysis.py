@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from radapt import analysis, preset_design
+from radapt import analysis, engine, preset_design
 from radapt.analysis import (
     _doubled_midranks,
     _null_survival,
@@ -16,7 +16,8 @@ from radapt.analysis import (
     wilcoxon_one_sided,
 )
 from radapt.core import default_arms
-from radapt.outcomes import PatientRecord
+from radapt.engine import MissingCase, MissingPolicy
+from radapt.outcomes import SCENARIOS, PatientRecord
 from reference import (
     null_survival,
     pooled_analysis,
@@ -316,10 +317,95 @@ class TestTieFreeTables:
         if tied:
             values = np.floor(values / 3)
         treatment, control = values[:4].tolist(), values[4:].tolist()
-        analysis._tail_table.cache_clear()
+        analysis._tail_chain.cache_clear()
         _null_survival.cache_clear()
         assert wilcoxon_one_sided(treatment, control) == _rankdata_p(treatment, control)
-        assert analysis._tail_table.cache_info().currsize == 0
+        assert analysis._tail_chain.cache_info().currsize == 0
+
+
+def _pair_ranks(n, a):
+    # doubled midranks of n values whose only tie, for a > 0, is the pair at
+    # sorted positions a and a + 1
+    return [2 * a + 1 if a and r in (a, a + 1) else 2 * r for r in range(1, n + 1)]
+
+
+def _tail_p(n, n1, a, w2):
+    # _tail_p_values on rows of one n, n1 and a
+    w2 = np.asarray(w2, dtype=np.int64)
+    rows = np.ones(len(w2), dtype=np.int64)
+    return analysis._tail_p_values(rows * n, rows * n1, w2, rows * a)
+
+
+class TestTiedPairTails:
+    """The tail-table p-value of a tie-free sample (a = 0) and of one whose
+    only tie is one pair (a > 0), for every doubled rank sum w2, against
+    oracles that share nothing with analysis.py."""
+
+    def test_every_small_sample_equals_enumeration(self):
+        for n in range(2, 13):
+            for a in range(n):
+                ranks = _pair_ranks(n, a)
+                for n1 in range(1, n):
+                    sums = [sum(c) for c in combinations(ranks, n1)]
+                    top = sum(sorted(ranks)[-n1:])
+                    hits = np.bincount(sums, minlength=top + 2)[::-1].cumsum()[::-1]
+                    want = [h / len(sums) for h in hits[: top + 1].tolist()]
+                    got = _tail_p(n, n1, a, range(top + 1))
+                    assert got.tolist() == want, (n, n1, a)
+
+    def test_sampled_samples_up_to_the_bound_equal_the_direct_table(self):
+        rng = np.random.default_rng(24)
+        cases = [(n, n1, a) for n in (13, 40, analysis._CHAIN_MAX)
+                 for n1 in (1, n // 2, n - 1) for a in (1, n - 1)]
+        for n in rng.integers(13, analysis._CHAIN_MAX + 1, size=12).tolist():
+            cases.append((n, int(rng.integers(1, n)), int(rng.integers(1, n))))
+        for n, n1, a in cases:
+            # every w2 from 0 to the largest sum
+            want = null_survival(tuple(_pair_ranks(n, a)), n1)
+            got = _tail_p(n, n1, a, range(want.size))
+            assert got.tolist() == want.tolist(), (n, n1, a)
+
+    def test_rows_of_every_size_in_one_call(self):
+        # rows of many n, n1, a and w2 together read what each reads alone
+        rng = np.random.default_rng(7)
+        ns = rng.integers(2, analysis._CHAIN_MAX + 1, size=300)
+        n1s = np.array([rng.integers(1, n) for n in ns.tolist()])
+        pairs = np.array([rng.integers(0, n) for n in ns.tolist()])
+        w2 = np.array([
+            rng.integers(0, sum(sorted(_pair_ranks(n, a))[-n1:]) + 1)
+            for n, n1, a in zip(ns.tolist(), n1s.tolist(), pairs.tolist())
+        ])
+        got = analysis._tail_p_values(ns, n1s, w2, pairs)
+        for i, (n, n1, a, w) in enumerate(zip(ns, n1s, pairs, w2)):
+            assert got[i] == _tail_p(n, n1, a, [w])[0], (n, n1, a, w)
+
+    def test_pooled_imputed_run_sends_no_pair_to_the_table(self, monkeypatch):
+        # stage-2 mean imputation ties the imputed values; the final tests'
+        # samples tied in one pair read the tail tables, and only samples
+        # with more ties reach the null table
+        pairs, keyed = [], []
+        tails, table = analysis._tail_p_values, analysis._null_survival
+
+        def tails_spy(ns, n1s, w2, a):
+            pairs.append(0 if a is None else np.count_nonzero(a))
+            return tails(ns, n1s, w2, a)
+
+        def table_spy(ranks, n1):
+            keyed.append(analysis._tie_groups(sorted(ranks)))
+            return table(ranks, n1)
+
+        monkeypatch.setattr(analysis, "_tail_p_values", tails_spy)
+        monkeypatch.setattr(analysis, "_null_survival", table_spy)
+        table.cache_clear()
+        engine._decision_cache.clear()
+        list(engine.replicate_pooled(
+            preset_design("mapped_beta"), SCENARIOS["S4"], case=MissingCase(4),
+            policy=MissingPolicy(impute_stage2=True), n_reps=500, master_seed=0,
+        ))
+        assert sum(pairs) > 300
+        assert 0 < len(keyed) < 50
+        for groups in keyed:
+            assert len(groups) > 1 or groups[0][1] > 2, groups
 
 
 @st.composite

@@ -144,6 +144,19 @@ class TestSimulate:
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--design", "mapped_alpha", "--effects", "0,0"],
+        ["simulate", "--design", "mapped_alpha", "--effects", "0,0,0.3", "--workers", "0"],
+        ["simulate", "--design", "mapped_beta", "--scenario", "S4", "--workers", "0"],
+        ["calibrate", "--design", "mapped_alpha", "--stage", "2", "--grid", "0.5",
+         "--workers", "0"],
+        ["calibrate", "--design", "fixed_equal", "--stage", "2", "--grid", "0.5"],
+    ])
+    def test_refused_run_makes_no_out_directory(self, args, tmp_path):
+        out = tmp_path / "w0"
+        assert main([*args, "--reps", "20", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_default_fixed_equal_run(self, tmp_path, capsys, monkeypatch):
         # scenario S1, 1000 replicates, seed 0: some replicates leave one
         # stratum without patients on an arm, which the pooled tests absorb

@@ -391,13 +391,13 @@ class TestBatchedProbBest:
 
     def test_a_block_decides_its_new_keys_in_one_call(self, monkeypatch):
         batches = []
-        original = engine._prob_best_rows
+        original = engine._prob_best_sets
 
         def spy(params):
             batches.append(len(params))
             return original(params)
 
-        monkeypatch.setattr(engine, "_prob_best_rows", spy)
+        monkeypatch.setattr(engine, "_prob_best_sets", spy)
         engine._decision_cache.clear()
         design = preset_design("unrestricted")
         (draws,) = engine._block_draws(design, ALT, 4, 0, engine._BLOCK_REPS)
@@ -406,6 +406,29 @@ class TestBatchedProbBest:
         # decided
         assert batches == [len(table) for table in block.decisions]
         assert min(batches) > 1
+
+    def test_the_rule_runs_once_per_key_set(self, monkeypatch):
+        # keys whose posteriors are one multiset in different arm orders share
+        # one _ts_probs call, scattered to each key's arm order
+        calls = []
+        original = engine._ts_probs
+
+        def spy(best, gamma):
+            calls.append(best)
+            return original(best, gamma)
+
+        monkeypatch.setattr(engine, "_ts_probs", spy)
+        engine._decision_cache.clear()
+        design = preset_design("unrestricted")
+        (draws,) = engine._block_draws(design, ALT, 4, 0, engine._BLOCK_REPS)
+        block = engine._conduct_block(design, ALT, MissingCase(0), MissingPolicy(), draws)
+        priors = np.array([design.prior_alpha, design.prior_beta], dtype=np.int64).T
+        key_sets = 0
+        for table in block.decisions:
+            counts = table.count_keys[:, :-2].reshape(len(table), 3, 3)
+            params = (counts[:, :, :2] + priors).tolist()
+            key_sets += len({tuple(sorted(map(tuple, arms))) for arms in params})
+        assert len(calls) == key_sets < sum(map(len, block.decisions))
 
     @pytest.mark.parametrize("prior", [1.0, 0.5])
     def test_pi_equals_the_public_rule(self, prior):
