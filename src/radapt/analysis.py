@@ -35,8 +35,30 @@ counts over each such run of sums are a difference of two tails, so
                                            - tail(k - l, u - l a + 1)].
 Every term is below 2**53 and there are at most 2 n1 of them, so their
 int64 sum is exact: the count is the integer the sample's own table holds,
-and the p-value the same correctly rounded quotient. rank_sum_rows reads
-these samples and the tie-free ones, of every n, in one gather.
+and the p-value the same correctly rounded quotient.
+
+A sample whose only ties are two pairs, at a, a + 1 and b, b + 1 with
+a < b - 1, divides by all four pair factors. Write z for one unit of the
+doubled sum (x = z^2). Untied, a pair's factors are
+Q = (1 + z^(2a) y)(1 + z^(2a+2) y); tied, (1 + z^(2a+1) y)^2 = Q + D with
+D = -z^(2a) (1 - z)^2 y. So the tied generating function,
+G (1 + D_a / Q_a)(1 + D_b / Q_b), is the tie-free one, plus what each
+pair alone adds (M above), plus (G / (Q_a Q_b)) z^(2a+2b) (1 - z)^4 y^2.
+Summed from the doubled sum w2 up, the weights 1, -4, 6, -4, 1 of
+(1 - z)^4 leave, with s = floor((w2 - 1) / 2) - a - b and N(k, u) the
+count of k-subsets of 1..n without the four tied ranks that sum to u,
+    3 N(n1 - 2, s) + N(n1 - 2, s - 1)      for even w2,
+    -N(n1 - 2, s) - 3 N(n1 - 2, s - 1)     for odd w2.
+N divides G by both pairs' runs: the l-run summed by two tails as in M,
+the m-run term by term,
+    N(k, u) = sum over l + m <= k, j = 0..m of (-1)^(l+m)
+              [tail(k - l - m, u - l(a + 1) - mb - j)
+               - tail(k - l - m, u - la - mb - j + 1)].
+Their partial sums can pass 2**63 for large n, but int64 arithmetic wraps
+modulo 2**64, and the count, below 2**53, is exact modulo 2**64: this
+count too is the integer the sample's own table holds. rank_sum_rows
+reads these samples, the one-pair ones and the tie-free ones, of every n,
+in one gather.
 
 The counts by sum are differences of neighbouring tails. Any other tied
 sample derives its row from them: it takes each tied position's rank
@@ -333,9 +355,10 @@ def rank_sum_rows(values: np.ndarray, sample: np.ndarray, k: int) -> np.ndarray:
     position's rank in the sample, and a run of equal values at sample
     ranks f..l shares the doubled midrank f + l, so no sort need be stable.
     A sample of n <= _CHAIN_MAX values that is tie-free or tied only in one
-    pair reads its p-value from the tail tables (_tail_p_values), one
-    gather for the rows of every n; every other sample reads the null table
-    cached for its sorted doubled midranks, as the scalar test does.
+    pair or in two pairs reads its p-value from the tail tables
+    (_tail_p_values), one gather for the rows of every n; every other
+    sample reads the null table cached for its sorted doubled midranks, as
+    the scalar test does.
     """
     rows, width = values.shape
     sampled = np.where(sample >= 0, values, np.inf)
@@ -356,29 +379,34 @@ def rank_sum_rows(values: np.ndarray, sample: np.ndarray, k: int) -> np.ndarray:
         # each position's rank in the test's sample, doubled
         through = np.cumsum(inside, axis=1, dtype=np.int32)
         doubled = 2 * through
-        # tie-free, or tied only in one pair at sample ranks a and a + 1;
-        # `pair` holds a, 0 for a tie-free sample
+        # tie-free, or tied only in a pair at sample ranks a and a + 1, or
+        # also in a second pair at b and b + 1; 0 marks no pair
         simple = np.ones(rows, dtype=bool)
-        pair = None
+        a = b = None
         if len(multi):
             # sample values before each run, and up to its end
             below = np.take_along_axis((through - inside)[multi], first, axis=1)
             upto = np.take_along_axis(through[multi], last, axis=1)
             doubled[multi] = below + upto + 1
             in_tie = inside[multi] & (upto - below > 1)
-            # two tied values are one pair, after a - 1 sample values
+            # a pair is two tied values after a - 1 sample values; four tied
+            # values after two different counts are two pairs
             ties = np.count_nonzero(in_tie, axis=1)
-            simple[multi] = ties <= 2
-            pair = np.zeros(rows, dtype=np.int64)
-            pair[multi] = np.where(ties == 2, (below * in_tie).max(axis=1) + 1, 0)
+            low = np.where(in_tie, below, width).min(axis=1) + 1
+            high = np.where(in_tie, below, -1).max(axis=1) + 1
+            two = (ties == 4) & (low < high)
+            simple[multi] = (ties <= 2) | two
+            a, b = np.zeros((2, rows), dtype=np.int64)
+            a[multi] = np.where(ties == 2, high, np.where(two, low, 0))
+            b[multi] = np.where(two, high, 0)
         n1s, ns = np.count_nonzero(treat, axis=1), through[:, -1]
         w2 = (doubled * treat).sum(axis=1)
         tested = (n1s > 0) & (ns > n1s)
         chained = tested & simple & (ns <= _CHAIN_MAX)
         at = np.flatnonzero(chained)
         if len(at):
-            a = None if pair is None else pair[at]
-            p[at, j - 1] = _tail_p_values(ns[at], n1s[at], w2[at], a)
+            pairs = () if a is None else (a[at], b[at])
+            p[at, j - 1] = _tail_p_values(ns[at], n1s[at], w2[at], *pairs)
         at = np.flatnonzero(tested & ~chained)
         if len(at):
             # each row's sample midranks first, in sorted order
@@ -401,47 +429,122 @@ def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, last[:, ::-1]
 
 
-def _tail_p_values(ns, n1s, w2, pairs) -> np.ndarray:
+def _tail_p_values(ns, n1s, w2, a=None, b=None) -> np.ndarray:
     """wilcoxon_one_sided on rows of rank_sum_rows, bit for bit, from the
     tail tables alone: row i has n1s[i] treatment values among
     ns[i] <= _CHAIN_MAX and the treatment's doubled rank sum w2[i], and its
-    sample is tie-free or, where pairs[i] = a > 0, ties only the values at
-    sample ranks a and a + 1; pairs None marks every sample tie-free.
+    sample is tie-free or, where a[i] > 0, ties the values at sample ranks
+    a[i] and a[i] + 1 and, where also b[i] > 0, those at b[i] and b[i] + 1;
+    a None marks every sample tie-free, b None no second pair.
     """
     chain = _tail_chain()
     flat = chain.through(int(ns.max()))
     # where row n1 of each sample's table starts
     row = chain.start[ns] + n1s * chain.width[ns]
     count = flat[row + (w2 + 1) // 2]
-    at = np.flatnonzero(pairs) if pairs is not None else ()
+    at = np.flatnonzero(a) if a is not None else ()
     if len(at):
-        count[at] += _pair_counts(chain, ns[at], n1s[at], w2[at], pairs[at])
+        second = None if b is None else b[at]
+        count[at] += _pair_counts(chain, ns[at], n1s[at], w2[at], a[at], second)
     return count / flat[row]
 
 
-def _pair_counts(chain: _TailChain, n, n1, w2, a) -> np.ndarray:
-    """What a tied pair at sample ranks a and a + 1 adds to the tie-free
-    count tail(n1, ceil(w2 / 2)), as int64: M(n1 - 1, u), u =
-    floor((w2 - 1) / 2) - a, for odd w2 and -M for even w2, with M from
-    chain's built tables as the module docstring derives it."""
-    k, u = n1 - 1, (w2 - 1) // 2 - a
-    # column l holds term l of M(k, u): (-1)^l [tail(k - l, u - l(a + 1))
-    # - tail(k - l, u - l a + 1)], and 0 past l = k
-    l = np.arange(k.max() + 1)
-    rest = k[:, None] - l
-    width = chain.width[n][:, None]
-    start = chain.start[n][:, None] + np.maximum(rest, 0) * width
-    # a sum at or below 0 reads column 0, every subset, and one past the
-    # largest sum the column of 0
-    last = width - 1
-    high = np.clip(u[:, None] - l * (a + 1)[:, None], 0, last)
-    low = np.clip(u[:, None] - l * a[:, None] + 1, 0, last)
-    terms = chain.flat[start + high].astype(np.int64)
-    terms -= chain.flat[start + low].astype(np.int64)
-    terms[:, 1::2] *= -1
-    terms[rest < 0] = 0
-    m = terms.sum(axis=1)
+def _pair_counts(chain: _TailChain, n, n1, w2, a, b=None) -> np.ndarray:
+    """What the tied pairs add to the tie-free count tail(n1, ceil(w2 / 2)),
+    as int64: for a pair at sample ranks a and a + 1 alone, M(n1 - 1, u),
+    u = floor((w2 - 1) / 2) - a, for odd w2 and -M for even w2; where b > 0,
+    that term for each pair and their joint one, as the module docstring
+    derives them.
+
+    A two-pair row is read on the smaller side: n1 values reach w2 where the
+    other n - n1 stay below n(n + 1) + 1 - w2, so where the treatment is the
+    larger side, the control's count, negated, is what the pairs add. That
+    keeps N's terms, about k^3 / 6, at k <= n / 2 - 2.
+    """
+    two = np.flatnonzero(b) if b is not None else ()
+    if not len(two):
+        return _one_pair(chain, n, n1, w2, a)
+    flip = np.zeros(len(n), dtype=bool)
+    flip[two] = 2 * n1[two] > n[two]
+    n1 = np.where(flip, n - n1, n1)
+    w2 = np.where(flip, n * (n + 1) + 1 - w2, w2)
+    # a's term in every row and b's in the two-pair rows, in one call
+    both = _one_pair(
+        chain, np.concatenate([n, n[two]]), np.concatenate([n1, n1[two]]),
+        np.concatenate([w2, w2[two]]), np.concatenate([a, b[two]]),
+    )
+    extra = both[: len(n)]
+    extra[two] += both[len(n) :] + _joint(chain, n[two], n1[two], w2[two], a[two], b[two])
+    return np.where(flip, -extra, extra)
+
+
+def _one_pair(chain: _TailChain, n, n1, w2, a) -> np.ndarray:
+    """M(n1 - 1, floor((w2 - 1) / 2) - a) for odd w2, its negative for even."""
+    m = _rest_counts(chain, n, n1 - 1, (w2 - 1) // 2 - a, a)
     return np.where(w2 % 2 == 1, m, -m)
+
+
+def _joint(chain: _TailChain, n, n1, w2, a, b) -> np.ndarray:
+    """The two pairs' joint term: 3 N(n1 - 2, s) + N(n1 - 2, s - 1) for even
+    w2, -N(n1 - 2, s) - 3 N(n1 - 2, s - 1) for odd, s = floor((w2 - 1) / 2)
+    - a - b."""
+    s = (w2 - 1) // 2 - a - b
+    # N at s and at s - 1 in one call
+    both = _rest_counts(
+        chain, np.tile(n, 2), np.tile(n1 - 2, 2), np.concatenate([s, s - 1]),
+        np.tile(a, 2), np.tile(b, 2),
+    )
+    at, below = both[: len(n)], both[len(n) :]
+    return np.where(w2 % 2 == 0, 3 * at + below, -at - 3 * below)
+
+
+# the most (row, term) cells of one _rest_counts pass, which bounds its
+# arrays when many rows of a large sample tie in two pairs
+_TERM_CELLS = 1 << 16
+
+
+def _rest_counts(chain: _TailChain, n, k, u, a, b=None) -> np.ndarray:
+    """The k-subsets of 1..n without a and a + 1, and b and b + 1 where b is
+    given, that sum to u, as int64 (modulo 2**64 for the terms' sum): M and
+    N of the module docstring, read from chain's built tables."""
+    l, m, j, sign = _division_terms(int(k.max()), b is not None)
+    step = max(1, _TERM_CELLS // max(len(l), 1))
+    counts = np.empty(len(k), dtype=np.int64)
+    for lo in range(0, len(k), step):
+        part = slice(lo, lo + step)
+        rest = k[part, None] - l - m
+        width = chain.width[n[part]][:, None]
+        start = chain.start[n[part]][:, None] + np.maximum(rest, 0) * width
+        # u less the run's first sum; at or below 0 a tail reads column 0,
+        # every subset, and one past the largest sum the column of 0
+        v = u[part, None] - l * a[part, None] - j
+        if b is not None:
+            v -= m * b[part, None]
+        last = width - 1
+        terms = chain.flat[start + np.clip(v - l, 0, last)].astype(np.int64)
+        terms -= chain.flat[start + np.clip(v + 1, 0, last)].astype(np.int64)
+        terms *= sign
+        terms[rest < 0] = 0
+        counts[part] = terms.sum(axis=1)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _division_terms(top: int, two: bool):
+    """(l, m, j) and the sign (-1)^(l+m) of every term of M (m = j = 0) or,
+    for two pairs, of N, for k up to `top`: l + m <= top, j = 0..m."""
+    if two:
+        l, m = (x.ravel() for x in np.indices((top + 1, top + 1)))
+        keep = l + m <= top
+        l, m = l[keep], m[keep]
+        # each (l, m) once for every j = 0..m
+        runs = m + 1
+        j = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+        l, m = np.repeat(l, runs), np.repeat(m, runs)
+    else:
+        l = np.arange(top + 1)
+        m = j = np.zeros_like(l)
+    return l, m, j, 1 - 2 * ((l + m) % 2)
 
 
 def _keyed_p_values(keys, ns, n1s, w2) -> np.ndarray:

@@ -62,14 +62,32 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     env = os.environ.get("RADAPT_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ValueError(f"RADAPT_SEED must be an integer, got {env!r}") from exc
+        if seed < 0:
+            raise ValueError(f"RADAPT_SEED must be a non-negative integer, got {env!r}")
+        return seed
     return 0
+
+
+def _out_dir(text: str) -> Path:
+    """--out, a directory made only after a run succeeds, so that a refused
+    run leaves none behind; refused before any work if it, or the nearest
+    part of it that exists, is not a directory."""
+    path = Path(text)
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ValueError(f"--out {text}: {part} exists and is not a directory")
+            break
+    return path
 
 
 def _resolve_design(spec: str) -> TrialDesign:
@@ -193,6 +211,7 @@ def _outcome_scale(args) -> float:
 
 
 def _cmd_simulate(args) -> int:
+    out_dir = _out_dir(args.out)
     design = _resolve_design(args.design)
     policy = _policy_from(args)
     case = MissingCase(args.case)
@@ -227,8 +246,6 @@ def _cmd_simulate(args) -> int:
             )
         )
 
-    # made only now, so that a refused run leaves no directory behind
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     oc_path = out_dir / "oc_report.csv"
     adapt_path = out_dir / "adaptability.csv"
@@ -240,6 +257,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    out_dir = _out_dir(args.out)
     design = _resolve_design(args.design)
     seed = _resolve_seed(args)
     grid = _parse_grid(args.grid)
@@ -255,7 +273,6 @@ def _cmd_calibrate(args) -> int:
         policy=_policy_from(args),
         workers=args.workers,
     )
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "tradeoff.csv"
     write_tradeoff_csv(result, path)
@@ -273,6 +290,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_interim(args) -> int:
+    out_dir = _out_dir(args.out) if args.out else None
     design = _resolve_design(args.design)
     records = read_accrued(args.data, design, upcoming_stage=args.next_stage)
     seed = _resolve_seed(args)
@@ -282,8 +300,7 @@ def _cmd_interim(args) -> int:
     lines = list(result.audit)
     for line in lines:
         print(line)
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         audit_path = out_dir / "interim_audit.txt"
         audit_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

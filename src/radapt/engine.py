@@ -66,6 +66,7 @@ import csv
 import itertools
 import math
 import multiprocessing
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -576,9 +577,10 @@ class _Block:
     trial's patients in accrual order.
 
     `arm` holds each patient's arm index; `y` the outcome drawn, or the
-    imputed value where imputation filled the cell; `missing` the cells the
-    conduct left without an outcome; `observed` the cells the final analysis
-    reads. `stage_of` gives each column's stage. `ratios[t - 1]` is the
+    imputed value where imputation, run once when stage 2 closed, filled the
+    cell; `missing` the cells the conduct left without an outcome;
+    `observed` the cells the decisions after stage 2 and the final analysis
+    read. `stage_of` gives each column's stage. `ratios[t - 1]` is the
     (rows, k) ratio stage t was conducted with, or None for an i.i.d. stage.
     Row r's decision before stage t is row `which[t - 2][r]` of the decision
     table `decisions[t - 2]`, and `decisions[t - 2][which[t - 2][r]]` builds
@@ -620,9 +622,10 @@ def _tallies(design: TrialDesign, arm, y, observed) -> np.ndarray:
 
 
 def _mean_imputed(arm, y, missing, stage_of, k: int):
-    """Stage-2 mean imputation on every row at once, as _analysis_view
-    returns it: a missing stage-2 cell takes the mean of its donors, as
-    np.mean gives it.
+    """Stage-2 mean imputation on every row at once: a missing stage-2 cell
+    takes the mean of its donors, as np.mean gives it. A conduct calls it
+    once, on stages 1-2 when stage 2 closes; an interim decision, on the
+    accrued records.
 
     A missing stage-2 cell's donors are the observed cells of its arm in
     earlier columns; cells imputed here are missing in `missing`, so they
@@ -653,14 +656,6 @@ def _mean_imputed(arm, y, missing, stage_of, k: int):
         donors = (arm[r, :j] == arm[r, j]) & ~missing[r, :j]
         view[r, j] = np.mean(y[r, :j][donors])
     return view, ~missing | filled, (target & (n == 0)).sum(axis=1)
-
-
-def _analysis_view(design, policy, arm, y, missing, stage_of):
-    """Cell values and availability after stage-2 imputation when the policy
-    asks for it, plus each row's count of stage-2 cells left missing."""
-    if not policy.impute_stage2:
-        return y, ~missing, np.zeros(len(arm), dtype=np.int64)
-    return _mean_imputed(arm, y, missing, stage_of, design.k)
 
 
 def _block_decisions(design, policy, stage, arm, y, observed, stage_of):
@@ -707,14 +702,21 @@ def _recommended(design: TrialDesign, tallies: np.ndarray) -> np.ndarray:
 
 def _conduct_stages(design, model, case, policy, draws: _Draws):
     """Every stage of one trial for every row of `draws`, all rows a stage
-    at a time: arm, y and missing as _Block holds them before the final
-    analysis, stage_of, and per stage the ratios, decision tables and each
-    row's row in them. Between the stages' decisions everything is array
-    arithmetic over the rows."""
+    at a time: arm, y, missing, observed and the imputation failures as
+    _Block holds them, stage_of, and per stage the ratios, decision tables
+    and each row's row in them. Between the stages' decisions everything is
+    array arithmetic over the rows.
+
+    A missing stage-2 cell's donors all lie in stages 1-2, so imputation
+    runs once, when stage 2 closes: every later decision and the final
+    analysis read that view, extended by the later stages' cells as drawn.
+    """
     k, n_rows = design.k, len(draws.coin)
     arm = np.empty((n_rows, 0), dtype=np.int64)
     y = np.empty((n_rows, 0))
     missing = np.empty((n_rows, 0), dtype=bool)
+    observed = np.empty((n_rows, 0), dtype=bool)
+    failures = np.zeros(n_rows, dtype=np.int64)
     stage_of = np.empty(0, dtype=np.int64)
     ratios, decisions, which = [], [], []
 
@@ -726,11 +728,8 @@ def _conduct_stages(design, model, case, policy, draws: _Draws):
             row_pi = np.tile(_equal_probs(k), (n_rows, 1))
             row_ratios = None if planned is None else np.tile(planned.counts, (n_rows, 1))
         else:
-            view_y, view_observed, _ = _analysis_view(
-                design, policy, arm, y, missing, stage_of
-            )
             table, rows = _block_decisions(
-                design, policy, t, arm, view_y, view_observed, stage_of
+                design, policy, t, arm, y, observed, stage_of
             )
             decisions.append(table)
             which.append(rows)
@@ -760,9 +759,15 @@ def _conduct_stages(design, model, case, policy, draws: _Draws):
         arm = np.hstack([arm, stage_arm])
         y = np.hstack([y, outcomes_from_raw(model, stage_arm, draws.raw[:, cols])])
         missing = np.hstack([missing, stage_missing])
+        observed = np.hstack([observed, ~stage_missing])
         stage_of = np.concatenate([stage_of, np.full(size, t)])
         ratios.append(row_ratios)
-    return arm, y, missing, stage_of, tuple(ratios), tuple(decisions), tuple(which)
+        if t == 2 and policy.impute_stage2:
+            y, observed, failures = _mean_imputed(arm, y, missing, stage_of, k)
+    return (
+        arm, y, missing, observed, failures, stage_of,
+        tuple(ratios), tuple(decisions), tuple(which),
+    )
 
 
 def _conduct_block(
@@ -776,10 +781,9 @@ def _conduct_block(
     analysis. Row r is the trial tests/reference.py conducts as records on
     draws[r]. The stages' working arrays are freed before the final tests,
     which set the peak memory of a conduct."""
-    arm, y, missing, stage_of, ratios, decisions, which = _conduct_stages(
-        design, model, case, policy, draws
-    )
-    y, observed, failures = _analysis_view(design, policy, arm, y, missing, stage_of)
+    (
+        arm, y, missing, observed, failures, stage_of, ratios, decisions, which
+    ) = _conduct_stages(design, model, case, policy, draws)
     p_value, reject, skipped = _final_tests(design, arm, y, observed)
     tallies = _tallies(design, arm, y, observed)
     return _Block(
@@ -1350,24 +1354,28 @@ def _accrued_decision(
     records: list[PatientRecord],
     upcoming_stage: int,
     policy: MissingPolicy,
-    rng: np.random.Generator,
+    coin_rng: Callable[[], np.random.Generator],
 ) -> InterimRecord:
     """The interim decision on accrued records, taken as a block of one row
     whose columns are the patients in patient-id order. The coin between two
-    options is drawn from `rng`. Every record's arm is one of the design's
+    options is drawn from the generator `coin_rng` builds, called only for
+    such a decision. Every record's arm is one of the design's
     (_accrued_problem); its column holds the arm's position."""
     records = sorted(records, key=lambda r: r.patient_id)
     arm = np.array([[design.arms.index(r.arm) for r in records]])
     y = np.array([[0.0 if r.missing else r.delta_y for r in records]])
     missing = np.array([[r.missing for r in records]])
     stage_of = np.array([r.stage for r in records])
-    view_y, observed, _ = _analysis_view(design, policy, arm, y, missing, stage_of)
+    if policy.impute_stage2:
+        y, observed, _ = _mean_imputed(arm, y, missing, stage_of, design.k)
+    else:
+        observed = ~missing
     table, (row,) = _block_decisions(
-        design, policy, upcoming_stage, arm, view_y, observed, stage_of
+        design, policy, upcoming_stage, arm, y, observed, stage_of
     )
     decision = table[row]
     if len(decision.options) > 1:
-        decision = replace(decision, ratio=decision.options[rng.integers(2)])
+        decision = replace(decision, ratio=decision.options[coin_rng().integers(2)])
     return decision
 
 
@@ -1389,10 +1397,13 @@ def interim_recommendation(
 ) -> InterimResult:
     """One interim decision for real accrued data, with an audit trail.
 
-    `seed` feeds only the fair coin a two-option mapped category may need;
-    everything else is deterministic in the data. Records that read_accrued
-    would refuse raise ValueError, naming the patient where it names a line.
+    `seed`, a non-negative integer, feeds only the fair coin a two-option
+    mapped category may need; everything else is deterministic in the data.
+    Records that read_accrued would refuse raise ValueError, naming the
+    patient where it names a line.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     _require_valid(design)
     _check_upcoming(design, upcoming_stage)
     problem = _accrued_problem(design, records, upcoming_stage)
@@ -1402,8 +1413,10 @@ def interim_recommendation(
             message = f"patient {records[at].patient_id}: {message}"
         raise ValueError(message)
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    rec = _accrued_decision(design, records, upcoming_stage, policy, rng)
+    rec = _accrued_decision(
+        design, records, upcoming_stage, policy,
+        lambda: np.random.default_rng(np.random.SeedSequence([seed])),
+    )
 
     audit = []
     for label, post in zip(design.arms, rec.posteriors):

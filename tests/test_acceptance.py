@@ -422,8 +422,8 @@ def _law_imputer(model):
     cell with a draw from its arm's outcome law instead of an arm mean.
 
     The draw is seeded from the row's observed stage-1 outcomes and the
-    cell's patient id (its column + 1), so the stage-3 interim and the final
-    analysis of one trial impute the same value while different trials draw
+    cell's patient id (its column + 1), so a cell's value does not depend on
+    when or how often the conduct imputes, while different trials draw
     independently.
     """
 

@@ -329,11 +329,18 @@ def _pair_ranks(n, a):
     return [2 * a + 1 if a and r in (a, a + 1) else 2 * r for r in range(1, n + 1)]
 
 
-def _tail_p(n, n1, a, w2):
-    # _tail_p_values on rows of one n, n1 and a
+def _tail_p(n, n1, a, w2, b=0):
+    # _tail_p_values on rows of one n, n1, a and b
     w2 = np.asarray(w2, dtype=np.int64)
     rows = np.ones(len(w2), dtype=np.int64)
-    return analysis._tail_p_values(rows * n, rows * n1, w2, rows * a)
+    return analysis._tail_p_values(rows * n, rows * n1, w2, rows * a, rows * b)
+
+
+def _two_pair_ranks(n, a, b):
+    # doubled midranks of n values whose only ties are the pairs at sorted
+    # positions a, a + 1 and b, b + 1, a < b - 1
+    tied = {a: 2 * a + 1, a + 1: 2 * a + 1, b: 2 * b + 1, b + 1: 2 * b + 1}
+    return [tied.get(r, 2 * r) for r in range(1, n + 1)]
 
 
 class TestTiedPairTails:
@@ -379,16 +386,70 @@ class TestTiedPairTails:
         for i, (n, n1, a, w) in enumerate(zip(ns, n1s, pairs, w2)):
             assert got[i] == _tail_p(n, n1, a, [w])[0], (n, n1, a, w)
 
+    def test_two_pairs_in_every_small_sample_equal_enumeration(self):
+        for n in range(4, 13):
+            for a, b in combinations(range(1, n), 2):
+                if b == a + 1:
+                    continue
+                ranks = _two_pair_ranks(n, a, b)
+                for n1 in range(1, n):
+                    sums = [sum(c) for c in combinations(ranks, n1)]
+                    top = sum(sorted(ranks)[-n1:])
+                    hits = np.bincount(sums, minlength=top + 2)[::-1].cumsum()[::-1]
+                    want = [h / len(sums) for h in hits[: top + 1].tolist()]
+                    got = _tail_p(n, n1, a, range(top + 1), b)
+                    assert got.tolist() == want, (n, n1, a, b)
+
+    def test_two_pairs_up_to_the_bound_equal_the_direct_table(self):
+        rng = np.random.default_rng(25)
+        cases = [(n, n1, a, b) for n in (13, 40, analysis._CHAIN_MAX)
+                 for n1 in (1, 2, n // 2, n - 1)
+                 for a, b in ((1, 3), (1, n - 1), (n - 3, n - 1))]
+        for n in rng.integers(13, analysis._CHAIN_MAX + 1, size=12).tolist():
+            a = int(rng.integers(1, n - 2))
+            cases.append((n, int(rng.integers(1, n)), a, int(rng.integers(a + 2, n))))
+        for n, n1, a, b in cases:
+            # every w2 from 0 to the largest sum
+            want = null_survival(tuple(_two_pair_ranks(n, a, b)), n1)
+            got = _tail_p(n, n1, a, range(want.size), b)
+            assert got.tolist() == want.tolist(), (n, n1, a, b)
+
+    def test_mixed_rows_in_passes_of_terms(self, monkeypatch):
+        # tie-free, one-pair and two-pair rows of many sizes in one call, and
+        # split into passes of one row each, read what the direct table reads
+        rng = np.random.default_rng(3)
+        ns = rng.integers(6, analysis._CHAIN_MAX + 1, size=90)
+        n1s = np.array([rng.integers(1, n) for n in ns.tolist()])
+        a = np.array([rng.integers(1, n - 2) for n in ns.tolist()])
+        b = np.array([rng.integers(x + 2, n) for x, n in zip(a.tolist(), ns.tolist())])
+        b[::3] = 0
+        a[::5], b[::5] = 0, 0
+        ranks = [
+            _two_pair_ranks(n, x, y) if y else _pair_ranks(n, x)
+            for n, x, y in zip(ns.tolist(), a.tolist(), b.tolist())
+        ]
+        w2 = np.array([
+            rng.integers(0, sum(sorted(r)[-n1:]) + 1)
+            for r, n1 in zip(ranks, n1s.tolist())
+        ])
+        whole = analysis._tail_p_values(ns, n1s, w2, a, b)
+        monkeypatch.setattr(analysis, "_TERM_CELLS", 1)
+        assert analysis._tail_p_values(ns, n1s, w2, a, b).tolist() == whole.tolist()
+        for i, (r, n1, w) in enumerate(zip(ranks, n1s.tolist(), w2.tolist())):
+            assert whole[i] == null_survival(tuple(r), n1)[w], (i, n1, w)
+
     def test_pooled_imputed_run_sends_no_pair_to_the_table(self, monkeypatch):
         # stage-2 mean imputation ties the imputed values; the final tests'
-        # samples tied in one pair read the tail tables, and only samples
-        # with more ties reach the null table
+        # samples tied in one pair or in two pairs read the tail tables, and
+        # only samples with other ties reach the null table
         pairs, keyed = [], []
         tails, table = analysis._tail_p_values, analysis._null_survival
 
-        def tails_spy(ns, n1s, w2, a):
-            pairs.append(0 if a is None else np.count_nonzero(a))
-            return tails(ns, n1s, w2, a)
+        def tails_spy(ns, n1s, w2, a=None, b=None):
+            one = 0 if a is None else np.count_nonzero(a)
+            two = 0 if b is None else np.count_nonzero(b)
+            pairs.append((one - two, two))
+            return tails(ns, n1s, w2, a, b)
 
         def table_spy(ranks, n1):
             keyed.append(analysis._tie_groups(sorted(ranks)))
@@ -402,10 +463,13 @@ class TestTiedPairTails:
             preset_design("mapped_beta"), SCENARIOS["S4"], case=MissingCase(4),
             policy=MissingPolicy(impute_stage2=True), n_reps=500, master_seed=0,
         ))
-        assert sum(pairs) > 300
-        assert 0 < len(keyed) < 50
+        one_pair, two_pairs = np.sum(pairs, axis=0)
+        assert one_pair > 300
+        assert two_pairs > 10
+        assert len(keyed) < 50
         for groups in keyed:
-            assert len(groups) > 1 or groups[0][1] > 2, groups
+            # three or more tie groups, or a group of three or more
+            assert len(groups) > 2 or max(size for _, size in groups) > 2, groups
 
 
 @st.composite

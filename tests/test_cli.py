@@ -194,6 +194,96 @@ class TestSimulate:
         assert "RADAPT_SEED" in capsys.readouterr().err
 
 
+
+class TestRefusedBeforeWork:
+    """A negative seed and an --out that cannot become a directory exit 2
+    with a message naming their source, before any simulation or decision."""
+
+    INTERIM = ["interim", "--design", "mapped_alpha", "--next-stage", "2"]
+    RUNS = {
+        "simulate": ["simulate", "--design", "mapped_beta", "--scenario", "S4",
+                     "--reps", "20"],
+        "effects": ["simulate", "--design", "mapped_alpha", "--effects", "0,0,0.3",
+                    "--reps", "20"],
+        "calibrate": ["calibrate", "--design", "mapped_alpha", "--stage", "2",
+                      "--grid", "0.4,0.5", "--reps", "20"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def _no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("replicate", "replicate_pooled", "calibrate_threshold",
+                     "interim_recommendation", "export_list"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.delenv("RADAPT_SEED", raising=False)
+
+    def _argv(self, tmp_path, command):
+        if command == "interim":
+            data = tmp_path / "accrued.csv"
+            data.write_text(ACCRUED_HEADER + STAGE1_ROWS, encoding="utf-8")
+            return [*self.INTERIM, "--data", str(data)]
+        if command == "genlist":
+            return ["genlist", "--design", "permuted_block",
+                    "--out", str(tmp_path / "list.csv")]
+        return [*self.RUNS[command], "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "effects", "calibrate", "interim", "genlist"]
+    )
+    def test_negative_seed_flag(self, command, tmp_path, capsys):
+        assert main([*self._argv(tmp_path, command), "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --seed must be a non-negative integer, got -3\n"
+        )
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["accrued.csv"] if command == "interim" else []
+        )
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "effects", "calibrate", "interim", "genlist"]
+    )
+    def test_negative_seed_variable(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RADAPT_SEED", "-1")
+        assert main(self._argv(tmp_path, command)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: RADAPT_SEED must be a non-negative integer, got '-1'\n"
+        )
+        assert captured.out == ""
+
+    def test_interim_recommendation_refuses_a_negative_seed(self, tmp_path):
+        # the mapped stage-2 decision on these records has one option, so it
+        # draws no coin: only the explicit check refuses the seed
+        design = preset_design("mapped_alpha")
+        data = tmp_path / "accrued.csv"
+        data.write_text(ACCRUED_HEADER + STAGE1_ROWS, encoding="utf-8")
+        records = engine.read_accrued(data, design, upcoming_stage=2)
+        assert engine.interim_recommendation(design, records, 2, seed=0).record
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -2$"):
+            engine.interim_recommendation(design, records, 2, seed=-2)
+
+    @pytest.mark.parametrize("command", ["simulate", "effects", "calibrate", "interim"])
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_out_that_is_a_file(self, command, inside, tmp_path, capsys):
+        existing = tmp_path / "taken"
+        existing.write_text("kept\n", encoding="utf-8")
+        out = existing / "sub" if inside else existing
+        argv = self._argv(tmp_path, command)
+        if "--out" in argv:
+            argv = argv[: argv.index("--out")]
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --out {out}: {existing} exists and is not a directory\n"
+        )
+        assert captured.out == ""
+        assert existing.read_text(encoding="utf-8") == "kept\n"
+
+
 PILOT = "delta_y\n0.12\n-0.30\n0.45\n0.05\n0.61\n-0.08\n0.27\n0.33\n"
 
 

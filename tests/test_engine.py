@@ -40,6 +40,7 @@ from radapt.outcomes import (
     MissingCase,
     OutcomeModel,
     PatientRecord,
+    outcomes_from_raw,
 )
 from radapt.posterior import BetaPosterior, SuccessCount, update
 from radapt.presets import PRESET_NAMES
@@ -790,6 +791,61 @@ class TestArrayImputer:
         assert replaced != default
 
 
+def _tsbrar(sizes):
+    return dataclasses.replace(
+        preset_design("unrestricted"),
+        stage_sizes=sizes,
+        rule=RuleConfig(kind="TSBRAR", gamma_schedule=(1.0,) * (len(sizes) - 1)),
+    )
+
+
+class TestImputeOnce:
+    """A conduct imputes once, when stage 2 closes, and every later decision
+    and the final analysis read that view extended by the later cells: the
+    view _mean_imputed builds over all of the block's columns."""
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "design",
+        [_tsbrar((10, 10)), _tsbrar((6, 6, 8)), _tsbrar((6, 6, 6, 6)),
+         preset_design("mapped_beta")],
+        ids=["tsbrar-2", "tsbrar-3", "tsbrar-4", "mapped_beta-3"],
+    )
+    def test_one_call_builds_the_whole_view(self, design, case_id, monkeypatch):
+        calls = []
+        imputed = engine._mean_imputed
+
+        def spy(arm, y, missing, stage_of, k):
+            calls.append(stage_of.tolist())
+            return imputed(arm, y, missing, stage_of, k)
+
+        monkeypatch.setattr(engine, "_mean_imputed", spy)
+        draws = _run_draws(design, ALT, 11, range(0, 300))
+        block = engine._conduct_block(design, ALT, MissingCase(case_id), IMPUTE, draws)
+        # once, on stages 1 and 2
+        assert calls == [[t for t, size in enumerate(design.stage_sizes[:2], 1)
+                          for _ in range(size)]]
+        drawn = outcomes_from_raw(ALT, block.arm, draws.raw)
+        view, observed, failures = imputed(
+            block.arm, drawn, block.missing, block.stage_of, design.k
+        )
+        assert _bits(block.y) == _bits(view)
+        assert np.array_equal(block.observed, observed)
+        assert np.array_equal(block.impute_failures, failures)
+        # cases 3-5 miss stage-2 cells, which imputation fills
+        assert (block.observed & block.missing).any() == (case_id >= 3)
+
+    def test_no_imputation_without_the_policy(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("imputed without the policy")
+
+        monkeypatch.setattr(engine, "_mean_imputed", refuse)
+        design = _tsbrar((6, 6, 6, 6))
+        draws = _run_draws(design, ALT, 11, range(0, 50))
+        block = engine._conduct_block(design, ALT, MissingCase(5), MissingPolicy(), draws)
+        assert np.array_equal(block.observed, ~block.missing)
+
+
 class TestReplicate:
     def test_mapped_control_allocation_pinned(self):
         report = replicate(
@@ -1304,7 +1360,9 @@ class TestInterimThroughBlockPath:
     def _assert_equals_reference(design, records, stage, policy, seed):
         got_rng = np.random.default_rng(np.random.SeedSequence([seed]))
         want_rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        got = engine._accrued_decision(design, records, stage, policy, got_rng)
+        got = engine._accrued_decision(
+            design, records, stage, policy, lambda: got_rng
+        )
         want = interim_decision(design, records, stage, policy, want_rng)
         for f in dataclasses.fields(InterimRecord):
             assert getattr(got, f.name) == getattr(want, f.name), (
@@ -1385,7 +1443,7 @@ class TestInterimThroughBlockPath:
         ]
         self._assert_equals_reference(design, records, 3, IMPUTE, 0)
         got = engine._accrued_decision(
-            design, records, 3, IMPUTE, np.random.default_rng(0)
+            design, records, 3, IMPUTE, lambda: np.random.default_rng(0)
         )
         # the ten donors, the imputed cell and the observed 0.9
         wins = sum(v >= 0.3 for v in donors) + 2
