@@ -81,13 +81,12 @@ def _out_dir(text: str) -> Path:
     """--out, a directory made only after a run succeeds, so that a refused
     run leaves none behind; refused before any work if it, or the nearest
     part of it that exists, is not a directory."""
-    path = Path(text)
-    for part in (path, *path.parents):
-        if part.exists():
-            if not part.is_dir():
-                raise ValueError(f"--out {text}: {part} exists and is not a directory")
-            break
-    return path
+    part = text
+    while not os.path.exists(part):
+        part = os.path.dirname(part) or "."
+    if not os.path.isdir(part):
+        raise ValueError(f"--out {text}: {part} exists and is not a directory")
+    return Path(text)
 
 
 def _resolve_design(spec: str) -> TrialDesign:
