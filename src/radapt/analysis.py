@@ -60,18 +60,11 @@ count too is the integer the sample's own table holds. rank_sum_rows
 reads these samples, the one-pair ones and the tie-free ones, of every n,
 in one gather.
 
-The counts by sum are differences of neighbouring tails. Any other tied
-sample derives its row from them: it takes each tied position's rank
-back out of the smaller side's rows by exact deconvolution, spreads what
-is left onto the doubled grid, and adds each tie group at its doubled
-midrank with binomial weights; a smaller control side is derived and
-read backwards from the doubled total n(n + 1). Counts are float64,
-exact only while every count and partial sum stays below 2**53, so the
-tables exist only up to 56 values (C(56, 28) < 2**53); the derivation
-runs only there and while it is cheaper than a direct table over the
-tied ranks, and every other sample builds that direct table. Outside the
-tail gather, each sample's survival is cached on its sorted tie pattern;
-wilcoxon_one_sided always reads that cache.
+Counts are float64, exact only while every count and partial sum stays
+below 2**53, so the tail tables exist only up to 56 values (C(56, 28) <
+2**53). Any other tied sample builds a direct table over its own doubled
+midranks. Outside the tail gather, each sample's survival is cached on its
+sorted tie pattern; wilcoxon_one_sided always reads that cache.
 Every route is a quotient of the same exact integers, so all give the
 same p-values bit for bit. A table may hold at most EXACT_CELL_GUARD
 cells on the doubled grid; validate_design bounds a stratum so that two
@@ -220,63 +213,6 @@ def _tie_groups(ranks: list[int]) -> list[tuple[int, int]]:
     return groups
 
 
-def _derived_row(n: int, n1: int, groups: list[tuple[int, int]]) -> np.ndarray:
-    """Row n1 of the doubled-grid count table of a tied sample, derived
-    from the tie-free counts of the shared tail table; exact while every
-    count is below 2**53.
-
-    The smaller side is derived: with fewer control values, the control's
-    row read backwards from the doubled total n(n + 1), which every split of
-    the doubled midranks sums to.
-    """
-    if n - n1 < n1:
-        row = _derived_row(n, n - n1, groups)
-        mirrored = np.zeros(n * (n + 1) + 1)
-        mirrored[mirrored.size - row.size :] = row[::-1]
-        return mirrored
-    table = _tie_free_counts(n, n1)
-    width = table.shape[1]
-    for first, size in groups:
-        # take rank r out of every row: T'[k] = T[k] - T'[k - 1] shifted by r
-        for r in range(first + 1, first + size + 1):
-            high, low = list(table[:, r:]), list(table[:, : width - r])
-            for k in range(1, n1 + 1):
-                np.subtract(high[k], low[k - 1], out=high[k])
-    # only rows that reach row n1 through the groups still to add are kept
-    left = sum(size for _, size in groups)
-    lo = max(0, n1 - left)
-    rows = np.zeros((n1 + 1 - lo, 2 * width - 1))
-    rows[:, ::2] = table[lo:]
-    for first, size in groups:
-        # add `size` values at doubled midrank m: j of them in a k-subset
-        # add j * m to its sum, in C(size, j) ways
-        m = 2 * first + size + 1
-        left -= size
-        new_lo = max(0, n1 - left)
-        added = np.zeros((n1 + 1 - new_lo, rows.shape[1]))
-        for j in range(size + 1):
-            # row k gains row k - j, for the rows kept before and after
-            start = max(new_lo, lo + j)
-            if start <= n1:
-                shift = j * m
-                taken = rows[start - j - lo : n1 + 1 - j - lo, : rows.shape[1] - shift]
-                added[start - new_lo :, shift:] += math.comb(size, j) * taken
-        rows, lo = added, new_lo
-    return rows[0]
-
-
-def _derivation_pays(n: int, n1: int, groups, cells: int) -> bool:
-    """Whether the derivation costs less than a direct table of `cells`.
-
-    The derivation makes about min(n1, n - n1) row updates per tied
-    position (it derives the smaller side), the direct
-    build n updates of about half its table each; one numpy call costs
-    about as much as 5,000 cells of that arithmetic (2-CPU Xeon, numpy 2.4).
-    """
-    tied = sum(size for _, size in groups)
-    return tied * min(n1, n - n1) <= n * (1 + cells / 5000)
-
-
 @lru_cache(maxsize=4096)
 def _null_survival(scaled_ranks: tuple[int, ...], n1: int) -> np.ndarray:
     """P(W2 >= s) for the scaled rank-sum of a uniformly random n1-subset.
@@ -300,8 +236,6 @@ def _null_survival(scaled_ranks: tuple[int, ...], n1: int) -> np.ndarray:
         counts = _tie_free_counts(n, n1) if chained else _subset_counts(free, n1)
         row = np.zeros(smax + 1)
         row[::2] = counts[n1]
-    elif chained and _derivation_pays(n, n1, groups, cells):
-        row = _derived_row(n, n1, groups)[: smax + 1]
     else:
         row = _subset_counts(ranks, n1)[n1]
     surv = np.cumsum(row[::-1])[::-1] / row.sum()

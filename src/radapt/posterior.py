@@ -2,7 +2,12 @@
 
 Success counts come from dichotomised outcomes only; the conjugate update and
 the two comparison probabilities here feed the allocation rules. Both are
-computed deterministically, as pure functions over immutable inputs.
+computed deterministically, as pure functions over immutable inputs. With
+integer Beta parameters, the only ones integer priors and counts reach, both
+run on numpy alone: P(X > Y) as a finite sum, and P(best) by Gauss-Legendre
+quadrature with Golub-Welsch nodes and each Beta CDF a binomial tail sum.
+Other parameters take tanh-sinh quadrature through scipy, imported on first
+use.
 """
 
 from __future__ import annotations
@@ -112,13 +117,82 @@ def _prob_greater_of(aa: float, ab: float, ba: float, bb: float) -> float:
     return _prob_greater_quad(BetaPosterior(aa, ab), BetaPosterior(ba, bb))
 
 
+# a binomial table holds at most this many cells, or one node's column where
+# that is more: past it the nodes are taken in slices (every node's column
+# is computed on its own)
+_TABLE_CELLS = 1 << 18
+
+
 @lru_cache(maxsize=256)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # n-point rule moved to [0, 1]; read-only because every caller shares it
-    x, w = np.polynomial.legendre.leggauss(n)
-    x, w = (x + 1.0) / 2.0, w / 2.0
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+def _gauss_legendre(n: int) -> tuple[np.ndarray, ...]:
+    """The n-point Gauss-Legendre rule on [0, 1] and the log-space binomial
+    terms of its nodes x, read-only because every caller shares them:
+    (weights, 1 / x, log i!, i log x - log i!, i log(1 - x) - log i!), the
+    last three for i < 2n, which no arm a + b - 1 of a key set with n nodes
+    reaches.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the Legendre polynomials shifted to [0, 1] (diagonal 1/2, off-diagonal
+    k / (2 sqrt(4k^2 - 1))), the weights the squared first components of
+    its unit eigenvectors.
+    """
+    k = np.arange(1.0, n)
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = 0.5
+    # eigh reads the lower triangle only
+    jacobi.flat[n :: n + 1] = k / (2.0 * np.sqrt(4.0 * k * k - 1.0))
+    x, vectors = np.linalg.eigh(jacobi)
+    lf = np.array([math.lgamma(i + 1.0) for i in range(2 * n)])
+    i = np.arange(2 * n)[:, None]
+    terms = (
+        vectors[0] ** 2,
+        1.0 / x,
+        lf,
+        i * np.log(x) - lf[:, None],
+        i * np.log1p(-x) - lf[:, None],
+    )
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
+def _beta_at_nodes(a: np.ndarray, b: np.ndarray, nodes: int):
+    """The Beta(a, b) CDF and density of integer a, b >= 1 at the nodes x
+    of the `nodes`-point rule, each a.shape + (nodes,).
+
+    With n = a + b - 1, F(x) = P(Bin(n, x) >= a) and f(x) = a P(Bin(n, x)
+    = a) / x, which is n P(Bin(n - 1, x) = a - 1). One table of binomial
+    terms serves every arm: a row per distinct n, and in column i the term
+    of j = n - i successes, exp(log n! + (j log x - log j!) + (i log(1 - x)
+    - log i!)). The running sum along a row is the tail from j, so an arm
+    reads F at i = b - 1, summed from j = n down, and f from the term
+    there; no cell or sum it reads depends on the other arms. Columns run
+    to the largest b. A row's cells past its own n read j < 0 from the
+    end of the tables and are never read; they stay at most 1, because
+    log n! - log i! <= 0 there and the other terms are never positive.
+    """
+    _, inv_x, lf, xterm, yterm = _gauss_legendre(nodes)
+    rest = b - 1
+    n = a + rest
+    rows = np.array(sorted(set(n.ravel().tolist())))
+    width = int(rest.max()) + 1
+    j = np.subtract.outer(rows, np.arange(width))
+    at = np.searchsorted(rows, n) * width + rest
+    head = lf[rows][:, None, None]
+    scale = a[..., None] * inv_x
+    step = max(1, _TABLE_CELLS // j.size)
+    parts = []
+    for lo in range(0, nodes, step):
+        cols = slice(lo, lo + step)
+        terms = head + xterm[:, cols][j] + yterm[:width, cols]
+        np.exp(terms, out=terms)
+        flat = terms.reshape(-1, terms.shape[2])
+        pdf = flat[at] * scale[..., cols]
+        np.cumsum(terms, axis=1, out=terms)
+        parts.append((flat[at], pdf))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
 
 
 def _prob_best_rows(params: np.ndarray) -> np.ndarray:
@@ -149,12 +223,12 @@ def _prob_best_sets(params: np.ndarray):
     F_d^(m_d - 1) prod_{e != d} F_e^(m_e) dx. With integer parameters the
     integrand is a polynomial of degree sum(a + b) - K - 1 over all K arms,
     so ceil((degree + 1) / 2) Gauss-Legendre nodes integrate it exactly up
-    to rounding. The key sets are evaluated in one array pass per (distinct
-    posteriors, node count): element for element the arithmetic of a lone
+    to rounding. The key sets are evaluated in one array pass per node
+    count, each padded to K distinct posteriors with (1, 1, 0), whose
+    factor F^0 is exactly 1, and every Beta CDF and density read from one
+    table of binomial terms: element for element the arithmetic of a lone
     key set, so neither the batch nor the arm order moves a bit.
     """
-    from scipy.special import betainc, betaln, xlog1py, xlogy
-
     rows, k = params.shape[:2]
     each = np.arange(rows)[:, None]
     order = np.lexsort((params[:, :, 1], params[:, :, 0]))
@@ -172,31 +246,22 @@ def _prob_best_sets(params: np.ndarray):
     new[:, 1:] = (sets[:, 1:] != sets[:, :-1]).any(axis=2)
     # the sorted position's distinct posterior, counted from 0 in its set
     kind = np.cumsum(new, axis=1) - 1
-    # per set the (a, b, m) of each distinct posterior, zero-padded to K
-    key_sets = np.zeros((len(sets), k, 3), dtype=np.int64)
+    # per set the (a, b, m) of each distinct posterior, padded to K with
+    # (1, 1, 0): a posterior no arm has, whose factor is F^0 = 1
+    key_sets = np.ones((len(sets), k, 3), dtype=np.int64)
     at = np.nonzero(new)
     key_sets[at[0], kind[at], :2] = sets[at]
     key_sets[:, :, 2] = (kind[:, :, None] == np.arange(k)).sum(axis=1)
-    d = kind[:, -1] + 1
     # the degree is sum(a + b) - K - 1 over all K arms
     nodes = (sets.sum(axis=(1, 2)) - k - 1) // 2 + 1
-    values = np.zeros((len(key_sets), k))
-    for d_g, nodes_g in set(zip(d.tolist(), nodes.tolist())):
-        group = np.flatnonzero((d == d_g) & (nodes == nodes_g))
-        abm = key_sets[group, :d_g].astype(np.float64)[..., None]
-        a, b, m = abm[:, :, 0], abm[:, :, 1], abm[:, :, 2]
-        x, w = _gauss_legendre(nodes_g)
-        cdf = betainc(a, b, x)
-        pdf = np.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - betaln(a, b))
-        # a zero exponent gives a factor of exactly 1 even where F_e underflows
-        powers = m.transpose(0, 2, 1) - np.eye(d_g)
-        if d_g == 1:
-            # a lone key set of one posterior has a scalar power, which numpy
-            # squares exactly; over a batch the power varies, and it would not
-            others = np.stack([c ** p for c, p in zip(cdf, powers[:, 0, 0])])
-        else:
-            others = np.prod(cdf[:, None, :, :] ** powers[:, :, :, None], axis=2)
-        values[group, :d_g] = (pdf * others) @ w
+    values = np.empty((len(key_sets), k))
+    for nodes_g in set(nodes.tolist()):
+        group = np.flatnonzero(nodes == nodes_g)
+        a, b, m = key_sets[group].transpose(2, 0, 1)
+        cdf, pdf = _beta_at_nodes(a, b, nodes_g)
+        powers = m[:, None, :] - np.eye(k)
+        others = np.prod(cdf[:, None, :, :] ** powers[:, :, :, None], axis=2)
+        values[group] = (pdf * others) @ _gauss_legendre(nodes_g)[0]
     return values[np.arange(len(sets))[:, None], kind], inverse, order
 
 
@@ -251,13 +316,14 @@ def prob_best(
     P(k is best) = int_0^1 f_k(x) prod_{j != k} F_j(x) dx. With integer
     parameters (the only case reachable from integer priors and counts) a
     Gauss-Legendre rule integrates the polynomial integrand exactly up to
-    rounding; otherwise tanh-sinh quadrature keeps the absolute error
-    <= 1e-9. Each distinct (alpha, beta) is evaluated once on the canonically
-    sorted multiset, so permuting the input permutes the output bit for bit
-    and arms with equal posteriors get equal values. The values are not
-    renormalised. The decision tables evaluate integer parameters through
-    the same array function, a block's keys at once, which gives each
-    multiset the values it gets here, bit for bit.
+    rounding, on numpy alone; otherwise tanh-sinh quadrature through scipy
+    keeps the absolute error <= 1e-9. Each distinct (alpha, beta) is
+    evaluated once on the canonically sorted multiset, so permuting the
+    input permutes the output bit for bit and arms with equal posteriors get
+    equal values. The values are not renormalised. The decision tables
+    evaluate integer parameters through the same array function, a block's
+    keys at once, which gives each multiset the values it gets here, bit for
+    bit.
     """
     if len(posteriors) < 2:
         raise ValueError("need at least two posteriors")

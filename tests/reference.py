@@ -8,11 +8,13 @@ of the same draws and through the same decision tables
 written out once more. It keeps the interim decision as radapt took it
 before the tables, one count key at a time (_decide), with the rules'
 arithmetic and exact P(best) of one set of posteriors at a time
-(prob_best_int) written out once more: the oracle the tables' decisions
-and radapt's batched P(best) are checked against. It also keeps the seeded
-Monte Carlo estimators that the exact posterior probabilities are checked
-against, and the direct subset-sum table (subset_count_table) that the
-rank-sum tables radapt chains and derives are checked against.
+(prob_best_lone) written out once more: the oracle the tables' decisions
+and radapt's batched P(best) are checked against bit for bit. Exact P(best)
+through scipy's Beta functions (prob_best_int) is the independent oracle
+its values are gated against. It also keeps the seeded Monte Carlo
+estimators that the exact posterior probabilities are checked against, and
+the direct subset-sum table (subset_count_table) that the rank-sum tables
+radapt chains are checked against.
 """
 
 from __future__ import annotations
@@ -295,13 +297,13 @@ def _rule_pi(
 
 
 def _prob_best(posteriors: tuple[BetaPosterior, ...]) -> list[float]:
-    # integer posteriors through the per-key formula, so a fault in radapt's
+    # integer posteriors through the lone-key formula, so a fault in radapt's
     # batched P(best) shows here; others through radapt's quadrature
     keys = [(p.alpha, p.beta) for p in posteriors]
     if not all(float(v).is_integer() for key in keys for v in key):
         return list(prob_best(posteriors))
     shared = sorted(Counter(keys).items())
-    values = prob_best_int(tuple((int(a), int(b), m) for (a, b), m in shared))
+    values = prob_best_lone(tuple((int(a), int(b), m) for (a, b), m in shared))
     by_key = {key: v for (key, _), v in zip(shared, values)}
     return [by_key[key] for key in keys]
 
@@ -623,9 +625,10 @@ def subset_count_table(ranks, n1: int) -> np.ndarray:
 
 def prob_best_int(arms: tuple[tuple[int, int, int], ...]) -> tuple[float, ...]:
     """P(best) per distinct posterior of one canonical key set, (a, b, m)
-    per distinct integer Beta(a, b) shared by m arms, sorted: the
-    Gauss-Legendre formula of posterior._prob_best_int on this key set
-    alone, with no batch and no memo."""
+    per distinct integer Beta(a, b) shared by m arms, sorted: numpy's
+    Gauss-Legendre nodes and scipy's Beta functions, on this key set alone.
+    radapt computes neither its nodes nor its Beta CDF this way, so this is
+    the oracle its P(best) is gated against, in absolute error."""
     from scipy.special import betainc, betaln, xlog1py, xlogy
 
     a, b, m = (np.array(col, dtype=np.float64)[:, None] for col in zip(*arms))
@@ -637,6 +640,40 @@ def prob_best_int(arms: tuple[tuple[int, int, int], ...]) -> tuple[float, ...]:
     powers = m.T - np.eye(len(arms))
     others = np.prod(cdf[None, :, :] ** powers[:, :, None], axis=1)
     return tuple(float(v) for v in (pdf * others) @ w)
+
+
+def prob_best_lone(arms: tuple[tuple[int, int, int], ...]) -> tuple[float, ...]:
+    """P(best) per distinct posterior of one canonical key set, as
+    prob_best_int takes it, by the arithmetic of radapt's batched P(best)
+    written out for this key set alone: Golub-Welsch nodes, each arm's
+    binomial terms summed from the top, the set padded to K arms with
+    (1, 1, 0). The bits a batch must give each of its key sets."""
+    d, k = len(arms), sum(m for _, _, m in arms)
+    arms = tuple(arms) + ((1, 1, 0),) * (k - d)
+    nodes = (sum(m * (a + b) for a, b, m in arms) - k - 1) // 2 + 1
+    steps = np.arange(1.0, nodes)
+    jacobi = np.zeros((nodes, nodes))
+    jacobi.flat[:: nodes + 1] = 0.5
+    jacobi.flat[nodes :: nodes + 1] = steps / (2.0 * np.sqrt(4.0 * steps * steps - 1.0))
+    x, vectors = np.linalg.eigh(jacobi)
+    lf = np.array([math.lgamma(i + 1.0) for i in range(2 * nodes)])
+    cdf, pdf = [], []
+    for a, b, _ in arms:
+        n = a + b - 1
+        i = np.arange(b)[:, None]
+        # the terms of n, n - 1, ..., a successes out of n
+        log_terms = (lf[n] + ((n - i) * np.log(x) - lf[n - i])) + (
+            i * np.log1p(-x) - lf[i]
+        )
+        terms = np.exp(log_terms)
+        cdf.append(np.cumsum(terms, axis=0)[-1])
+        pdf.append(terms[-1] * (a * (1.0 / x)))
+    cdf, pdf = np.array(cdf)[None], np.array(pdf)[None]
+    m = np.array([[m for _, _, m in arms]])
+    powers = m[:, None, :] - np.eye(k)
+    others = np.prod(cdf[:, None, :, :] ** powers[:, :, :, None], axis=2)
+    values = (pdf * others) @ (vectors[0] ** 2)
+    return tuple(float(v) for v in values[0, :d])
 
 
 # ---------------------------------------------------------------------------

@@ -200,27 +200,10 @@ def tie_patterns(draw):
     return sizes, order, n1
 
 
-def _firsts(sizes):
-    return [int(f) for f in np.cumsum([0] + list(sizes[:-1]))]
-
-
-def _groups(sizes):
-    return [(f, t) for f, t in zip(_firsts(sizes), sizes) if t > 1]
-
-
-def _midranks(sizes):
-    # a run of t values from 0-based position f has doubled midrank 2f + t + 1
-    return tuple(2 * f + t + 1 for f, t in zip(_firsts(sizes), sizes) for _ in range(t))
-
-
-def _derived_survival(sizes, n1, length):
-    row = analysis._derived_row(sum(sizes), n1, _groups(sizes))[:length]
-    return np.cumsum(row[::-1])[::-1] / row.sum()
-
-
-class TestDerivedNullTables:
-    """radapt reads tied null tables derived from one shared tie-free table;
-    the reference builds each one directly from its ranks."""
+class TestTiedNullTables:
+    """A tied sample that the tail tables do not serve builds its null
+    table from its own doubled midranks; the reference builds each one
+    directly from its ranks, and rankdata ranks the sample."""
 
     @given(pattern=tie_patterns())
     @settings(max_examples=300, deadline=None)
@@ -233,37 +216,6 @@ class TestDerivedNullTables:
         got = rank_sum_rows(values, treat[None].astype(int), 2)[0, 0]
         assert got == want
 
-    @given(pattern=tie_patterns())
-    @settings(max_examples=300, deadline=None)
-    def test_derived_table_equals_the_direct_one(self, pattern):
-        # the whole survival, whatever route _null_survival would choose
-        sizes, _, n1 = pattern
-        want = null_survival(_midranks(sizes), n1)
-        assert np.array_equal(_derived_survival(sizes, n1, want.size), want)
-
-    def test_just_past_the_exact_bound_builds_directly(self, monkeypatch):
-        # 57 values: C(57, 28) > 2**53, so a derived count could round
-        sizes = [1] * 20 + [2] + [1] * 35
-        n1 = 28
-        assert math.comb(56, 28) < 2**53 < math.comb(57, 28)
-        treatment, control = _pattern_sample(sizes, range(57), n1)
-
-        def refused(*args):
-            raise AssertionError("derived past the exact bound")
-
-        monkeypatch.setattr(analysis, "_derived_row", refused)
-        _null_survival.cache_clear()
-        assert wilcoxon_one_sided(treatment, control) == _rankdata_p(treatment, control)
-
-    def test_derivation_past_the_bound_would_round(self):
-        # at 64 values deconvolution no longer matches the direct table, so
-        # the bound is needed; the table the tests read still matches
-        sizes = [1] * 5 + [4] + [1] * 55
-        n1 = 32
-        want = null_survival(_midranks(sizes), n1)
-        assert not np.array_equal(_derived_survival(sizes, n1, want.size), want)
-        assert np.array_equal(_null_survival(_midranks(sizes), n1), want)
-
     def test_heavy_ties_read_the_oracle(self):
         # 40 values in four groups of ten: every position ties
         sizes = [10, 10, 10, 10]
@@ -273,25 +225,6 @@ class TestDerivedNullTables:
             assert wilcoxon_one_sided(treatment, control) == _rankdata_p(
                 treatment, control
             )
-
-    def test_either_side_derived_equals_the_direct_one(self, monkeypatch):
-        # a smaller control side is derived and mirrored; every split of one
-        # tie pattern reads the direct table
-        sizes = [2, 1, 1, 3, 1, 1, 1, 2, 1, 4, 1, 1, 2, 1, 1, 1, 5, 1, 1, 2]
-        n = sum(sizes)
-        derived = []
-        original = analysis._derived_row
-
-        def spy(n, n1, groups):
-            derived.append(n1)
-            return original(n, n1, groups)
-
-        monkeypatch.setattr(analysis, "_derived_row", spy)
-        for n1 in range(1, n):
-            derived.clear()
-            want = null_survival(_midranks(sizes), n1)
-            assert np.array_equal(_derived_survival(sizes, n1, want.size), want), n1
-            assert derived[-1] == min(n1, n - n1)
 
 
 class TestTieFreeTables:

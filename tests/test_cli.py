@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,6 +21,10 @@ ACCRUED_HEADER = "patient_id,stage,arm_label,delta_y\n"
 STAGE1_ROWS = (
     "1,1,C,0.5\n2,1,C,0.1\n3,1,T1,0.4\n4,1,T1,0.0\n5,1,T2,0.35\n6,1,T2,0.9\n"
 )
+# stage 2 of the accrued file CI's interim steps read, one outcome NA
+STAGE2_NA_ROWS = (
+    "7,2,C,0.2\n8,2,C,0.6\n9,2,T1,NA\n10,2,T1,0.3\n11,2,T2,0.7\n12,2,T2,0.1\n"
+)
 
 
 def _read_csv(path):
@@ -30,25 +35,62 @@ def _read_csv(path):
 class TestSimulate:
     def test_simulate_never_imports_scipy_stats(self, tmp_path):
         # a fresh interpreter, so modules other tests imported do not count;
-        # unrestricted reaches scipy.special through the exact P(best)
+        # with integer priors neither simulate nor interim loads any of scipy
+        data = []
+        for stage, rows in ((2, STAGE1_ROWS), (3, STAGE1_ROWS + STAGE2_NA_ROWS)):
+            data.append(tmp_path / f"accrued_{stage}.csv")
+            data[-1].write_text(ACCRUED_HEADER + rows, encoding="utf-8")
         script = (
             "import sys\n"
+            "from radapt import PRESET_NAMES, preset_design\n"
             "from radapt.cli import main\n"
-            "for design in ('mapped_alpha', 'unrestricted'):\n"
+            "for design in PRESET_NAMES:\n"
+            "    d = preset_design(design)\n"
+            "    assert all(float(p).is_integer() for p in d.prior_alpha + d.prior_beta)\n"
             "    code = main(['simulate', '--design', design, '--effects',\n"
             "                 '0,0.3,0.4', '--reps', '1', '--out', sys.argv[1]])\n"
-            "    assert code == 0, code\n"
-            "assert 'scipy.special' in sys.modules\n"
-            "assert 'scipy.stats' not in sys.modules\n"
+            "    assert code == 0, (design, code)\n"
+            "    for stage, data in zip('23', sys.argv[2:]):\n"
+            "        code = main(['interim', '--design', design, '--data', data,\n"
+            "                     '--next-stage', stage])\n"
+            "        assert code == 0, (design, stage, code)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
         )
         src = str(Path(radapt.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path)],
+            [sys.executable, "-c", script, str(tmp_path), *map(str, data)],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_half_integer_priors_run(self, tmp_path, capsys):
+        # non-integer priors take the quadrature P(best), scipy's path
+        design = dataclasses.replace(
+            preset_design("unrestricted"), name="halfprior",
+            prior_alpha=(0.5, 0.5, 0.5),
+        )
+        path = tmp_path / "halfprior.json"
+        save_design(design, path)
+        code = main([
+            "simulate", "--design", str(path), "--effects", "0,0.3,0.4",
+            "--reps", "40", "--seed", "3", "--out", str(tmp_path / "sim"),
+        ])
+        assert code == 0
+        assert _read_csv(tmp_path / "sim" / "oc_report.csv")
+        data = tmp_path / "accrued.csv"
+        data.write_text(ACCRUED_HEADER + STAGE1_ROWS + STAGE2_NA_ROWS, encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "interim", "--design", str(path), "--data", str(data), "--next-stage", "3",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "posterior T2: Beta(3.5, 2), mean 0.636364" in out
+        probs = out.split("randomisation probabilities: ")[1].split("\n")[0]
+        assert abs(sum(float(p.split()[1]) for p in probs.split(", ")) - 1) < 1e-5
 
     def test_global_null_reports_type1_power_na(self, tmp_path, capsys):
         code = main([
@@ -487,7 +529,7 @@ class TestPinnedReports:
 
     @pytest.mark.parametrize("design, digest", [
         ("mapped_alpha", "ab585dee4da045ba"),
-        ("unrestricted", "9d74dacc9f2e8b26"),
+        ("unrestricted", "ae7f9ab2da260674"),
     ])
     def test_decision_pi(self, design, digest, tmp_path, monkeypatch, capsys):
         seen = []
@@ -589,6 +631,22 @@ class TestInterim:
         assert "stage-2 ratio: 2:2:2" in out
         audit = (tmp_path / "interim_audit.txt").read_text(encoding="utf-8")
         assert "randomisation probabilities" in audit
+
+    def test_unrestricted_audit_of_the_ci_file(self, tmp_path, capsys):
+        # the audit of CI's accrued file, pinned byte for byte
+        data = self._data(tmp_path, STAGE1_ROWS + STAGE2_NA_ROWS)
+        code = main([
+            "interim", "--design", "unrestricted", "--data", str(data),
+            "--next-stage", "3", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert (tmp_path / "interim_audit.txt").read_bytes() == (
+            b"posterior C: Beta(3, 3), mean 0.500000\n"
+            b"posterior T1: Beta(3, 2), mean 0.600000\n"
+            b"posterior T2: Beta(4, 2), mean 0.666667\n"
+            b"randomisation probabilities: C 0.154845, T1 0.340659, T2 0.504496\n"
+            b"stage-3 randomisation is i.i.d. at the probabilities above\n"
+        )
 
     def test_missing_row_triggers_override(self, tmp_path, capsys):
         body = STAGE1_ROWS.replace("3,1,T1,0.4", "3,1,T1,NA")
@@ -1018,13 +1076,9 @@ class TestParserReuse:
     """main() parses with one parser per process; no call may leave state
     behind for the next."""
 
-    STAGE2_NA_ROWS = (
-        "7,2,C,0.2\n8,2,C,0.6\n9,2,T1,NA\n10,2,T1,0.3\n11,2,T2,0.7\n12,2,T2,0.1\n"
-    )
-
     def _interim(self, tmp_path, *flags):
         data = tmp_path / "accrued.csv"
-        body = ACCRUED_HEADER + STAGE1_ROWS + self.STAGE2_NA_ROWS
+        body = ACCRUED_HEADER + STAGE1_ROWS + STAGE2_NA_ROWS
         data.write_text(body, encoding="utf-8")
         return [
             "interim", "--design", "mapped_alpha", "--data", str(data),

@@ -366,7 +366,8 @@ class TestDecisionTableOracle:
 class TestBatchedProbBest:
     """P(best) of the keys a decision table lacks is evaluated in one array
     call; each arm's value equals the per-key formula
-    (reference.prob_best_int) of its posterior bit for bit."""
+    (reference.prob_best_lone) of its posterior bit for bit, and scipy's
+    Beta functions (reference.prob_best_int) to 1e-12."""
 
     def test_every_reached_key_set_equals_the_per_key_formula(self):
         # the posteriors of every count key one block of each preset reaches
@@ -387,8 +388,12 @@ class TestBatchedProbBest:
         assert len(set(key_sets)) > 500
         got = posterior._prob_best_rows(params)
         for arms, keys, values in zip(key_sets, params.tolist(), got):
-            want = dict(zip((arm[:2] for arm in arms), reference.prob_best_int(arms)))
-            assert _bits(values) == _bits([want[tuple(key)] for key in keys]), arms
+            lone, scipy = (
+                dict(zip((arm[:2] for arm in arms), formula(arms)))
+                for formula in (reference.prob_best_lone, reference.prob_best_int)
+            )
+            assert _bits(values) == _bits([lone[tuple(key)] for key in keys]), arms
+            assert np.abs(values - [scipy[tuple(key)] for key in keys]).max() <= 1e-12
 
     def test_a_block_decides_its_new_keys_in_one_call(self, monkeypatch):
         batches = []

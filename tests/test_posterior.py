@@ -355,9 +355,10 @@ def _arm_rows(key_sets, seed=0):
 
 class TestBatchedProbBest:
     """_prob_best_rows evaluates the key sets of all its rows together, one
-    array pass per (distinct posteriors, node count); each arm's value
-    equals the per-key formula (reference.prob_best_int) of its posterior
-    bit for bit, whatever the batch and the arm order."""
+    binomial table per node count; each arm's value equals the per-key
+    formula (reference.prob_best_lone) of its posterior bit for bit,
+    whatever the batch and the arm order, and scipy's Beta functions
+    (reference.prob_best_int) to 1e-12."""
 
     @given(key_sets=st.lists(key_set(), min_size=1, max_size=24))
     @settings(max_examples=150, deadline=None)
@@ -369,22 +370,26 @@ class TestBatchedProbBest:
             got = posterior._prob_best_rows(params)
             assert got.shape == params.shape[:2]
             for arms, kind, values in zip(same + same[:1], kinds, got):
-                want = reference.prob_best_int(arms)
+                want = reference.prob_best_lone(arms)
                 assert _bits(values) == _bits([want[d] for d in kind]), arms
+                scipy = reference.prob_best_int(arms)
+                assert np.abs(values - [scipy[d] for d in kind]).max() <= 1e-12, arms
 
     def test_one_posterior_shared_by_every_arm(self):
-        # one posterior shared by three arms, many key sets per node count:
-        # numpy squares a lone set's scalar power exactly but not a batch's
-        # varying one, which moves some of these values by an ulp
-        key_sets = [((a, n - a, 3),) for n in (6, 20, 30) for a in range(1, n)]
-        params, _ = _arm_rows(key_sets)
-        got = posterior._prob_best_rows(params)
-        for arms, values in zip(key_sets, got):
-            assert _bits(values) == _bits(reference.prob_best_int(arms) * 3), arms
+        # one posterior shared by three arms, many key sets per node count,
+        # alone and beside key sets of two and three posteriors
+        shared = [((a, n - a, 3),) for n in (6, 20, 30) for a in range(1, n)]
+        mixed = shared + [((1, 4, 1), (3, 2, 2)), ((2, 2, 1), (3, 3, 1), (5, 1, 1))]
+        for key_sets in (shared, mixed):
+            params, kinds = _arm_rows(key_sets)
+            got = posterior._prob_best_rows(params)
+            for arms, kind, values in zip(key_sets, kinds, got):
+                want = reference.prob_best_lone(arms)
+                assert _bits(values) == _bits([want[d] for d in kind]), arms
 
     def test_prob_best_reads_the_batched_values(self):
         posts = [BetaPosterior(3, 5), BetaPosterior(6, 2), BetaPosterior(3, 5)]
-        low, high = reference.prob_best_int(((3, 5, 2), (6, 2, 1)))
+        low, high = reference.prob_best_lone(((3, 5, 2), (6, 2, 1)))
         assert _bits(prob_best(posts)) == _bits((low, high, low))
 
     @pytest.mark.parametrize("k", [3, 4])
@@ -396,3 +401,47 @@ class TestBatchedProbBest:
         for perm in itertools.permutations(range(k)):
             moved = posterior._prob_best_rows(params[:, perm])
             assert _bits(moved) == _bits(got[:, perm]), perm
+
+    @pytest.mark.parametrize("arms", [
+        # 184 patients over three arms, the largest stratum validate_design
+        # allows, with a uniform prior: even, lopsided and all on one arm
+        ((29, 34, 1), (30, 33, 1), (34, 30, 1)),
+        ((2, 62, 1), (31, 32, 1), (61, 2, 1)),
+        ((1, 1, 2), (92, 94, 1)),
+    ])
+    def test_a_full_stratum_key_set(self, arms):
+        got = posterior._prob_best_rows(_arm_rows([arms])[0])[0]
+        want = reference.prob_best_int(arms)
+        assert np.abs(np.sort(got) - np.sort([
+            want[d] for d, (_, _, m) in enumerate(arms) for _ in range(m)
+        ])).max() <= 1e-9
+
+    def test_binomial_table_is_taken_in_node_slices(self, monkeypatch):
+        # past its cell budget the table is built a few nodes at a time;
+        # every node's column is computed on its own, so no bit moves
+        rng = np.random.default_rng(11)
+        params = rng.integers(1, 40, size=(60, 3, 2))
+        whole = posterior._prob_best_rows(params)
+        monkeypatch.setattr(posterior, "_TABLE_CELLS", 50)
+        assert _bits(posterior._prob_best_rows(params)) == _bits(whole)
+
+    def test_beta_cdf_and_density_at_the_nodes(self):
+        # against scipy, every (a, b) with a + b <= 61 at the nodes of two
+        # rules, in one call
+        from scipy.special import betainc
+        from scipy.stats import beta
+
+        a, b = np.array([(a, b) for a in range(1, 61) for b in range(1, 62 - a)]).T
+        for nodes in (31, 40):
+            cdf, pdf = posterior._beta_at_nodes(a, b, nodes)
+            x = 1.0 / posterior._gauss_legendre(nodes)[1]
+            assert np.abs(cdf - betainc(a[:, None], b[:, None], x)).max() <= 1e-12
+            want = beta.pdf(x, a[:, None], b[:, None])
+            assert np.abs(pdf - want).max() <= 1e-12 * max(1.0, want.max())
+
+    def test_gauss_legendre_against_numpy(self):
+        for n in (1, 2, 7, 30, 94):
+            w, inv_x = posterior._gauss_legendre(n)[:2]
+            x, want = np.polynomial.legendre.leggauss(n)
+            assert np.abs(1.0 / inv_x - (x + 1.0) / 2.0).max() <= 1e-14
+            assert np.abs(w - want / 2.0).max() <= 1e-14
