@@ -62,10 +62,11 @@ in one gather.
 
 Counts are float64, exact only while every count and partial sum stays
 below 2**53, so the tail tables exist only up to 56 values (C(56, 28) <
-2**53). Any other tied sample builds a direct table over its own doubled
-midranks. Outside the tail gather, each sample's survival is cached on its
-sorted tie pattern; wilcoxon_one_sided always reads that cache.
-Every route is a quotient of the same exact integers, so all give the
+2**53), and only rank_sum_rows' gather reads them. Every other sample,
+and every sample wilcoxon_one_sided tests, builds a direct table, whose
+survival is cached on the sorted doubled midranks: a tie-free sample's
+over the undoubled ranks 1..n, a tied sample's over its doubled midranks.
+Both routes are quotients of the same exact integers, so they give the
 same p-values bit for bit. A table may hold at most EXACT_CELL_GUARD
 cells on the doubled grid; validate_design bounds a stratum so that two
 strata pooled always fit (table_cells).
@@ -135,17 +136,13 @@ class _TailChain:
     every (k - 1)-subset. Tables are built in order of n, as samples first
     need them. The array spans every n up to _CHAIN_MAX, but its memory is
     an anonymous mapping whose pages the process takes only as tables are
-    built; a larger n, which only tests of the bound ask for, builds every
-    table again in a larger array. Exact for n <= _CHAIN_MAX.
+    built. Exact for n <= _CHAIN_MAX, the only sizes rank_sum_rows sends.
     """
 
     def __init__(self):
-        self._allocate(_CHAIN_MAX)
-
-    def _allocate(self, top: int) -> None:
-        n = np.arange(top + 1)
+        n = np.arange(_CHAIN_MAX + 1)
         self.width = n * (n + 1) // 2 + 2
-        self.start = np.zeros(top + 2, dtype=np.int64)
+        self.start = np.zeros(_CHAIN_MAX + 2, dtype=np.int64)
         np.cumsum((n + 1) * self.width, out=self.start[1:])
         # a mapping of its own, not malloc's: glibc raises its mmap threshold
         # when a block this large (10 MB) is freed, after which the heap keeps
@@ -162,11 +159,9 @@ class _TailChain:
 
     def through(self, top: int) -> np.ndarray:
         """The flat array, with every table up to n = top built."""
-        if top >= len(self.width):
-            self._allocate(top)
+        # the mapping starts zeroed, and each table is built once
         for n in range(self.built, top + 1):
             tails = self._table(n)
-            tails[...] = 0.0
             if n == 0:
                 tails[0, 0] = 1.0
             else:
@@ -177,40 +172,10 @@ class _TailChain:
         self.built = max(self.built, top + 1)
         return self.flat
 
-    def table(self, n: int) -> np.ndarray:
-        """n's table, row k, column s, without the column of 0."""
-        self.through(n)
-        tails = self._table(n)[:, :-1]
-        tails.flags.writeable = False
-        return tails
-
 
 @lru_cache(maxsize=1)
 def _tail_chain() -> _TailChain:
     return _TailChain()
-
-
-def _tie_free_counts(n: int, n1: int) -> np.ndarray:
-    """Counts of the k-subsets (k <= n1) of 1..n by sum, from the shared
-    tail table: count(s) = tail(s) - tail(s + 1), exact below 2**53."""
-    width = n1 * (2 * n - n1 + 1) // 2 + 1
-    tails = _tail_chain().table(n)[: n1 + 1]
-    # no k-subset, k <= n1, reaches sum `width`, so the last column is its tail
-    counts = np.array(tails[:, :width])
-    counts[:, :-1] -= tails[:, 1:width]
-    return counts
-
-
-def _tie_groups(ranks: list[int]) -> list[tuple[int, int]]:
-    """(first 0-based position, size) of each run of tied values in the
-    sorted doubled midranks."""
-    groups, first = [], 0
-    for last in range(1, len(ranks) + 1):
-        if last == len(ranks) or ranks[last] != ranks[first]:
-            if last - first > 1:
-                groups.append((first, last - first))
-            first = last
-    return groups
 
 
 @lru_cache(maxsize=4096)
@@ -228,16 +193,13 @@ def _null_survival(scaled_ranks: tuple[int, ...], n1: int) -> np.ndarray:
             f"rank-sum samples of {n1} and {n - n1} values need a null "
             f"table past {EXACT_CELL_GUARD} cells"
         )
-    chained = n <= _CHAIN_MAX
-    groups = _tie_groups(ranks)
-    if not groups:
-        # past the exact chain the table is built for this sample, not kept
-        free = range(1, n + 1)
-        counts = _tie_free_counts(n, n1) if chained else _subset_counts(free, n1)
-        row = np.zeros(smax + 1)
-        row[::2] = counts[n1]
-    else:
+    if len(set(ranks)) < n:
         row = _subset_counts(ranks, n1)[n1]
+    else:
+        # tie-free, the doubled midranks are 2, 4, ..., 2n: count the sums
+        # over the undoubled ranks and spread them to the even sums
+        row = np.zeros(smax + 1)
+        row[::2] = _subset_counts(range(1, n + 1), n1)[n1]
     surv = np.cumsum(row[::-1])[::-1] / row.sum()
     surv.flags.writeable = False
     return surv

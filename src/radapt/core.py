@@ -329,14 +329,28 @@ def design_to_dict(design: TrialDesign) -> dict:
     return d
 
 
+def _typed(key: str, value, kind=(int, float)):
+    """`value`, or a ValueError naming `key` where it is not of `kind` (a
+    number unless given); a bool is none of them."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = {int: "an integer", str: "a string"}.get(kind, "a number")
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _numbers(key: str, values) -> tuple:
+    return tuple(_typed(f"{key}[{i}]", v) for i, v in enumerate(values))
+
+
 def design_from_dict(d: dict) -> TrialDesign:
     try:
-        arms = tuple(a["label"] for a in d["arms"])
+        arms = tuple(_typed(f"arms[{i}].label", a["label"], str)
+                     for i, a in enumerate(d["arms"]))
         r = d["rule"]
         rule = RuleConfig(
             kind=r["kind"],
-            gamma_schedule=tuple(r.get("gamma_schedule", ())),
-            eta_schedule=tuple(r.get("eta_schedule", ())),
+            gamma_schedule=_numbers("rule.gamma_schedule", r.get("gamma_schedule", ())),
+            eta_schedule=_numbers("rule.eta_schedule", r.get("eta_schedule", ())),
             control_exponent_form=r.get("control_exponent_form", "ProductForm"),
         )
         mapping = None
@@ -344,21 +358,22 @@ def design_from_dict(d: dict) -> TrialDesign:
             m = d["mapping"]
             thresholds = None
             if m.get("thresholds") is not None:
-                thresholds = ThresholdSet(
-                    stage2=tuple(m["thresholds"]["stage2"]),
-                    stage3=tuple(m["thresholds"]["stage3"]),
-                )
+                thresholds = ThresholdSet(*(
+                    _numbers(f"mapping.thresholds.{t}", m["thresholds"][t])
+                    for t in ("stage2", "stage3")
+                ))
             mapping = MappingConfig(variant=m["variant"], thresholds=thresholds)
         design = TrialDesign(
-            stage_sizes=tuple(s["size"] for s in d["stages"]),
+            stage_sizes=tuple(_typed(f"stages[{t}].size", s["size"], int)
+                              for t, s in enumerate(d["stages"], start=1)),
             rule=rule,
             mapping=mapping,
             arms=arms,
-            prior_alpha=tuple(d.get("prior_alpha", (1.0,) * len(arms))),
-            prior_beta=tuple(d.get("prior_beta", (1.0,) * len(arms))),
-            delta=d.get("delta", DEFAULT_DELTA),
-            tau=d.get("tau", DEFAULT_TAU),
-            alpha_level=d.get("alpha_level", DEFAULT_ALPHA_LEVEL),
+            prior_alpha=_numbers("prior_alpha", d.get("prior_alpha", (1.0,) * len(arms))),
+            prior_beta=_numbers("prior_beta", d.get("prior_beta", (1.0,) * len(arms))),
+            delta=_typed("delta", d.get("delta", DEFAULT_DELTA)),
+            tau=_typed("tau", d.get("tau", DEFAULT_TAU)),
+            alpha_level=_typed("alpha_level", d.get("alpha_level", DEFAULT_ALPHA_LEVEL)),
             stratum_label=d.get("stratum_label", "A"),
             name=d.get("name", "custom"),
             stage1_balanced_block=d.get("stage1_balanced_block", False),

@@ -98,10 +98,8 @@ from .outcomes import (
 from .posterior import (
     BetaPosterior,
     _in_arm_order,
-    _is_integral,
     _prob_best_sets,
     _prob_greater_of,
-    prob_best,
 )
 from .rules import (
     ProbVector,
@@ -181,8 +179,8 @@ _DEMOTE = {
 # Each category code's code (position in CATEGORIES) after the Drop/Keep
 # demotion.
 _DEMOTED = np.array([CATEGORIES.index(_DEMOTE.get(c, c)) for c in CATEGORIES])
-# The rows of a table's `marks`, and by option slot of a category pair the
-# marks of its two actives, (slots, 4, 2).
+# The marks `_DecisionTable.marks` gives, and by option slot of a category
+# pair the marks of its two actives, (slots, 4, 2).
 _MARKED = (
     AdaptationCategory.DROP,
     AdaptationCategory.KEEP,
@@ -219,7 +217,8 @@ class _DecisionTable:
     `pi`, the randomisation probabilities after every override, (rows, K);
     `ratios`, the first and last of the row's options, the coin's two
     choices or one ratio twice, (rows, 2, K), or None for i.i.d. assignment
-    at `pi`; and, on the last stage's table, `marks`. Where the data decide
+    at `pi`; and, on the last stage's table, the `marks` of their rows,
+    computed from these columns as a block reads them. Where the data decide
     a mapped stage, `slot` holds each row's key into `options` and `codes`
     the two actives' categories, then their applied categories, as
     CATEGORIES codes, (rows, 4); where the stage drops arms by tau,
@@ -239,12 +238,7 @@ class _DecisionTable:
             self.gamma, self.eta = rule.gamma_for_stage(stage), rule.eta_for_stage(stage)
         elif rule.kind == "TSBRAR":
             self.gamma = rule.gamma_for_stage(stage)
-        self._priors = list(zip(design.prior_alpha, design.prior_beta))
-        # with integer priors every key's Beta parameters are integers, and
-        # P(best) takes them as one array
-        self._int_priors = None
-        if all(map(_is_integral, design.prior_alpha + design.prior_beta)):
-            self._int_priors = np.array(self._priors, dtype=np.int64)
+        self._priors = np.array([design.prior_alpha, design.prior_beta]).T
         self._reads_held = (
             stage == 2 and planned is None and policy.no_adapt_on_stage1_missing
         )
@@ -259,7 +253,7 @@ class _DecisionTable:
             self._option_counts = np.zeros((_PLANNED_SLOT + 1, 2, k), dtype=np.int64)
         if planned is not None:
             self._add_option(_PLANNED_SLOT, (planned,))
-        self.count_keys = self.pi = self.ratios = self._marks = None
+        self.count_keys = self.pi = self.ratios = None
         self.slot = self.codes = self.dropped = None
 
     def __len__(self) -> int:
@@ -293,23 +287,17 @@ class _DecisionTable:
         and assigned count, (keys, K, 3): P(beats control) once per distinct
         pair through the exact scalar function and its memo, then the rule's
         arithmetic on plain floats per key; or P(best) of every key in one
-        array call, then the rule's arithmetic once per distinct key set,
-        scattered to each key's arm order (row by row where the priors are
-        not integers). Each weight is a power of its own arm's value, their
-        sum is exact (fsum) and each division element-wise, so permuting the
-        arms permutes pi bit for bit."""
+        array call, whatever the priors, then the rule's arithmetic once per
+        distinct key set, scattered to each key's arm order. Each weight is
+        a power of its own arm's value, their sum is exact (fsum) and each
+        division element-wise, so permuting the arms permutes pi bit for
+        bit."""
         design, k = self.design, self.design.k
         kind = design.rule.kind
         if kind == "FixedEqual" or (kind == "TSBRAR" and self.gamma == 0):
             return np.tile(_equal_probs(k), (len(counts), 1))
         if kind == "TSBRAR":
-            if self._int_priors is None:
-                params = (counts[:, :, :2] + self._priors).tolist()
-                return np.array([
-                    _ts_probs(prob_best([BetaPosterior(*arm) for arm in arms]), self.gamma)
-                    for arms in params
-                ])
-            best, inverse, order = _prob_best_sets(counts[:, :, :2] + self._int_priors)
+            best, inverse, order = _prob_best_sets(counts[:, :, :2] + self._priors)
             pi = [_ts_probs(tuple(row), self.gamma) for row in best.tolist()]
             return _in_arm_order(np.array(pi), inverse, order)
         params = (counts[:, :, :2] + self._priors).tolist()
@@ -375,29 +363,21 @@ class _DecisionTable:
         if slot is not None:
             self.ratios = _stacked(self.ratios, self._option_counts[slot])
 
-    @property
-    def marks(self) -> np.ndarray:
-        """Per row and arm whether the row drops, keeps, favours or
-        disfavours it (_MARKED), (rows, 4, K): from the applied categories,
-        or else from pi and tau drops. Only the last stage's counters read
-        it, so it is built when read, for the rows added since."""
-        done = 0 if self._marks is None else len(self._marks)
-        if done < len(self):
-            self._marks = _stacked(self._marks, self._marks_from(done))
-        return self._marks
-
-    def _marks_from(self, done: int) -> np.ndarray:
-        k, pi = self.design.k, self.pi[done:]
+    def marks(self, rows: np.ndarray) -> np.ndarray:
+        """Per row of `rows` and arm whether the row drops, keeps, favours
+        or disfavours it (_MARKED), (len(rows), 4, K): from the applied
+        categories, or else from pi and tau drops."""
+        k, pi = self.design.k, self.pi[rows]
         marks = np.zeros((len(pi), 4, k), dtype=bool)
         if self.categorised:
-            marks[:, :, 1:] = _PAIR_MARKS[self.slot[done:]]
+            marks[:, :, 1:] = _PAIR_MARKS[self.slot[rows]]
             return marks
         # favour or disfavour by pi, unless the row drops an arm: then drop
         # it and keep the others
         marks[:, 2] = pi > 1.0 / k + _SHARE_TOL
         marks[:, 3] = pi < 1.0 / k - _SHARE_TOL
         if self.dropped is not None:
-            dropped = self.dropped[done:]
+            dropped = self.dropped[rows]
             any_drop = dropped.any(axis=1)
             marks[any_drop] = False
             marks[:, 0] = dropped
@@ -895,7 +875,7 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
         moved = ratio != np.asarray(BALANCED[3].counts)
     else:
         moved = _off_centre(table.pi[rows], 1.0 / k)
-    drop, keep, fav, dis = table.marks[rows].sum(axis=0)
+    drop, keep, fav, dis = table.marks(rows).sum(axis=0)
     return {
         "adapt3": moved.any(axis=1).sum(),
         "zero3": (last_counts[:, 1:] == 0).any(axis=1).sum(),

@@ -61,10 +61,6 @@ def update(prior: BetaPosterior, counts: SuccessCount) -> BetaPosterior:
     return BetaPosterior(prior.alpha + counts.successes, prior.beta + counts.failures)
 
 
-def _is_integral(x: float) -> bool:
-    return float(x).is_integer()
-
-
 @lru_cache(maxsize=65536)
 def _prob_greater_int(aa: int, ab: int, ba: int, bb: int) -> float:
     # P(X > Y), X ~ Beta(aa, ab), Y ~ Beta(ba, bb), all parameters integers.
@@ -112,7 +108,7 @@ def prob_greater(a: BetaPosterior, b: BetaPosterior) -> float:
 def _prob_greater_of(aa: float, ab: float, ba: float, bb: float) -> float:
     # prob_greater on the parameters of Beta(aa, ab) and Beta(ba, bb)
     params = (aa, ab, ba, bb)
-    if all(_is_integral(p) for p in params):
+    if all(float(p).is_integer() for p in params):
         return _prob_greater_int(*(int(p) for p in params))
     return _prob_greater_quad(BetaPosterior(aa, ab), BetaPosterior(ba, bb))
 
@@ -196,8 +192,8 @@ def _beta_at_nodes(a: np.ndarray, b: np.ndarray, nodes: int):
 
 
 def _prob_best_rows(params: np.ndarray) -> np.ndarray:
-    """P(best) of every row of integer Beta parameters, (rows, K, 2) as
-    [alpha, beta] per arm, as (rows, K) in arm order."""
+    """P(best) of every row of Beta parameters, (rows, K, 2) as [alpha,
+    beta] per arm, as (rows, K) in arm order."""
     return _in_arm_order(*_prob_best_sets(params))
 
 
@@ -211,7 +207,7 @@ def _in_arm_order(values, inverse, order) -> np.ndarray:
 
 
 def _prob_best_sets(params: np.ndarray):
-    """P(best) of the distinct key sets of rows of integer Beta parameters,
+    """P(best) of the distinct key sets of rows of Beta parameters,
     (rows, K, 2) as [alpha, beta] per arm: (best, inverse, order), where row
     r's key set is inverse[r], its arm order[r, j] holds the j-th smallest
     [alpha, beta] of the row, and best[s, j] is the P(best) of the arm at
@@ -220,10 +216,11 @@ def _prob_best_sets(params: np.ndarray):
     Each row is sorted to its canonical key set, (a, b, m) per distinct
     posterior shared by m arms, and every distinct key set is evaluated
     once. An arm of type d is best with probability int_0^1 f_d
-    F_d^(m_d - 1) prod_{e != d} F_e^(m_e) dx. With integer parameters the
-    integrand is a polynomial of degree sum(a + b) - K - 1 over all K arms,
-    so ceil((degree + 1) / 2) Gauss-Legendre nodes integrate it exactly up
-    to rounding. The key sets are evaluated in one array pass per node
+    F_d^(m_d - 1) prod_{e != d} F_e^(m_e) dx. A set with a non-integer
+    parameter takes _prob_best_quad. With integer parameters the integrand
+    is a polynomial of degree sum(a + b) - K - 1 over all K arms, so
+    ceil((degree + 1) / 2) Gauss-Legendre nodes integrate it exactly up to
+    rounding. The integer key sets are evaluated in one array pass per node
     count, each padded to K distinct posteriors with (1, 1, 0), whose
     factor F^0 is exactly 1, and every Beta CDF and density read from one
     table of binomial terms: element for element the arithmetic of a lone
@@ -246,20 +243,26 @@ def _prob_best_sets(params: np.ndarray):
     new[:, 1:] = (sets[:, 1:] != sets[:, :-1]).any(axis=2)
     # the sorted position's distinct posterior, counted from 0 in its set
     kind = np.cumsum(new, axis=1) - 1
-    # per set the (a, b, m) of each distinct posterior, padded to K with
-    # (1, 1, 0): a posterior no arm has, whose factor is F^0 = 1
-    key_sets = np.ones((len(sets), k, 3), dtype=np.int64)
+    # per set the (a, b) and m of each distinct posterior, padded to K with
+    # (1, 1) and 0: a posterior no arm has, whose factor is F^0 = 1
+    shapes = np.ones((len(sets), k, 2), dtype=sets.dtype)
     at = np.nonzero(new)
-    key_sets[at[0], kind[at], :2] = sets[at]
-    key_sets[:, :, 2] = (kind[:, :, None] == np.arange(k)).sum(axis=1)
+    shapes[at[0], kind[at]] = sets[at]
+    counts = (kind[:, :, None] == np.arange(k)).sum(axis=1)
+    values = np.empty((len(sets), k))
+    integral = (sets == np.floor(sets)).all(axis=(1, 2))
+    for s in np.flatnonzero(~integral).tolist():
+        d = int(kind[s, -1]) + 1
+        arms = zip(*shapes[s, :d].T.tolist(), counts[s, :d].tolist())
+        values[s, :d] = _prob_best_quad(tuple(arms))
+    whole = np.flatnonzero(integral)
     # the degree is sum(a + b) - K - 1 over all K arms
-    nodes = (sets.sum(axis=(1, 2)) - k - 1) // 2 + 1
-    values = np.empty((len(key_sets), k))
+    nodes = (sets[whole].sum(axis=(1, 2)).astype(np.int64) - k - 1) // 2 + 1
     for nodes_g in set(nodes.tolist()):
-        group = np.flatnonzero(nodes == nodes_g)
-        a, b, m = key_sets[group].transpose(2, 0, 1)
+        group = whole[nodes == nodes_g]
+        a, b = shapes[group].astype(np.int64).transpose(2, 0, 1)
         cdf, pdf = _beta_at_nodes(a, b, nodes_g)
-        powers = m[:, None, :] - np.eye(k)
+        powers = counts[group][:, None, :] - np.eye(k)
         others = np.prod(cdf[:, None, :, :] ** powers[:, :, :, None], axis=2)
         values[group] = (pdf * others) @ _gauss_legendre(nodes_g)[0]
     return values[np.arange(len(sets))[:, None], kind], inverse, order
@@ -317,20 +320,14 @@ def prob_best(
     parameters (the only case reachable from integer priors and counts) a
     Gauss-Legendre rule integrates the polynomial integrand exactly up to
     rounding, on numpy alone; otherwise tanh-sinh quadrature through scipy
-    keeps the absolute error <= 1e-9. Each distinct (alpha, beta) is
-    evaluated once on the canonically sorted multiset, so permuting the
-    input permutes the output bit for bit and arms with equal posteriors get
-    equal values. The values are not renormalised. The decision tables
-    evaluate integer parameters through the same array function, a block's
-    keys at once, which gives each multiset the values it gets here, bit for
-    bit.
+    keeps the absolute error <= 1e-9. This is the one-row call of the array
+    function the decision tables evaluate a block's keys with: each distinct
+    (alpha, beta) is evaluated once on the canonically sorted multiset, so
+    permuting the input permutes the output bit for bit, arms with equal
+    posteriors get equal values, and a multiset gets the same values in any
+    batch. The values are not renormalised.
     """
     if len(posteriors) < 2:
         raise ValueError("need at least two posteriors")
-    keys = [(p.alpha, p.beta) for p in posteriors]
-    if all(_is_integral(x) for key in keys for x in key):
-        params = np.array([[[int(a), int(b)] for a, b in keys]], dtype=np.int64)
-        return tuple(_prob_best_rows(params)[0].tolist())
-    arms = tuple((a, b, keys.count((a, b))) for a, b in sorted(set(keys)))
-    by_key = {(a, b): v for (a, b, _), v in zip(arms, _prob_best_quad(arms))}
-    return tuple(by_key[key] for key in keys)
+    params = np.array([[[p.alpha, p.beta] for p in posteriors]], dtype=np.float64)
+    return tuple(_prob_best_rows(params)[0].tolist())

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -228,23 +229,32 @@ class TestTiedNullTables:
 
 
 class TestTieFreeTables:
-    """One tie-free table per sample size, each built from the one before;
-    the reference builds every (n, n1) table directly."""
+    """One tail table per sample size, each built from the one before; the
+    reference builds every (n, n1) count table directly."""
 
     def test_every_exact_size_equals_the_direct_table(self):
+        # tail(k, s) - tail(k, s + 1) of the chain's own tables, whose last
+        # column holds 0, counts the k-subsets of 1..n summing to s
+        chain = analysis._tail_chain()
+        chain.through(analysis._CHAIN_MAX)
         for n in range(analysis._CHAIN_MAX + 1):
+            tails = chain._table(n)
+            counts = tails[:, :-1] - tails[:, 1:]
             for n1 in range(n + 1):
                 want = subset_count_table(range(1, n + 1), n1)
-                assert np.array_equal(analysis._tie_free_counts(n, n1), want), (n, n1)
+                got = counts[: n1 + 1]
+                assert np.array_equal(got[:, : want.shape[1]], want), (n, n1)
+                assert not got[:, want.shape[1] :].any(), (n, n1)
 
     def test_the_chain_ends_at_the_exact_bound(self):
         n = analysis._CHAIN_MAX
         assert math.comb(n, n // 2) < 2**53 < math.comb(n + 1, (n + 1) // 2)
 
-    @pytest.mark.parametrize("n2, tied", [(184, False), (364, True)])
+    @pytest.mark.parametrize("n2, tied", [(184, False), (364, True), (8, False)])
     def test_samples_past_the_bound_keep_no_chain_table(self, n2, tied):
         # 4 values against 184 tie-free, and 368 values with ties, as two
-        # pooled strata of 184 can give: each builds its own direct table
+        # pooled strata of 184 can give: each builds its own direct table;
+        # so does the scalar test of 12 tie-free values, within the bound
         rng = np.random.default_rng(n2)
         values = rng.permutation(n2 + 4).astype(float)
         if tied:
@@ -385,7 +395,8 @@ class TestTiedPairTails:
             return tails(ns, n1s, w2, a, b)
 
         def table_spy(ranks, n1):
-            keyed.append(analysis._tie_groups(sorted(ranks)))
+            # the size of each run of tied values
+            keyed.append([size for size in Counter(ranks).values() if size > 1])
             return table(ranks, n1)
 
         monkeypatch.setattr(analysis, "_tail_p_values", tails_spy)
@@ -400,9 +411,9 @@ class TestTiedPairTails:
         assert one_pair > 300
         assert two_pairs > 10
         assert len(keyed) < 50
-        for groups in keyed:
-            # three or more tie groups, or a group of three or more
-            assert len(groups) > 2 or max(size for _, size in groups) > 2, groups
+        for runs in keyed:
+            # three or more tie runs, or a run of three or more
+            assert len(runs) > 2 or max(runs) > 2, runs
 
 
 @st.composite

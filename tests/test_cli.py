@@ -573,6 +573,61 @@ class TestPinnedReports:
         assert _digests(tmp_path) == digests
 
 
+# TSBRAR at gamma 0.5 then 1.7, as CI's halfprior.json, with priors that
+# are not integers: P(best) by quadrature, for every prior half and for
+# integer and non-integer priors mixed. Digests of oc_report.csv and
+# adaptability.csv of an imputed case-5 run, then the audit of CI's accrued
+# file before stage 3.
+NON_INTEGER_PRIORS = {
+    "halfprior": (
+        ((0.5, 0.5, 0.5), (1.0, 1.0, 1.0)),
+        ("ef58a76f7e2f2a46", "f18bd7cdb637c55b"),
+        b"posterior C: Beta(2.5, 3), mean 0.454545\n"
+        b"posterior T1: Beta(2.5, 2), mean 0.555556\n"
+        b"posterior T2: Beta(3.5, 2), mean 0.636364\n"
+        b"randomisation probabilities: C 0.079265, T1 0.291516, T2 0.629219\n",
+    ),
+    "mixedprior": (
+        ((1.0, 2.5, 1.0), (1.0, 1.0, 0.75)),
+        ("e6546e2648030866", "30e094250f6fbed4"),
+        b"posterior C: Beta(3, 3), mean 0.500000\n"
+        b"posterior T1: Beta(4.5, 2), mean 0.692308\n"
+        b"posterior T2: Beta(4, 1.75), mean 0.695652\n"
+        b"randomisation probabilities: C 0.039144, T1 0.460290, T2 0.500567\n",
+    ),
+}
+
+
+class TestNonIntegerPriors:
+    @pytest.mark.parametrize("name", sorted(NON_INTEGER_PRIORS))
+    def test_imputed_run_and_audit(self, name, tmp_path, capsys):
+        (alpha, beta), digests, audit = NON_INTEGER_PRIORS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "name": name, "arms": [{"label": "C"}, {"label": "T1"}, {"label": "T2"}],
+            "stages": [{"size": 6}, {"size": 6}, {"size": 8}],
+            "rule": {"kind": "TSBRAR", "gamma_schedule": [0.5, 1.7]},
+            "prior_alpha": list(alpha), "prior_beta": list(beta),
+        }), encoding="utf-8")
+        code = main([
+            "simulate", "--design", str(path), "--case", "5", "--impute-stage2",
+            "--reps", "300", "--seed", "3", "--workers", "1",
+            "--out", str(tmp_path / "sim"),
+        ])
+        assert code == 0
+        assert _digests(tmp_path / "sim") == digests
+        data = tmp_path / "accrued.csv"
+        data.write_text(ACCRUED_HEADER + STAGE1_ROWS + STAGE2_NA_ROWS, encoding="utf-8")
+        code = main([
+            "interim", "--design", str(path), "--data", str(data),
+            "--next-stage", "3", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert (tmp_path / "interim_audit.txt").read_bytes() == audit + (
+            b"stage-3 randomisation is i.i.d. at the probabilities above\n"
+        )
+
+
 class TestCalibrate:
     def test_sweep_writes_tradeoff(self, tmp_path, capsys):
         code = main([

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radapt.cli import main
 from radapt.core import (
     MappingConfig,
     RuleConfig,
@@ -458,6 +459,63 @@ class TestJsonRoundTrip:
         again = design_from_dict(design_to_dict(design))
         assert again == design
         assert validate_design(again) == validate_design(design)
+
+
+def _set(payload, path, value):
+    # payload[path[0]][path[1]]... = value
+    *head, last = path
+    for step in head:
+        payload = payload[step]
+    payload[last] = value
+
+
+class TestDesignValueTypes:
+    """A design value of the wrong JSON type is refused with a ValueError
+    naming its key, quoted numbers included, and the CLI exits 2 naming the
+    file, for simulate and for interim, before it writes anything."""
+
+    @pytest.mark.parametrize("design, path, value, key", [
+        ("mapped_alpha", ("delta",), "0.3", "delta"),
+        ("mapped_alpha", ("tau",), "0.1", "tau"),
+        ("mapped_alpha", ("alpha_level",), "0.1", "alpha_level"),
+        ("mapped_alpha", ("delta",), True, "delta"),
+        ("mapped_alpha", ("tau",), None, "tau"),
+        ("unrestricted", ("prior_alpha", 1), "1.0", "prior_alpha[1]"),
+        ("unrestricted", ("prior_beta", 2), False, "prior_beta[2]"),
+        ("mapped_alpha", ("rule", "gamma_schedule", 0), "0.3", "rule.gamma_schedule[0]"),
+        ("mapped_alpha", ("rule", "eta_schedule", 1), "0.322", "rule.eta_schedule[1]"),
+        ("mapped_alpha", ("mapping", "thresholds", "stage3", 1), "0.45",
+         "mapping.thresholds.stage3[1]"),
+        ("fixed_equal", ("stages", 0, "size"), 6.0, "stages[1].size"),
+        ("fixed_equal", ("stages", 2, "size"), "8", "stages[3].size"),
+        ("fixed_equal", ("arms", 1, "label"), 1, "arms[1].label"),
+    ])
+    def test_wrong_type_refused(self, design, path, value, key, tmp_path, capsys):
+        payload = design_to_dict(preset_design(design))
+        _set(payload, path, value)
+        with pytest.raises(ValueError) as info:
+            design_from_dict(payload)
+        assert str(info.value).startswith(f"{key} must be ")
+        assert str(info.value).endswith(f", got {value!r}")
+        file = tmp_path / "design.json"
+        file.write_text(json.dumps(payload), encoding="utf-8")
+        data = tmp_path / "accrued.csv"
+        data.write_text(
+            "patient_id,stage,arm_label,delta_y\n"
+            "1,1,C,0.5\n2,1,C,0.1\n3,1,T1,0.4\n4,1,T1,0.0\n5,1,T2,0.35\n6,1,T2,0.9\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        for args in (
+            ["simulate", "--design", str(file), "--reps", "10", "--out", str(out)],
+            ["interim", "--design", str(file), "--data", str(data),
+             "--next-stage", "2", "--out", str(out)],
+        ):
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {file}: {info.value}\n"
+            assert captured.out == ""
+        assert not out.exists()
 
 
 class TestOldDesignFiles:

@@ -402,6 +402,31 @@ class TestBatchedProbBest:
             moved = posterior._prob_best_rows(params[:, perm])
             assert _bits(moved) == _bits(got[:, perm]), perm
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_non_integer_rows_take_quadrature_of_their_key_set(self, k):
+        # rows with a half-integer parameter, one with a shared posterior,
+        # beside integer rows, under every arm order: each arm reads the
+        # uncached _prob_best_quad of its row's canonical key set
+        rng = np.random.default_rng(k)
+        params = rng.integers(1, 4, size=(6, k, 2)) + rng.choice([0.0, 0.5], size=(6, k, 2))
+        params[:4, 0, 0] = 0.5
+        params[1, 1] = params[1, 0]
+        params[4:] = np.floor(params[4:])
+        want = []
+        for row in params.tolist():
+            keys = [tuple(arm) for arm in row]
+            distinct = sorted(set(keys))
+            if all(float(x).is_integer() for key in keys for x in key):
+                want.append(posterior._prob_best_rows(np.array([row]))[0])
+                continue
+            arms = tuple((a, b, keys.count((a, b))) for a, b in distinct)
+            values = dict(zip(distinct, posterior._prob_best_quad.__wrapped__(arms)))
+            want.append([values[key] for key in keys])
+        want = np.array(want)
+        for perm in itertools.permutations(range(k)):
+            got = posterior._prob_best_rows(params[:, perm])
+            assert _bits(got) == _bits(want[:, perm]), perm
+
     @pytest.mark.parametrize("arms", [
         # 184 patients over three arms, the largest stratum validate_design
         # allows, with a uniform prior: even, lopsided and all on one arm
