@@ -331,9 +331,9 @@ def design_to_dict(design: TrialDesign) -> dict:
 
 def _typed(key: str, value, kind=(int, float)):
     """`value`, or a ValueError naming `key` where it is not of `kind` (a
-    number unless given); a bool is none of them."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = {int: "an integer", str: "a string"}.get(kind, "a number")
+    number unless given); a bool is of kind bool alone."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        what = {int: "an integer", str: "a string", bool: "a boolean"}.get(kind, "a number")
         raise ValueError(f"{key} must be {what}, got {value!r}")
     return value
 
@@ -374,10 +374,12 @@ def design_from_dict(d: dict) -> TrialDesign:
             delta=_typed("delta", d.get("delta", DEFAULT_DELTA)),
             tau=_typed("tau", d.get("tau", DEFAULT_TAU)),
             alpha_level=_typed("alpha_level", d.get("alpha_level", DEFAULT_ALPHA_LEVEL)),
-            stratum_label=d.get("stratum_label", "A"),
-            name=d.get("name", "custom"),
-            stage1_balanced_block=d.get("stage1_balanced_block", False),
-            tau_dropping=d.get("tau_dropping", False),
+            stratum_label=_typed("stratum_label", d.get("stratum_label", "A"), str),
+            name=_typed("name", d.get("name", "custom"), str),
+            stage1_balanced_block=_typed(
+                "stage1_balanced_block", d.get("stage1_balanced_block", False), bool
+            ),
+            tau_dropping=_typed("tau_dropping", d.get("tau_dropping", False), bool),
         )
         _check_old_keys(d, design)
     except (KeyError, TypeError) as exc:

@@ -49,7 +49,7 @@ a row per key seen so far, shared by both strata of a pooled run; a conduct
 looks its rows' keys up there and decides the keys the table lacks together,
 as arrays and through the rules' shared arithmetic. An InterimRecord is
 built from a table row only where something prints or inspects it: the
-interim audit and the tests.
+interim audit, which _audit writes, and the tests.
 
 The ratios a stage may take come from one place. Stage 1 takes
 mapping.planned_ratio, or i.i.d. assignment where it is None; every later
@@ -63,7 +63,6 @@ interim's a draw from a generator the caller seeds.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import multiprocessing
 from collections.abc import Callable
@@ -179,21 +178,14 @@ _DEMOTE = {
 # Each category code's code (position in CATEGORIES) after the Drop/Keep
 # demotion.
 _DEMOTED = np.array([CATEGORIES.index(_DEMOTE.get(c, c)) for c in CATEGORIES])
-# The marks `_DecisionTable.marks` gives, and by option slot of a category
-# pair the marks of its two actives, (slots, 4, 2).
-_MARKED = (
-    AdaptationCategory.DROP,
-    AdaptationCategory.KEEP,
-    AdaptationCategory.FAVOUR,
-    AdaptationCategory.DISFAVOUR,
-)
-_PAIR_MARKS = np.array([
-    [[CATEGORIES[c] is mark for c in pair] for mark in _MARKED]
-    for pair in itertools.product(range(len(CATEGORIES)), repeat=2)
-])
+# The codes of the marks `_DecisionTable.marks` gives.
+_MARKED = np.array([CATEGORIES.index(c) for c in (
+    AdaptationCategory.DROP, AdaptationCategory.KEEP,
+    AdaptationCategory.FAVOUR, AdaptationCategory.DISFAVOUR,
+)])
 # Option slots: the applied category codes c1, c2 of the two actives take
-# slot c1 * 5 + c2 (the dot product with _SLOT_OF), as in _PAIR_MARKS; then
-# come the held stage-2 block and the planned ratio.
+# slot c1 * 5 + c2 (the dot product with _SLOT_OF); then come the held
+# stage-2 block and the planned ratio.
 _SLOT_OF = np.array([len(CATEGORIES), 1])
 _HELD_SLOT = len(CATEGORIES) ** 2
 _PLANNED_SLOT = _HELD_SLOT + 1
@@ -222,8 +214,12 @@ class _DecisionTable:
     a mapped stage, `slot` holds each row's key into `options` and `codes`
     the two actives' categories, then their applied categories, as
     CATEGORIES codes, (rows, 4); where the stage drops arms by tau,
-    `dropped` holds the arms dropped, (rows, K). table[row] builds the row's
-    InterimRecord. Columns are None until the first key is decided.
+    `dropped` holds the arms dropped, (rows, K). Each fact has one source:
+    marks come from the applied categories in `codes`, or else from pi's
+    `moves` off 1/K and `dropped`; table[row] builds the row's
+    InterimRecord, its override notes from the held and kept flags its
+    decision read (_reads_held, _reads_kept). Columns are None until the
+    first key is decided.
     """
 
     def __init__(self, design: TrialDesign, policy: MissingPolicy, stage: int):
@@ -363,19 +359,23 @@ class _DecisionTable:
         if slot is not None:
             self.ratios = _stacked(self.ratios, self._option_counts[slot])
 
+    def moves(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of `rows` and arm whether pi lies above and whether it
+        lies below 1/K by more than _SHARE_TOL, two (len(rows), K)."""
+        pi, centre = self.pi[rows], 1.0 / self.design.k
+        return pi > centre + _SHARE_TOL, pi < centre - _SHARE_TOL
+
     def marks(self, rows: np.ndarray) -> np.ndarray:
         """Per row of `rows` and arm whether the row drops, keeps, favours
         or disfavours it (_MARKED), (len(rows), 4, K): from the applied
-        categories, or else from pi and tau drops."""
-        k, pi = self.design.k, self.pi[rows]
-        marks = np.zeros((len(pi), 4, k), dtype=bool)
+        categories, or else from pi's moves and tau drops."""
+        marks = np.zeros((len(rows), 4, self.design.k), dtype=bool)
         if self.categorised:
-            marks[:, :, 1:] = _PAIR_MARKS[self.slot[rows]]
+            marks[:, :, 1:] = self.codes[rows, None, 2:] == _MARKED[:, None]
             return marks
         # favour or disfavour by pi, unless the row drops an arm: then drop
         # it and keep the others
-        marks[:, 2] = pi > 1.0 / k + _SHARE_TOL
-        marks[:, 3] = pi < 1.0 / k - _SHARE_TOL
+        marks[:, 2], marks[:, 3] = self.moves(rows)
         if self.dropped is not None:
             dropped = self.dropped[rows]
             any_drop = dropped.any(axis=1)
@@ -390,14 +390,15 @@ class _DecisionTable:
         self._option_counts[slot] = (options[0].counts, options[-1].counts)
 
     def __getitem__(self, row: int) -> InterimRecord:
-        design, policy, stage = self.design, self.policy, self.stage
+        design, stage = self.design, self.stage
         key = self.count_keys[row].tolist()
         posteriors = tuple(
             BetaPosterior(a + key[3 * i], b + key[3 * i + 1])
             for i, (a, b) in enumerate(zip(design.prior_alpha, design.prior_beta))
         )
-        held = policy.no_adapt_on_stage1_missing and key[-2] == 1
-        kept = policy.no_drop_on_stage2_missing and key[-1] == 1
+        # held and kept as _decide_keys read them
+        held = self._reads_held and key[-2] == 1
+        kept = self._reads_kept and key[-1] == 1
         dropped = ()
         if self.dropped is not None:
             dropped = tuple(np.flatnonzero(self.dropped[row]).tolist())
@@ -408,18 +409,18 @@ class _DecisionTable:
             codes = [CATEGORIES[c] for c in self.codes[row].tolist()]
             categories, applied = tuple(codes[:2]), tuple(codes[2:])
             options = self.options[int(self.slot[row])]
-            if stage == 2 and held:
+            if held:
                 overrides.append("stage-1 outcomes missing: stage-2 block held balanced")
-            elif stage == 3 and kept and applied != categories:
+            elif kept and applied != categories:
                 overrides.append(
                     "stage-2 outcomes missing: Drop/Keep demoted to Disfavour/Favour"
                 )
-        elif design.mapping is None:
-            if stage == 2 and held:
+        else:
+            if held:
                 overrides.append(
                     "stage-1 outcomes missing: stage-2 randomisation held at 1/K"
                 )
-            if self.tau_stage and kept:
+            if kept:
                 overrides.append(
                     "stage-2 outcomes missing: tau-based arm dropping suppressed"
                 )
@@ -795,10 +796,6 @@ def _pooled_tests(block_a: _Block, block_b: _Block, design: TrialDesign):
     return _final_tests(design, arm, y, observed)
 
 
-def _off_centre(pi: np.ndarray, centre: float) -> np.ndarray:
-    return np.abs(pi - centre) > _SHARE_TOL
-
-
 # ---------------------------------------------------------------------------
 # Counters: int64 arrays keyed by metric name, summed by _merge. A stratum
 # block has every name below; the pooled tests have only _test_counts' names.
@@ -848,14 +845,12 @@ def _stage2_counts(block: _Block, design: TrialDesign) -> Counts:
     ratio = block.ratios[1]
     if ratio is not None:
         base = ratio.sum(axis=1, keepdims=True) // k
-        moved, up, down = ratio != base, ratio > base, ratio < base
+        up, down = ratio > base, ratio < base
     else:
-        pi, centre = block.decisions[0].pi[block.which[0]], 1.0 / k
-        moved = _off_centre(pi, centre)
-        up, down = pi > centre + _SHARE_TOL, pi < centre - _SHARE_TOL
+        up, down = block.decisions[0].moves(block.which[0])
     fav[1:] = up[:, 1:].sum(axis=0)
     dis[1:] = down[:, 1:].sum(axis=0)
-    return {"adapt2": moved.any(axis=1).sum(), "fav2": fav, "dis2": dis}
+    return {"adapt2": (up | down).any(axis=1).sum(), "fav2": fav, "dis2": dis}
 
 
 def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
@@ -864,7 +859,6 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
     counters without a stage 3."""
     if design.n_stages < 3:
         return {}
-    k = design.k
     last = block.stage_of == design.n_stages
     last_counts = _tallies(
         design, block.arm[:, last], block.y[:, last], block.observed[:, last]
@@ -874,7 +868,7 @@ def _stage3_counts(block: _Block, design: TrialDesign) -> Counts:
     if ratio is not None:
         moved = ratio != np.asarray(BALANCED[3].counts)
     else:
-        moved = _off_centre(table.pi[rows], 1.0 / k)
+        moved = np.logical_or(*table.moves(rows))
     drop, keep, fav, dis = table.marks(rows).sum(axis=0)
     return {
         "adapt3": moved.any(axis=1).sum(),
@@ -1397,58 +1391,48 @@ def interim_recommendation(
         design, records, upcoming_stage, policy,
         lambda: np.random.default_rng(np.random.SeedSequence([seed])),
     )
-
-    audit = []
-    for label, post in zip(design.arms, rec.posteriors):
-        audit.append(
-            f"posterior {label}: Beta({post.alpha:g}, {post.beta:g}), "
-            f"mean {post.mean:.6f}"
-        )
-    audit.append(
-        "randomisation probabilities: "
-        + ", ".join(
-            f"{label} {p:.6f}" for label, p in zip(design.arms, rec.pi.probs)
-        )
+    return InterimResult(
+        upcoming_stage=upcoming_stage, record=rec, audit=_audit(design, rec)
     )
-    if rec.categories is not None:
-        actives = design.arms[1:]
-        audit.append(
-            "active shares: "
-            + ", ".join(
-                f"{label} {s:.6f}" for label, s in zip(actives, active_shares(rec.pi))
-            )
-        )
-        audit.append(
-            "categories: "
-            + ", ".join(
-                f"{label} {c.value}" for label, c in zip(actives, rec.categories)
-            )
-        )
-        if rec.applied_categories != rec.categories:
-            audit.append(
-                "applied categories: "
-                + ", ".join(
-                    f"{label} {c.value}"
-                    for label, c in zip(actives, rec.applied_categories)
-                )
-            )
-    for line in rec.overrides:
-        audit.append(f"override: {line}")
-    if rec.dropped:
-        audit.append(
-            "dropped arms: "
-            + ", ".join(design.arms[i] for i in rec.dropped)
-        )
-    if rec.ratio is not None:
-        audit.append(f"stage-{upcoming_stage} ratio: {rec.ratio.label()}")
+
+
+def _listed(labels, values, spec: str = "") -> str:
+    """'label value' per label, comma-separated, each value formatted by spec."""
+    return ", ".join(f"{label} {value:{spec}}" for label, value in zip(labels, values))
+
+
+def _audit(design: TrialDesign, record: InterimRecord) -> tuple[str, ...]:
+    """The audit of an interim decision, one line per fact: posteriors,
+    pi, the mapped categories, overrides, dropped arms and the ratio or the
+    i.i.d. assignment the upcoming stage takes."""
+    actives = design.arms[1:]
+    audit = [
+        f"posterior {label}: Beta({post.alpha:g}, {post.beta:g}), mean {post.mean:.6f}"
+        for label, post in zip(design.arms, record.posteriors)
+    ]
+    audit.append(
+        "randomisation probabilities: " + _listed(design.arms, record.pi.probs, ".6f")
+    )
+    if record.categories is not None:
+        shares = active_shares(record.pi)
+        audit.append("active shares: " + _listed(actives, shares, ".6f"))
+        values = [c.value for c in record.categories]
+        audit.append("categories: " + _listed(actives, values))
+        if record.applied_categories != record.categories:
+            values = [c.value for c in record.applied_categories]
+            audit.append("applied categories: " + _listed(actives, values))
+    audit += [f"override: {line}" for line in record.overrides]
+    if record.dropped:
+        dropped = ", ".join(design.arms[i] for i in record.dropped)
+        audit.append(f"dropped arms: {dropped}")
+    stage = record.upcoming_stage
+    if record.ratio is not None:
+        audit.append(f"stage-{stage} ratio: {record.ratio.label()}")
     else:
         audit.append(
-            f"stage-{upcoming_stage} randomisation is i.i.d. at the "
-            "probabilities above"
+            f"stage-{stage} randomisation is i.i.d. at the probabilities above"
         )
-    return InterimResult(
-        upcoming_stage=upcoming_stage, record=rec, audit=tuple(audit)
-    )
+    return tuple(audit)
 
 
 # ---------------------------------------------------------------------------

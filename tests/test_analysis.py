@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -384,7 +383,7 @@ class TestTiedPairTails:
     def test_pooled_imputed_run_sends_no_pair_to_the_table(self, monkeypatch):
         # stage-2 mean imputation ties the imputed values; the final tests'
         # samples tied in one pair or in two pairs read the tail tables, and
-        # only samples with other ties reach the null table
+        # none reaches the null table
         pairs, keyed = [], []
         tails, table = analysis._tail_p_values, analysis._null_survival
 
@@ -395,8 +394,7 @@ class TestTiedPairTails:
             return tails(ns, n1s, w2, a, b)
 
         def table_spy(ranks, n1):
-            # the size of each run of tied values
-            keyed.append([size for size in Counter(ranks).values() if size > 1])
+            keyed.append(ranks)
             return table(ranks, n1)
 
         monkeypatch.setattr(analysis, "_tail_p_values", tails_spy)
@@ -410,10 +408,23 @@ class TestTiedPairTails:
         one_pair, two_pairs = np.sum(pairs, axis=0)
         assert one_pair > 300
         assert two_pairs > 10
-        assert len(keyed) < 50
-        for runs in keyed:
-            # three or more tie runs, or a run of three or more
-            assert len(runs) > 2 or max(runs) > 2, runs
+        assert keyed == []
+
+    def test_three_pairs_reach_the_null_table(self, monkeypatch):
+        # a sample tied in three pairs is past the tail tables: it reads the
+        # null table of its sorted doubled midranks
+        keyed, table = [], analysis._null_survival
+
+        def table_spy(ranks, n1):
+            keyed.append((ranks, n1))
+            return table(ranks, n1)
+
+        monkeypatch.setattr(analysis, "_null_survival", table_spy)
+        values = np.array([[1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 5.0]])
+        sample = np.array([[1, 1, 1, 1, 0, 0, 0, 0]])
+        p = rank_sum_rows(values, sample, 2)[0, 0]
+        assert keyed == [((3, 3, 7, 7, 11, 11, 14, 16), 4)]
+        assert p == _rankdata_p([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 5.0])
 
 
 @st.composite

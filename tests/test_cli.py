@@ -669,6 +669,75 @@ class TestCalibrate:
         assert "mapped" in capsys.readouterr().err
 
 
+# The interim audits of every preset, pinned by the first 12 hex digits of
+# their SHA-256: per preset one digest per accrued file, four per line,
+# under each policy in AUDIT_POLICIES' order. The files are stage 1 before
+# stage 2, the same with one stage-1 outcome missing (the held stage-2
+# allocation), CI's accrued file before stage 3, and a file before stage 3
+# whose stage-2 outcome missing demotes mapped_alpha's and mapped_beta's
+# Keep and suppresses baseline's tau dropping.
+AUDIT_DATA = {
+    "stage1": (STAGE1_ROWS, 2),
+    "stage1_na": (STAGE1_ROWS.replace("3,1,T1,0.4", "3,1,T1,NA"), 2),
+    "ci": (STAGE1_ROWS + STAGE2_NA_ROWS, 3),
+    "keep": (
+        "1,1,C,0.5\n2,1,C,0.1\n3,1,T1,0.0\n4,1,T1,0.1\n5,1,T2,0.8\n6,1,T2,0.9\n"
+        "7,2,C,0.2\n8,2,C,0.6\n9,2,T1,NA\n10,2,T1,0.0\n11,2,T2,0.7\n12,2,T2,0.9\n",
+        3,
+    ),
+}
+AUDIT_POLICIES = {
+    "default": (),
+    "impute": ("--impute-stage2",),
+    "adapt": ("--adapt-on-stage1-missing",),
+    "drop": ("--drop-on-stage2-missing",),
+}
+AUDIT_DIGESTS = {
+    "baseline": (
+        "926b41e1a7b1", "926b41e1a7b1", "926b41e1a7b1", "926b41e1a7b1",
+        "ed993742d2ad", "ed993742d2ad", "938110297d3f", "ed993742d2ad",
+        "b83d7e8577f2", "9c5bb67c625c", "b83d7e8577f2", "54adede811df",
+        "05cb3f77adab", "3e28ca63aebd", "05cb3f77adab", "86906accd29d",
+    ),
+    "control_protected": (
+        "926b41e1a7b1", "926b41e1a7b1", "926b41e1a7b1", "926b41e1a7b1",
+        "ed993742d2ad", "ed993742d2ad", "938110297d3f", "ed993742d2ad",
+        "54adede811df", "9c5bb67c625c", "54adede811df", "54adede811df",
+        "86906accd29d", "3e28ca63aebd", "86906accd29d", "86906accd29d",
+    ),
+    "fixed_equal": (
+        "8c0a09b5f276", "8c0a09b5f276", "8c0a09b5f276", "8c0a09b5f276",
+        "ed993742d2ad", "ed993742d2ad", "4c0845ca8105", "ed993742d2ad",
+        "7575c24bbf92", "47d86ab73160", "7575c24bbf92", "7575c24bbf92",
+        "b6ea3363ae88", "ad9b1029d00e", "b6ea3363ae88", "b6ea3363ae88",
+    ),
+    "mapped_alpha": (
+        "c661e1e29de2", "c661e1e29de2", "c661e1e29de2", "c661e1e29de2",
+        "2df5ca73f305", "2df5ca73f305", "f2fb4fcbcc3e", "2df5ca73f305",
+        "534b0ff4866d", "ad88d660ff1a", "534b0ff4866d", "534b0ff4866d",
+        "e9c322eb58d6", "d9e9150a5d85", "e9c322eb58d6", "096bd39f3caf",
+    ),
+    "mapped_beta": (
+        "c661e1e29de2", "c661e1e29de2", "c661e1e29de2", "c661e1e29de2",
+        "052c118f7613", "052c118f7613", "5e8535762157", "052c118f7613",
+        "534b0ff4866d", "fa30b0e445c5", "534b0ff4866d", "534b0ff4866d",
+        "e9c322eb58d6", "d9e9150a5d85", "e9c322eb58d6", "096bd39f3caf",
+    ),
+    "permuted_block": (
+        "8df545bb6992", "8df545bb6992", "8df545bb6992", "8df545bb6992",
+        "8460ff79d13e", "8460ff79d13e", "8460ff79d13e", "8460ff79d13e",
+        "017f0e32b9fb", "77fd1d18e45d", "017f0e32b9fb", "017f0e32b9fb",
+        "93c1b127a84a", "8245082a2834", "93c1b127a84a", "93c1b127a84a",
+    ),
+    "unrestricted": (
+        "c12072a5a68b", "c12072a5a68b", "c12072a5a68b", "c12072a5a68b",
+        "ed993742d2ad", "ed993742d2ad", "e20b52801d7c", "ed993742d2ad",
+        "f04c1df35dfb", "1a31a3ec7b25", "f04c1df35dfb", "f04c1df35dfb",
+        "7c1e5cdb483f", "c79586f5c6a6", "7c1e5cdb483f", "7c1e5cdb483f",
+    ),
+}
+
+
 class TestInterim:
     def _data(self, tmp_path, body=STAGE1_ROWS):
         path = tmp_path / "accrued.csv"
@@ -687,21 +756,21 @@ class TestInterim:
         audit = (tmp_path / "interim_audit.txt").read_text(encoding="utf-8")
         assert "randomisation probabilities" in audit
 
-    def test_unrestricted_audit_of_the_ci_file(self, tmp_path, capsys):
-        # the audit of CI's accrued file, pinned byte for byte
-        data = self._data(tmp_path, STAGE1_ROWS + STAGE2_NA_ROWS)
+    @pytest.mark.parametrize("policy", sorted(AUDIT_POLICIES))
+    @pytest.mark.parametrize("data", sorted(AUDIT_DATA))
+    @pytest.mark.parametrize("design", sorted(AUDIT_DIGESTS))
+    def test_audit_is_pinned(self, design, data, policy, tmp_path, capsys):
+        # every audit line, pinned byte for byte through its digest
+        body, stage = AUDIT_DATA[data]
         code = main([
-            "interim", "--design", "unrestricted", "--data", str(data),
-            "--next-stage", "3", "--out", str(tmp_path),
+            "interim", "--design", design, "--data", str(self._data(tmp_path, body)),
+            "--next-stage", str(stage), "--seed", "0", "--out", str(tmp_path),
+            *AUDIT_POLICIES[policy],
         ])
         assert code == 0
-        assert (tmp_path / "interim_audit.txt").read_bytes() == (
-            b"posterior C: Beta(3, 3), mean 0.500000\n"
-            b"posterior T1: Beta(3, 2), mean 0.600000\n"
-            b"posterior T2: Beta(4, 2), mean 0.666667\n"
-            b"randomisation probabilities: C 0.154845, T1 0.340659, T2 0.504496\n"
-            b"stage-3 randomisation is i.i.d. at the probabilities above\n"
-        )
+        digest = hashlib.sha256((tmp_path / "interim_audit.txt").read_bytes())
+        at = 4 * list(AUDIT_DATA).index(data) + list(AUDIT_POLICIES).index(policy)
+        assert digest.hexdigest()[:12] == AUDIT_DIGESTS[design][at]
 
     def test_missing_row_triggers_override(self, tmp_path, capsys):
         body = STAGE1_ROWS.replace("3,1,T1,0.4", "3,1,T1,NA")

@@ -489,6 +489,11 @@ class TestDesignValueTypes:
         ("fixed_equal", ("stages", 0, "size"), 6.0, "stages[1].size"),
         ("fixed_equal", ("stages", 2, "size"), "8", "stages[3].size"),
         ("fixed_equal", ("arms", 1, "label"), 1, "arms[1].label"),
+        ("unrestricted", ("tau_dropping",), "false", "tau_dropping"),
+        ("baseline", ("tau_dropping",), 1, "tau_dropping"),
+        ("fixed_equal", ("stage1_balanced_block",), "no", "stage1_balanced_block"),
+        ("fixed_equal", ("name",), 5, "name"),
+        ("fixed_equal", ("stratum_label",), ["x"], "stratum_label"),
     ])
     def test_wrong_type_refused(self, design, path, value, key, tmp_path, capsys):
         payload = design_to_dict(preset_design(design))

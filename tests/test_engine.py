@@ -1219,13 +1219,21 @@ class TestInterimRecommendation:
             for t in (1, 2)
             for i, (label, dy) in enumerate(outcomes.items())
         ]
-        rec = interim_recommendation(design, records, 3).record
+        result = interim_recommendation(design, records, 3)
+        rec = result.record
         posteriors = [(p.alpha, p.beta) for p in rec.posteriors]
         assert posteriors == [(3.0, 1.0), (3.0, 1.0), (3.0, 1.0), (1.0, 3.0)]
         assert rec.dropped == (3,)
         assert rec.pi.probs[3] == 0.0
         assert rec.pi.probs[:3] == pytest.approx((1 / 3,) * 3, abs=1e-12)
         assert rec.overrides == ("active share below tau, dropped: T3",)
+        assert result.audit[4:] == (
+            "randomisation probabilities: C 0.333333, T1 0.333333, T2 0.333333, "
+            "T3 0.000000",
+            "override: active share below tau, dropped: T3",
+            "dropped arms: T3",
+            "stage-3 randomisation is i.i.d. at the probabilities above",
+        )
 
     def test_pinned_end_to_end_oracle(self, reference_design, tmp_path):
         records = self._records(reference_design, tmp_path)
