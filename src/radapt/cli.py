@@ -119,10 +119,11 @@ def _parse_effects(text: str, k: int, flag: str) -> tuple[float, ...]:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid range must be lo:hi:count, got {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, count = text.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
+        except ValueError as exc:
+            raise ValueError(f"grid range must be lo:hi:count, got {text!r}") from exc
         if count < 2 or hi <= lo:
             raise ValueError(f"grid range needs hi > lo and count >= 2: {text!r}")
         return tuple(round(float(g), 10) for g in np.linspace(lo, hi, count))

@@ -342,7 +342,45 @@ def _numbers(key: str, values) -> tuple:
     return tuple(_typed(f"{key}[{i}]", v) for i, v in enumerate(values))
 
 
+# Every key a design dict may hold, nested as the dict nests: the keys
+# design_to_dict writes, the older keys _check_old_keys reads, and
+# rule.mc_draws, which exact P(best) made moot. A list's entries share one
+# schema, numbered from 0 for arms and from 1 for stages.
+_SCHEMA = dict.fromkeys((
+    "name", "stratum_label", "prior_alpha", "prior_beta", "delta", "tau",
+    "alpha_level", "stage1_balanced_block", "tau_dropping", "planned_n",
+)) | {
+    "arms": (0, dict.fromkeys(("label", "index", "role"))),
+    "stages": (1, dict.fromkeys(
+        ("size", "stage_index", "control_fix", "arm_dropping_allowed")
+    )),
+    "rule": dict.fromkeys((
+        "kind", "gamma_schedule", "eta_schedule", "control_exponent_form",
+        "mc_draws",
+    )),
+    "mapping": dict.fromkeys(("variant", "control_fix")) | {
+        "thresholds": dict.fromkeys(("stage2", "stage3")),
+    },
+}
+
+
+def _check_keys(value, schema, path: str = "") -> None:
+    """Refuse a key of `value` outside `schema` at any depth, naming its
+    path; a value of another shape than its schema is left to the reader."""
+    if isinstance(schema, tuple) and isinstance(value, list):
+        start, entry = schema
+        for i, item in enumerate(value, start):
+            _check_keys(item, entry, f"{path}[{i}]")
+    elif isinstance(schema, dict) and isinstance(value, dict):
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else str(key)
+            if key not in schema:
+                raise ValueError(f"unknown key {where}")
+            _check_keys(item, schema[key], where)
+
+
 def design_from_dict(d: dict) -> TrialDesign:
+    _check_keys(d, _SCHEMA)
     try:
         arms = tuple(_typed(f"arms[{i}].label", a["label"], str)
                      for i, a in enumerate(d["arms"]))

@@ -43,13 +43,14 @@ draws, is the tests' oracle for it.
 
 Interim decisions are pure functions of a few integer counts per row, its
 count key (per arm successes, failures and assigned patients, plus whether
-any stage-1 and any stage-2 outcome is missing). Each (design, policy,
-stage) has one decision table (_DecisionTable, kept in _decision_cache) with
-a row per key seen so far, shared by both strata of a pooled run; a conduct
-looks its rows' keys up there and decides the keys the table lacks together,
-as arrays and through the rules' shared arithmetic. An InterimRecord is
-built from a table row only where something prints or inspects it: the
-interim audit, which _audit writes, and the tests.
+any stage-1 and any stage-2 outcome is missing). A run keeps one decision
+table (_DecisionTable) per interim with a row per key seen so far, shared by
+both strata of a pooled run; a conduct looks its rows' keys up there and
+decides the keys the table lacks together, as arrays and through the rules'
+shared arithmetic. No table outlives its run, and a live interim decision
+makes its own. An InterimRecord is built from a table row only where
+something prints or inspects it: the interim audit, which _audit writes,
+and the tests.
 
 The ratios a stage may take come from one place. Stage 1 takes
 mapping.planned_ratio, or i.i.d. assignment where it is None; every later
@@ -242,7 +243,6 @@ class _DecisionTable:
             self.categorised and stage == 3 or self.tau_stage
         )
         self.rows: dict[bytes, int] = {}
-        self.hits = self.misses = 0
         # the ratio options by slot, and each slot's first and last option
         self.options: dict[int, tuple[RatioVector, ...]] = {}
         if planned is not None or self.categorised:
@@ -257,17 +257,13 @@ class _DecisionTable:
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """The row of each count key, one key per row of `keys`; the keys
-        the table lacks are decided together. `hits` and `misses` count the
-        keys looked up that the table held and lacked."""
+        the table lacks are decided together."""
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         row_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
         raw = keys.view(row_bytes)[:, 0].tolist()
         get = self.rows.get
         found = [get(key) for key in raw]
-        absent = found.count(None)
-        self.hits += len(found) - absent
-        self.misses += absent
-        if absent:
+        if None in found:
             new: dict[bytes, int] = {}
             for i, (key, row) in enumerate(zip(raw, found)):
                 if row is None:
@@ -440,29 +436,19 @@ class _DecisionTable:
         )
 
 
-# Count keys the decision tables keep, all tables together. Emptied whenever
-# the tables hold this many at the start of a lookup, so one lookup can pass
-# it by at most one key per row it looks up: a conduct's rows, up to
-# _CONDUCT_BLOCKS blocks.
+# Count keys a run's decision tables keep, all together. _run_chunk starts
+# fresh tables when they hold this many at the start of a group, so a group
+# can pass it by at most one key per row, stage and stratum it conducts.
 _DECISION_MEMO = 4096
 
-# One _DecisionTable per (design, policy, stage), keyed by the design's id:
-# hashing a TrialDesign takes microseconds, and the table holds its design,
-# so no other design can take that id while the entry lives.
-_decision_cache: dict[tuple[int, MissingPolicy, int], _DecisionTable] = {}
 
-
-def _decision_table(
-    design: TrialDesign, policy: MissingPolicy, stage: int
-) -> _DecisionTable:
-    """The decision table of (design, policy, stage), made empty if new."""
-    if sum(map(len, _decision_cache.values())) >= _DECISION_MEMO:
-        _decision_cache.clear()
-    key = (id(design), policy, stage)
-    table = _decision_cache.get(key)
-    if table is None:
-        table = _decision_cache[key] = _DecisionTable(design, policy, stage)
-    return table
+def _decision_tables(
+    design: TrialDesign, policy: MissingPolicy
+) -> tuple[_DecisionTable, ...]:
+    """Empty decision tables of every interim, before stages 2..S."""
+    return tuple(
+        _DecisionTable(design, policy, t) for t in range(2, design.n_stages + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -639,15 +625,13 @@ def _mean_imputed(arm, y, missing, stage_of, k: int):
     return view, ~missing | filled, (target & (n == 0)).sum(axis=1)
 
 
-def _block_decisions(design, policy, stage, arm, y, observed, stage_of):
-    """Each row's interim decision before `stage`: the decision table of
-    (design, policy, stage), which decides the count keys it lacks, and each
-    row's row in it."""
-    tallies = _tallies(design, arm, y, observed)
+def _block_decisions(table: _DecisionTable, arm, y, observed, stage_of):
+    """Each row's row in `table`, which decides the count keys it lacks;
+    the columns given are the cells before the table's stage."""
+    tallies = _tallies(table.design, arm, y, observed)
     # whether any stage-1 and any stage-2 cell is unobserved
     flags = ~observed @ (stage_of[:, None] == (1, 2))
-    table = _decision_table(design, policy, stage)
-    return table, table.lookup(np.concatenate([tallies, flags], axis=1))
+    return table.lookup(np.concatenate([tallies, flags], axis=1))
 
 
 def _final_tests(design: TrialDesign, arm, y, observed):
@@ -681,38 +665,49 @@ def _recommended(design: TrialDesign, tallies: np.ndarray) -> np.ndarray:
     return best
 
 
-def _conduct_stages(design, model, case, policy, draws: _Draws):
-    """Every stage of one trial for every row of `draws`, all rows a stage
-    at a time: arm, y, missing, observed and the imputation failures as
-    _Block holds them, stage_of, and per stage the ratios, decision tables
-    and each row's row in them. Between the stages' decisions everything is
-    array arithmetic over the rows.
+def _conduct_block(
+    design: TrialDesign,
+    model: OutcomeModel,
+    case: MissingCase,
+    policy: MissingPolicy,
+    draws: _Draws,
+    tables: tuple[_DecisionTable, ...] | None = None,
+) -> _Block:
+    """One trial for every row of `draws`, all rows a stage at a time, then
+    the final analysis; row r is the trial tests/reference.py conducts as
+    records on draws[r]. The decisions before stages 2..S come from
+    `tables`, fresh ones if None. Each stage fills its columns of the
+    block's arrays, and between the stages' decisions everything is array
+    arithmetic over the rows.
 
     A missing stage-2 cell's donors all lie in stages 1-2, so imputation
-    runs once, when stage 2 closes: every later decision and the final
-    analysis read that view, extended by the later stages' cells as drawn.
+    runs once, when stage 2 closes, and rewrites those columns: every later
+    decision and the final analysis read that view, the later stages' cells
+    as drawn.
     """
+    if tables is None:
+        tables = _decision_tables(design, policy)
     k, n_rows = design.k, len(draws.coin)
-    arm = np.empty((n_rows, 0), dtype=np.int64)
-    y = np.empty((n_rows, 0))
-    missing = np.empty((n_rows, 0), dtype=bool)
-    observed = np.empty((n_rows, 0), dtype=bool)
+    arm = np.empty((n_rows, design.n_total), dtype=np.int64)
+    y = np.empty((n_rows, design.n_total))
+    missing = np.zeros((n_rows, design.n_total), dtype=bool)
+    observed = np.empty((n_rows, design.n_total), dtype=bool)
     failures = np.zeros(n_rows, dtype=np.int64)
-    stage_of = np.empty(0, dtype=np.int64)
-    ratios, decisions, which = [], [], []
+    stage_of = np.repeat(np.arange(1, design.n_stages + 1), design.stage_sizes)
+    ratios, which = [], []
 
-    stages = zip(design.stage_sizes, _stage_columns(design))
-    for t, (size, cols) in enumerate(stages, start=1):
+    for t, cols in enumerate(_stage_columns(design), start=1):
         keys = draws.key[:, cols]
         if t == 1:
             planned = planned_ratio(design, 1)
             row_pi = np.tile(_equal_probs(k), (n_rows, 1))
             row_ratios = None if planned is None else np.tile(planned.counts, (n_rows, 1))
         else:
-            table, rows = _block_decisions(
-                design, policy, t, arm, y, observed, stage_of
+            table, before = tables[t - 2], slice(0, cols.start)
+            rows = _block_decisions(
+                table, arm[:, before], y[:, before], observed[:, before],
+                stage_of[before],
             )
-            decisions.append(table)
             which.append(rows)
             row_pi, row_ratios = table.pi[rows], table.ratios
             if row_ratios is not None:
@@ -725,46 +720,25 @@ def _conduct_stages(design, model, case, policy, draws: _Draws):
             # cumulative count first exceeds j
             order = np.argsort(keys, axis=1, kind="stable")
             cum = np.cumsum(row_ratios, axis=1)
-            stage_arm = (order[:, :, None] >= cum[:, None, :]).sum(axis=2)
+            arm[:, cols] = (order[:, :, None] >= cum[:, None, :]).sum(axis=2)
         else:
             # the arm whose cumulative pi first exceeds the key times the total
             cum = np.cumsum(row_pi, axis=1)
             scaled = (keys * cum[:, -1:])[:, :, None]
-            stage_arm = (cum[:, None, :-1] <= scaled).sum(axis=2)
-        stage_missing = np.zeros((n_rows, size), dtype=bool)
-        drop = _missing_count(case, t, size)
+            arm[:, cols] = (cum[:, None, :-1] <= scaled).sum(axis=2)
+        y[:, cols] = outcomes_from_raw(model, arm[:, cols], draws.raw[:, cols])
+        drop = _missing_count(case, t, cols.stop - cols.start)
         if drop:
             order = np.argsort(draws.miss[:, cols], axis=1, kind="stable")
-            np.put_along_axis(stage_missing, order[:, :drop], True, axis=1)
-
-        arm = np.hstack([arm, stage_arm])
-        y = np.hstack([y, outcomes_from_raw(model, stage_arm, draws.raw[:, cols])])
-        missing = np.hstack([missing, stage_missing])
-        observed = np.hstack([observed, ~stage_missing])
-        stage_of = np.concatenate([stage_of, np.full(size, t)])
+            np.put_along_axis(missing[:, cols], order[:, :drop], True, axis=1)
+        np.logical_not(missing[:, cols], out=observed[:, cols])
         ratios.append(row_ratios)
         if t == 2 and policy.impute_stage2:
-            y, observed, failures = _mean_imputed(arm, y, missing, stage_of, k)
-    return (
-        arm, y, missing, observed, failures, stage_of,
-        tuple(ratios), tuple(decisions), tuple(which),
-    )
+            upto = slice(0, cols.stop)
+            y[:, upto], observed[:, upto], failures = _mean_imputed(
+                arm[:, upto], y[:, upto], missing[:, upto], stage_of[upto], k
+            )
 
-
-def _conduct_block(
-    design: TrialDesign,
-    model: OutcomeModel,
-    case: MissingCase,
-    policy: MissingPolicy,
-    draws: _Draws,
-) -> _Block:
-    """One trial for every row of `draws`: the stages, then the final
-    analysis. Row r is the trial tests/reference.py conducts as records on
-    draws[r]. The stages' working arrays are freed before the final tests,
-    which set the peak memory of a conduct."""
-    (
-        arm, y, missing, observed, failures, stage_of, ratios, decisions, which
-    ) = _conduct_stages(design, model, case, policy, draws)
     p_value, reject, skipped = _final_tests(design, arm, y, observed)
     tallies = _tallies(design, arm, y, observed)
     return _Block(
@@ -773,9 +747,9 @@ def _conduct_block(
         missing=missing,
         observed=observed,
         stage_of=stage_of,
-        ratios=ratios,
-        decisions=decisions,
-        which=which,
+        ratios=tuple(ratios),
+        decisions=tuple(tables),
+        which=tuple(which),
         impute_failures=failures,
         p_value=p_value,
         reject=reject,
@@ -1063,16 +1037,22 @@ def _block_draws(design, model, master_seed: int, lo: int, hi: int, stream=None)
 def _run_chunk(args) -> tuple[Counts, ...]:
     """The counters of replicates lo..hi: one map per outcome model's
     stratum, each drawn from its block stream (stratum s of two from
-    [m, b, s]), then, for two strata, the pooled tests'."""
+    [m, b, s]), then, for two strata, the pooled tests'. Both strata read
+    one set of decision tables, started afresh at a group's start once they
+    hold _DECISION_MEMO keys; the blocks that read the old set are counted
+    by then."""
     design, models, case, policy, master_seed, lo, hi = args
     streams = (None,) if len(models) == 1 else range(len(models))
     parts = []
+    tables = _decision_tables(design, policy)
     for draws in zip(*(
         _block_draws(design, model, master_seed, lo, hi, stream)
         for model, stream in zip(models, streams)
     )):
+        if sum(map(len, tables)) >= _DECISION_MEMO:
+            tables = _decision_tables(design, policy)
         blocks = [
-            _conduct_block(design, model, case, policy, d)
+            _conduct_block(design, model, case, policy, d, tables)
             for model, d in zip(models, draws)
         ]
         counts = [
@@ -1344,9 +1324,8 @@ def _accrued_decision(
         y, observed, _ = _mean_imputed(arm, y, missing, stage_of, design.k)
     else:
         observed = ~missing
-    table, (row,) = _block_decisions(
-        design, policy, upcoming_stage, arm, y, observed, stage_of
-    )
+    table = _DecisionTable(design, policy, upcoming_stage)
+    (row,) = _block_decisions(table, arm, y, observed, stage_of)
     decision = table[row]
     if len(decision.options) > 1:
         decision = replace(decision, ratio=decision.options[coin_rng().integers(2)])

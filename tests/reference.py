@@ -4,7 +4,7 @@ radapt conducts trials one way: blocks of trials over arrays, stage by stage
 (engine._conduct_block), and a live interim as a block of one row. This
 module conducts one trial at a time as a list of PatientRecords, on one row
 of the same draws and through the same decision tables
-(engine._decision_table), with the record-level imputer and final analysis
+(engine._DecisionTable), with the record-level imputer and final analysis
 written out once more. It keeps the interim decision as radapt took it
 before the tables, one count key at a time (_decide), with the rules'
 arithmetic and exact P(best) of one set of posteriors at a time
@@ -419,8 +419,8 @@ def _decision(design, records, upcoming_stage, policy) -> InterimRecord:
     """radapt's decision on the records' count key, with no coin drawn: per
     arm the successes, failures and assigned patients after stage-2
     imputation (when the policy asks for it), and whether any stage-1 and
-    any stage-2 outcome is missing; taken from the decision table of
-    (design, policy, upcoming_stage), as a block row takes it."""
+    any stage-2 outcome is missing; taken from a decision table of
+    (design, policy, upcoming_stage) made for it, as a block row takes it."""
     records, _ = analysis_records(records, policy)
     tallies = []
     for a in design.arms:
@@ -430,7 +430,7 @@ def _decision(design, records, upcoming_stage, policy) -> InterimRecord:
         tallies.append((wins, len(values) - wins, len(arm)))
     missing = tuple(any(r.missing for r in records if r.stage == s) for s in (1, 2))
     key = tuple(v for tally in tallies for v in tally) + tuple(map(int, missing))
-    table = engine._decision_table(design, policy, upcoming_stage)
+    table = engine._DecisionTable(design, policy, upcoming_stage)
     (row,) = table.lookup([key])
     return table[row]
 

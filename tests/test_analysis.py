@@ -400,7 +400,6 @@ class TestTiedPairTails:
         monkeypatch.setattr(analysis, "_tail_p_values", tails_spy)
         monkeypatch.setattr(analysis, "_null_survival", table_spy)
         table.cache_clear()
-        engine._decision_cache.clear()
         list(engine.replicate_pooled(
             preset_design("mapped_beta"), SCENARIOS["S4"], case=MissingCase(4),
             policy=MissingPolicy(impute_stage2=True), n_reps=500, master_seed=0,

@@ -660,6 +660,21 @@ class TestCalibrate:
         assert code == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0.1:x:3", "0.1:0.5:2.5", "0.1:0.5"])
+    def test_unparsable_grid_range_named(self, grid, tmp_path, capsys):
+        # a range whose bound or count does not parse is refused naming the
+        # grid and its form, not by the bare float or int error
+        out = tmp_path / "out"
+        code = main([
+            "calibrate", "--design", "mapped_alpha", "--stage", "2",
+            "--grid", grid, "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: grid range must be lo:hi:count, got {grid!r}\n"
+        )
+        assert not out.exists()
+
     def test_unmapped_design_rejected(self, tmp_path, capsys):
         code = main([
             "calibrate", "--design", "fixed_equal", "--stage", "2",

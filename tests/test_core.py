@@ -502,25 +502,64 @@ class TestDesignValueTypes:
             design_from_dict(payload)
         assert str(info.value).startswith(f"{key} must be ")
         assert str(info.value).endswith(f", got {value!r}")
-        file = tmp_path / "design.json"
-        file.write_text(json.dumps(payload), encoding="utf-8")
-        data = tmp_path / "accrued.csv"
-        data.write_text(
-            "patient_id,stage,arm_label,delta_y\n"
-            "1,1,C,0.5\n2,1,C,0.1\n3,1,T1,0.4\n4,1,T1,0.0\n5,1,T2,0.35\n6,1,T2,0.9\n",
-            encoding="utf-8",
-        )
-        out = tmp_path / "out"
-        for args in (
-            ["simulate", "--design", str(file), "--reps", "10", "--out", str(out)],
-            ["interim", "--design", str(file), "--data", str(data),
-             "--next-stage", "2", "--out", str(out)],
-        ):
-            assert main(args) == 2
-            captured = capsys.readouterr()
-            assert captured.err == f"error: {file}: {info.value}\n"
-            assert captured.out == ""
-        assert not out.exists()
+        _assert_cli_refuses(payload, info.value, tmp_path, capsys)
+
+
+def _assert_cli_refuses(payload, error, tmp_path, capsys):
+    """simulate and interim on the payload's file exit 2 with `error`,
+    naming the file, and write nothing."""
+    file = tmp_path / "design.json"
+    file.write_text(json.dumps(payload), encoding="utf-8")
+    data = tmp_path / "accrued.csv"
+    data.write_text(
+        "patient_id,stage,arm_label,delta_y\n"
+        "1,1,C,0.5\n2,1,C,0.1\n3,1,T1,0.4\n4,1,T1,0.0\n5,1,T2,0.35\n6,1,T2,0.9\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    for args in (
+        ["simulate", "--design", str(file), "--reps", "10", "--out", str(out)],
+        ["interim", "--design", str(file), "--data", str(data),
+         "--next-stage", "2", "--out", str(out)],
+    ):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {file}: {error}\n"
+        assert captured.out == ""
+    assert not out.exists()
+
+
+class TestUnknownDesignKeys:
+    """A key outside the schema, at any level, is refused with a ValueError
+    naming its path, rather than run as if the design lacked it; the CLI
+    exits 2 naming the file and writes nothing."""
+
+    @pytest.mark.parametrize("design, path, key", [
+        ("unrestricted", ("tau_droping",), "tau_droping"),
+        ("unrestricted", ("prior_alpah",), "prior_alpah"),
+        ("fixed_equal", ("arms", 1, "lable"), "arms[1].lable"),
+        ("fixed_equal", ("stages", 2, "sise"), "stages[3].sise"),
+        ("mapped_alpha", ("rule", "eta_shedule"), "rule.eta_shedule"),
+        ("mapped_alpha", ("mapping", "varient"), "mapping.varient"),
+        ("mapped_beta", ("mapping", "thresholds", "stage_3"),
+         "mapping.thresholds.stage_3"),
+        ("baseline", ("comment",), "comment"),
+    ])
+    def test_unknown_key_refused(self, design, path, key, tmp_path, capsys):
+        payload = design_to_dict(preset_design(design))
+        _set(payload, path, True)
+        with pytest.raises(ValueError) as info:
+            design_from_dict(payload)
+        assert str(info.value) == f"unknown key {key}"
+        _assert_cli_refuses(payload, info.value, tmp_path, capsys)
+
+    def test_every_legacy_key_loads(self):
+        # the seven old keys, each stating what the design implies, and
+        # rule.mc_draws
+        payload = json.loads(OLD_FILES["mapped_alpha"])
+        payload["planned_n"] = 20
+        payload["rule"]["mc_draws"] = 100000
+        assert design_from_dict(payload) == preset_design("mapped_alpha")
 
 
 class TestOldDesignFiles:

@@ -262,10 +262,6 @@ class TestInterimDecisionMemo:
                             r for s in traj.stages[: stage - 1] for r in s.records
                         ]
                         states.append((accrued, stage, policy, seed))
-        # cold tables: a state's first decision is a miss, later ones with
-        # the same counts are hits, and a key that confused two states with
-        # different decisions would show as a mismatch
-        engine._decision_cache.clear()
         for accrued, stage, policy, seed in states:
             got_rng = np.random.default_rng([seed, stage])
             want_rng = np.random.default_rng([seed, stage])
@@ -276,8 +272,15 @@ class TestInterimDecisionMemo:
                     name, policy, seed, stage, f.name
                 )
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        tables = engine._decision_cache.values()
-        assert sum(t.hits for t in tables) > 0 and sum(t.misses for t in tables) > 0
+        # within a run, rows that reach one count key read one table row: a
+        # conducted block's tables hold fewer rows than looked them up
+        model = self.MODELS[1]
+        (draws,) = engine._block_draws(design, model, 5, 0, engine._BLOCK_REPS)
+        block = engine._conduct_block(
+            design, model, MissingCase(3), MissingPolicy(), draws
+        )
+        for table, rows in zip(block.decisions, block.which):
+            assert len(table) < len(rows)
 
 
 REACHING_POLICIES = (
@@ -341,24 +344,37 @@ class TestDecisionTableOracle:
         assert len(checked) > 200
 
     def test_tables_are_bounded(self, monkeypatch):
-        # the tables start afresh once they hold _DECISION_MEMO keys between
-        # them; a lookup first adds at most one key per row of its conduct,
-        # and a conduct reads its rows from the tables it was conducted with
+        # a run starts fresh tables at a group's start once they hold
+        # _DECISION_MEMO keys between them, so a group passes the bound by
+        # at most one key per row, stage and stratum; a block reads its rows
+        # from the tables it was conducted with
         monkeypatch.setattr(engine, "_DECISION_MEMO", 40)
-        engine._decision_cache.clear()
+        calls = []
+        conduct = engine._conduct_block
+
+        def spy(design, model, case, policy, draws, tables):
+            held = sum(map(len, tables))
+            calls.append((held, conduct(design, model, case, policy, draws, tables)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(engine, "_conduct_block", spy)
         design = preset_design("unrestricted")
-        case = MissingCase(0)
+        models = (self.MODEL, NULL)
         group = engine._CONDUCT_BLOCKS * engine._BLOCK_REPS
-        blocks = []
-        for draws in engine._block_draws(design, self.MODEL, 3, 0, 3 * group):
-            blocks.append(
-                engine._conduct_block(design, self.MODEL, case, MissingPolicy(), draws)
-            )
-            held = sum(map(len, engine._decision_cache.values()))
-            assert held < 40 + len(draws.coin)
-        tables = {id(t): t for b in blocks for t in b.decisions}
-        assert len(tables) == 6
-        for block in blocks:
+        engine._run_chunk(
+            (design, models, MissingCase(0), MissingPolicy(), 3, 0, 3 * group)
+        )
+        assert len(calls) == 3 * len(models)
+        sets = []
+        for g in range(3):
+            (start, block_a), (_, block_b) = calls[2 * g : 2 * g + 2]
+            assert list(map(id, block_a.decisions)) == list(map(id, block_b.decisions))
+            sets.append(block_a.decisions)
+            assert start < 40
+            held = sum(map(len, block_a.decisions))
+            assert 40 <= held < 40 + group * (design.n_stages - 1) * len(models)
+        assert len({tuple(map(id, tables)) for tables in sets}) == 3
+        for _, block in calls:
             for table, rows in zip(block.decisions, block.which):
                 assert rows.max() < len(table)
 
@@ -404,7 +420,6 @@ class TestBatchedProbBest:
             return original(params)
 
         monkeypatch.setattr(engine, "_prob_best_sets", spy)
-        engine._decision_cache.clear()
         design = preset_design("unrestricted")
         (draws,) = engine._block_draws(design, ALT, 4, 0, engine._BLOCK_REPS)
         block = engine._conduct_block(design, ALT, MissingCase(0), MissingPolicy(), draws)
@@ -424,7 +439,6 @@ class TestBatchedProbBest:
             return original(best, gamma)
 
         monkeypatch.setattr(engine, "_ts_probs", spy)
-        engine._decision_cache.clear()
         design = preset_design("unrestricted")
         (draws,) = engine._block_draws(design, ALT, 4, 0, engine._BLOCK_REPS)
         block = engine._conduct_block(design, ALT, MissingCase(0), MissingPolicy(), draws)
@@ -448,7 +462,6 @@ class TestBatchedProbBest:
         )
         rows = engine._BLOCK_REPS if prior == 1.0 else 24
         (draws,) = engine._block_draws(design, ALT, 4, 0, rows)
-        engine._decision_cache.clear()
         block = engine._conduct_block(design, ALT, MissingCase(3), MissingPolicy(), draws)
         for table, gamma in zip(block.decisions, (0.5, 1.7)):
             assert table.gamma == gamma
@@ -934,8 +947,9 @@ class TestReplicate:
                 )
 
     def test_pooled_strata_share_the_design_tables(self, monkeypatch):
-        # both strata conduct with the one design: one decision table per
-        # adaptive stage, and both strata's blocks read the same tables
+        # both strata of a group conduct with the one design: one decision
+        # table per adaptive stage, and both strata's blocks read the same
+        # table objects
         blocks = []
         conduct = engine._conduct_block
 
@@ -944,14 +958,13 @@ class TestReplicate:
             return blocks[-1]
 
         monkeypatch.setattr(engine, "_conduct_block", spy)
-        engine._decision_cache.clear()
         replicate_pooled(
             preset_design("mapped_beta"), SCENARIOS["S4"], case=MissingCase(4),
             policy=IMPUTE, n_reps=500, master_seed=2,
         )
-        tables = sorted(engine._decision_cache.values(), key=lambda t: t.stage)
-        assert [t.stage for t in tables] == [2, 3]
         assert len(blocks) == 2
+        tables = blocks[0].decisions
+        assert [t.stage for t in tables] == [2, 3]
         for block in blocks:
             assert list(map(id, block.decisions)) == list(map(id, tables))
 
@@ -1018,8 +1031,8 @@ def _blockwise_reports(run: str, n: int):
         return (report,)
     name, scenario, case, policy = POOLED_RUN
     design = preset_design(name)
-    # each stratum conducts with its own copy of the design, so with its own
-    # decision tables, where the engine's strata share one set
+    # each block is conducted alone, so with fresh decision tables, where
+    # the engine's strata share one set across a run's groups
     strata = [
         (dataclasses.replace(design, stratum_label=label), OutcomeModel.parametric(e))
         for label, e in (("A", scenario.effects_a), ("B", scenario.effects_b))

@@ -176,13 +176,13 @@ def exact_stage2_law(design, model):
     ratio = planned_ratio(design, 1)
     p = [_success_probability(model, i, design.delta) for i in range(design.k)]
     adapt, fav, dis = 0.0, [0.0] * design.k, [0.0] * design.k
+    table = engine._DecisionTable(design, MissingPolicy(), 2)
     for wins in itertools.product(*(range(n + 1) for n in ratio.counts)):
         weight = math.prod(
             math.comb(n, w) * q**w * (1.0 - q) ** (n - w)
             for n, w, q in zip(ratio.counts, wins, p)
         )
         key = tuple(v for n, w in zip(ratio.counts, wins) for v in (w, n - w, n))
-        table = engine._decision_table(design, MissingPolicy(), 2)
         (row,) = table.lookup([key + (0, 0)])
         counts = table[row].ratio.counts
         adapt += weight * (counts != engine.BALANCED[2].counts)
